@@ -13,6 +13,7 @@ from .errors import (
     NotAPermutation,
     NotConstant,
     NotSquare,
+    OracleDisagreement,
     PoleAtEvaluation,
     SchemaError,
     TwistedZetaError,

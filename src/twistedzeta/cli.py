@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import (
     InfiniteReidemeister,
+    OracleDisagreement,
     PoleAtEvaluation,
     SchemaError,
     TwistedZetaError,
@@ -474,6 +475,9 @@ def main(argv=None) -> int:
     except InfiniteReidemeister as exc:
         print(f"error: infinite class count: {exc}", file=sys.stderr)
         return 3
+    except OracleDisagreement as exc:
+        print(f"error: oracle disagreement: {exc}", file=sys.stderr)
+        return 4
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,6 +69,18 @@ class NonInvertible(TwistedZetaError):
     pass
 
 
+class OracleDisagreement(TwistedZetaError):
+    """The count sequence cannot come from an integer zeta function.
+
+    exp(sum_n R_n/n z^n) has a non-integral coefficient at z^n, so the
+    counts break the Dold congruences and the routes disagree.
+    """
+
+    def __init__(self, message, n=None):
+        super().__init__(message)
+        self.n = n
+
+
 # -- problem documents -------------------------------------------------------
 
 class SchemaError(TwistedZetaError):

@@ -1,10 +1,11 @@
 """Exact integer linear algebra.
 
 Determinants by fraction-free (Bareiss) elimination, characteristic
-polynomials by Faddeev-LeVerrier over rationals, Smith normal form with
+polynomials by Faddeev-LeVerrier over the integers, Smith normal form with
 unimodular transforms, exterior powers as compound matrices, and exact
-real-root counting by Sturm sequences.  Everything is arbitrary precision;
-no floating point enters any of these computations.
+real-root counting by Sturm sequences (the one place that needs rational
+arithmetic).  Everything is arbitrary precision; no floating point enters
+any of these computations.
 """
 
 from __future__ import annotations
@@ -147,6 +148,15 @@ class IntPolynomial:
     def __hash__(self):
         return hash(self.coefficients)
 
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        a, b = self.coefficients, other.coefficients
+        out = [0] * max(0, len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return IntPolynomial(out)
+
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coefficients):
@@ -205,29 +215,28 @@ def det(A: IntMatrix) -> int:
 
 
 def char_poly(A: IntMatrix) -> IntPolynomial:
-    """det(xI - A) via Faddeev-LeVerrier over exact rationals."""
+    """det(xI - A) via Faddeev-LeVerrier over the integers.
+
+    For an integer matrix every intermediate matrix is integral and each
+    coefficient -tr/k divides exactly; a remainder is an arithmetic fault.
+    """
     if not A.is_square:
         raise NotSquare("characteristic polynomial of a non-square matrix")
     n = A.rows
-    if n == 0:
-        return IntPolynomial([1])
-    frac = [[Fraction(a) for a in row] for row in A.entries]
-
-    def mat_mul(X, Y):
-        return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    coeffs = [Fraction(1)]  # of x^n, then x^{n-1}, ...
-    M = [[Fraction(0)] * n for _ in range(n)]
+    rows = A.entries
+    coeffs = [1]  # of x^n, then x^{n-1}, ...
+    M = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
             M[i][i] += coeffs[-1]
-        M = mat_mul(frac, M)
-        c = -sum(M[i][i] for i in range(n)) / k
+        cols = list(zip(*M))
+        M = [[sum(a * b for a, b in zip(row, col)) for col in cols]
+             for row in rows]
+        c, rem = divmod(-sum(M[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError(f"trace not divisible by {k} in char_poly")
         coeffs.append(c)
-    ascending = list(reversed(coeffs))
-    assert all(c.denominator == 1 for c in ascending)
-    return IntPolynomial([c.numerator for c in ascending])
+    return IntPolynomial(reversed(coeffs))
 
 
 @dataclass(frozen=True)

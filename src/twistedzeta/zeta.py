@@ -3,7 +3,7 @@
 The zeta function of a twisted class-count sequence is exp(sum_n R_n/n z^n).
 For endomorphisms of Z^k x F it collapses to a finite product of integer
 polynomials det(I - (wedge^i M (x) B) sigma z) raised to +-1 exponents; this
-module builds that product, expands it back to an exact rational power
+module builds that product, expands it back to an exact integer power
 series to compare against the defining series, checks the Dold-style
 divisibility of the count sequence, verifies the functional equation under
 z -> 1/(det(M) z), and evaluates the torsion special value on the unit
@@ -13,7 +13,6 @@ circle by two routes.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -22,6 +21,7 @@ from .errors import (
     InfiniteReidemeister,
     NonInvertible,
     NotConstant,
+    OracleDisagreement,
     PoleAtEvaluation,
     ZeroDeterminant,
 )
@@ -39,7 +39,6 @@ from .reidemeister import (
     ProductEndomorphism,
     class_function_matrix,
     r_product,
-    r_product_oracle,
 )
 
 POLE_TOLERANCE = 1e-6
@@ -85,92 +84,60 @@ class FactoredRationalFunction:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Exact rational power series truncated at z^order (constant included)."""
+    """Exact integer power series truncated at z^order (constant included)."""
 
     order: int
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.coefficients) == self.order + 1
+        if len(self.coefficients) != self.order + 1:
+            raise ValueError("series length does not match its order")
 
 
-# -- exact series arithmetic ---------------------------------------------------
+# -- exact integer series ------------------------------------------------------
+#
+# Every factor det(I - X z) has constant term 1, so the expansion of the
+# product, its logarithmic derivative and the defining exponential series all
+# have integer coefficients and are computed by integer recurrences.
 
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai:
-            for j, bj in enumerate(b[: order + 1 - i]):
-                out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a, order):
-    assert a[0] != 0
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / Fraction(a[0])
-    for n in range(1, order + 1):
-        s = Fraction(0)
-        for i in range(1, min(n, len(a) - 1) + 1):
-            s += Fraction(a[i]) * out[n - i]
-        out[n] = -s / Fraction(a[0])
-    return out
-
-
-def _series_exp(a, order):
-    """exp of a series with zero constant term, by the divided recurrence."""
-    assert a[0] == 0
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    for n in range(1, order + 1):
-        s = Fraction(0)
-        for j in range(1, min(n, len(a) - 1) + 1):
-            s += j * Fraction(a[j]) * out[n - j]
-        out[n] = s / n
-    return out
-
-
-def _series_log(a, order):
-    """log of a series with constant term 1."""
-    assert a[0] == 1
-    inv = _series_inv(a, order)
-    da = [e * Fraction(a[e]) if e < len(a) else Fraction(0)
-          for e in range(1, order + 1)]  # z * a'(z) coefficients at z^1..
-    zlog = _series_mul([Fraction(0)] + da[: order], inv, order)
-    out = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        out[n] = zlog[n] / n
-    return out
-
-
-def _poly_to_series(poly: IntPolynomial, order):
-    coeffs = [Fraction(c) for c in poly.coefficients]
-    coeffs += [Fraction(0)] * max(0, order + 1 - len(coeffs))
-    return coeffs[: order + 1]
+def _multiply_out(factors) -> tuple[IntPolynomial, IntPolynomial]:
+    """Numerator and denominator of prod poly^e over (poly, e) pairs."""
+    num = den = IntPolynomial([1])
+    for poly, e in factors:
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * poly
+            else:
+                den = den * poly
+    return num, den
 
 
 def expand_rational(rf: FactoredRationalFunction, order: int) -> TruncatedSeries:
-    """Exact truncated expansion of the factored product."""
-    acc = [Fraction(1)] + [Fraction(0)] * order
-    for poly, e in rf.factors:
-        base = _poly_to_series(poly, order)
-        if e < 0:
-            base = _series_inv(base, order)
-        for _ in range(abs(e)):
-            acc = _series_mul(acc, base, order)
-    return TruncatedSeries(order, tuple(acc))
+    """Exact truncated expansion of the factored product: num * den^-1."""
+    num, den = _multiply_out(rf.factors)
+    b, d = num.coefficients, den.coefficients
+    if d[0] != 1:
+        raise ValueError("denominator must have constant term 1")
+    a = []
+    for n in range(order + 1):
+        s = b[n] if n < len(b) else 0
+        for i in range(1, min(n, len(d) - 1) + 1):
+            s -= d[i] * a[n - i]
+        a.append(s)
+    return TruncatedSeries(order, tuple(a))
 
 
 def log_derivative_counts(rf: FactoredRationalFunction, order: int) -> list[int]:
-    """Coefficients of z d/dz log of the product: the count sequence itself."""
-    series = expand_rational(rf, order)
-    logs = _series_log(list(series.coefficients), order)
-    out = []
+    """Coefficients of z d/dz log of the product: the count sequence itself.
+
+    Newton's identity c_n = n a_n - sum_{j<n} c_j a_{n-j}, with a the
+    expansion of the product (a_0 = 1).
+    """
+    a = expand_rational(rf, order).coefficients
+    c = [0]
     for n in range(1, order + 1):
-        c = n * logs[n]
-        assert c.denominator == 1
-        out.append(c.numerator)
-    return out
+        c.append(n * a[n] - sum(c[j] * a[n - j] for j in range(1, n)))
+    return c[1:]
 
 
 # -- closed form ---------------------------------------------------------------
@@ -233,21 +200,24 @@ def zeta_product(P: ProductEndomorphism) -> FactoredRationalFunction:
     return FactoredRationalFunction(factors, SignConvention(p, r))
 
 
-def zeta_series_oracle(
-    P: ProductEndomorphism, order: int, cross_check: bool = False
-) -> TruncatedSeries:
+def zeta_series_oracle(P: ProductEndomorphism, order: int) -> TruncatedSeries:
     """The defining series exp(sum_n R_n/n z^n), truncated exactly.
 
-    Counts come from the product formula; with ``cross_check`` the
-    enumeration oracle is run as well and must agree.
+    Counts come from the product formula; the coefficients follow from
+    n a_n = sum_{j=1..n} R_j a_{n-j}.  That sum is divisible by n whenever
+    the counts satisfy the Dold congruences; otherwise no integer rational
+    function can match and OracleDisagreement is raised.
     """
-    logterm = [Fraction(0)] * (order + 1)
+    R = [0] + [r_product(P, n) for n in range(1, order + 1)]
+    a = [1]
     for n in range(1, order + 1):
-        rn = r_product(P, n)
-        if cross_check:
-            assert rn == r_product_oracle(P, n)
-        logterm[n] = Fraction(rn, n)
-    return TruncatedSeries(order, tuple(_series_exp(logterm, order)))
+        q, rem = divmod(sum(R[j] * a[n - j] for j in range(1, n + 1)), n)
+        if rem:
+            raise OracleDisagreement(
+                f"exp(sum R_n/n z^n) has a non-integral coefficient at z^{n}",
+                n=n)
+        a.append(q)
+    return TruncatedSeries(order, tuple(a))
 
 
 def lefschetz_zeta(matrices: list[IntMatrix]) -> FactoredRationalFunction:
@@ -303,15 +273,6 @@ class FunctionalEquation:
     exponent: int
 
 
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def functional_equation_check(M: IntMatrix) -> FunctionalEquation:
     """Verify R(1/(d z)) = eps * R(z)^((-1)^k) symbolically, d = det M.
 
@@ -325,50 +286,26 @@ def functional_equation_check(M: IntMatrix) -> FunctionalEquation:
     k = M.rows
     rf = zeta_product(ProductEndomorphism.from_matrix(M))
 
-    constant = Fraction(1)
-    zpow = 0
-    num = [Fraction(1)]
-    den = [Fraction(1)]
-
-    def push(poly_coeffs, e):
-        nonlocal num, den
-        for _ in range(abs(e)):
-            if e > 0:
-                num = _frac_poly_mul(num, poly_coeffs)
-            else:
-                den = _frac_poly_mul(den, poly_coeffs)
-
+    shift = 0  # the ratio carries (d z)^shift
+    ratio = []
     for poly, e in rf.factors:
         m = poly.degree
         # P(1/(dz)) = d^-m z^-m Q(z) with Q(z) = sum_t a_{m-t} d^t z^t
-        Q = [Fraction(poly.coefficients[m - t]) * Fraction(d) ** t
-             for t in range(m + 1)]
-        constant *= Fraction(1, d ** m) ** e
-        zpow += -m * e
-        push(Q, e)
-        # divide by P(z)^((-1)^k e)
-        push([Fraction(c) for c in poly.coefficients], -((-1) ** k) * e)
-
-    if zpow > 0:
-        num = _frac_poly_mul(num, [Fraction(0)] * zpow + [Fraction(1)])
-    elif zpow < 0:
-        den = _frac_poly_mul(den, [Fraction(0)] * (-zpow) + [Fraction(1)])
-
-    while num and num[-1] == 0:
-        num.pop()
-    while den and den[-1] == 0:
-        den.pop()
-    if not num:
+        Q = IntPolynomial([poly.coefficients[m - t] * d ** t
+                           for t in range(m + 1)])
+        shift -= m * e
+        # times Q(z)^e, divided by P(z)^((-1)^k e)
+        ratio += [(Q, e), (poly, -((-1) ** k) * e)]
+    ratio.append((IntPolynomial([0, 1]), shift))
+    num, den = _multiply_out(ratio)
+    if num.is_zero():
         raise NotConstant("ratio is identically zero")
-    ratio = num[-1] / den[-1]
-    is_constant = len(num) == len(den) and all(
-        a == ratio * b for a, b in zip(num, den)
-    )
-    epsilon = constant * ratio
-    if not is_constant:
+    a, b = num.coefficients, den.coefficients
+    if len(a) != len(b) or any(x * b[-1] != y * a[-1] for x, y in zip(a, b)):
         raise NotConstant(
             "the substituted zeta ratio is not constant in z"
         )
+    epsilon = Fraction(d) ** shift * Fraction(a[-1], b[-1])
     return FunctionalEquation(True, epsilon, (-1) ** k)
 
 

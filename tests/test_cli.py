@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,8 @@ PRODUCT_DOC = {
 }
 
 FREE_DOC = {"kind": "free", "rank": 2, "images": ["ab", "a"]}
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def write_doc(tmp_path, doc, name="problem.json"):
@@ -134,6 +137,13 @@ class TestMainExitCodes:
         doc = {"kind": "abelian", "matrix": [[-1]]}
         path = write_doc(tmp_path, doc)
         assert main(["compute", str(path)]) == 3
+
+    def test_oracle_disagreement_is_4(self, capsys, monkeypatch):
+        # counts R_1 = 1, R_2 = 0 make exp(sum R_n/n z^n) non-integral
+        monkeypatch.setattr("twistedzeta.zeta.r_product",
+                            lambda P, n: 1 if n == 1 else 0)
+        assert main(["compute", str(SAMPLES / "doubling_flip.json")]) == 4
+        assert "oracle disagreement" in capsys.readouterr().err
 
     def test_wrong_kind_for_verb_is_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, FREE_DOC)

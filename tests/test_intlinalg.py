@@ -29,10 +29,24 @@ def random_matrix(rng, k, lo=-5, hi=5):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)])
 
 
-matrices = st.integers(1, 4).flatmap(
-    lambda k: st.lists(
-        st.lists(st.integers(-6, 6), min_size=k, max_size=k),
-        min_size=k, max_size=k).map(IntMatrix))
+def assert_char_poly_is_det_x_minus_a(A):
+    """Both sides have degree n, so agreement at n + 1 points is equality."""
+    n = A.rows
+    p = char_poly(A)
+    assert p.degree == n
+    for x in range(-(n // 2), n - n // 2 + 1):
+        assert p(x) == det(IntMatrix.identity(n).scale(x) - A), x
+
+
+def square_matrices(min_k, max_k):
+    return st.integers(min_k, max_k).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+            min_size=k, max_size=k).map(
+                lambda rows: IntMatrix(rows, rows=k, cols=k)))
+
+
+matrices = square_matrices(1, 4)
 
 
 class TestIntMatrix:
@@ -85,6 +99,17 @@ class TestDetAndCharPoly:
         assert p.coefficients[k] == 1
         if k >= 1:
             assert p.coefficients[k - 1] == -A.trace()
+
+    @given(square_matrices(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_char_poly_is_det_x_minus_a(self, A):
+        assert_char_poly_is_det_x_minus_a(A)
+
+    def test_char_poly_of_compound_matrix(self):
+        A = random_matrix(random.Random(6), 6, -3, 3)
+        X = exterior_power(A, 3)
+        assert X.rows == 20
+        assert_char_poly_is_det_x_minus_a(X)
 
     @given(matrices)
     @settings(max_examples=40, deadline=None)

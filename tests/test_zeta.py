@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from twistedzeta import (
+    FactoredRationalFunction,
     IntMatrix,
+    IntPolynomial,
     ProductEndomorphism,
     congruence_check,
     expand_rational,
@@ -21,6 +23,7 @@ from twistedzeta.errors import (
     EigenvalueOnBoundary,
     InfiniteReidemeister,
     NonInvertible,
+    OracleDisagreement,
     PoleAtEvaluation,
     ZeroDeterminant,
 )
@@ -74,6 +77,38 @@ class TestClosedForm:
         assert rf.evaluate(0.25) == pytest.approx(2.5)
         with pytest.raises(PoleAtEvaluation):
             rf.evaluate(0.5)
+
+
+class TestIntegerSeries:
+    # (1 - 2z)^-2 = sum (n + 1) 2^n z^n, with z d/dz log = sum 2 * 2^n z^n
+    INVERSE_SQUARE = FactoredRationalFunction(((IntPolynomial([1, -2]), -2),))
+
+    def test_expansion_of_inverse_square(self):
+        series = expand_rational(self.INVERSE_SQUARE, 10)
+        assert list(series.coefficients) == [(n + 1) * 2 ** n
+                                             for n in range(11)]
+        assert all(type(c) is int for c in series.coefficients)
+
+    def test_log_derivative_of_inverse_square(self):
+        counts = log_derivative_counts(self.INVERSE_SQUARE, 10)
+        assert counts == [2 * 2 ** n for n in range(1, 11)]
+
+    def test_series_oracle_of_inverse_square_counts(self, monkeypatch):
+        monkeypatch.setattr("twistedzeta.zeta.r_product",
+                            lambda P, n: 2 * 2 ** n)
+        P = ProductEndomorphism.from_matrix(IntMatrix([[-2]]))
+        series = zeta_series_oracle(P, 10)
+        assert series == expand_rational(self.INVERSE_SQUARE, 10)
+        assert all(type(c) is int for c in series.coefficients)
+
+    def test_non_integral_oracle_coefficient_raises(self, monkeypatch):
+        # R_1 = 1, R_2 = 0 breaks the congruence at n = 2: 2 a_2 = 1
+        monkeypatch.setattr("twistedzeta.zeta.r_product",
+                            lambda P, n: 1 if n == 1 else 0)
+        P = ProductEndomorphism.from_matrix(IntMatrix([[-2]]))
+        with pytest.raises(OracleDisagreement) as info:
+            zeta_series_oracle(P, 2)
+        assert info.value.n == 2
 
 
 class TestLefschetzZeta:
