@@ -73,6 +73,7 @@ from .reidemeister import (
     r_product,
     r_product_oracle,
     r_product_trace,
+    r_product_traces,
 )
 from .zeta import (
     FactoredRationalFunction,

@@ -55,7 +55,7 @@ from .reidemeister import (
     r_finite,
     r_product,
     r_product_oracle,
-    r_product_trace,
+    r_product_traces,
 )
 from .zeta import (
     check_all_iterates_finite,
@@ -323,12 +323,13 @@ def _product_report(doc: ProblemDocument) -> dict:
     P = doc.objects["product"]
     N = doc.order
     check_all_iterates_finite(P.M)
-    counts, trace_counts, oracle_counts = [], [], []
+    counts = [r_product(P, n) for n in range(1, N + 1)]
+    trace_counts = r_product_traces(P, N)
+    oracle_counts = []
     for n in range(1, N + 1):
-        counts.append(r_product(P, n))
-        trace_counts.append(r_product_trace(P, n))
-        cells = r_abelian(mat_pow(P.M, n)) * P.F.order
-        if n <= 4 and cells <= ORACLE_SIZE_CAP:
+        # n first: the cell count costs a matrix power and a determinant
+        if n <= 4 and (r_abelian(mat_pow(P.M, n)) * P.F.order
+                       <= ORACLE_SIZE_CAP):
             oracle_counts.append(r_product_oracle(P, n))
         else:
             oracle_counts.append(None)

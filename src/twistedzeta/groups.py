@@ -54,8 +54,11 @@ class FiniteGroup:
         if n < 0:
             g, n = self.inv[g], -n
         acc = self.identity
-        for _ in range(n):
-            acc = self.mult[acc][g]
+        while n:  # square and multiply: O(log n) table lookups
+            if n & 1:
+                acc = self.mult[acc][g]
+            g = self.mult[g][g]
+            n >>= 1
         return acc
 
     def is_abelian(self) -> bool:

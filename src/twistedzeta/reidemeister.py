@@ -15,10 +15,11 @@ Three settings, each with two or three independent routes that must agree:
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfiniteReidemeister, NotAHomomorphism
+from .errors import InfiniteReidemeister, NotAHomomorphism, NotSquare
 from .groups import (
     ConjugacyPartition,
     FiniteGroup,
@@ -180,45 +181,97 @@ def r_product(P: ProductEndomorphism, n: int = 1) -> int:
     return r_abelian(Mn) * r_finite(P.F, iterate_endo(P.phiF, n))
 
 
+def _trace_blocks(P: ProductEndomorphism):
+    """Sign counts (p, r) of M and the blocks wedge^i M (x) B, i = 0..k."""
+    p, r = count_eigen_signs(P.M)
+    B = class_function_matrix(P.F, P.phiF).B
+    return p, r, [kron(exterior_power(P.M, i), B) for i in range(P.k + 1)]
+
+
+def _signed_trace(p: int, r: int, n: int, powers: list[IntMatrix]) -> int:
+    total = sum((-1) ** i * X.trace() for i, X in enumerate(powers))
+    return (-1) ** ((r + p * n) % 2) * total
+
+
 def r_product_trace(P: ProductEndomorphism, n: int = 1) -> int:
     """Signed trace (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M (x) B)^n."""
     _check_finite_iterate(P, n)
-    p, r = count_eigen_signs(P.M)
-    B = class_function_matrix(P.F, P.phiF).B
-    total = 0
-    for i in range(P.k + 1):
-        X = kron(exterior_power(P.M, i), B)
-        total += (-1) ** i * mat_pow(X, n).trace()
-    return (-1) ** ((r + p * n) % 2) * total
+    p, r, blocks = _trace_blocks(P)
+    return _signed_trace(p, r, n, [mat_pow(X, n) for X in blocks])
+
+
+def r_product_traces(P: ProductEndomorphism, N: int) -> list[int]:
+    """``[r_product_trace(P, n) for n in 1..N]``, with the blocks built once.
+
+    Every iterate is checked finite first, with M^n as M^(n-1) M; the n-th
+    block powers are the (n-1)-th times the blocks.
+    """
+    identity = IntMatrix.identity(P.k)
+    Mn = identity
+    for n in range(1, N + 1):
+        Mn = Mn @ P.M
+        if det(identity - Mn) == 0:
+            raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
+    p, r, blocks = _trace_blocks(P)
+    powers = [IntMatrix.identity(X.rows) for X in blocks]
+    counts = []
+    for n in range(1, N + 1):
+        powers = [Xn @ X for Xn, X in zip(powers, blocks)]
+        counts.append(_signed_trace(p, r, n, powers))
+    return counts
+
+
+class _SmithQuotient:
+    """Z^k / A Z^k through one Smith form L A R = D of a square A.
+
+    v lies in A Z^k iff L v is divisible by D entrywise, so the residue of
+    L v modulo the diagonal names the coset of v.
+    """
+
+    def __init__(self, A: IntMatrix):
+        snf = smith_normal_form(A)
+        self.diagonal = snf.diagonal
+        self.left = snf.left
+        self.right = snf.right
+
+    def representatives(self) -> list[tuple[int, ...]]:
+        if 0 in self.diagonal:
+            raise InfiniteReidemeister("lattice quotient is infinite")
+        Linv = unimodular_inverse(self.left)
+        return [Linv.apply(x)
+                for x in itertools.product(*(range(d) for d in self.diagonal))]
+
+    def residue(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """Key equal for two vectors exactly when they differ by A Z^k."""
+        return tuple(xi % d if d else xi
+                     for xi, d in zip(self.left.apply(v), self.diagonal))
+
+    def solve(self, target: tuple[int, ...]):
+        """Integer w with A w = target, or None if target is not in A Z^k."""
+        w = []
+        for xi, d in zip(self.left.apply(target), self.diagonal):
+            if d == 0:
+                if xi != 0:
+                    return None
+                w.append(0)
+            else:
+                q, rem = divmod(xi, d)
+                if rem:
+                    return None
+                w.append(q)
+        return self.right.apply(tuple(w))
 
 
 def coset_representatives(A: IntMatrix) -> list[tuple[int, ...]]:
     """Representatives of Z^k / A Z^k for nonsingular A, via the Smith form."""
-    if det(A) == 0:
-        raise InfiniteReidemeister("lattice quotient is infinite")
-    snf = smith_normal_form(A)
-    Linv = unimodular_inverse(snf.left)
-    reps = []
-    for x in itertools.product(*(range(d) for d in snf.diagonal)):
-        reps.append(Linv.apply(x))
-    return reps
+    if not A.is_square:
+        raise NotSquare("coset representatives of a non-square matrix")
+    return _SmithQuotient(A).representatives()
 
 
 def solve_lattice(A: IntMatrix, target: tuple[int, ...]):
     """Integer solution w of A w = target, or None if target is not in A Z^k."""
-    snf = smith_normal_form(A)
-    x = snf.left.apply(target)
-    w = []
-    for xi, d in zip(x, snf.diagonal):
-        if d == 0:
-            if xi != 0:
-                return None
-            w.append(0)
-        else:
-            if xi % d != 0:
-                return None
-            w.append(xi // d)
-    return snf.right.apply(tuple(w))
+    return _SmithQuotient(A).solve(target)
 
 
 def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
@@ -227,52 +280,36 @@ def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
     Representatives (v, f) run over lattice-coset representatives times F.
     Two of them are equivalent iff v2 - v1 lies in (I - M^n)Z^k and some
     h in F satisfies h f1 = f2 * c * phi_F^n(h), where c is the F-part of
-    the iterate applied to the exact integer solution of
+    the iterate applied to the exact integer solution w of
     (I - M^n) w = v2 - v1.
+
+    Rather than testing pairs, each class is generated as an orbit: the
+    representatives are bucketed by Smith residue, and a new class marks
+    every (v2, h f1 phi_F^n(h)^-1 c^-1) with v2 in the bucket of v1 and h
+    in F.  The cost is O(#cosets * |F|) group operations.
     """
     Mn = _check_finite_iterate(P, n)
-    A = IntMatrix.identity(P.k) - Mn
+    quotient = _SmithQuotient(IntMatrix.identity(P.k) - Mn)
     phin = iterate_endo(P.phiF, n)
     F = P.F
-    snf = smith_normal_form(A)
-    Linv = unimodular_inverse(snf.left)
-    reps = [Linv.apply(x)
-            for x in itertools.product(*(range(d) for d in snf.diagonal))]
-    elements = [(v, f) for v in reps for f in F.elements()]
+    twist_inv = [F.inv[phin(h)] for h in F.elements()]
+    reps = quotient.representatives()
+    keys = [quotient.residue(v) for v in reps]
+    buckets = defaultdict(list)
+    for j, key in enumerate(keys):
+        buckets[key].append(j)
 
-    def solve(delta):
-        x = snf.left.apply(delta)
-        w = []
-        for xi, d in zip(x, snf.diagonal):
-            if xi % d != 0:
-                return None
-            w.append(xi // d)
-        return snf.right.apply(tuple(w))
-
-    def equivalent(g1, g2) -> bool:
-        v1, f1 = g1
-        v2, f2 = g2
-        delta = tuple(a - b for a, b in zip(v2, v1))
-        w = solve(delta)
-        if w is None:
-            return False
-        c = P.lattice_finite_part(w, n)
-        f2c = F.mult[f2][c]
-        return any(
-            F.mult[h][f1] == F.mult[f2c][phin(h)] for h in F.elements()
-        )
-
-    # union-find over the representatives
-    parent = list(range(len(elements)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if find(i) != find(j) and equivalent(elements[i], elements[j]):
-                parent[find(j)] = find(i)
-    return len({find(i) for i in range(len(elements))})
+    marked = [False] * (len(reps) * F.order)
+    classes = 0
+    for j1, v1 in enumerate(reps):
+        for f1 in F.elements():
+            if marked[j1 * F.order + f1]:
+                continue
+            classes += 1
+            for j2 in buckets[keys[j1]]:
+                w = quotient.solve(tuple(b - a for a, b in zip(v1, reps[j2])))
+                c_inv = F.inv[P.lattice_finite_part(w, n)]
+                for h in F.elements():
+                    f2 = F.mult[F.mult[F.mult[h][f1]][twist_inv[h]]][c_inv]
+                    marked[j2 * F.order + f2] = True
+    return classes

@@ -27,6 +27,32 @@ from catalog import (
 )
 
 
+def _power_by_steps(G, g, n):
+    if n < 0:
+        g, n = G.inv[g], -n
+    acc = G.identity
+    for _ in range(n):
+        acc = G.mult[acc][g]
+    return acc
+
+
+class TestPower:
+    def test_matches_step_by_step_loop(self):
+        exponents = (0, 1, 2, 3, -1, -2, -7, 64, 97, -255, 1000, -1001)
+        for name, G, _ in finite_catalog():
+            for g in G.elements():
+                for n in exponents:
+                    assert G.power(g, n) == _power_by_steps(G, g, n), (name, n)
+
+    def test_huge_exponents_reduce_modulo_the_order(self):
+        # g^|G| = e, so the loop on n mod |G| is the reference
+        for name, G, _ in finite_catalog():
+            for g in G.elements():
+                for n in (10 ** 18 + 7, -(2 ** 61 - 1)):
+                    assert (G.power(g, n)
+                            == _power_by_steps(G, g, n % G.order)), (name, n)
+
+
 class TestGroupFromPermutations:
     def test_sym3_has_order_6(self):
         G = group_from_permutations(3, [(1, 2, 0), (1, 0, 2)])

@@ -1,16 +1,20 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistedzeta import (
+    GroupEndomorphism,
     IntMatrix,
     ProductEndomorphism,
+    all_endomorphisms,
     class_function_matrix,
     endo_from_generator_images,
     eventual_image,
     identity_endo,
+    iterate_endo,
     mat_pow,
     phi_conjugacy_classes,
     r_abelian,
@@ -20,18 +24,22 @@ from twistedzeta import (
     r_product,
     r_product_oracle,
     r_product_trace,
+    r_product_traces,
+    smith_normal_form,
 )
 from twistedzeta.errors import (
     EigenvalueOnBoundary,
     InfiniteReidemeister,
     NotAHomomorphism,
 )
+from twistedzeta.intlinalg import unimodular_inverse
 from twistedzeta.reidemeister import coset_representatives, solve_lattice
 
 from catalog import (
     catalog_with_endos,
     cyclic6_doubling,
     cyclic_group,
+    finite_catalog,
     klein_swap,
     product_catalog,
     sym3,
@@ -158,6 +166,119 @@ class TestProduct:
         for psi in (0, 1, 2, 3):
             P = ProductEndomorphism(IntMatrix([[-1]]), (psi,), phi, C4)
             assert r_product_oracle(P) == r_product(P)
+
+
+def _pairwise_oracle(P, n):
+    """Reference enumeration: union-find over every pair of the N =
+    #cosets * |F| representatives, each pair tested with the two-condition
+    criterion; O(N^2) pair tests."""
+    A = IntMatrix.identity(P.k) - mat_pow(P.M, n)
+    phin = iterate_endo(P.phiF, n)
+    F = P.F
+    snf = smith_normal_form(A)
+    Linv = unimodular_inverse(snf.left)
+    reps = [Linv.apply(x)
+            for x in itertools.product(*(range(d) for d in snf.diagonal))]
+    elements = [(v, f) for v in reps for f in F.elements()]
+
+    def solve(delta):
+        x = snf.left.apply(delta)
+        w = []
+        for xi, d in zip(x, snf.diagonal):
+            if xi % d != 0:
+                return None
+            w.append(xi // d)
+        return snf.right.apply(tuple(w))
+
+    def equivalent(g1, g2):
+        (v1, f1), (v2, f2) = g1, g2
+        w = solve(tuple(a - b for a, b in zip(v2, v1)))
+        if w is None:
+            return False
+        f2c = F.mult[f2][P.lattice_finite_part(w, n)]
+        return any(F.mult[h][f1] == F.mult[f2c][phin(h)]
+                   for h in F.elements())
+
+    parent = list(range(len(elements)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            if find(i) != find(j) and equivalent(elements[i], elements[j]):
+                parent[find(j)] = find(i)
+    return len({find(i) for i in range(len(elements))})
+
+
+_SMALL_FINITE = [
+    (G, all_endomorphisms(G, gens) if gens
+     else [GroupEndomorphism((0,) * G.order)])
+    for _, G, gens in finite_catalog() if G.order <= 8
+]
+
+
+@st.composite
+def small_products(draw):
+    """(P, n): k <= 2, |F| <= 8, any phi_F, any commuting psi, n <= 3."""
+    k = draw(st.integers(0, 2))
+    M = IntMatrix(draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+        min_size=k, max_size=k)), rows=k, cols=k)
+    n = draw(st.integers(1, 3))
+    try:
+        cosets = r_abelian(mat_pow(M, n))
+    except InfiniteReidemeister:
+        cosets = None
+    assume(cosets is not None and cosets <= 16)
+    G, endos = draw(st.sampled_from(_SMALL_FINITE))
+    phiF = draw(st.sampled_from(endos))
+    image = set(phiF.image)
+    commuting = [a for a in G.elements()
+                 if all(G.mult[a][f] == G.mult[f][a] for f in image)]
+    psi = tuple(draw(st.sampled_from(commuting)) for _ in range(k))
+    try:
+        P = ProductEndomorphism(M, psi, phiF, G)
+    except NotAHomomorphism:
+        P = None
+    assume(P is not None)
+    return P, n
+
+
+class TestOrbitOracle:
+    @given(small_products())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_enumeration(self, case):
+        P, n = case
+        assert r_product_oracle(P, n) == _pairwise_oracle(P, n)
+
+    def test_non_bijective_phi_and_nontrivial_psi(self):
+        # doubling on C6 has image {0, 2, 4}; psi sends each basis vector
+        # to the generator
+        C6, doubling = cyclic6_doubling()
+        assert len(set(doubling.image)) == 3
+        for M in (IntMatrix([[-2]]), IntMatrix([[0, 2], [1, 0]])):
+            P = ProductEndomorphism(M, (1,) * M.rows, doubling, C6)
+            for n in (1, 2, 3):
+                assert (r_product_oracle(P, n) == _pairwise_oracle(P, n)
+                        == r_product(P, n)), (M, n)
+
+
+class TestTraceSequence:
+    def test_matches_single_iterates_on_catalog(self):
+        for P in product_catalog():
+            assert r_product_traces(P, 12) == [
+                r_product_trace(P, n) for n in range(1, 13)]
+
+    def test_first_infinite_iterate_raises(self):
+        # M = -1: det(I - M) = 2 but det(I - M^2) = 0
+        P = ProductEndomorphism.from_matrix(IntMatrix([[-1]]))
+        with pytest.raises(InfiniteReidemeister) as info:
+            r_product_traces(P, 2)
+        assert info.value.n == 2
 
 
 class TestLatticeHelpers:
