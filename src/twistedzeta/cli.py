@@ -33,7 +33,7 @@ from .fox import (
     chain_matrices,
     matrix_norm,
     nielsen_radius_bounds,
-    twisted_power_norm,
+    twisted_power_norms,
 )
 from .groups import (
     FiniteGroup,
@@ -361,7 +361,7 @@ def _free_report(doc: ProblemDocument) -> dict:
     endo = doc.objects["endo"]
     bounds = nielsen_radius_bounds(endo)
     mats = chain_matrices(endo)
-    growth = [twisted_power_norm(endo, mats[1], n) for n in range(1, 9)]
+    growth = twisted_power_norms(endo, mats[1], 8)
     agree = bounds.bound_spectral >= float(bounds.bound_norm) - 1e-12
     return {
         "bounds": {
@@ -477,7 +477,8 @@ def main(argv=None) -> int:
         print(f"error: infinite class count: {exc}", file=sys.stderr)
         return 3
     except OracleDisagreement as exc:
-        print(f"error: oracle disagreement: {exc}", file=sys.stderr)
+        print(f"error: oracle disagreement at n = {exc.n}, counts "
+              f"R_1..R_{exc.n} = {list(exc.counts)}: {exc}", file=sys.stderr)
         return 4
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,12 +73,14 @@ class OracleDisagreement(TwistedZetaError):
     """The count sequence cannot come from an integer zeta function.
 
     exp(sum_n R_n/n z^n) has a non-integral coefficient at z^n, so the
-    counts break the Dold congruences and the routes disagree.
+    counts break the Dold congruences and the routes disagree.  ``counts``
+    holds R_1..R_n.
     """
 
-    def __init__(self, message, n=None):
+    def __init__(self, message, n=None, counts=()):
         super().__init__(message)
         self.n = n
+        self.counts = tuple(counts)
 
 
 # -- problem documents -------------------------------------------------------

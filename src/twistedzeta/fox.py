@@ -41,6 +41,22 @@ def word_inverse(w: Word) -> Word:
     return tuple(-s for s in reversed(w))
 
 
+def _join(u: Word, v: Word) -> Word:
+    """Reduced form of u v for freely reduced u and v.
+
+    Only the junction can cancel, so the cost is the number of cancelled
+    letters plus one copy of the two remaining slices.
+    """
+    if not u or not v or u[-1] + v[0]:
+        return u + v
+    i = 0
+    for a, b in zip(reversed(u), v):
+        if a + b:
+            break
+        i += 1
+    return u[:len(u) - i] + v[i:]
+
+
 def parse_word(text: str, rank: int | None = None) -> Word:
     letters = []
     for ch in text:
@@ -64,7 +80,10 @@ def word_to_str(w: Word) -> str:
 
 
 class GroupRingElement:
-    """Sparse element of the integral group ring of a free group."""
+    """Sparse element of the integral group ring of a free group.
+
+    The keys of ``terms`` are freely reduced words.
+    """
 
     __slots__ = ("terms",)
 
@@ -111,10 +130,7 @@ class GroupRingElement:
 
     def __mul__(self, other):
         out: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = free_reduce(w1 + w2)
-                out[w] = out.get(w, 0) + c1 * c2
+        _add_product(out, self, other)
         return GroupRingElement(out)
 
     def __repr__(self):
@@ -130,6 +146,14 @@ class GroupRingElement:
             else:
                 parts.append(f"{c}*{word}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _add_product(acc: dict, x: GroupRingElement, y: GroupRingElement):
+    """Add the terms of x * y into the word -> coefficient dict acc."""
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            w = _join(w1, w2)
+            acc[w] = acc.get(w, 0) + c1 * c2
 
 
 def ring_norm(x: GroupRingElement) -> int:
@@ -162,11 +186,18 @@ class FreeGroupEndo:
         return cls(rank, tuple((j,) for j in range(1, rank + 1)))
 
     def apply_word(self, w: Word) -> Word:
-        out: list[int] = []
-        for s in w:
-            img = self.images[abs(s) - 1]
-            out.extend(img if s > 0 else word_inverse(img))
-        return free_reduce(out)
+        """Reduced image of w.
+
+        The letter images are joined in pairs, then pairs of pairs, so with
+        L the total length of the letter images a word costs O(L log |w|)
+        letter copies, where joining them one by one costs O(L |w|).
+        """
+        parts = [self.images[s - 1] if s > 0
+                 else word_inverse(self.images[-s - 1]) for s in w]
+        while len(parts) > 1:
+            parts = [_join(*parts[i:i + 2]) if i + 1 < len(parts)
+                     else parts[i] for i in range(0, len(parts), 2)]
+        return parts[0] if parts else ()
 
     def apply(self, x: GroupRingElement) -> GroupRingElement:
         out: dict[Word, int] = {}
@@ -201,15 +232,16 @@ class GroupRingMatrix:
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        columns = list(zip(*other.entries))
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = GroupRingElement.zero()
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            out_row = []
+            for column in columns:
+                acc: dict[Word, int] = {}
+                for x, y in zip(row, column):
+                    _add_product(acc, x, y)
+                out_row.append(GroupRingElement(acc))
+            out.append(out_row)
         return GroupRingMatrix(out)
 
     def map_entries(self, fn) -> "GroupRingMatrix":
@@ -235,7 +267,7 @@ def fox_derivative(w: Word, j: int) -> GroupRingElement:
     for s in w:
         if s == j:
             out[prefix] = out.get(prefix, 0) + 1
-        prefix_next = free_reduce(prefix + (s,))
+        prefix_next = _join(prefix, (s,))
         if s == -j:
             out[prefix_next] = out.get(prefix_next, 0) - 1
         prefix = prefix_next
@@ -380,13 +412,33 @@ def nielsen_radius_bounds(phi: FreeGroupEndo) -> RadiusBounds:
     return RadiusBounds(Fraction(1, max_norm), 1.0 / max_spec)
 
 
-def twisted_power_norm(phi: FreeGroupEndo, A: GroupRingMatrix, n: int) -> int:
-    """||(zA)^n|| via g z = z phi(g): the twisted product phi^(n-1)(A)...phi(A) A."""
+def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
+                        N: int) -> list[int]:
+    """[||(zA)^n|| for n = 1..N] in one pass.
+
+    g z = z phi(g) gives (zA)^n = z^n P_n with P_n = phi^(n-1)(A) ... phi(A) A,
+    so P_n = phi^(n-1)(A) P_(n-1): each step multiplies the product on the
+    left by one twisted factor.  That factor is A pushed through phi^(n-1),
+    whose generator images are kept from step to step (phi^n(a_j) is
+    phi^(n-1) applied to the short word phi(a_j)), so no long word is ever
+    pushed through phi letter by letter.
+    """
     if A.rows != A.cols:
         raise NotSquare("twisted power of a non-square matrix")
-    if n < 1:
+    if N < 1:
         raise ValueError("n must be >= 1")
     product = A
-    for _ in range(n - 1):
-        product = product.map_entries(phi.apply) @ A
-    return matrix_norm(product)
+    norms = [matrix_norm(A)]
+    power = phi
+    for n in range(2, N + 1):
+        product = A.map_entries(power.apply) @ product
+        norms.append(matrix_norm(product))
+        if n < N:
+            power = FreeGroupEndo(
+                phi.rank, tuple(power.apply_word(w) for w in phi.images))
+    return norms
+
+
+def twisted_power_norm(phi: FreeGroupEndo, A: GroupRingMatrix, n: int) -> int:
+    """||(zA)^n||: the last of ``twisted_power_norms(phi, A, n)``."""
+    return twisted_power_norms(phi, A, n)[-1]

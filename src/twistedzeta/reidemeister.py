@@ -287,6 +287,11 @@ def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
     representatives are bucketed by Smith residue, and a new class marks
     every (v2, h f1 phi_F^n(h)^-1 c^-1) with v2 in the bucket of v1 and h
     in F.  The cost is O(#cosets * |F|) group operations.
+
+    What this checks today: the representatives are one per coset, so each
+    bucket holds one of them, w is always 0 and c the identity.  The count
+    is |det(I - M^n)| times the number of phi_F^n-twisted classes of F;
+    psi and the exact solve never change it.
     """
     Mn = _check_finite_iterate(P, n)
     quotient = _SmithQuotient(IntMatrix.identity(P.k) - Mn)

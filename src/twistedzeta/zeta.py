@@ -215,7 +215,7 @@ def zeta_series_oracle(P: ProductEndomorphism, order: int) -> TruncatedSeries:
         if rem:
             raise OracleDisagreement(
                 f"exp(sum R_n/n z^n) has a non-integral coefficient at z^{n}",
-                n=n)
+                n=n, counts=R[1:n + 1])
         a.append(q)
     return TruncatedSeries(order, tuple(a))
 

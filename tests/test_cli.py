@@ -145,6 +145,13 @@ class TestMainExitCodes:
         assert main(["compute", str(SAMPLES / "doubling_flip.json")]) == 4
         assert "oracle disagreement" in capsys.readouterr().err
 
+    def test_oracle_disagreement_prints_the_counts(self, capsys, monkeypatch):
+        monkeypatch.setattr("twistedzeta.zeta.r_product",
+                            lambda P, n: 1 if n == 1 else 0)
+        assert main(["compute", str(SAMPLES / "doubling_flip.json")]) == 4
+        err = capsys.readouterr().err
+        assert "at n = 2, counts R_1..R_2 = [1, 0]:" in err
+
     def test_wrong_kind_for_verb_is_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, FREE_DOC)
         assert main(["zeta", path]) == 2

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from twistedzeta import (
     FreeGroupEndo,
     GroupRingElement,
+    GroupRingMatrix,
     IntMatrix,
+    NotSquare,
     fox_derivative,
     free_reduce,
     jacobian,
@@ -20,9 +22,10 @@ from twistedzeta import (
     ring_norm,
     spectral_radius,
     twisted_power_norm,
+    twisted_power_norms,
     word_to_str,
 )
-from twistedzeta.fox import chain_matrices, word_inverse
+from twistedzeta.fox import _join, chain_matrices, word_inverse
 
 
 def random_word(rng, rank, max_len):
@@ -221,3 +224,117 @@ class TestTwistedPowers:
         assert len(chains) == 2
         assert chains[0].entries[0][0] == GroupRingElement.one()
         assert len(chains[1].entries) == 2
+
+
+def signed_letters(rank):
+    return st.integers(1, rank).flatmap(lambda j: st.sampled_from([j, -j]))
+
+
+def reduced_words(rank, max_size):
+    return st.lists(signed_letters(rank), max_size=max_size).map(free_reduce)
+
+
+@st.composite
+def substitutions(draw):
+    rank = draw(st.integers(1, 3))
+    images = tuple(draw(reduced_words(rank, 4)) for _ in range(rank))
+    return FreeGroupEndo(rank, images)
+
+
+@st.composite
+def ring_matrices(draw, rank):
+    """Square matrices of signed sums of up to three short words."""
+    element = st.dictionaries(
+        reduced_words(rank, 3),
+        st.integers(-2, 2).filter(bool), max_size=3).map(GroupRingElement)
+    return GroupRingMatrix(
+        [[draw(element) for _ in range(rank)] for _ in range(rank)])
+
+
+def reference_twisted_power_norms(phi, A, N):
+    """Norms of P_n = phi(P_(n-1)) A, fully reducing every concatenation."""
+    def image(w):
+        return free_reduce([t for s in w for t in (
+            phi.images[s - 1] if s > 0 else word_inverse(phi.images[-s - 1]))])
+
+    def matmul(X, Y):
+        out = [[{} for _ in Y[0]] for _ in X]
+        for i, row in enumerate(X):
+            for k, x in enumerate(row):
+                for j, y in enumerate(Y[k]):
+                    for w1, c1 in x.items():
+                        for w2, c2 in y.items():
+                            w = free_reduce(w1 + w2)
+                            out[i][j][w] = out[i][j].get(w, 0) + c1 * c2
+        return out
+
+    def norm(X):
+        return sum(abs(c) for row in X for x in row for c in x.values())
+
+    A = [[dict(x.terms) for x in row] for row in A.entries]
+    P = A
+    norms = [norm(P)]
+    for _ in range(N - 1):
+        twisted = [[{} for _ in row] for row in P]
+        for i, row in enumerate(P):
+            for j, x in enumerate(row):
+                for w, c in x.items():
+                    iw = image(w)
+                    twisted[i][j][iw] = twisted[i][j].get(iw, 0) + c
+        P = matmul(twisted, A)
+        norms.append(norm(P))
+    return norms
+
+
+class TestJunctionCancellation:
+    @given(words, words, st.integers(0, 25))
+    @settings(max_examples=200, deadline=None)
+    def test_join_is_free_reduction(self, u, x, k):
+        # v starts by undoing the last k letters of u, then goes on with x
+        v = free_reduce(word_inverse(u[len(u) - min(k, len(u)):]) + x)
+        assert _join(u, v) == free_reduce(u + v)
+
+    @given(substitutions().flatmap(
+        lambda phi: st.tuples(st.just(phi), reduced_words(phi.rank, 12))))
+    @settings(max_examples=150, deadline=None)
+    def test_apply_word_reduces_the_concatenated_images(self, case):
+        phi, w = case
+        images = [phi.images[s - 1] if s > 0
+                  else word_inverse(phi.images[-s - 1]) for s in w]
+        assert phi.apply_word(w) == free_reduce(
+            [t for img in images for t in img])
+
+
+class TestTwistedPowerNorms:
+    @given(substitutions(), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_jacobian_matches_right_recursion(self, phi, N):
+        D = jacobian(phi)
+        assert twisted_power_norms(phi, D, N) == \
+            reference_twisted_power_norms(phi, D, N)
+
+    @given(substitutions().flatmap(
+        lambda phi: st.tuples(st.just(phi), ring_matrices(phi.rank))),
+        st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_signed_matrix_matches_right_recursion(self, case, N):
+        phi, A = case
+        assert twisted_power_norms(phi, A, N) == \
+            reference_twisted_power_norms(phi, A, N)
+
+    @given(substitutions(), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_single_norm_is_last_of_list(self, phi, n):
+        D = jacobian(phi)
+        assert twisted_power_norm(phi, D, n) == \
+            twisted_power_norms(phi, D, n)[-1]
+
+    def test_errors_from_both(self):
+        phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
+        D = jacobian(phi)
+        wide = GroupRingMatrix([[GroupRingElement.one()] * 2])
+        for fn in (twisted_power_norm, twisted_power_norms):
+            with pytest.raises(NotSquare):
+                fn(phi, wide, 2)
+            with pytest.raises(ValueError):
+                fn(phi, D, 0)
