@@ -1,11 +1,17 @@
 """Command-line surface: declarative JSON problem documents in, reports out.
 
+A report is a set of sections, each one quantity checked by two or more
+routes; one table lists each kind's sections, and ``agreement`` is true when
+the routes of every printed section agree.  A quantity that does not exist
+for the document (the torsion of a non-invertible map, the functional
+equation when det M = 0) is recorded as ``skipped`` and agrees.
+
 Verbs:
   check    validate a document and exit
-  compute  full report with every applicable formula and its oracle
-  zeta     zeta factors plus the exact series identity check
-  bounds   Nielsen-radius bounds for a free-group document
-  torsion  torsion special values at the requested angles
+  compute  every section of the document's kind
+  zeta     the zeta section: factors plus the exact series identity check
+  bounds   the free-group sections: Nielsen-radius bounds, twisted power norms
+  torsion  the torsion section at the requested angles (default 1/2)
 
 Exit codes: 0 success, 2 validation error, 3 infinite class count
 detected, 4 internal oracle disagreement.
@@ -22,11 +28,13 @@ from fractions import Fraction
 
 from .errors import (
     InfiniteReidemeister,
+    NonInvertible,
     OracleDisagreement,
     PoleAtEvaluation,
     SchemaError,
     TwistedZetaError,
     ValidationError,
+    ZeroDeterminant,
 )
 from .fox import (
     FreeGroupEndo,
@@ -70,7 +78,6 @@ from .zeta import (
 
 DEFAULT_ORDER = 12
 ORACLE_SIZE_CAP = 300  # max (#cosets * |F|) for the enumeration oracle
-KINDS = ("finite", "abelian", "product", "free")
 
 
 @dataclass
@@ -173,24 +180,23 @@ def parse_problem(text: str) -> ProblemDocument:
              "'congruence_range' must be >= 1")
     angles = [_parse_angle(a, "torsion_angles")
               for a in options.get("torsion_angles", [])]
+    if kind == "abelian" and not angles:
+        angles = [Fraction(1, 2)]
 
     doc = ProblemDocument(kind, raw, order, crange, angles)
 
     if kind == "finite":
         G, phi = _build_finite(raw)
         doc.objects = {"group": G, "endo": phi}
-    elif kind == "abelian":
-        M = _int_matrix(raw.get("matrix"), "abelian")
-        if det(IntMatrix.identity(M.rows) - M) == 0:
-            raise ValidationError(
-                "abelian: det(I - M) = 0, the class count is infinite")
-        doc.objects = {"matrix": M,
-                       "product": ProductEndomorphism.from_matrix(M)}
-    elif kind == "product":
-        P = _build_product(raw)
+    elif kind in ("abelian", "product"):
+        if kind == "abelian":
+            M = _int_matrix(raw.get("matrix"), "abelian")
+            P = ProductEndomorphism.from_matrix(M)
+        else:
+            P = _build_product(raw)
         if det(IntMatrix.identity(P.k) - P.M) == 0:
             raise ValidationError(
-                "product: det(I - M) = 0, the class count is infinite")
+                f"{kind}: det(I - M) = 0, the class count is infinite")
         doc.objects = {"product": P}
     else:  # free
         rank = raw.get("rank")
@@ -204,7 +210,7 @@ def parse_problem(text: str) -> ProblemDocument:
             endo = FreeGroupEndo.from_strings(rank, images)
         except ValueError as exc:
             raise ValidationError(f"free: {exc}") from exc
-        doc.objects = {"endo": endo}
+        doc.objects = {"endo": endo, "chain": chain_matrices(endo)}
     return doc
 
 
@@ -213,38 +219,85 @@ def serialize_factors(rf) -> list[dict]:
             for poly, e in rf.factors]
 
 
-def _finite_report(doc: ProblemDocument) -> dict:
+# -- report sections -----------------------------------------------------------
+#
+# A section takes the document and the report so far, and returns its value
+# and whether its routes agree.  Congruences and the eventual image read the
+# formula route of the counts section, which comes first.
+
+def _formula(routes: dict) -> list[int]:
+    return next(iter(routes.values()))
+
+
+def _counts(routes: dict) -> tuple[dict, bool]:
+    """Count routes, the formula route first.  An entry agrees when it equals
+    the formula's entry; a None entry is a skipped oracle and is not compared.
+    """
+    formula = _formula(routes)
+    agree = all(c is None or c == f
+                for counts in routes.values() for c, f in zip(counts, formula))
+    return routes, agree
+
+
+def _finite_counts(doc, report):
     G, phi = doc.objects["group"], doc.objects["endo"]
-    N = doc.order
-    counts, trace_counts, oracle_counts = [], [], []
     B = class_function_matrix(G, phi).B
+    iterates = [iterate_endo(phi, n) for n in range(1, doc.order + 1)]
+    return _counts({
+        "fixed_class_formula": [r_finite(G, phin) for phin in iterates],
+        "class_function_trace": [mat_pow(B, n).trace()
+                                 for n in range(1, doc.order + 1)],
+        "twisted_conjugacy_oracle": [
+            phi_conjugacy_classes(G, phin).num_classes for phin in iterates],
+    })
+
+
+def _abelian_counts(doc, report):
+    M = doc.objects["product"].M
+    check_all_iterates_finite(M)
+    powers = [mat_pow(M, n) for n in range(1, doc.order + 1)]
+    return _counts({
+        "determinant_formula": [r_abelian(Mn) for Mn in powers],
+        "smith_coset_oracle": [r_abelian_smith(Mn) for Mn in powers],
+        "signed_exterior_trace": [r_abelian_trace(Mn) for Mn in powers],
+    })
+
+
+def _product_counts(doc, report):
+    P, N = doc.objects["product"], doc.order
+    check_all_iterates_finite(P.M)
+    oracle = []
     for n in range(1, N + 1):
-        phin = iterate_endo(phi, n)
-        counts.append(r_finite(G, phin))
-        trace_counts.append(mat_pow(B, n).trace())
-        oracle_counts.append(phi_conjugacy_classes(G, phin).num_classes)
-    H, phi_H, _ = eventual_image(G, phi)
-    reduced_count = phi_conjugacy_classes(H, phi_H).num_classes
-    residues = congruence_check(counts[: doc.congruence_range])
-    agree = counts == trace_counts == oracle_counts and reduced_count == counts[0]
-    return {
-        "counts": {
-            "fixed_class_formula": counts,
-            "class_function_trace": trace_counts,
-            "twisted_conjugacy_oracle": oracle_counts,
-        },
-        "eventual_image": {"order": H.order, "count": reduced_count},
-        "congruences": {"residues": residues,
-                        "all_zero": all(r == 0 for _, r in residues)},
-        "agreement": agree and all(r == 0 for _, r in residues),
-    }
+        # n first: the cell count costs a matrix power and a determinant
+        fits = n <= 4 and (r_abelian(mat_pow(P.M, n)) * P.F.order
+                           <= ORACLE_SIZE_CAP)
+        oracle.append(r_product_oracle(P, n) if fits else None)
+    return _counts({
+        "product_formula": [r_product(P, n) for n in range(1, N + 1)],
+        "signed_trace": r_product_traces(P, N),
+        "enumeration_oracle": oracle,
+    })
 
 
-def _zeta_section(P: ProductEndomorphism, order: int) -> dict:
+def _eventual_image(doc, report):
+    H, phi_H, _ = eventual_image(doc.objects["group"], doc.objects["endo"])
+    count = phi_conjugacy_classes(H, phi_H).num_classes
+    return ({"order": H.order, "count": count},
+            count == _formula(report["counts"])[0])
+
+
+def _congruences(doc, report):
+    counts = _formula(report["counts"])[: doc.congruence_range]
+    residues = congruence_check(counts)
+    all_zero = all(r == 0 for _, r in residues)
+    return {"residues": residues, "all_zero": all_zero}, all_zero
+
+
+def _zeta(doc, report):
+    P = doc.objects["product"]
     rf = zeta_product(P)
-    series = zeta_series_oracle(P, order)
-    expanded = expand_rational(rf, order)
-    agree = expanded.coefficients == series.coefficients
+    series = zeta_series_oracle(P, doc.order)
+    agree = expand_rational(rf, doc.order).coefficients == series.coefficients
     return {
         "factors": serialize_factors(rf),
         "display": str(rf),
@@ -252,16 +305,30 @@ def _zeta_section(P: ProductEndomorphism, order: int) -> dict:
                             "r": rf.sign_convention.r,
                             "sigma": rf.sign_convention.sigma},
         "series_check": {
-            "order": order,
+            "order": doc.order,
             "formula": "closed rational form vs exp(sum R_n/n z^n)",
             "agree": agree,
         },
-    }
+    }, agree
 
 
-def _torsion_section(P: ProductEndomorphism, angles) -> list[dict]:
-    out = []
-    for t in angles:
+def _functional_equation(doc, report):
+    try:
+        feq = functional_equation_check(doc.objects["product"].M)
+    except ZeroDeterminant as exc:
+        return {"skipped": str(exc)}, True
+    return {
+        "constant": str(feq.epsilon),
+        "exponent": feq.exponent,
+        "is_constant": feq.is_constant,
+    }, feq.is_constant
+
+
+def _torsion(doc, report):
+    # At a pole or for a non-invertible map neither route has a value.
+    P = doc.objects["product"]
+    entries = []
+    for t in doc.torsion_angles:
         entry = {"angle": str(t)}
         try:
             v1 = torsion_special_value(P, t)
@@ -269,125 +336,67 @@ def _torsion_section(P: ProductEndomorphism, angles) -> list[dict]:
             entry.update({
                 "value": v1,
                 "lefschetz_route": v2,
-                "agree": abs(v1 - v2) <= 1e-9 * max(abs(v1), abs(v2)),
+                "agree": bool(abs(v1 - v2) <= 1e-9 * max(abs(v1), abs(v2))),
             })
         except PoleAtEvaluation as exc:
             entry.update({"pole": str(exc), "agree": True})
-        out.append(entry)
-    return out
+        except NonInvertible as exc:
+            entry.update({"skipped": str(exc), "agree": True})
+        entries.append(entry)
+    return entries, all(entry["agree"] for entry in entries)
 
 
-def _abelian_report(doc: ProblemDocument) -> dict:
-    M = doc.objects["matrix"]
-    P = doc.objects["product"]
-    N = doc.order
-    check_all_iterates_finite(M)
-    counts, smith_counts, trace_counts = [], [], []
-    for n in range(1, N + 1):
-        Mn = mat_pow(M, n)
-        counts.append(r_abelian(Mn))
-        smith_counts.append(r_abelian_smith(Mn))
-        trace_counts.append(r_abelian_trace(Mn))
-    residues = congruence_check(counts[: doc.congruence_range])
-    zeta_part = _zeta_section(P, N)
-    feq = functional_equation_check(M)
-    angles = doc.torsion_angles or [Fraction(1, 2)]
-    torsion = _torsion_section(P, angles)
-    agree = (
-        counts == smith_counts == trace_counts
-        and zeta_part["series_check"]["agree"]
-        and all(r == 0 for _, r in residues)
-        and feq.is_constant
-        and all(entry["agree"] for entry in torsion)
-    )
+def _bounds(doc, report):
+    bounds = nielsen_radius_bounds(doc.objects["endo"])
     return {
-        "counts": {
-            "determinant_formula": counts,
-            "smith_coset_oracle": smith_counts,
-            "signed_exterior_trace": trace_counts,
-        },
-        "zeta": zeta_part,
-        "congruences": {"residues": residues,
-                        "all_zero": all(r == 0 for _, r in residues)},
-        "functional_equation": {
-            "constant": str(feq.epsilon),
-            "exponent": feq.exponent,
-            "is_constant": feq.is_constant,
-        },
-        "torsion": torsion,
-        "agreement": agree,
-    }
+        "norm_bound": str(bounds.bound_norm),
+        "spectral_bound": bounds.bound_spectral,
+        "chain_norms": [matrix_norm(A) for A in doc.objects["chain"]],
+    }, bounds.bound_spectral >= float(bounds.bound_norm) - 1e-12
 
 
-def _product_report(doc: ProblemDocument) -> dict:
-    P = doc.objects["product"]
-    N = doc.order
-    check_all_iterates_finite(P.M)
-    counts = [r_product(P, n) for n in range(1, N + 1)]
-    trace_counts = r_product_traces(P, N)
-    oracle_counts = []
-    for n in range(1, N + 1):
-        # n first: the cell count costs a matrix power and a determinant
-        if n <= 4 and (r_abelian(mat_pow(P.M, n)) * P.F.order
-                       <= ORACLE_SIZE_CAP):
-            oracle_counts.append(r_product_oracle(P, n))
-        else:
-            oracle_counts.append(None)
-    residues = congruence_check(counts[: doc.congruence_range])
-    zeta_part = _zeta_section(P, N)
-    torsion = _torsion_section(P, doc.torsion_angles)
-    agree = (
-        counts == trace_counts
-        and all(o is None or o == c for o, c in zip(oracle_counts, counts))
-        and zeta_part["series_check"]["agree"]
-        and all(r == 0 for _, r in residues)
-        and all(entry["agree"] for entry in torsion)
-    )
-    return {
-        "counts": {
-            "product_formula": counts,
-            "signed_trace": trace_counts,
-            "enumeration_oracle": oracle_counts,
-        },
-        "zeta": zeta_part,
-        "congruences": {"residues": residues,
-                        "all_zero": all(r == 0 for _, r in residues)},
-        "torsion": torsion,
-        "agreement": agree,
-    }
+def _twisted_power_norms(doc, report):
+    return twisted_power_norms(doc.objects["endo"], doc.objects["chain"][1],
+                               8), True
 
 
-def _free_report(doc: ProblemDocument) -> dict:
-    endo = doc.objects["endo"]
-    bounds = nielsen_radius_bounds(endo)
-    mats = chain_matrices(endo)
-    growth = twisted_power_norms(endo, mats[1], 8)
-    agree = bounds.bound_spectral >= float(bounds.bound_norm) - 1e-12
-    return {
-        "bounds": {
-            "norm_bound": str(bounds.bound_norm),
-            "spectral_bound": bounds.bound_spectral,
-            "chain_norms": [matrix_norm(A) for A in mats],
-        },
-        "twisted_power_norms": growth,
-        "agreement": agree,
-    }
+# Each kind's sections, in report order; ``compute`` prints them all.
+_SECTIONS = {
+    "finite": {"counts": _finite_counts, "eventual_image": _eventual_image,
+               "congruences": _congruences},
+    "abelian": {"counts": _abelian_counts, "zeta": _zeta,
+                "congruences": _congruences,
+                "functional_equation": _functional_equation,
+                "torsion": _torsion},
+    "product": {"counts": _product_counts, "zeta": _zeta,
+                "congruences": _congruences, "torsion": _torsion},
+    "free": {"bounds": _bounds, "twisted_power_norms": _twisted_power_norms},
+}
+KINDS = tuple(_SECTIONS)
+# The sections the other verbs print.
+_VERB_SECTIONS = {"zeta": ("zeta",), "bounds": tuple(_SECTIONS["free"]),
+                  "torsion": ("torsion",)}
+
+
+def _report(doc: ProblemDocument, names) -> dict:
+    """The named sections of the document, and whether every one agrees."""
+    sections = _SECTIONS[doc.kind]
+    report = {"kind": doc.kind}
+    agree = []
+    for name in names:
+        report[name], ok = sections[name](doc, report)
+        agree.append(ok)
+    report["agreement"] = all(agree)
+    return report
 
 
 def run(doc: ProblemDocument) -> dict:
-    """Full report: every applicable computation alongside its oracle."""
+    """Full report: every section of the document's kind, by all its routes."""
     start = time.monotonic()
-    builders = {
-        "finite": _finite_report,
-        "abelian": _abelian_report,
-        "product": _product_report,
-        "free": _free_report,
-    }
-    body = builders[doc.kind](doc)
-    body["kind"] = doc.kind
-    body["inputs"] = {k: v for k, v in doc.payload.items() if k != "options"}
-    body["timing_seconds"] = round(time.monotonic() - start, 6)
-    return body
+    report = _report(doc, _SECTIONS[doc.kind])
+    report["inputs"] = {k: v for k, v in doc.payload.items() if k != "options"}
+    report["timing_seconds"] = round(time.monotonic() - start, 6)
+    return report
 
 
 def _render_text(report: dict, indent: str = "") -> str:
@@ -426,7 +435,7 @@ def main(argv=None) -> int:
         description="Twisted conjugacy counts, zeta functions, and bounds "
                     "from declarative JSON problem documents.")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("check", "compute", "zeta", "bounds", "torsion"):
+    for verb in ("check", "compute", *_VERB_SECTIONS):
         sp = sub.add_parser(verb)
         sp.add_argument("document", help="path to a JSON document, or - for stdin")
         sp.add_argument("--order", type=int, default=None,
@@ -440,37 +449,27 @@ def main(argv=None) -> int:
     try:
         doc = parse_problem(_read_document(args.document))
         if args.order is not None:
+            _require(args.order >= 1, "'--order' must be >= 1")
             doc.order = args.order
             doc.congruence_range = min(doc.congruence_range, args.order)
+        if args.verb == "torsion" and not doc.torsion_angles:
+            doc.torsion_angles = [Fraction(1, 2)]
 
         if args.verb == "check":
-            _emit({"kind": doc.kind, "valid": True}, args.as_json)
-            return 0
-        if args.verb == "compute":
+            report = {"kind": doc.kind, "valid": True}
+        elif args.verb == "compute":
             report = run(doc)
-        elif args.verb == "zeta":
-            if doc.kind not in ("abelian", "product"):
-                raise ValidationError("zeta requires an abelian or product document")
-            report = {"kind": doc.kind,
-                      "zeta": _zeta_section(doc.objects["product"], doc.order)}
-            report["agreement"] = report["zeta"]["series_check"]["agree"]
-        elif args.verb == "bounds":
-            if doc.kind != "free":
-                raise ValidationError("bounds requires a free-group document")
-            report = _free_report(doc)
-            report["kind"] = doc.kind
-        else:  # torsion
-            if doc.kind not in ("abelian", "product"):
-                raise ValidationError(
-                    "torsion requires an abelian or product document")
-            angles = doc.torsion_angles or [Fraction(1, 2)]
-            torsion = _torsion_section(doc.objects["product"], angles)
-            report = {"kind": doc.kind, "torsion": torsion,
-                      "agreement": all(e["agree"] for e in torsion)}
-
+        else:
+            names = _VERB_SECTIONS[args.verb]
+            kinds = [kind for kind, sections in _SECTIONS.items()
+                     if set(names) <= set(sections)]
+            if doc.kind not in kinds:
+                raise ValidationError(f"{args.verb} requires a document of "
+                                      f"kind {' or '.join(kinds)}")
+            report = _report(doc, names)
         _emit(report, args.as_json)
         return 0 if report.get("agreement", True) else 4
-    except (SchemaError, ValidationError) as exc:
+    except (SchemaError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfiniteReidemeister as exc:
@@ -480,9 +479,6 @@ def main(argv=None) -> int:
         print(f"error: oracle disagreement at n = {exc.n}, counts "
               f"R_1..R_{exc.n} = {list(exc.counts)}: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

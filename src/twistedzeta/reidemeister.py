@@ -168,17 +168,20 @@ class ProductEndomorphism:
         return f
 
 
-def _check_finite_iterate(P: ProductEndomorphism, n: int) -> IntMatrix:
+def _check_finite_iterate(P: ProductEndomorphism,
+                          n: int) -> tuple[IntMatrix, int]:
+    """M^n and |det(I - M^n)|, which must not vanish."""
     Mn = mat_pow(P.M, n)
-    if det(IntMatrix.identity(P.k) - Mn) == 0:
+    d = det(IntMatrix.identity(P.k) - Mn)
+    if d == 0:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
-    return Mn
+    return Mn, abs(d)
 
 
 def r_product(P: ProductEndomorphism, n: int = 1) -> int:
     """Product formula: |det(I - M^n)| times the finite count for phi_F^n."""
-    Mn = _check_finite_iterate(P, n)
-    return r_abelian(Mn) * r_finite(P.F, iterate_endo(P.phiF, n))
+    _, lattice_count = _check_finite_iterate(P, n)
+    return lattice_count * r_finite(P.F, iterate_endo(P.phiF, n))
 
 
 def _trace_blocks(P: ProductEndomorphism):
@@ -293,7 +296,7 @@ def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
     is |det(I - M^n)| times the number of phi_F^n-twisted classes of F;
     psi and the exact solve never change it.
     """
-    Mn = _check_finite_iterate(P, n)
+    Mn, _ = _check_finite_iterate(P, n)
     quotient = _SmithQuotient(IntMatrix.identity(P.k) - Mn)
     phin = iterate_endo(P.phiF, n)
     F = P.F

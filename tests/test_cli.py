@@ -186,3 +186,95 @@ class TestMainExitCodes:
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(FREE_DOC)))
         assert main(["bounds", "-"]) == 0
+
+
+# The verbs that apply to each kind, and the sections each verb prints.
+APPLICABLE = {
+    "finite": {"check", "compute"},
+    "abelian": {"check", "compute", "zeta", "torsion"},
+    "product": {"check", "compute", "zeta", "torsion"},
+    "free": {"check", "compute", "bounds"},
+}
+VERB_SECTIONS = {"zeta": ["zeta"], "torsion": ["torsion"],
+                 "bounds": ["bounds", "twisted_power_norms"]}
+SAMPLE_PATHS = sorted(SAMPLES.glob("*.json"))
+
+
+def run_verb(capsys, verb, path, *extra):
+    code = main([verb, str(path), *extra])
+    out = capsys.readouterr().out
+    return code, (json.loads(out) if code == 0 else None)
+
+
+class TestEveryVerb:
+    @pytest.mark.parametrize("verb", ["check", "compute", *VERB_SECTIONS])
+    @pytest.mark.parametrize("path", SAMPLE_PATHS, ids=lambda p: p.stem)
+    def test_verb_on_sample(self, capsys, path, verb):
+        kind = json.loads(path.read_text())["kind"]
+        code, out = run_verb(capsys, verb, path)
+        if verb not in APPLICABLE[kind]:
+            assert code == 2
+        elif verb == "check":
+            assert code == 0 and out == {"kind": kind, "valid": True}
+        else:
+            assert code == 0
+            assert out["agreement"] is True
+
+    @pytest.mark.parametrize("path", SAMPLE_PATHS, ids=lambda p: p.stem)
+    def test_verbs_print_the_compute_sections(self, capsys, tmp_path, path):
+        doc = json.loads(path.read_text())
+        # the same angles for every verb: the torsion verb has its own default
+        doc.setdefault("options", {}).setdefault("torsion_angles",
+                                                 ["1/2", "1/3"])
+        doc_path = write_doc(tmp_path, doc)
+        _, full = run_verb(capsys, "compute", doc_path)
+        for verb, sections in VERB_SECTIONS.items():
+            if verb not in APPLICABLE[doc["kind"]]:
+                continue
+            code, out = run_verb(capsys, verb, doc_path)
+            assert code == 0
+            assert set(out) == {"kind", "agreement", *sections}
+            for name in sections:
+                assert out[name] == full[name], (verb, name)
+
+
+class TestSkippedAndBooleans:
+    def test_torsion_agree_is_a_json_boolean(self, capsys):
+        code, out = run_verb(capsys, "compute",
+                             SAMPLES / "doubling_flip.json")
+        assert code == 0
+        assert len(out["torsion"]) == 2
+        assert all(entry["agree"] is True for entry in out["torsion"])
+
+    def test_non_bijective_finite_part_skips_torsion(self, tmp_path, capsys):
+        doc = dict(PRODUCT_DOC)
+        doc["finite"] = dict(PRODUCT_DOC["finite"],
+                             endo_images=[[0, 1, 2, 3], [0, 1, 2, 3]])
+        doc["options"] = {"torsion_angles": ["1/3"]}
+        code, out = run_verb(capsys, "compute", write_doc(tmp_path, doc))
+        assert code == 0
+        assert out["torsion"] == [{"angle": "1/3",
+                                   "skipped": "finite part is not bijective",
+                                   "agree": True}]
+        assert out["agreement"] is True
+
+    def test_singular_lattice_skips_what_needs_det_m(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {"kind": "abelian", "matrix": [[0]]})
+        code, out = run_verb(capsys, "compute", path)
+        assert code == 0
+        assert out["functional_equation"] == {"skipped": "det M = 0"}
+        assert out["torsion"] == [{"angle": "1/2",
+                                   "skipped": "lattice part is singular",
+                                   "agree": True}]
+        assert out["counts"]["determinant_formula"] == [1] * 12
+        assert out["agreement"] is True
+        code, out = run_verb(capsys, "torsion", path)
+        assert code == 0
+        assert out["torsion"][0]["skipped"] == "lattice part is singular"
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    @pytest.mark.parametrize("sample", ["doubling_flip", "klein_swap"])
+    def test_order_override_below_one_is_2(self, capsys, sample, order):
+        path = SAMPLES / f"{sample}.json"
+        assert main(["compute", str(path), "--order", order]) == 2
+        assert "'--order' must be >= 1" in capsys.readouterr().err

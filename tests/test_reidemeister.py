@@ -32,7 +32,7 @@ from twistedzeta.errors import (
     InfiniteReidemeister,
     NotAHomomorphism,
 )
-from twistedzeta.intlinalg import unimodular_inverse
+from twistedzeta.intlinalg import det, unimodular_inverse
 from twistedzeta.reidemeister import coset_representatives, solve_lattice
 
 from catalog import (
@@ -132,6 +132,28 @@ class TestProduct:
         assert r_product_trace(P) == 6
         assert r_product_oracle(P) == 6
         assert r_product(P, 2) == r_product_oracle(P, 2) == 12
+
+    def test_infinite_iterate_carries_its_n(self):
+        # det(I - M) = 2 but det(I - M^2) = 0
+        P = ProductEndomorphism.from_matrix(IntMatrix([[-1]]))
+        assert r_product(P) == 2
+        with pytest.raises(InfiniteReidemeister) as info:
+            r_product(P, 2)
+        assert info.value.n == 2
+
+    def test_one_determinant_per_iterate(self, monkeypatch):
+        import twistedzeta.reidemeister as reidemeister
+        calls = []
+
+        def counting_det(A):
+            calls.append(A)
+            return det(A)
+
+        monkeypatch.setattr(reidemeister, "det", counting_det)
+        K, swap = klein_swap()
+        P = ProductEndomorphism(IntMatrix([[-2]]), (K.identity,), swap, K)
+        assert r_product(P, 3) == 9 * 2
+        assert len(calls) == 1
 
     def test_pure_lattice_reduces_to_abelian(self):
         M = IntMatrix([[2, 1], [1, 1]])
