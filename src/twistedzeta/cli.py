@@ -10,7 +10,8 @@ Verbs:
   check    validate a document and exit
   compute  every section of the document's kind
   zeta     the zeta section: factors plus the exact series identity check
-  bounds   the free-group sections: Nielsen-radius bounds, twisted power norms
+  bounds   the free-group sections: Nielsen-radius bounds, the twisted power
+           norms as lengths of reduced images, and their ring-product oracle
   torsion  the torsion section at the requested angles (default 1/2)
 
 Exit codes: 0 success, 2 validation error, 3 infinite class count
@@ -20,6 +21,7 @@ detected, 4 internal oracle disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -39,8 +41,9 @@ from .errors import (
 from .fox import (
     FreeGroupEndo,
     chain_matrices,
+    chain_radius_bounds,
     matrix_norm,
-    nielsen_radius_bounds,
+    power_image_lengths,
     twisted_power_norms,
 )
 from .groups import (
@@ -78,6 +81,7 @@ from .zeta import (
 
 DEFAULT_ORDER = 12
 ORACLE_SIZE_CAP = 300  # max (#cosets * |F|) for the enumeration oracle
+NORM_ORACLE_TERM_CAP = 4096  # max terms of P_n for the ring-product oracle
 
 
 @dataclass
@@ -229,14 +233,16 @@ def _formula(routes: dict) -> list[int]:
     return next(iter(routes.values()))
 
 
+def _agrees(route: list, formula: list[int]) -> bool:
+    """Every entry equals the formula's entry; a None entry is a skipped
+    oracle and is not compared."""
+    return all(c is None or c == f for c, f in zip(route, formula))
+
+
 def _counts(routes: dict) -> tuple[dict, bool]:
-    """Count routes, the formula route first.  An entry agrees when it equals
-    the formula's entry; a None entry is a skipped oracle and is not compared.
-    """
+    """Count routes, the formula route first, compared by ``_agrees``."""
     formula = _formula(routes)
-    agree = all(c is None or c == f
-                for counts in routes.values() for c, f in zip(counts, formula))
-    return routes, agree
+    return routes, all(_agrees(counts, formula) for counts in routes.values())
 
 
 def _finite_counts(doc, report):
@@ -347,17 +353,32 @@ def _torsion(doc, report):
 
 
 def _bounds(doc, report):
-    bounds = nielsen_radius_bounds(doc.objects["endo"])
+    chain = doc.objects["chain"]
+    bounds = chain_radius_bounds(chain)
     return {
         "norm_bound": str(bounds.bound_norm),
         "spectral_bound": bounds.bound_spectral,
-        "chain_norms": [matrix_norm(A) for A in doc.objects["chain"]],
+        "chain_norms": [matrix_norm(A) for A in chain],
     }, bounds.bound_spectral >= float(bounds.bound_norm) - 1e-12
 
 
 def _twisted_power_norms(doc, report):
-    return twisted_power_norms(doc.objects["endo"], doc.objects["chain"][1],
-                               8), True
+    # The formula route; the power_norm_oracle section that follows checks it.
+    return power_image_lengths(doc.objects["endo"], 8), True
+
+
+def _power_norm_oracle(doc, report):
+    """||(zJ)^n|| from the ring products P_n = J(phi^n), null from the first
+    n whose formula norm exceeds the cap: that norm is the term count of P_n.
+    """
+    formula = report["twisted_power_norms"]
+    fits = next((i for i, norm in enumerate(formula)
+                 if norm > NORM_ORACLE_TERM_CAP), len(formula))
+    ring = (twisted_power_norms(doc.objects["endo"], doc.objects["chain"][1],
+                                fits) if fits else [])
+    ring += [None] * (len(formula) - fits)
+    return ({"ring_product": ring, "term_cap": NORM_ORACLE_TERM_CAP},
+            _agrees(ring, formula))
 
 
 # Each kind's sections, in report order; ``compute`` prints them all.
@@ -370,7 +391,8 @@ _SECTIONS = {
                 "torsion": _torsion},
     "product": {"counts": _product_counts, "zeta": _zeta,
                 "congruences": _congruences, "torsion": _torsion},
-    "free": {"bounds": _bounds, "twisted_power_norms": _twisted_power_norms},
+    "free": {"bounds": _bounds, "twisted_power_norms": _twisted_power_norms,
+             "power_norm_oracle": _power_norm_oracle},
 }
 KINDS = tuple(_SECTIONS)
 # The sections the other verbs print.
@@ -429,7 +451,9 @@ def _emit(report: dict, as_json: bool) -> None:
         print(_render_text(report))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="twistedzeta",
         description="Twisted conjugacy counts, zeta functions, and bounds "
@@ -444,7 +468,11 @@ def main(argv=None) -> int:
         group.add_argument("--json", dest="as_json", action="store_true",
                            default=True)
         group.add_argument("--text", dest="as_json", action="store_false")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         doc = parse_problem(_read_document(args.document))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import NotSquare
@@ -399,17 +400,21 @@ class RadiusBounds(NamedTuple):
     bound_spectral: float
 
 
-def nielsen_radius_bounds(phi: FreeGroupEndo) -> RadiusBounds:
+def chain_radius_bounds(mats: list[GroupRingMatrix]) -> RadiusBounds:
     """Two lower bounds for the Nielsen-zeta radius of convergence.
 
     1 / max_d ||F_d|| and 1 / max_d s(F_d^norm) over the chain matrices.
     Prefixing every basis word with the mapping-torus generator is a
     bijection on basis elements, so the extra letter never changes a norm.
     """
-    mats = chain_matrices(phi)
     max_norm = max(matrix_norm(A) for A in mats)
     max_spec = max(spectral_radius(matrix_of_norms(A)).value for A in mats)
     return RadiusBounds(Fraction(1, max_norm), 1.0 / max_spec)
+
+
+def nielsen_radius_bounds(phi: FreeGroupEndo) -> RadiusBounds:
+    """``chain_radius_bounds`` of the chain matrices of phi."""
+    return chain_radius_bounds(chain_matrices(phi))
 
 
 def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
@@ -442,3 +447,35 @@ def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
 def twisted_power_norm(phi: FreeGroupEndo, A: GroupRingMatrix, n: int) -> int:
     """||(zA)^n||: the last of ``twisted_power_norms(phi, A, n)``."""
     return twisted_power_norms(phi, A, n)[-1]
+
+
+def power_image_lengths(phi: FreeGroupEndo, N: int) -> list[int]:
+    """[sum_i |phi^n(a_i)| for n = 1..N], the lengths of reduced words.
+
+    These are the twisted power norms ||(zJ)^n|| of the Fox Jacobian J.
+    Fox's chain rule (Fox, Free differential calculus I, Ann. Math. 1953),
+    J(psi phi) = psi(J(phi)) J(psi) for phi applied first, gives J(phi^n) =
+    phi^(n-1)(J) J(phi^(n-1)), the product P_n of ``twisted_power_norms``.
+    For a freely reduced word w, d(w)/d(a_j) has one term per occurrence
+    of a_j^+-1: +w[:k] for a_j at position k, -w[:k+1] for a_j^-1 there.
+    Prefixes of different lengths are different words, so two terms could
+    only share a word at an a_j^-1 a_j pair, which a reduced word does not
+    contain.  Nothing cancels, ||d(w)/d(a_j)|| counts the letters a_j^+-1
+    of w, and the norm of row i of J(phi^n) is |phi^n(a_i)|.
+
+    Each step rebuilds phi(w) from the letter images of every reduced
+    image w and reduces it on a stack, so this route shares nothing with
+    the ring products of ``twisted_power_norms`` but the generator images.
+    """
+    if N < 1:
+        raise ValueError("n must be >= 1")
+    letter_images = {}
+    for j, w in enumerate(phi.images, 1):
+        letter_images[j], letter_images[-j] = w, word_inverse(w)
+    images = phi.images
+    lengths = [sum(map(len, images))]
+    for _ in range(N - 1):
+        images = [free_reduce(chain.from_iterable(
+            map(letter_images.__getitem__, w))) for w in images]
+        lengths.append(sum(map(len, images)))
+    return lengths

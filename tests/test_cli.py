@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from twistedzeta import cli, fox
 from twistedzeta.cli import main, parse_problem, run
 from twistedzeta.errors import SchemaError, ValidationError
 
@@ -27,6 +28,11 @@ PRODUCT_DOC = {
 }
 
 FREE_DOC = {"kind": "free", "rank": 2, "images": ["ab", "a"]}
+
+# Rank 3: ||P_n|| passes the ring oracle's term cap at n = 5.
+FRONTIER_DOC = {"kind": "free", "rank": 3,
+                "images": ["abcAB", "bcaBC", "cabCA"]}
+FRONTIER_NORMS = [15, 63, 267, 1131, 4791, 20295, 85971, 364179]
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -196,7 +202,8 @@ APPLICABLE = {
     "free": {"check", "compute", "bounds"},
 }
 VERB_SECTIONS = {"zeta": ["zeta"], "torsion": ["torsion"],
-                 "bounds": ["bounds", "twisted_power_norms"]}
+                 "bounds": ["bounds", "twisted_power_norms",
+                            "power_norm_oracle"]}
 SAMPLE_PATHS = sorted(SAMPLES.glob("*.json"))
 
 
@@ -278,3 +285,87 @@ class TestSkippedAndBooleans:
         path = SAMPLES / f"{sample}.json"
         assert main(["compute", str(path), "--order", order]) == 2
         assert "'--order' must be >= 1" in capsys.readouterr().err
+
+
+class TestFreePowerNorms:
+    def test_frontier_substitution_finishes(self, tmp_path, capsys):
+        code, out = run_verb(capsys, "compute",
+                             write_doc(tmp_path, FRONTIER_DOC))
+        assert code == 0
+        assert out["twisted_power_norms"] == FRONTIER_NORMS
+        oracle = out["power_norm_oracle"]
+        assert oracle == {"ring_product": FRONTIER_NORMS[:4] + [None] * 4,
+                          "term_cap": 4096}
+        assert out["agreement"] is True
+
+    def test_ring_oracle_stops_at_the_term_cap(self, tmp_path, capsys,
+                                               monkeypatch):
+        # one ring-matrix product per n = 2..4, none for n = 5
+        products = []
+        matmul = fox.GroupRingMatrix.__matmul__
+
+        def counting(self, other):
+            products.append(1)
+            return matmul(self, other)
+
+        monkeypatch.setattr(fox.GroupRingMatrix, "__matmul__", counting)
+        code, _ = run_verb(capsys, "bounds", write_doc(tmp_path, FRONTIER_DOC))
+        assert code == 0
+        assert len(products) == 3
+
+    def test_every_entry_is_checked_below_the_cap(self, tmp_path, capsys):
+        code, out = run_verb(capsys, "bounds", write_doc(tmp_path, FREE_DOC))
+        assert code == 0
+        assert out["twisted_power_norms"] == [3, 5, 8, 13, 21, 34, 55, 89]
+        assert out["power_norm_oracle"]["ring_product"] == \
+            out["twisted_power_norms"]
+
+    def test_wrong_oracle_value_is_4(self, tmp_path, capsys, monkeypatch):
+        real = cli.twisted_power_norms
+        monkeypatch.setattr(
+            "twistedzeta.cli.twisted_power_norms",
+            lambda phi, A, N: [*real(phi, A, N)[:-1], 0])
+        code = main(["compute", write_doc(tmp_path, FREE_DOC)])
+        assert code == 4
+        out = json.loads(capsys.readouterr().out)
+        assert out["agreement"] is False
+        assert out["power_norm_oracle"]["ring_product"][-1] == 0
+
+    def test_one_jacobian_per_document(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = fox.jacobian
+        monkeypatch.setattr(fox, "jacobian",
+                            lambda phi: calls.append(phi) or real(phi))
+        code, _ = run_verb(capsys, "compute", write_doc(tmp_path, FREE_DOC))
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestParserReuse:
+    CALLS = [
+        ("compute", "doubling_flip", "--order", "5"),
+        ("bounds", "golden_substitution", "--text"),
+        ("zeta", "lattice_times_klein", "--order", "3", "--json"),
+        ("compute", "klein_swap", "--text"),
+        ("torsion", "doubling_flip"),
+        ("check", "klein_swap", "--order", "2"),
+    ]
+
+    def outputs(self, capsys, fresh_parser):
+        results = []
+        for verb, sample, *extra in self.CALLS:
+            if fresh_parser:
+                cli._parser.cache_clear()
+            code = main([verb, str(SAMPLES / f"{sample}.json"), *extra])
+            out = capsys.readouterr().out
+            # the report's own timing is the one field that may differ
+            lines = [line for line in out.splitlines()
+                     if "timing_seconds" not in line]
+            results.append((code, lines))
+        return results
+
+    def test_consecutive_calls_match_calls_made_one_at_a_time(self, capsys):
+        fresh = self.outputs(capsys, fresh_parser=True)
+        reused = self.outputs(capsys, fresh_parser=False)
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0] * len(self.CALLS)

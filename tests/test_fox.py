@@ -19,6 +19,7 @@ from twistedzeta import (
     matrix_of_norms,
     nielsen_radius_bounds,
     parse_word,
+    power_image_lengths,
     ring_norm,
     spectral_radius,
     twisted_power_norm,
@@ -338,3 +339,41 @@ class TestTwistedPowerNorms:
                 fn(phi, wide, 2)
             with pytest.raises(ValueError):
                 fn(phi, D, 0)
+
+
+class TestPowerImageLengths:
+    """The formula route of the twisted power norms of the Jacobian J.
+
+    The chain rule makes P_n of ``twisted_power_norms`` the Jacobian of
+    phi^n.  The Fox derivative of a freely reduced word w by a_j has one
+    term +-(prefix of w) per letter a_j^+-1 of w; two of them could share a
+    word only at an a_j^-1 a_j pair, which w does not contain.  So nothing
+    cancels, and ||(zJ)^n|| = sum_i |phi^n(a_i)|.  The fixed cases have
+    iterates that cancel, so a route that counts the letters of the
+    unreduced images fails them.
+    """
+
+    @given(substitutions(), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_lengths_are_the_ring_product_norms(self, phi, N):
+        assert power_image_lengths(phi, N) == \
+            twisted_power_norms(phi, jacobian(phi), N)
+
+    @pytest.mark.parametrize("images, norms", [
+        (["ab", "B"], [3, 2, 3, 2, 3, 2]),
+        (["ba", "A"], [3, 5, 8, 11, 13, 16]),
+        (["ab", "a"], [3, 5, 8, 13, 21, 34]),
+    ])
+    def test_fixed_cases(self, images, norms):
+        phi = FreeGroupEndo.from_strings(2, images)
+        assert power_image_lengths(phi, len(norms)) == norms
+        assert twisted_power_norms(phi, jacobian(phi), len(norms)) == norms
+
+    def test_rank_three_frontier_substitution(self):
+        phi = FreeGroupEndo.from_strings(3, ["abcAB", "bcaBC", "cabCA"])
+        assert power_image_lengths(phi, 8) == \
+            [15, 63, 267, 1131, 4791, 20295, 85971, 364179]
+
+    def test_n_below_one(self):
+        with pytest.raises(ValueError):
+            power_image_lengths(FreeGroupEndo.identity(2), 0)
