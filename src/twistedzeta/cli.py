@@ -70,13 +70,14 @@ from .reidemeister import (
 )
 from .zeta import (
     check_all_iterates_finite,
+    check_invertible,
     congruence_check,
     expand_rational,
     functional_equation_check,
+    series_from_counts,
     torsion_special_value,
     torsion_via_lefschetz,
     zeta_product,
-    zeta_series_oracle,
 )
 
 DEFAULT_ORDER = 12
@@ -100,18 +101,28 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which Python
+    counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(raw) -> bool:
+    return isinstance(raw, list) and all(_is_int(a) for a in raw)
+
+
 def _int_matrix(raw, context) -> IntMatrix:
     _require(isinstance(raw, list) and raw, f"{context}: expected a matrix")
-    _require(
-        all(isinstance(row, list) and all(isinstance(a, int) for a in row)
-            for row in raw),
-        f"{context}: matrix entries must be integers")
+    _require(all(_int_list(row) for row in raw),
+             f"{context}: matrix entries must be integers")
     _require(all(len(row) == len(raw) for row in raw),
              f"{context}: matrix must be square")
     return IntMatrix(raw)
 
 
 def _parse_angle(raw, context) -> Fraction:
+    if isinstance(raw, bool):
+        raise SchemaError(f"{context}: bad rational angle {raw!r}")
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError):
@@ -119,10 +130,11 @@ def _parse_angle(raw, context) -> Fraction:
 
 
 def _build_finite(payload) -> tuple[FiniteGroup, GroupEndomorphism]:
-    _require(isinstance(payload.get("degree"), int) and payload["degree"] >= 1,
+    _require(_is_int(payload.get("degree")) and payload["degree"] >= 1,
              "finite: 'degree' must be a positive integer")
     gens = payload.get("generators")
-    _require(isinstance(gens, list), "finite: 'generators' must be a list")
+    _require(isinstance(gens, list) and all(_int_list(p) for p in gens),
+             "finite: 'generators' must be a list of integer lists")
     try:
         G = group_from_permutations(payload["degree"], [tuple(p) for p in gens])
     except TwistedZetaError as exc:
@@ -130,7 +142,8 @@ def _build_finite(payload) -> tuple[FiniteGroup, GroupEndomorphism]:
     images = payload.get("endo_images")
     if images is None:
         return G, identity_endo(G)
-    _require(isinstance(images, list) and len(images) == len(gens),
+    _require(isinstance(images, list) and len(images) == len(gens)
+             and all(_int_list(q) for q in images),
              "finite: 'endo_images' must list one permutation per generator")
     index = {}
     for g in G.elements():
@@ -158,7 +171,7 @@ def _build_product(payload) -> ProductEndomorphism:
     psi = payload.get("psi", [0] * M.rows)
     _require(isinstance(psi, list) and len(psi) == M.rows,
              "product: 'psi' must list one F-element index per basis vector")
-    _require(all(isinstance(a, int) and 0 <= a < F.order for a in psi),
+    _require(all(_is_int(a) and 0 <= a < F.order for a in psi),
              "product: psi entries must be element indices of the finite part")
     try:
         return ProductEndomorphism(M, tuple(psi), phiF, F)
@@ -179,8 +192,8 @@ def parse_problem(text: str) -> ProblemDocument:
     _require(isinstance(options, dict), "'options' must be an object")
     order = options.get("order", DEFAULT_ORDER)
     crange = options.get("congruence_range", order)
-    _require(isinstance(order, int) and order >= 1, "'order' must be >= 1")
-    _require(isinstance(crange, int) and crange >= 1,
+    _require(_is_int(order) and order >= 1, "'order' must be >= 1")
+    _require(_is_int(crange) and crange >= 1,
              "'congruence_range' must be >= 1")
     angles = [_parse_angle(a, "torsion_angles")
               for a in options.get("torsion_angles", [])]
@@ -204,7 +217,7 @@ def parse_problem(text: str) -> ProblemDocument:
         doc.objects = {"product": P}
     else:  # free
         rank = raw.get("rank")
-        _require(isinstance(rank, int) and 1 <= rank <= 26,
+        _require(_is_int(rank) and 1 <= rank <= 26,
                  "free: 'rank' must be an integer in 1..26")
         images = raw.get("images")
         _require(isinstance(images, list) and len(images) == rank
@@ -228,6 +241,24 @@ def serialize_factors(rf) -> list[dict]:
 # A section takes the document and the report so far, and returns its value
 # and whether its routes agree.  Congruences and the eventual image read the
 # formula route of the counts section, which comes first.
+
+def _closed_form(doc):
+    """The zeta closed form, built once per document: the zeta, torsion and
+    functional-equation sections all read it."""
+    if "closed_form" not in doc.objects:
+        doc.objects["closed_form"] = zeta_product(doc.objects["product"])
+    return doc.objects["closed_form"]
+
+
+def _formula_counts(doc) -> list[int]:
+    """``[r_product(P, n)]`` for n = 1..order, built once per document and
+    order: the counts section and the zeta series check both read it."""
+    key = ("formula_counts", doc.order)
+    if key not in doc.objects:
+        P = doc.objects["product"]
+        doc.objects[key] = [r_product(P, n) for n in range(1, doc.order + 1)]
+    return doc.objects[key]
+
 
 def _formula(routes: dict) -> list[int]:
     return next(iter(routes.values()))
@@ -263,7 +294,7 @@ def _abelian_counts(doc, report):
     check_all_iterates_finite(M)
     powers = [mat_pow(M, n) for n in range(1, doc.order + 1)]
     return _counts({
-        "determinant_formula": [r_abelian(Mn) for Mn in powers],
+        "determinant_formula": _formula_counts(doc),
         "smith_coset_oracle": [r_abelian_smith(Mn) for Mn in powers],
         "signed_exterior_trace": [r_abelian_trace(Mn) for Mn in powers],
     })
@@ -279,7 +310,7 @@ def _product_counts(doc, report):
                            <= ORACLE_SIZE_CAP)
         oracle.append(r_product_oracle(P, n) if fits else None)
     return _counts({
-        "product_formula": [r_product(P, n) for n in range(1, N + 1)],
+        "product_formula": _formula_counts(doc),
         "signed_trace": r_product_traces(P, N),
         "enumeration_oracle": oracle,
     })
@@ -300,9 +331,8 @@ def _congruences(doc, report):
 
 
 def _zeta(doc, report):
-    P = doc.objects["product"]
-    rf = zeta_product(P)
-    series = zeta_series_oracle(P, doc.order)
+    rf = _closed_form(doc)
+    series = series_from_counts(_formula_counts(doc))
     agree = expand_rational(rf, doc.order).coefficients == series.coefficients
     return {
         "factors": serialize_factors(rf),
@@ -320,7 +350,8 @@ def _zeta(doc, report):
 
 def _functional_equation(doc, report):
     try:
-        feq = functional_equation_check(doc.objects["product"].M)
+        feq = functional_equation_check(doc.objects["product"].M,
+                                        _closed_form(doc))
     except ZeroDeterminant as exc:
         return {"skipped": str(exc)}, True
     return {
@@ -331,13 +362,19 @@ def _functional_equation(doc, report):
 
 
 def _torsion(doc, report):
-    # At a pole or for a non-invertible map neither route has a value.
+    # A non-invertible map has no torsion, so its closed form is not built:
+    # it need not exist.  At a pole neither route has a value.
     P = doc.objects["product"]
+    try:
+        check_invertible(P)
+    except NonInvertible as exc:
+        return [{"angle": str(t), "skipped": str(exc), "agree": True}
+                for t in doc.torsion_angles], True
     entries = []
     for t in doc.torsion_angles:
         entry = {"angle": str(t)}
         try:
-            v1 = torsion_special_value(P, t)
+            v1 = torsion_special_value(P, t, _closed_form(doc))
             v2 = torsion_via_lefschetz(P, t)
             entry.update({
                 "value": v1,
@@ -346,8 +383,6 @@ def _torsion(doc, report):
             })
         except PoleAtEvaluation as exc:
             entry.update({"pole": str(exc), "agree": True})
-        except NonInvertible as exc:
-            entry.update({"skipped": str(exc), "agree": True})
         entries.append(entry)
     return entries, all(entry["agree"] for entry in entries)
 

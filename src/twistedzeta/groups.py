@@ -9,6 +9,7 @@ the other modules are judged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -28,7 +29,9 @@ class FiniteGroup:
 
     ``mult[g][h]`` is the product g*h, ``inv[g]`` the inverse of g and
     ``identity`` the index of the neutral element.  ``names`` is optional
-    display labelling only.
+    display labelling only.  The ordinary conjugacy classes are partitioned
+    on first use and kept with the instance; equality and hashing see the
+    four fields only.
     """
 
     mult: tuple[tuple[int, ...], ...]
@@ -39,6 +42,11 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.mult)
+
+    @functools.cached_property
+    def conjugacy_classes(self) -> "ConjugacyPartition":
+        """The ordinary conjugacy classes, partitioned once per group."""
+        return ordinary_conjugacy_classes(self)
 
     def elements(self) -> range:
         return range(self.order)

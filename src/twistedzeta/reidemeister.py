@@ -25,7 +25,6 @@ from .groups import (
     FiniteGroup,
     GroupEndomorphism,
     iterate_endo,
-    ordinary_conjugacy_classes,
     phi_conjugacy_classes,
     trivial_group,
 )
@@ -55,7 +54,7 @@ class ClassFunctionMap:
 
 def r_finite(G: FiniteGroup, phi: GroupEndomorphism) -> int:
     """Number of ordinary conjugacy classes fixed by the induced class map."""
-    part = ordinary_conjugacy_classes(G)
+    part = G.conjugacy_classes
     return sum(
         1
         for rep in part.representatives
@@ -64,7 +63,7 @@ def r_finite(G: FiniteGroup, phi: GroupEndomorphism) -> int:
 
 
 def class_function_matrix(G: FiniteGroup, phi: GroupEndomorphism) -> ClassFunctionMap:
-    part = ordinary_conjugacy_classes(G)
+    part = G.conjugacy_classes
     c = part.num_classes
     B = [[0] * c for _ in range(c)]
     for src, rep in enumerate(part.representatives):

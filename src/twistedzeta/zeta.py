@@ -8,6 +8,15 @@ series to compare against the defining series, checks the Dold-style
 divisibility of the count sequence, verifies the functional equation under
 z -> 1/(det(M) z), and evaluates the torsion special value on the unit
 circle by two routes.
+
+The product is built from power sums, never from the blocks themselves.
+The block wedge^i M (x) B has the eigenvalues lambda_S mu, so its n-th power
+sum is e_i(lambda_1^n, ..., lambda_k^n) tr(B^n).  One k x k characteristic
+polynomial gives tr(M^m) by its linear recurrence, Newton's identities give
+e_i(lambda^n) from tr(M^(jn)), j = 1..k, and tr(B^n) counts the classes
+fixed by the n-th power of the class map.  Newton's identities, with exact
+integer division, then turn p_1..p_D into det(I - Xz): O(D^2) integer
+operations for a block of dimension D = C(k, i) * #classes.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import (
     InfiniteReidemeister,
@@ -174,22 +183,88 @@ def check_all_iterates_finite(M: IntMatrix) -> None:
                 raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
 
 
+def _from_power_sums(sums: list[int]) -> list[int]:
+    """Coefficients of det(I - X z) from the power sums tr(X^n), n = 1..D.
+
+    Newton's identities n c_n = -sum_{j=1..n} p_j c_{n-j}, c_0 = 1.  For an
+    integer matrix every division is exact; a remainder is an arithmetic
+    fault, as in ``char_poly``.
+    """
+    c = [1]
+    for n in range(1, len(sums) + 1):
+        q, rem = divmod(-sum(sums[j - 1] * c[n - j] for j in range(1, n + 1)),
+                        n)
+        if rem:
+            raise ArithmeticError(f"power sums not divisible by {n}")
+        c.append(q)
+    return c
+
+
+def _power_sums(coefficients: tuple[int, ...], N: int) -> list[int]:
+    """tr(A^m), m = 0..N, from the coefficients of det(I - A z).
+
+    Newton's identities the other way: p_m = -m c_m - sum_{j<m} c_j p_{m-j},
+    with c_j = 0 beyond the degree k: a linear recurrence once m > k.
+    """
+    c = list(coefficients)
+    k = len(c) - 1
+    p = [k]
+    for m in range(1, N + 1):
+        s = -m * c[m] if m <= k else 0
+        for j in range(1, min(m - 1, k) + 1):
+            s -= c[j] * p[m - j]
+        p.append(s)
+    return p
+
+
+def _fixed_class_counts(P: ProductEndomorphism, N: int) -> list[int]:
+    """tr(B^n), n = 1..N: the classes fixed by the n-th power of the class map."""
+    part = P.F.conjugacy_classes
+    step = [part.class_of[P.phiF(rep)] for rep in part.representatives]
+    power, counts = list(range(len(step))), []
+    for _ in range(N):
+        power = [step[c] for c in power]
+        counts.append(sum(c == j for j, c in enumerate(power)))
+    return counts
+
+
 def zeta_product(P: ProductEndomorphism) -> FactoredRationalFunction:
     """Closed rational form of the zeta function for Z^k x F.
 
     Factors are det(I - (wedge^i M (x) B) sigma z) with combined exponent
     (-1)^(i+1) (-1)^r, where sigma = (-1)^p and (p, r) are the eigenvalue
     sign counts of M.
+
+    Each factor comes from its power sums
+    p_n = sigma^n e_i(lambda_1^n, ..., lambda_k^n) tr(B^n), n = 1..D, with
+    D = C(k, i) * #classes its dimension: one k x k characteristic polynomial
+    gives tr(M^m) for m <= k D by recurrence, Newton's identities give
+    e_i(M^n) from tr(M^(jn)), j = 1..k, and again turn p_1..p_D into the
+    factor with exact integer division (a remainder raises ArithmeticError).
+    That is O(D^2) integer operations per factor; no block is formed.
     """
-    p, r = count_eigen_signs(P.M)
+    # Before the sign counts: an eigenvalue -1 is an infinite count
+    # (det(I - M^2) = 0) before it is a boundary case for count_eigen_signs.
     check_all_iterates_finite(P.M)
+    p, r = count_eigen_signs(P.M)
     sigma = (-1) ** p
     outer = (-1) ** r
-    B = class_function_matrix(P.F, P.phiF).B
+    k = P.k
+    classes = P.F.conjugacy_classes.num_classes
+    N = comb(k, k // 2) * classes  # the largest block dimension
+    fixed = _fixed_class_counts(P, N)
+    traces = _power_sums(det_identity_minus_z(P.M).coefficients, k * N)
+    # e_i(lambda^n) = (-1)^i [z^i] det(I - M^n z), i = 0..k
+    wedge_traces = [
+        [(-1) ** i * c for i, c in enumerate(
+            _from_power_sums([traces[j * n] for j in range(1, k + 1)]))]
+        for n in range(1, N + 1)]
     merged: dict[IntPolynomial, int] = {}
-    for i in range(P.k + 1):
-        X = kron(exterior_power(P.M, i), B).scale(sigma)
-        poly = det_identity_minus_z(X)
+    for i in range(k + 1):
+        D = comb(k, i) * classes
+        sums = [sigma ** n * wedge_traces[n - 1][i] * fixed[n - 1]
+                for n in range(1, D + 1)]
+        poly = IntPolynomial(_from_power_sums(sums))
         if poly.degree < 1:
             continue
         e = (-1) ** (i + 1) * outer
@@ -200,24 +275,30 @@ def zeta_product(P: ProductEndomorphism) -> FactoredRationalFunction:
     return FactoredRationalFunction(factors, SignConvention(p, r))
 
 
-def zeta_series_oracle(P: ProductEndomorphism, order: int) -> TruncatedSeries:
-    """The defining series exp(sum_n R_n/n z^n), truncated exactly.
+def series_from_counts(counts: list[int]) -> TruncatedSeries:
+    """The series exp(sum_n R_n/n z^n) from R_1..R_N, truncated at z^N.
 
-    Counts come from the product formula; the coefficients follow from
-    n a_n = sum_{j=1..n} R_j a_{n-j}.  That sum is divisible by n whenever
-    the counts satisfy the Dold congruences; otherwise no integer rational
-    function can match and OracleDisagreement is raised.
+    The coefficients follow from n a_n = sum_{j=1..n} R_j a_{n-j}.  That sum
+    is divisible by n whenever the counts satisfy the Dold congruences;
+    otherwise no integer rational function can match and
+    OracleDisagreement is raised.
     """
-    R = [0] + [r_product(P, n) for n in range(1, order + 1)]
+    R = [0, *counts]
     a = [1]
-    for n in range(1, order + 1):
+    for n in range(1, len(counts) + 1):
         q, rem = divmod(sum(R[j] * a[n - j] for j in range(1, n + 1)), n)
         if rem:
             raise OracleDisagreement(
                 f"exp(sum R_n/n z^n) has a non-integral coefficient at z^{n}",
                 n=n, counts=R[1:n + 1])
         a.append(q)
-    return TruncatedSeries(order, tuple(a))
+    return TruncatedSeries(len(counts), tuple(a))
+
+
+def zeta_series_oracle(P: ProductEndomorphism, order: int) -> TruncatedSeries:
+    """The defining series exp(sum_n R_n/n z^n) of the product-formula
+    counts, truncated exactly at z^order (see ``series_from_counts``)."""
+    return series_from_counts([r_product(P, n) for n in range(1, order + 1)])
 
 
 def lefschetz_zeta(matrices: list[IntMatrix]) -> FactoredRationalFunction:
@@ -273,18 +354,24 @@ class FunctionalEquation:
     exponent: int
 
 
-def functional_equation_check(M: IntMatrix) -> FunctionalEquation:
+def functional_equation_check(
+        M: IntMatrix,
+        closed_form: FactoredRationalFunction | None = None,
+) -> FunctionalEquation:
     """Verify R(1/(d z)) = eps * R(z)^((-1)^k) symbolically, d = det M.
 
     Substitutes z -> 1/(dz) into the factored closed form, clears powers of
     z, and checks that the ratio against R(z)^((-1)^k) is a constant
-    rational function.  Returns the constant.
+    rational function.  Returns the constant.  ``closed_form`` is
+    ``zeta_product`` of M when the caller has built it already.
     """
     d = det(M)
     if d == 0:
         raise ZeroDeterminant("det M = 0")
     k = M.rows
-    rf = zeta_product(ProductEndomorphism.from_matrix(M))
+    rf = closed_form
+    if rf is None:
+        rf = zeta_product(ProductEndomorphism.from_matrix(M))
 
     shift = 0  # the ratio carries (d z)^shift
     ratio = []
@@ -315,17 +402,28 @@ def _angle_to_unit(t: Fraction) -> complex:
     return cmath.exp(2j * cmath.pi * float(t))
 
 
-def _check_invertible(P: ProductEndomorphism) -> None:
+def check_invertible(P: ProductEndomorphism) -> None:
+    """Raise NonInvertible unless both parts of the map are bijective: the
+    mapping torus and its torsion need an automorphism."""
     if det(P.M) == 0:
         raise NonInvertible("lattice part is singular")
     if not P.phiF.is_bijective():
         raise NonInvertible("finite part is not bijective")
 
 
-def torsion_special_value(P: ProductEndomorphism, t: Fraction) -> float:
-    """Mapping-torus torsion |R(sigma lambda)|^((-1)^(r+1)), lambda = e^(2 pi i t)."""
-    _check_invertible(P)
-    rf = zeta_product(P)
+def torsion_special_value(
+        P: ProductEndomorphism, t: Fraction,
+        closed_form: FactoredRationalFunction | None = None,
+) -> float:
+    """Mapping-torus torsion |R(sigma lambda)|^((-1)^(r+1)), lambda = e^(2 pi i t).
+
+    ``closed_form`` is ``zeta_product(P)`` when the caller has built it
+    already.
+    """
+    check_invertible(P)
+    rf = closed_form
+    if rf is None:
+        rf = zeta_product(P)
     sc = rf.sign_convention
     lam = _angle_to_unit(t)
     value = rf.evaluate(sc.sigma * lam)
@@ -338,7 +436,7 @@ def torsion_via_lefschetz(P: ProductEndomorphism, t: Fraction) -> float:
     The dual map acts on the i-th level by wedge^i M (x) B; the torsion is
     the inverse modulus of the alternating determinant product there.
     """
-    _check_invertible(P)
+    check_invertible(P)
     import numpy as np
 
     B = class_function_matrix(P.F, P.phiF).B

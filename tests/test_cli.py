@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from twistedzeta import cli, fox
+from twistedzeta import cli, fox, groups, zeta
 from twistedzeta.cli import main, parse_problem, run
 from twistedzeta.errors import SchemaError, ValidationError
 
@@ -77,6 +77,97 @@ class TestParsing:
         assert len(parsed.torsion_angles) == 1
 
 
+# One document per field that must hold JSON integers, each with a JSON
+# boolean in it: Python counts True and False as the ints 1 and 0.
+BOOLEAN_FIELDS = {
+    "matrix_entry": {"kind": "abelian", "matrix": [[2, True], [False, 3]]},
+    "order": dict(ABELIAN_MINUS_TWO, options={"order": True}),
+    "congruence_range": dict(ABELIAN_MINUS_TWO,
+                             options={"congruence_range": True}),
+    "psi": dict(PRODUCT_DOC, psi=[True]),
+    "degree": {"kind": "finite", "degree": True, "generators": [[0]]},
+    "rank": {"kind": "free", "rank": True, "images": ["a"]},
+    "permutation": {"kind": "finite", "degree": 2,
+                    "generators": [[True, False]]},
+    "torsion_angle": dict(ABELIAN_MINUS_TWO,
+                          options={"torsion_angles": [True]}),
+}
+
+
+class TestBooleansAreNotIntegers:
+    @pytest.mark.parametrize("field", BOOLEAN_FIELDS)
+    def test_boolean_is_2(self, tmp_path, capsys, field):
+        path = write_doc(tmp_path, BOOLEAN_FIELDS[field])
+        assert main(["compute", path]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_the_same_documents_with_integers_are_valid(self, tmp_path,
+                                                        capsys):
+        # each document above is valid once its booleans are ints
+        def as_ints(value):
+            if isinstance(value, bool):
+                return int(value)
+            if isinstance(value, list):
+                return [as_ints(v) for v in value]
+            if isinstance(value, dict):
+                return {k: as_ints(v) for k, v in value.items()}
+            return value
+
+        for field, doc in BOOLEAN_FIELDS.items():
+            path = write_doc(tmp_path, as_ints(doc), f"{field}.json")
+            assert main(["check", path]) == 0, field
+        capsys.readouterr()
+
+
+class TestComputeOnce:
+    """One compute of a product document with torsion angles builds the
+    closed form once, takes each formula count once and partitions its
+    group into classes once."""
+
+    @staticmethod
+    def counting(monkeypatch, calls, targets):
+        for module, name in targets:
+            real = getattr(module, name)
+
+            def wrapper(*args, _real=real, **kwargs):
+                calls.append(args[0])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+    def compute(self, tmp_path, capsys):
+        doc = dict(PRODUCT_DOC, options={"order": 7,
+                                         "torsion_angles": ["1/3", "1/4"]})
+        code = main(["compute", write_doc(tmp_path, doc)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["agreement"] is True
+        assert len(out["torsion"]) == 2
+        return out
+
+    def test_one_closed_form(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        self.counting(monkeypatch, calls,
+                      [(cli, "zeta_product"), (zeta, "zeta_product")])
+        self.compute(tmp_path, capsys)
+        assert len(calls) == 1
+
+    def test_each_formula_count_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        self.counting(monkeypatch, calls,
+                      [(cli, "r_product"), (zeta, "r_product")])
+        out = self.compute(tmp_path, capsys)
+        assert len(calls) == 7
+        assert out["counts"]["product_formula"][:2] == [6, 12]
+
+    def test_one_class_partition_per_group(self, tmp_path, capsys,
+                                           monkeypatch):
+        calls = []
+        self.counting(monkeypatch, calls,
+                      [(groups, "ordinary_conjugacy_classes")])
+        self.compute(tmp_path, capsys)
+        assert len(calls) == 1
+
+
 class TestReports:
     def test_finite_report(self):
         doc = parse_problem(json.dumps(KLEIN_SWAP))
@@ -144,15 +235,22 @@ class TestMainExitCodes:
         path = write_doc(tmp_path, doc)
         assert main(["compute", str(path)]) == 3
 
+    def test_eigenvalue_minus_one_is_3_for_every_verb(self, tmp_path,
+                                                     capsys):
+        path = write_doc(tmp_path, {"kind": "abelian", "matrix": [[-1]]})
+        for verb in ("compute", "zeta", "torsion"):
+            assert main([verb, path]) == 3, verb
+        assert "det(I - M^2) = 0" in capsys.readouterr().err
+
     def test_oracle_disagreement_is_4(self, capsys, monkeypatch):
         # counts R_1 = 1, R_2 = 0 make exp(sum R_n/n z^n) non-integral
-        monkeypatch.setattr("twistedzeta.zeta.r_product",
+        monkeypatch.setattr("twistedzeta.cli.r_product",
                             lambda P, n: 1 if n == 1 else 0)
         assert main(["compute", str(SAMPLES / "doubling_flip.json")]) == 4
         assert "oracle disagreement" in capsys.readouterr().err
 
     def test_oracle_disagreement_prints_the_counts(self, capsys, monkeypatch):
-        monkeypatch.setattr("twistedzeta.zeta.r_product",
+        monkeypatch.setattr("twistedzeta.cli.r_product",
                             lambda P, n: 1 if n == 1 else 0)
         assert main(["compute", str(SAMPLES / "doubling_flip.json")]) == 4
         err = capsys.readouterr().err
@@ -278,6 +376,20 @@ class TestSkippedAndBooleans:
         code, out = run_verb(capsys, "torsion", path)
         assert code == 0
         assert out["torsion"][0]["skipped"] == "lattice part is singular"
+
+    def test_torsion_of_a_singular_map_with_infinite_counts(self, tmp_path,
+                                                            capsys):
+        # eigenvalues 0 and -1: det(I - M^2) = 0, so the zeta function does
+        # not exist, but the torsion verb only needs det M = 0 to skip
+        path = write_doc(tmp_path, {"kind": "abelian",
+                                    "matrix": [[0, 0], [0, -1]]})
+        code, out = run_verb(capsys, "torsion", path)
+        assert code == 0
+        assert out["torsion"] == [{"angle": "1/2",
+                                   "skipped": "lattice part is singular",
+                                   "agree": True}]
+        assert main(["zeta", path]) == 3
+        assert main(["compute", path]) == 3
 
     @pytest.mark.parametrize("order", ["0", "-3"])
     @pytest.mark.parametrize("sample", ["doubling_flip", "klein_swap"])

@@ -150,6 +150,28 @@ class TestConjugacy:
                 assert phi_conjugacy_classes(G, right).num_classes == base
 
 
+class TestCachedPartition:
+    def test_partitioned_once_and_equal_to_a_fresh_partition(self,
+                                                             monkeypatch):
+        from twistedzeta import groups
+        calls = []
+        real = groups.ordinary_conjugacy_classes
+        monkeypatch.setattr(groups, "ordinary_conjugacy_classes",
+                            lambda G: calls.append(G) or real(G))
+        S3, _ = sym3()
+        first = S3.conjugacy_classes
+        assert S3.conjugacy_classes is first
+        assert len(calls) == 1
+        assert first == real(S3)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        a, _ = sym3()
+        b, _ = sym3()
+        before = hash(a)
+        a.conjugacy_classes
+        assert a == b and hash(a) == hash(b) == before
+
+
 class TestIterate:
     def test_first_iterate_is_identity_operation(self):
         K, swap = klein_swap()

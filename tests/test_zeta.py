@@ -1,18 +1,27 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twistedzeta import (
     FactoredRationalFunction,
+    GroupEndomorphism,
     IntMatrix,
     IntPolynomial,
     ProductEndomorphism,
+    class_function_matrix,
     congruence_check,
+    count_eigen_signs,
     expand_rational,
+    exterior_power,
+    kron,
     lefschetz_zeta,
     log_derivative_counts,
     mobius,
+    ordinary_conjugacy_classes,
     r_product,
     torsion_special_value,
     torsion_via_lefschetz,
@@ -27,9 +36,19 @@ from twistedzeta.errors import (
     PoleAtEvaluation,
     ZeroDeterminant,
 )
-from twistedzeta.zeta import functional_equation_check
+from twistedzeta.zeta import (
+    check_all_iterates_finite,
+    det_identity_minus_z,
+    functional_equation_check,
+)
 
-from catalog import klein_swap, product_catalog, random_product_endomorphisms
+from catalog import (
+    catalog_with_endos,
+    klein_swap,
+    product_catalog,
+    random_product_endomorphisms,
+    sym3,
+)
 
 
 def poly_dict(rf):
@@ -77,6 +96,105 @@ class TestClosedForm:
         assert rf.evaluate(0.25) == pytest.approx(2.5)
         with pytest.raises(PoleAtEvaluation):
             rf.evaluate(0.5)
+
+
+def reference_closed_form(P):
+    """The closed form by one characteristic polynomial per block
+    sigma * kron(wedge^i M, B), merged by exponent in the order i = 0..k."""
+    p, r = count_eigen_signs(P.M)
+    B = class_function_matrix(P.F, P.phiF).B
+    merged = {}
+    for i in range(P.k + 1):
+        X = kron(exterior_power(P.M, i), B).scale((-1) ** p)
+        poly = det_identity_minus_z(X)
+        if poly.degree >= 1:
+            merged[poly] = merged.get(poly, 0) + (-1) ** (i + 1 + r)
+    return tuple((poly, e) for poly, e in merged.items() if e != 0), (p, r)
+
+
+def power_sum_closed_form(P):
+    rf = zeta_product(P)
+    return rf.factors, (rf.sign_convention.p, rf.sign_convention.r)
+
+
+# Every finite part of the catalog: each group with each of its
+# endomorphisms, and the number of its conjugacy classes.
+FINITE_PARTS = [(G, phi, ordinary_conjugacy_classes(G).num_classes)
+                for _, G, endos in catalog_with_endos() for phi in endos]
+MAX_BLOCK = 24  # keeps the reference route's O(D^4) char_poly cheap
+
+
+@st.composite
+def products_with_finite_iterates(draw):
+    """Z^k x F with k <= 4, no root-of-unity eigenvalue, and every block of
+    dimension C(k, i) * #classes at most MAX_BLOCK."""
+    G, phi, classes = draw(st.sampled_from(FINITE_PARTS))
+    k = draw(st.integers(0, 4).filter(
+        lambda k: comb(k, k // 2) * classes <= MAX_BLOCK))
+    M = IntMatrix(draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+        min_size=k, max_size=k)), rows=k, cols=k)
+    try:
+        count_eigen_signs(M)
+        check_all_iterates_finite(M)
+    except (EigenvalueOnBoundary, InfiniteReidemeister):
+        assume(False)
+    return ProductEndomorphism(M, (G.identity,) * k, phi, G)
+
+
+class TestPowerSumRoute:
+    """zeta_product builds each factor from power sums; the reference takes
+    the characteristic polynomial of each block.  Factors, their order and
+    the sign convention must be identical."""
+
+    @given(products_with_finite_iterates())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_block_characteristic_polynomials(self, P):
+        assert power_sum_closed_form(P) == reference_closed_form(P)
+
+    def test_every_catalog_finite_part(self):
+        # M = (-2) has sigma = -1, so every factor carries the sign
+        for G, phi, _ in FINITE_PARTS:
+            P = ProductEndomorphism(IntMatrix([[-2]]), (G.identity,), phi, G)
+            assert power_sum_closed_form(P) == reference_closed_form(P)
+
+    def test_rank_zero_is_the_class_map_alone(self):
+        # Klein swap: the class map fixes 2 of 4 classes and swaps 2, so
+        # det(I - Bz) = (1 - z)^3 (1 + z) and the zeta function is its inverse
+        K, swap = klein_swap()
+        P = ProductEndomorphism(IntMatrix([]), (), swap, K)
+        assert poly_dict(zeta_product(P)) == {(1, -2, 0, 2, -1): -1}
+        assert power_sum_closed_form(P) == reference_closed_form(P)
+
+    def test_degree_drops_below_the_block_dimension(self):
+        # The class map fixes the identity class, so B is never nilpotent,
+        # but the trivial endomorphism of S3 has a nilpotent part: B has the
+        # eigenvalues 1, 0, 0, so with M = (-2) the 3-dimensional blocks
+        # -B and 2B give 1 + z and 1 - 2z.  A nilpotent M drops every block
+        # but the first to degree 0.
+        S3, _ = sym3()
+        trivial = GroupEndomorphism((S3.identity,) * S3.order)
+        P = ProductEndomorphism(IntMatrix([[-2]]), (S3.identity,), trivial, S3)
+        assert poly_dict(zeta_product(P)) == {(1, 1): 1, (1, -2): -1}
+        assert power_sum_closed_form(P) == reference_closed_form(P)
+        nilpotent = ProductEndomorphism(
+            IntMatrix([[0, 1], [0, 0]]), (S3.identity,) * 2, trivial, S3)
+        assert poly_dict(zeta_product(nilpotent)) == {(1, -1): -1}
+        assert power_sum_closed_form(nilpotent) == \
+            reference_closed_form(nilpotent)
+
+    def test_rank_seven_lattice(self):
+        # the rank-7 lattice benchmark document: blocks up to dimension 35
+        M = IntMatrix([[-1, 0, -1, 1, 1, -1, 1], [-1, 1, 0, 1, -1, 0, 0],
+                       [1, 0, -1, 0, 0, 1, 0], [-1, 0, 1, 0, 1, 1, -1],
+                       [-1, -1, -1, 1, 0, -1, -1], [1, 1, 0, 0, 1, 0, -1],
+                       [-1, -1, -1, 1, 0, 1, 1]])
+        P = ProductEndomorphism.from_matrix(M)
+        factors, signs = power_sum_closed_form(P)
+        assert [(poly.degree, e) for poly, e in factors] == [
+            (1, -1), (7, 1), (21, -1), (35, 1), (35, -1), (21, 1), (7, -1),
+            (1, 1)]
+        assert (factors, signs) == reference_closed_form(P)
 
 
 class TestIntegerSeries:
