@@ -1,11 +1,11 @@
 """Fox calculus on free groups and Nielsen-zeta radius-of-convergence bounds.
 
-Words are tuples of signed generator indices (+j for the j-th generator,
--j for its inverse, j >= 1), always freely reduced.  In text, lowercase
-letters are generators and uppercase letters their inverses: "abA" means
-a b a^-1.  Group-ring elements are sparse integer combinations of words;
-the norm of an element is the sum of the absolute coefficients and matrix
-norms are total entry norms.
+A word is a ``bytes`` object in the letters of the documents: ``a``..``z``
+are the generators a_1..a_26 and ``A``..``Z`` their inverses, so
+``b"abA"`` is a b a^-1, and a letter and its inverse differ in the bit 32.
+Words are always freely reduced.  Group-ring elements are sparse integer
+combinations of words; the norm of an element is the sum of the absolute
+coefficients and matrix norms are total entry norms.
 
 The chain data of a bouquet of r circles is the pair of ring matrices
 (1) and D = (d b_i / d a_j); the two radius bounds are the reciprocals of
@@ -14,70 +14,83 @@ the max matrix norm and of the max spectral radius of the entrywise norms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import NotSquare
 from .intlinalg import IntMatrix
 
-Word = tuple[int, ...]
+Word = bytes
+
+_GENERATORS = b"abcdefghijklmnopqrstuvwxyz"
+_INVERSES = _GENERATORS.upper()
+# A word is freely reduced iff no letter stands next to its inverse.
+_CANCELLING_PAIR = re.compile(b"|".join(
+    bytes(pair) for g, G in zip(_GENERATORS, _INVERSES)
+    for pair in ((g, G), (G, g))))
+
+
+def _outside_rank(w: Word, rank: int) -> bool:
+    """Whether w has a byte other than the letters of a_1..a_rank and of
+    their inverses."""
+    return bool(w.translate(None, _GENERATORS[:rank] + _INVERSES[:rank]))
 
 
 def free_reduce(letters) -> Word:
-    """Canonical freely reduced form of a letter sequence."""
-    stack: list[int] = []
+    """Canonical freely reduced form of a sequence of letter bytes."""
+    letters = bytes(letters)
+    if _outside_rank(letters, len(_GENERATORS)):
+        raise ValueError("a word has only the letters a-z and A-Z")
+    # A 0 below the bottom of the stack, which no letter cancels; top is
+    # the last letter on the stack.
+    stack, top = [0], 0
     for s in letters:
-        if s == 0:
-            raise ValueError("letter 0 is not a generator")
-        if stack and stack[-1] == -s:
+        if top ^ s == 32:
             stack.pop()
+            top = stack[-1]
         else:
             stack.append(s)
-    return tuple(stack)
+            top = s
+    return bytes(stack[1:])
 
 
 def word_inverse(w: Word) -> Word:
-    return tuple(-s for s in reversed(w))
+    return w[::-1].swapcase()
 
 
 def _join(u: Word, v: Word) -> Word:
     """Reduced form of u v for freely reduced u and v.
 
-    Only the junction can cancel, so the cost is the number of cancelled
-    letters plus one copy of the two remaining slices.
+    Only the junction can cancel.  With m = min(|u|, |v|), the inverse of
+    the last m letters of u and the first m letters of v agree in exactly
+    the c letters that cancel, so the integers of the two, most significant
+    byte first, XOR to a number of m - c significant bytes: c is found in
+    C, and the result is one copy of the two remaining slices.  Reading
+    the tail of u little-endian reverses it without a copy.
     """
-    if not u or not v or u[-1] + v[0]:
+    if not u or not v or u[-1] ^ v[0] != 32:
         return u + v
-    i = 0
-    for a, b in zip(reversed(u), v):
-        if a + b:
-            break
-        i += 1
-    return u[:len(u) - i] + v[i:]
+    m = min(len(u), len(v))
+    x = (int.from_bytes(u[-m:].swapcase(), "little")
+         ^ int.from_bytes(v[:m], "big"))
+    c = m - (x.bit_length() + 7) // 8
+    return u[:len(u) - c] + v[c:]
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:
-    letters = []
     for ch in text:
-        if ch.islower():
-            letters.append(ord(ch) - ord("a") + 1)
-        elif ch.isupper():
-            letters.append(-(ord(ch) - ord("A") + 1))
-        else:
+        if not ("a" <= ch <= "z" or "A" <= ch <= "Z"):
             raise ValueError(f"invalid word character: {ch!r}")
-    if rank is not None and any(abs(s) > rank for s in letters):
+    letters = text.encode("ascii")
+    if rank is not None and _outside_rank(letters, rank):
         raise ValueError(f"word {text!r} uses a generator beyond rank {rank}")
     return free_reduce(letters)
 
 
 def word_to_str(w: Word) -> str:
-    if not w:
-        return "1"
-    return "".join(
-        chr(ord("a") + s - 1) if s > 0 else chr(ord("A") - s - 1) for s in w
-    )
+    return w.decode("ascii") if w else "1"
 
 
 class GroupRingElement:
@@ -89,12 +102,7 @@ class GroupRingElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    cleaned[tuple(w)] = int(c)
-        self.terms = cleaned
+        self.terms = {w: int(c) for w, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls) -> "GroupRingElement":
@@ -102,11 +110,11 @@ class GroupRingElement:
 
     @classmethod
     def one(cls) -> "GroupRingElement":
-        return cls({(): 1})
+        return cls({b"": 1})
 
     @classmethod
     def from_word(cls, w: Word, coeff: int = 1) -> "GroupRingElement":
-        return cls({tuple(w): coeff})
+        return cls({w: coeff})
 
     def __bool__(self):
         return bool(self.terms)
@@ -173,9 +181,11 @@ class FreeGroupEndo:
         if len(self.images) != self.rank:
             raise ValueError("need one image per generator")
         for w in self.images:
-            if any(abs(s) < 1 or abs(s) > self.rank for s in w):
+            if not isinstance(w, bytes):
+                raise TypeError("images must be bytes words")
+            if _outside_rank(w, self.rank):
                 raise ValueError("image uses a generator outside the rank")
-            if free_reduce(w) != w:
+            if _CANCELLING_PAIR.search(w):
                 raise ValueError("images must be freely reduced")
 
     @classmethod
@@ -184,7 +194,7 @@ class FreeGroupEndo:
 
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupEndo":
-        return cls(rank, tuple((j,) for j in range(1, rank + 1)))
+        return cls(rank, tuple(_GENERATORS[j:j + 1] for j in range(rank)))
 
     def apply_word(self, w: Word) -> Word:
         """Reduced image of w.
@@ -193,12 +203,13 @@ class FreeGroupEndo:
         L the total length of the letter images a word costs O(L log |w|)
         letter copies, where joining them one by one costs O(L |w|).
         """
-        parts = [self.images[s - 1] if s > 0
-                 else word_inverse(self.images[-s - 1]) for s in w]
+        images = self.images  # a..z are the bytes 97..122, A..Z 65..90
+        parts = [images[s - 97] if s > 96 else word_inverse(images[s - 65])
+                 for s in w]
         while len(parts) > 1:
-            parts = [_join(*parts[i:i + 2]) if i + 1 < len(parts)
-                     else parts[i] for i in range(0, len(parts), 2)]
-        return parts[0] if parts else ()
+            odd = parts[-1:] if len(parts) % 2 else []
+            parts = list(map(_join, parts[::2], parts[1::2])) + odd
+        return parts[0] if parts else b""
 
     def apply(self, x: GroupRingElement) -> GroupRingElement:
         out: dict[Word, int] = {}
@@ -261,15 +272,16 @@ class GroupRingMatrix:
 
 def fox_derivative(w: Word, j: int) -> GroupRingElement:
     """Fox partial derivative d(w)/d(a_j) in the integral group ring."""
-    if j < 1:
-        raise ValueError("generator index must be >= 1")
+    if not 1 <= j <= len(_GENERATORS):
+        raise ValueError(f"generator index must be in 1..{len(_GENERATORS)}")
+    generator, inverse = _GENERATORS[j - 1], _INVERSES[j - 1]
     out: dict[Word, int] = {}
-    prefix: Word = ()
-    for s in w:
-        if s == j:
+    prefix = b""
+    for k, s in enumerate(w):
+        if s == generator:
             out[prefix] = out.get(prefix, 0) + 1
-        prefix_next = _join(prefix, (s,))
-        if s == -j:
+        prefix_next = _join(prefix, w[k:k + 1])
+        if s == inverse:
             out[prefix_next] = out.get(prefix_next, 0) - 1
         prefix = prefix_next
     return GroupRingElement(out)
@@ -470,12 +482,12 @@ def power_image_lengths(phi: FreeGroupEndo, N: int) -> list[int]:
     if N < 1:
         raise ValueError("n must be >= 1")
     letter_images = {}
-    for j, w in enumerate(phi.images, 1):
-        letter_images[j], letter_images[-j] = w, word_inverse(w)
+    for g, w in zip(_GENERATORS, phi.images):
+        letter_images[g], letter_images[g ^ 32] = w, word_inverse(w)
     images = phi.images
     lengths = [sum(map(len, images))]
     for _ in range(N - 1):
-        images = [free_reduce(chain.from_iterable(
-            map(letter_images.__getitem__, w))) for w in images]
+        images = [free_reduce(b"".join(map(letter_images.__getitem__, w)))
+                  for w in images]
         lengths.append(sum(map(len, images)))
     return lengths

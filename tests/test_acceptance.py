@@ -190,6 +190,12 @@ def test_torsion_special_values():
             checked += 1
 
 
+def as_word(letters):
+    """The package's word for signed generator indices: +j is the letter of
+    the j-th generator, -j that of its inverse."""
+    return bytes(96 + s if s > 0 else 64 - s for s in letters)
+
+
 @criterion(8, "Fox derivative identities and radius bounds", 60)
 def test_fox_suite():
     rng = random.Random(808)
@@ -199,10 +205,10 @@ def test_fox_suite():
         for _ in range(rng.randint(0, 30)):
             j = rng.randint(1, rank)
             letters.append(j if rng.random() < 0.5 else -j)
-        w = free_reduce(letters)
+        w = free_reduce(as_word(letters))
         total = GroupRingElement.zero()
         for j in range(1, rank + 1):
-            aj = GroupRingElement.from_word((j,))
+            aj = GroupRingElement.from_word(as_word([j]))
             total = total + fox_derivative(w, j) * (aj - GroupRingElement.one())
         assert total == GroupRingElement.from_word(w) - GroupRingElement.one()
 
@@ -219,7 +225,7 @@ def test_fox_suite():
         for _ in range(rank):
             letters = [rng.choice([1, -1]) * rng.randint(1, rank)
                        for _ in range(rng.randint(0, 6))]
-            images.append(free_reduce(letters))
+            images.append(free_reduce(as_word(letters)))
         b = nielsen_radius_bounds(FreeGroupEndo(rank, tuple(images)))
         assert b.bound_spectral >= float(b.bound_norm) - 1e-12
 

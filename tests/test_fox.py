@@ -29,56 +29,99 @@ from twistedzeta import (
 from twistedzeta.fox import _join, chain_matrices, word_inverse
 
 
+GENERATORS = b"abcdefghijklmnopqrstuvwxyz"
+
+
+def letters(rank):
+    """The letters of the first rank generators and of their inverses."""
+    return GENERATORS[:rank] + GENERATORS[:rank].upper()
+
+
 def random_word(rng, rank, max_len):
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        j = rng.randint(1, rank)
-        letters.append(j if rng.random() < 0.5 else -j)
-    return free_reduce(letters)
+    return free_reduce(bytes(rng.choice(letters(rank))
+                             for _ in range(rng.randint(0, max_len))))
 
 
-words = st.integers(1, 4).flatmap(
-    lambda rank: st.lists(
-        st.integers(1, rank).flatmap(
-            lambda j: st.sampled_from([j, -j])),
-        max_size=25).map(free_reduce))
+def reduced_words(rank, max_size):
+    return st.lists(st.sampled_from(letters(rank)),
+                    max_size=max_size).map(free_reduce)
+
+
+words = st.integers(1, 4).flatmap(lambda rank: reduced_words(rank, 25))
 
 
 class TestWords:
     def test_parse_round_trip(self):
         w = parse_word("abA")
-        assert w == (1, 2, -1)
+        assert w == b"abA"
         assert word_to_str(w) == "abA"
 
     def test_parse_reduces(self):
-        assert parse_word("aA") == ()
-        assert parse_word("abBA") == ()
+        assert parse_word("aA") == b""
+        assert parse_word("abBA") == b""
 
     def test_free_reduce_nested(self):
-        assert free_reduce([1, 2, -2, -1, 3]) == (3,)
+        assert free_reduce(b"abBAc") == b"c"
+
+    @pytest.mark.parametrize("text", ["a1", "ab c", "aé", "a-b"])
+    def test_parse_rejects_other_characters(self, text):
+        with pytest.raises(ValueError, match="invalid word character"):
+            parse_word(text)
+
+    def test_parse_checks_the_rank(self):
+        assert parse_word("abAB", 2) == b"abAB"
+        with pytest.raises(ValueError, match="beyond rank 2"):
+            parse_word("abc", 2)
+        with pytest.raises(ValueError, match="beyond rank 2"):
+            parse_word("C", 2)
+
+    def test_free_reduce_rejects_non_letters(self):
+        for letters in (b"a1", b"a\x00", [97, 65 + 128], b"a[", b"`"):
+            with pytest.raises(ValueError):
+                free_reduce(letters)
+
+    @pytest.mark.parametrize("images, error", [
+        ((b"ab",), ValueError),
+        ((b"ab", b"c"), ValueError),
+        ((b"ab", b"C"), ValueError),
+        ((b"ab", b"a1"), ValueError),
+        ((b"abBa", b"a"), ValueError),
+        ((b"a", b"bAab"), ValueError),
+        ((b"aA", b"b"), ValueError),
+        (("ab", b"a"), TypeError),
+        (((1, 2), b"a"), TypeError),
+    ])
+    def test_endo_validates_its_images(self, images, error):
+        with pytest.raises(error):
+            FreeGroupEndo(2, images)
+
+    def test_endo_accepts_reduced_images_of_its_rank(self):
+        phi = FreeGroupEndo(2, (b"abAB", b""))
+        assert phi.apply_word(b"bA") == b"baBA"
+        assert FreeGroupEndo.identity(3).images == (b"a", b"b", b"c")
 
     @given(words)
     @settings(max_examples=100, deadline=None)
     def test_inverse_cancels(self, w):
-        assert free_reduce(w + word_inverse(w)) == ()
+        assert free_reduce(w + word_inverse(w)) == b""
 
 
 class TestGroupRing:
     def test_ring_axioms_spot(self):
-        a = GroupRingElement.from_word((1,))
-        b = GroupRingElement.from_word((2,))
+        a = GroupRingElement.from_word(b"a")
+        b = GroupRingElement.from_word(b"b")
         one = GroupRingElement.one()
         assert a * one == a
         assert (a + b) * a == a * a + b * a
         assert a - a == GroupRingElement.zero()
 
     def test_multiplication_reduces_words(self):
-        a = GroupRingElement.from_word((1,))
-        ainv = GroupRingElement.from_word((-1,))
+        a = GroupRingElement.from_word(b"a")
+        ainv = GroupRingElement.from_word(b"A")
         assert a * ainv == GroupRingElement.one()
 
     def test_ring_norm_is_coefficient_sum(self):
-        x = GroupRingElement({(1,): 2, (2, 1): -3})
+        x = GroupRingElement({b"a": 2, b"ba": -3})
         assert ring_norm(x) == 5
 
     @given(words, words)
@@ -91,16 +134,16 @@ class TestGroupRing:
 
 class TestFoxDerivative:
     def test_generator_rules(self):
-        assert fox_derivative((1,), 1) == GroupRingElement.one()
-        assert fox_derivative((1,), 2) == GroupRingElement.zero()
-        assert fox_derivative((-1,), 1) == -GroupRingElement.from_word((-1,))
+        assert fox_derivative(b"a", 1) == GroupRingElement.one()
+        assert fox_derivative(b"a", 2) == GroupRingElement.zero()
+        assert fox_derivative(b"A", 1) == -GroupRingElement.from_word(b"A")
 
     def test_conjugate_example(self):
         # d(aba^-1)/da = 1 - aba^-1
         w = parse_word("abA")
         got = fox_derivative(w, 1)
         want = (GroupRingElement.one()
-                - GroupRingElement.from_word((1, 2, -1)))
+                - GroupRingElement.from_word(b"abA"))
         assert got == want
 
     @given(words, words)
@@ -120,7 +163,7 @@ class TestFoxDerivative:
         # sum_j (dw/da_j)(a_j - 1) = w - 1
         total = GroupRingElement.zero()
         for j in (1, 2, 3, 4):
-            aj = GroupRingElement.from_word((j,))
+            aj = GroupRingElement.from_word(GENERATORS[j - 1:j])
             total = total + fox_derivative(w, j) * (aj - GroupRingElement.one())
         want = GroupRingElement.from_word(w) - GroupRingElement.one()
         assert total == want
@@ -132,7 +175,7 @@ class TestJacobian:
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
         D = jacobian(phi)
         assert D.entries[0][0] == GroupRingElement.one()
-        assert D.entries[0][1] == GroupRingElement.from_word((1,))
+        assert D.entries[0][1] == GroupRingElement.from_word(b"a")
         assert D.entries[1][0] == GroupRingElement.one()
         assert not D.entries[1][1]
 
@@ -227,14 +270,6 @@ class TestTwistedPowers:
         assert len(chains[1].entries) == 2
 
 
-def signed_letters(rank):
-    return st.integers(1, rank).flatmap(lambda j: st.sampled_from([j, -j]))
-
-
-def reduced_words(rank, max_size):
-    return st.lists(signed_letters(rank), max_size=max_size).map(free_reduce)
-
-
 @st.composite
 def substitutions(draw):
     rank = draw(st.integers(1, 3))
@@ -252,11 +287,41 @@ def ring_matrices(draw, rank):
         [[draw(element) for _ in range(rank)] for _ in range(rank)])
 
 
+@st.composite
+def long_words(draw, max_len=600):
+    """Reduced words of up to max_len letters, in ranks 1 to 4."""
+    rank = draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    return free_reduce(bytes(rng.choice(letters(rank))
+                             for _ in range(draw(st.integers(0, max_len)))))
+
+
 def reference_twisted_power_norms(phi, A, N):
-    """Norms of P_n = phi(P_(n-1)) A, fully reducing every concatenation."""
+    """Norms of P_n = phi(P_(n-1)) A, fully reducing every concatenation.
+
+    The reference keeps its own words, tuples of signed generator indices
+    (+j for the j-th generator, -j for its inverse), so it shares no word
+    code with the route it checks: the package's words are read once, at
+    the boundary, and only norms come back.
+    """
+    def signed(w):
+        return tuple(s - 96 if s > 96 else 64 - s for s in w)
+
+    def reduce(letters):
+        stack = []
+        for s in letters:
+            if stack and stack[-1] == -s:
+                stack.pop()
+            else:
+                stack.append(s)
+        return tuple(stack)
+
+    images = [signed(w) for w in phi.images]
+    inverse_images = [tuple(-s for s in reversed(w)) for w in images]
+
     def image(w):
-        return free_reduce([t for s in w for t in (
-            phi.images[s - 1] if s > 0 else word_inverse(phi.images[-s - 1]))])
+        return reduce([t for s in w for t in (
+            images[s - 1] if s > 0 else inverse_images[-s - 1])])
 
     def matmul(X, Y):
         out = [[{} for _ in Y[0]] for _ in X]
@@ -265,14 +330,15 @@ def reference_twisted_power_norms(phi, A, N):
                 for j, y in enumerate(Y[k]):
                     for w1, c1 in x.items():
                         for w2, c2 in y.items():
-                            w = free_reduce(w1 + w2)
+                            w = reduce(w1 + w2)
                             out[i][j][w] = out[i][j].get(w, 0) + c1 * c2
         return out
 
     def norm(X):
         return sum(abs(c) for row in X for x in row for c in x.values())
 
-    A = [[dict(x.terms) for x in row] for row in A.entries]
+    A = [[{signed(w): c for w, c in x.terms.items()} for x in row]
+         for row in A.entries]
     P = A
     norms = [norm(P)]
     for _ in range(N - 1):
@@ -295,15 +361,38 @@ class TestJunctionCancellation:
         v = free_reduce(word_inverse(u[len(u) - min(k, len(u)):]) + x)
         assert _join(u, v) == free_reduce(u + v)
 
+    @given(long_words(), long_words(), st.integers(0, 600))
+    @settings(max_examples=100, deadline=None)
+    def test_join_of_long_words(self, u, x, k):
+        # Up to 600 letters, so the cancelled length crosses many 8-byte
+        # boundaries; k = |u| with x empty cancels u completely.
+        v = free_reduce(word_inverse(u[len(u) - min(k, len(u)):]) + x)
+        assert _join(u, v) == free_reduce(u + v)
+        assert _join(u, word_inverse(u)) == b""
+
+    def test_join_at_every_cancelled_length(self):
+        u = random_word(random.Random(5), 3, 700)
+        for c in range(len(u) + 1):
+            v = word_inverse(u[len(u) - c:]) + b"d"
+            assert _join(u, v) == u[:len(u) - c] + b"d"
+            assert _join(u, v[:-1]) == u[:len(u) - c]
+
+    @pytest.mark.parametrize("u, v, uv", [
+        (b"", b"", b""), (b"a", b"", b"a"), (b"", b"A", b"A"),
+        (b"a", b"A", b""), (b"A", b"a", b""), (b"a", b"a", b"aa"),
+        (b"a", b"B", b"aB"), (b"ab", b"Ba", b"aa"), (b"b", b"BA", b"A"),
+    ])
+    def test_join_of_short_words(self, u, v, uv):
+        assert _join(u, v) == uv
+
     @given(substitutions().flatmap(
         lambda phi: st.tuples(st.just(phi), reduced_words(phi.rank, 12))))
     @settings(max_examples=150, deadline=None)
     def test_apply_word_reduces_the_concatenated_images(self, case):
         phi, w = case
-        images = [phi.images[s - 1] if s > 0
-                  else word_inverse(phi.images[-s - 1]) for s in w]
-        assert phi.apply_word(w) == free_reduce(
-            [t for img in images for t in img])
+        images = [phi.images[s - 97] if s >= 97
+                  else word_inverse(phi.images[s - 65]) for s in w]
+        assert phi.apply_word(w) == free_reduce(b"".join(images))
 
 
 class TestTwistedPowerNorms:

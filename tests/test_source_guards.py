@@ -19,25 +19,50 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def _called_names(module: str, function: str) -> set[str]:
-    """Names called by a module-level function of the package and, in turn,
-    by the module's own functions that it calls."""
+# The method an operator calls on its operands.
+_OPERATOR_METHODS = {ast.Add: "__add__", ast.Sub: "__sub__",
+                     ast.Mult: "__mul__", ast.MatMult: "__matmul__",
+                     ast.USub: "__neg__"}
+
+
+def _reached_names(module: str, function: str) -> set[str]:
+    """Names reached from a module-level function of the package.
+
+    A function reaches every name it calls or refers to, by itself or as an
+    attribute (``x.apply_word(w)``, ``map(power.apply, ...)``), and the
+    method of every operator it applies (``A @ B`` reaches ``__matmul__``).
+    The module's own functions and methods (by name, whatever their class)
+    reached that way are followed in turn, so the set over-approximates
+    what the function can run within its module.
+    """
     path = PACKAGE / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    defs = {node.name: node for node in tree.body
-            if isinstance(node, ast.FunctionDef)}
-    seen, todo, called = set(), [function], set()
+    defs: dict[str, list[ast.FunctionDef]] = {}
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in body:
+            if isinstance(item, ast.FunctionDef):
+                defs.setdefault(item.name, []).append(item)
+    seen, todo, reached_names = set(), [function], set()
     while todo:
         name = todo.pop()
         if name in seen:
             continue
         seen.add(name)
-        for node in ast.walk(defs[name]):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                called.add(node.func.id)
-                if node.func.id in defs:
-                    todo.append(node.func.id)
-    return called
+        for node in (n for d in defs[name] for n in ast.walk(d)):
+            if isinstance(node, ast.Name):
+                reached = node.id
+            elif isinstance(node, ast.Attribute):
+                reached = node.attr
+            elif (isinstance(node, (ast.BinOp, ast.UnaryOp))
+                  and type(node.op) in _OPERATOR_METHODS):
+                reached = _OPERATOR_METHODS[type(node.op)]
+            else:
+                continue
+            reached_names.add(reached)
+            if reached in defs:
+                todo.append(reached)
+    return reached_names
 
 
 def test_closed_form_and_trace_route_stay_apart():
@@ -45,5 +70,16 @@ def test_closed_form_and_trace_route_stay_apart():
     # blocks kron(wedge^i M, B).  Were both to form the blocks, the trace
     # route would no longer check the closed form independently.
     blocks = {"kron", "exterior_power"}
-    assert not blocks & _called_names("zeta", "zeta_product")
-    assert blocks <= _called_names("reidemeister", "r_product_traces")
+    assert not blocks & _reached_names("zeta", "zeta_product")
+    assert blocks <= _reached_names("reidemeister", "r_product_traces")
+
+
+def test_image_lengths_and_ring_products_stay_apart():
+    # The lengths of the reduced images phi^n(a_i) are the formula route of
+    # the twisted power norms; the group-ring products P_n are its oracle.
+    # They share the generator images only: were the lengths taken from
+    # joined or pushed words, the ring products would check them against
+    # their own word code.
+    ring_words = {"_join", "apply_word", "_add_product"}
+    assert not ring_words & _reached_names("fox", "power_image_lengths")
+    assert ring_words <= _reached_names("fox", "twisted_power_norms")
