@@ -195,8 +195,9 @@ def parse_problem(text: str) -> ProblemDocument:
     _require(_is_int(order) and order >= 1, "'order' must be >= 1")
     _require(_is_int(crange) and crange >= 1,
              "'congruence_range' must be >= 1")
-    angles = [_parse_angle(a, "torsion_angles")
-              for a in options.get("torsion_angles", [])]
+    angles = options.get("torsion_angles", [])
+    _require(isinstance(angles, list), "'torsion_angles' must be a list")
+    angles = [_parse_angle(a, "torsion_angles") for a in angles]
     if kind == "abelian" and not angles:
         angles = [Fraction(1, 2)]
 
@@ -278,7 +279,7 @@ def _counts(routes: dict) -> tuple[dict, bool]:
 
 def _finite_counts(doc, report):
     G, phi = doc.objects["group"], doc.objects["endo"]
-    B = class_function_matrix(G, phi).B
+    B = class_function_matrix(G, phi)
     iterates = [iterate_endo(phi, n) for n in range(1, doc.order + 1)]
     return _counts({
         "fixed_class_formula": [r_finite(G, phin) for phin in iterates],

@@ -2,17 +2,19 @@
 
 Determinants by fraction-free (Bareiss) elimination, characteristic
 polynomials by Faddeev-LeVerrier over the integers, Smith normal form with
-unimodular transforms, exterior powers as compound matrices, and exact
-real-root counting by Sturm sequences (the one place that needs rational
-arithmetic).  Everything is arbitrary precision; no floating point enters
-any of these computations.
+unimodular transforms, exterior powers as compound matrices, and two facts
+about eigenvalues read off the characteristic polynomial by integer
+pseudo-division: real-root counts by Sturm sequences, and root-of-unity
+eigenvalues by cyclotomic divisors.  Everything is arbitrary precision; no
+floating point enters any of these computations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadIndex, EigenvalueOnBoundary, NotSquare
 
@@ -163,6 +165,30 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def pseudo_divmod(self, divisor: "IntPolynomial"):
+        """(q, r) with |lc(b)|^e a = q b + r and deg r < deg b, where a is
+        self, b the divisor and e = max(deg a - deg b + 1, 0).
+
+        The factor |lc(b)|^e is positive, so r has the sign pattern of the
+        true remainder (what Sturm sequences need); for a monic b it is 1
+        and this is exact division.
+        """
+        b = divisor.coefficients
+        if not b:
+            raise ZeroDivisionError("pseudo-division by the zero polynomial")
+        scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        r = list(self.coefficients)
+        q = [0] * max(len(r) - len(b) + 1, 0)
+        for i in reversed(range(len(q))):
+            c = sign * r[i + len(b) - 1]
+            if scale != 1:
+                r = [scale * x for x in r]
+                q = [scale * x for x in q]
+            q[i] += c
+            for j, bj in enumerate(b):
+                r[i + j] -= c * bj
+        return IntPolynomial(q), IntPolynomial(r)
+
     def __repr__(self):
         return f"IntPolynomial({list(self.coefficients)})"
 
@@ -241,10 +267,12 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """left @ A @ right is diagonal with d1 | d2 | ... (zeros last)."""
+    """left @ A @ right is diagonal with d1 | d2 | ... (zeros last), and
+    left_inverse is the integer inverse of the unimodular left."""
 
     diagonal: tuple[int, ...]
     left: IntMatrix
+    left_inverse: IntMatrix
     right: IntMatrix
 
 
@@ -252,6 +280,7 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     m, n = A.rows, A.cols
     S = [list(row) for row in A.entries]
     L = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Linv = [row[:] for row in L]  # each row op on L, inverted, on its columns
     R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
@@ -259,6 +288,7 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
             S[i][t] -= q * S[j][t]
         for t in range(m):
             L[i][t] -= q * L[j][t]
+            Linv[t][j] += q * Linv[t][i]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for t in range(m):
@@ -269,6 +299,8 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
         L[i], L[j] = L[j], L[i]
+        for t in range(m):
+            Linv[t][i], Linv[t][j] = Linv[t][j], Linv[t][i]
 
     def swap_cols(i, j):
         for t in range(m):
@@ -281,6 +313,7 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
             S[i][t] = -S[i][t]
         for t in range(m):
             L[i][t] = -L[i][t]
+            Linv[t][i] = -Linv[t][i]
 
     t = 0
     while t < min(m, n):
@@ -337,25 +370,21 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
 
     diagonal = tuple(S[i][i] for i in range(min(m, n)))
     return SmithForm(diagonal, IntMatrix(L, rows=m, cols=m),
+                     IntMatrix(Linv, rows=m, cols=m),
                      IntMatrix(R, rows=n, cols=n))
 
 
 def unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    d = det(U)
-    if d not in (1, -1):
+    """Exact integer inverse of a matrix with determinant +-1.
+
+    Its Smith form is L U R = I, so the inverse is R L.  The package reads
+    ``SmithForm.left_inverse`` instead; this name stays because
+    ``perfbench/run.py`` reports it among its per-layer functions.
+    """
+    snf = smith_normal_form(U)
+    if any(d != 1 for d in snf.diagonal):
         raise ValueError("matrix is not unimodular")
-    n = U.rows
-    if n == 0:
-        return U
-    adj = [[0] * n for _ in range(n)]
-    idx = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            minor = U.submatrix([r for r in idx if r != i],
-                                [c for c in idx if c != j])
-            adj[j][i] = (-1) ** (i + j) * det(minor)
-    return IntMatrix([[a * d for a in row] for row in adj], rows=n, cols=n)
+    return snf.right @ snf.left
 
 
 def exterior_power(A: IntMatrix, i: int) -> IntMatrix:
@@ -395,119 +424,27 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
     return result
 
 
-# -- exact real-root counting -------------------------------------------------
+# -- eigenvalues from the characteristic polynomial --------------------------
 
-def _poly_deg(p: list[Fraction]) -> int:
-    return len(p) - 1
+def _sturm_sequence(p: IntPolynomial) -> list[IntPolynomial]:
+    """p, p', then each negated pseudo-remainder as its primitive part, up
+    to the last nonzero one, which is gcd(p, p') times a constant.
 
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
-    return [c * e for e, c in enumerate(p)][1:]
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and any(a):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = a[-1] / lead
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
+    Every step multiplies the true Sturm remainder by a positive integer, so
+    the sign variations are those of the rational Sturm sequence.
+    """
+    seq = [p, IntPolynomial([e * c for e, c in enumerate(p.coefficients)][1:])]
+    while True:
+        _, r = seq[-2].pseudo_divmod(seq[-1])
+        if r.is_zero():
+            return seq
+        content = math.gcd(*r.coefficients)
+        seq.append(IntPolynomial([-c // content for c in r.coefficients]))
 
 
-def _poly_monic(p: list[Fraction]) -> list[Fraction]:
-    p = _poly_trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_monic(a)
-
-
-def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def squarefree_decomposition(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm: returns [(factor, multiplicity)] with factors squarefree."""
-    p = _poly_monic(p)
-    if _poly_deg(p) < 1:
-        return []
-    dp = _poly_derivative(p)
-    g = _poly_gcd(p, dp)
-    if _poly_deg(g) == 0:
-        return [(p, 1)]
-    w, _ = _poly_divmod(p, g)
-    y, _ = _poly_divmod(dp, g)
-    out = []
-    i = 1
-    while _poly_deg(w) > 0:
-        z = [a - b for a, b in itertools.zip_longest(
-            y, _poly_derivative(w), fillvalue=Fraction(0))]
-        z = _poly_trim(z)
-        f = _poly_gcd(w, z) if z else _poly_monic(w)
-        if _poly_deg(f) > 0:
-            out.append((f, i))
-        w, _ = _poly_divmod(w, f)
-        y, _ = _poly_divmod(z, f) if z else ([], [])
-        i += 1
-    return out
-
-
-def sturm_sequence(p: list[Fraction]) -> list[list[Fraction]]:
-    seq = [_poly_trim(p), _poly_trim(_poly_derivative(p))]
-    while seq[-1] and _poly_deg(seq[-1]) > 0:
-        _, r = _poly_divmod(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append([-c for c in r])
-    return [s for s in seq if s]
-
-
-def _sign_variations(seq, x: Fraction) -> int:
-    signs = []
-    for s in seq:
-        v = _poly_eval(s, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: list[Fraction], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of squarefree p in (a, b]."""
-    seq = sturm_sequence(p)
-    return _sign_variations(seq, a) - _sign_variations(seq, b)
-
-
-def _root_bound(p: list[Fraction]) -> Fraction:
-    """Cauchy bound: every real root has |x| < bound."""
-    p = _poly_trim(p)
-    lead = abs(p[-1])
-    return 1 + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
+def _sign_variations(seq: list[IntPolynomial], x: int) -> int:
+    signs = [v > 0 for v in (s(x) for s in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_eigen_signs(A: IntMatrix) -> tuple[int, int]:
@@ -516,15 +453,58 @@ def count_eigen_signs(A: IntMatrix) -> tuple[int, int]:
     Returns (p, r): p = number of real eigenvalues < -1 and r = number of
     real eigenvalues with |mu| > 1, both with algebraic multiplicity.
     Raises EigenvalueOnBoundary if +1 or -1 is an eigenvalue.
+
+    The Sturm sequence of g counts the distinct real roots of g between two
+    points that are not roots.  Summed over g_0 = char_poly(A) and
+    g_(i+1) = gcd(g_i, g_i'), the last element of the sequence of g_i, a
+    root of multiplicity m is counted once in each of g_0..g_(m-1).  Every
+    g_i divides g_0, so none vanishes at +-1, and none at +-B with
+    B = 2 + max |c_j|, beyond the Cauchy bound of the monic g_0.
     """
     cp = char_poly(A)
     if cp(1) == 0 or cp(-1) == 0:
         raise EigenvalueOnBoundary("matrix has an eigenvalue equal to +1 or -1")
-    poly = [Fraction(c) for c in cp.coefficients]
-    bound = _root_bound(poly) + 1
-    p_count = 0
-    beyond_one = 0
-    for factor, mult in squarefree_decomposition(poly):
-        p_count += mult * count_real_roots(factor, -bound, Fraction(-1))
-        beyond_one += mult * count_real_roots(factor, Fraction(1), bound)
-    return p_count, p_count + beyond_one
+    bound = 2 + max(map(abs, cp.coefficients))
+    below = beyond = 0
+    g = cp
+    while g.degree > 0:
+        seq = _sturm_sequence(g)
+        v = [_sign_variations(seq, x) for x in (-bound, -1, 1, bound)]
+        below += v[0] - v[1]
+        beyond += v[2] - v[3]
+        g = seq[-1]
+    return below, below + beyond
+
+
+def cyclotomic_polynomials(
+        max_degree: int) -> Iterator[tuple[int, IntPolynomial]]:
+    """(n, Phi_n) for every n with phi(n) <= max_degree, n increasing.
+
+    phi(n) >= sqrt(n/2), so such n are at most 2 max_degree^2.  Phi_n is
+    x^n - 1 divided exactly by the Phi_d of the proper divisors d of n, and
+    its degree, n minus theirs, is known before it is built: a divisor with
+    phi(d) > max_degree was never built, which leaves that difference above
+    max_degree, as phi(n) >= phi(d) requires.
+    """
+    built: dict[int, IntPolynomial] = {}
+    for n in range(1, 2 * max_degree * max_degree + 1):
+        divisors = [phi for d, phi in built.items() if n % d == 0]
+        if n - sum(phi.degree for phi in divisors) > max_degree:
+            continue
+        phi_n = IntPolynomial([-1] + [0] * (n - 1) + [1])
+        for phi in divisors:
+            phi_n, _ = phi_n.pseudo_divmod(phi)
+        built[n] = phi_n
+        yield n, phi_n
+
+
+def first_cyclotomic_factor(cp: IntPolynomial) -> int | None:
+    """The smallest n with Phi_n | cp, or None.
+
+    For cp = char_poly(M) this is the first iterate with det(I - M^n) = 0:
+    that determinant vanishes iff some eigenvalue is a root of unity of an
+    order d | n, and then its minimal polynomial Phi_d divides cp.  Only
+    Phi_d with phi(d) <= deg cp can.
+    """
+    return next((n for n, phi in cyclotomic_polynomials(cp.degree)
+                 if cp.pseudo_divmod(phi)[1].is_zero()), None)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InfiniteReidemeister, NotAHomomorphism, NotSquare
 from .groups import (
@@ -30,26 +29,15 @@ from .groups import (
 )
 from .intlinalg import (
     IntMatrix,
+    char_poly,
     count_eigen_signs,
     det,
     exterior_power,
+    first_cyclotomic_factor,
     kron,
     mat_pow,
     smith_normal_form,
-    unimodular_inverse,
 )
-
-
-@dataclass(frozen=True)
-class ClassFunctionMap:
-    """Matrix of f -> f o phi on the characteristic-function basis.
-
-    B[c][c'] = 1 when phi sends the members of class c' into class c.
-    Each column carries exactly one 1, and the trace counts the classes
-    fixed by the induced class map.
-    """
-
-    B: IntMatrix
 
 
 def r_finite(G: FiniteGroup, phi: GroupEndomorphism) -> int:
@@ -62,13 +50,19 @@ def r_finite(G: FiniteGroup, phi: GroupEndomorphism) -> int:
     )
 
 
-def class_function_matrix(G: FiniteGroup, phi: GroupEndomorphism) -> ClassFunctionMap:
+def class_function_matrix(G: FiniteGroup, phi: GroupEndomorphism) -> IntMatrix:
+    """Matrix of f -> f o phi on the characteristic-function basis.
+
+    B[c][c'] = 1 when phi sends the members of class c' into class c.
+    Each column carries exactly one 1, and the trace counts the classes
+    fixed by the induced class map.
+    """
     part = G.conjugacy_classes
     c = part.num_classes
     B = [[0] * c for _ in range(c)]
     for src, rep in enumerate(part.representatives):
         B[part.class_of[phi(rep)]][src] = 1
-    return ClassFunctionMap(IntMatrix(B, rows=c, cols=c))
+    return IntMatrix(B, rows=c, cols=c)
 
 
 def r_abelian(M: IntMatrix) -> int:
@@ -186,7 +180,7 @@ def r_product(P: ProductEndomorphism, n: int = 1) -> int:
 def _trace_blocks(P: ProductEndomorphism):
     """Sign counts (p, r) of M and the blocks wedge^i M (x) B, i = 0..k."""
     p, r = count_eigen_signs(P.M)
-    B = class_function_matrix(P.F, P.phiF).B
+    B = class_function_matrix(P.F, P.phiF)
     return p, r, [kron(exterior_power(P.M, i), B) for i in range(P.k + 1)]
 
 
@@ -205,15 +199,13 @@ def r_product_trace(P: ProductEndomorphism, n: int = 1) -> int:
 def r_product_traces(P: ProductEndomorphism, N: int) -> list[int]:
     """``[r_product_trace(P, n) for n in 1..N]``, with the blocks built once.
 
-    Every iterate is checked finite first, with M^n as M^(n-1) M; the n-th
-    block powers are the (n-1)-th times the blocks.
+    Every iterate is checked finite first: the first n with
+    det(I - M^n) = 0 is the first cyclotomic factor of char_poly(M).  The
+    n-th block powers are the (n-1)-th times the blocks.
     """
-    identity = IntMatrix.identity(P.k)
-    Mn = identity
-    for n in range(1, N + 1):
-        Mn = Mn @ P.M
-        if det(identity - Mn) == 0:
-            raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
+    n = first_cyclotomic_factor(char_poly(P.M))
+    if n is not None and n <= N:
+        raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
     p, r, blocks = _trace_blocks(P)
     powers = [IntMatrix.identity(X.rows) for X in blocks]
     counts = []
@@ -234,13 +226,13 @@ class _SmithQuotient:
         snf = smith_normal_form(A)
         self.diagonal = snf.diagonal
         self.left = snf.left
+        self.left_inverse = snf.left_inverse
         self.right = snf.right
 
     def representatives(self) -> list[tuple[int, ...]]:
         if 0 in self.diagonal:
             raise InfiniteReidemeister("lattice quotient is infinite")
-        Linv = unimodular_inverse(self.left)
-        return [Linv.apply(x)
+        return [self.left_inverse.apply(x)
                 for x in itertools.product(*(range(d) for d in self.diagonal))]
 
     def residue(self, v: tuple[int, ...]) -> tuple[int, ...]:

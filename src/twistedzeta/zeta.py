@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .errors import (
     InfiniteReidemeister,
@@ -41,8 +41,8 @@ from .intlinalg import (
     count_eigen_signs,
     det,
     exterior_power,
+    first_cyclotomic_factor,
     kron,
-    mat_pow,
 )
 from .reidemeister import (
     ProductEndomorphism,
@@ -74,11 +74,11 @@ class FactoredRationalFunction:
     factors: tuple[tuple[IntPolynomial, int], ...]
     sign_convention: SignConvention | None = None
 
-    def evaluate(self, z: complex, pole_tol: float = POLE_TOLERANCE) -> complex:
+    def evaluate(self, z: complex) -> complex:
         value = complex(1.0)
         for poly, e in self.factors:
             f = complex(poly(z))
-            if abs(f) < pole_tol:
+            if abs(f) < POLE_TOLERANCE:
                 raise PoleAtEvaluation(
                     f"factor {poly} vanishes at z = {z}"
                 )
@@ -157,12 +157,10 @@ def det_identity_minus_z(X: IntMatrix) -> IntPolynomial:
     return IntPolynomial(list(reversed(cp.coefficients)))
 
 
-def _euler_phi(n: int) -> int:
-    count = 0
-    for m in range(1, n + 1):
-        if gcd(m, n) == 1:
-            count += 1
-    return count
+def _reject_roots_of_unity(cp: IntPolynomial) -> None:
+    n = first_cyclotomic_factor(cp)
+    if n is not None:
+        raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
 
 
 def check_all_iterates_finite(M: IntMatrix) -> None:
@@ -170,17 +168,11 @@ def check_all_iterates_finite(M: IntMatrix) -> None:
 
     Such an eigenvalue makes det(I - M^n) = 0 for some n, i.e. an infinite
     class count, and the zeta function does not exist.  A degree-k integer
-    matrix can only have roots of unity of order n with phi(n) <= k, so the
-    check is finite and exact.
+    matrix can only have roots of unity of order n with phi(n) <= k, so
+    testing char_poly(M) against those cyclotomic polynomials is finite and
+    exact; the error carries the first such n.
     """
-    k = M.rows
-    if k == 0:
-        return
-    # phi(n) >= sqrt(n/2), so phi(n) <= k forces n <= 2k^2.
-    for n in range(1, 2 * k * k + 1):
-        if _euler_phi(n) <= k:
-            if det(IntMatrix.identity(k) - mat_pow(M, n)) == 0:
-                raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
+    _reject_roots_of_unity(char_poly(M))
 
 
 def _from_power_sums(sums: list[int]) -> list[int]:
@@ -245,7 +237,8 @@ def zeta_product(P: ProductEndomorphism) -> FactoredRationalFunction:
     """
     # Before the sign counts: an eigenvalue -1 is an infinite count
     # (det(I - M^2) = 0) before it is a boundary case for count_eigen_signs.
-    check_all_iterates_finite(P.M)
+    cp = char_poly(P.M)
+    _reject_roots_of_unity(cp)
     p, r = count_eigen_signs(P.M)
     sigma = (-1) ** p
     outer = (-1) ** r
@@ -253,7 +246,7 @@ def zeta_product(P: ProductEndomorphism) -> FactoredRationalFunction:
     classes = P.F.conjugacy_classes.num_classes
     N = comb(k, k // 2) * classes  # the largest block dimension
     fixed = _fixed_class_counts(P, N)
-    traces = _power_sums(det_identity_minus_z(P.M).coefficients, k * N)
+    traces = _power_sums(cp.coefficients[::-1], k * N)
     # e_i(lambda^n) = (-1)^i [z^i] det(I - M^n z), i = 0..k
     wedge_traces = [
         [(-1) ** i * c for i, c in enumerate(
@@ -439,7 +432,7 @@ def torsion_via_lefschetz(P: ProductEndomorphism, t: Fraction) -> float:
     check_invertible(P)
     import numpy as np
 
-    B = class_function_matrix(P.F, P.phiF).B
+    B = class_function_matrix(P.F, P.phiF)
     lam = _angle_to_unit(t)
     value = 1.0
     for i in range(P.k + 1):

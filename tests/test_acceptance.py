@@ -83,7 +83,7 @@ def test_finite_three_way():
     for name, G, endos in catalog_with_endos():
         for phi in endos:
             a = r_finite(G, phi)
-            b = class_function_matrix(G, phi).B.trace()
+            b = class_function_matrix(G, phi).trace()
             c = phi_conjugacy_classes(G, phi).num_classes
             assert a == b == c, (name, phi.image)
             total += 1

@@ -229,6 +229,13 @@ class TestMainExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert main(["compute", "/nonexistent/path.json"]) == 2
 
+    @pytest.mark.parametrize("angles", ["12", 0.5])
+    def test_torsion_angles_not_a_list_is_2(self, tmp_path, capsys, angles):
+        # "12" is not read character by character as the angles 1 and 2
+        doc = dict(ABELIAN_MINUS_TWO, options={"torsion_angles": angles})
+        assert main(["compute", write_doc(tmp_path, doc)]) == 2
+        assert "'torsion_angles' must be a list" in capsys.readouterr().err
+
     def test_infinite_count_is_3(self, tmp_path, capsys):
         # det(I - M) is nonzero but det(I - M^2) vanishes
         doc = {"kind": "abelian", "matrix": [[-1]]}

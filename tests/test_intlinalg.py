@@ -1,5 +1,5 @@
+import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,15 +14,19 @@ from twistedzeta import (
     kron,
     mat_pow,
     smith_normal_form,
-
 )
-from twistedzeta.errors import EigenvalueOnBoundary, NotSquare
+from twistedzeta.errors import (
+    EigenvalueOnBoundary,
+    InfiniteReidemeister,
+    NotSquare,
+)
 from twistedzeta.intlinalg import (
+    IntPolynomial,
+    cyclotomic_polynomials,
+    first_cyclotomic_factor,
     unimodular_inverse,
-    count_real_roots,
-    squarefree_decomposition,
-    sturm_sequence,
 )
+from twistedzeta.zeta import check_all_iterates_finite
 
 
 def random_matrix(rng, k, lo=-5, hi=5):
@@ -47,6 +51,17 @@ def square_matrices(min_k, max_k):
 
 
 matrices = square_matrices(1, 4)
+
+
+def block_sum(*blocks):
+    k = sum(B.rows for B in blocks)
+    out = [[0] * k for _ in range(k)]
+    offset = 0
+    for B in blocks:
+        for i, row in enumerate(B.entries):
+            out[offset + i][offset:offset + B.cols] = row
+        offset += B.rows
+    return IntMatrix(out, rows=k, cols=k)
 
 
 class TestIntMatrix:
@@ -149,9 +164,13 @@ class TestSmith:
             prod *= d
         assert prod == abs(det(A))
 
-    def test_unimodular_inverse(self):
-        U = IntMatrix([[2, 1], [1, 1]])
-        assert U @ unimodular_inverse(U) == IntMatrix.identity(2)
+    @given(matrices)
+    @settings(max_examples=60, deadline=None)
+    def test_unimodular_inverse(self, A):
+        snf = smith_normal_form(A)
+        L, Linv = snf.left, snf.left_inverse
+        assert L @ Linv == IntMatrix.identity(A.rows) == Linv @ L
+        assert unimodular_inverse(L) == Linv
 
 
 class TestExteriorPowers:
@@ -194,25 +213,6 @@ class TestExteriorPowers:
         assert kron(A, B).rows == 4
 
 
-class TestRealRootCounting:
-    def test_quadratic(self):
-        # z^2 - 2: roots +-sqrt(2)
-        p = [Fraction(-2), Fraction(0), Fraction(1)]
-        assert count_real_roots(p, Fraction(0), Fraction(2)) == 1
-        assert count_real_roots(p, Fraction(-2), Fraction(2)) == 2
-
-    def test_repeated_root_squarefree(self):
-        # (z-1)^2 decomposes with multiplicity 2
-        p = [Fraction(1), Fraction(-2), Fraction(1)]
-        parts = squarefree_decomposition(p)
-        assert any(m == 2 for _, m in parts)
-
-    def test_sturm_sequence_starts_with_input(self):
-        p = [Fraction(-2), Fraction(0), Fraction(1)]
-        seq = sturm_sequence(p)
-        assert seq[0] == p
-
-
 class TestEigenSigns:
     def test_known_values(self):
         assert count_eigen_signs(IntMatrix([[-2]])) == (1, 1)
@@ -248,3 +248,121 @@ class TestEigenSigns:
             assert p == sum(1 for mu in reals if mu < -1)
             assert r == sum(1 for mu in reals if abs(mu) > 1)
             checked += 1
+
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=7)
+           .flatmap(lambda d: st.tuples(st.just(d), st.lists(
+               st.integers(-3, 3), min_size=len(d) ** 2,
+               max_size=len(d) ** 2))))
+    @settings(max_examples=150, deadline=None)
+    def test_upper_triangular_diagonals(self, drawn):
+        # the eigenvalues are the diagonal, with its repeats
+        diagonal, above = drawn
+        k = len(diagonal)
+        A = IntMatrix([[diagonal[i] if i == j else above[i * k + j] * (j > i)
+                        for j in range(k)] for i in range(k)])
+        if 1 in diagonal or -1 in diagonal:
+            with pytest.raises(EigenvalueOnBoundary):
+                count_eigen_signs(A)
+        else:
+            assert count_eigen_signs(A) == (
+                sum(d < -1 for d in diagonal),
+                sum(abs(d) > 1 for d in diagonal))
+
+    def test_repeated_diagonal_up_to_seven(self):
+        for diagonal, expected in (([-2] * 7, (7, 7)),
+                                   ([3, 3, 3, -3, -3, 0, 0], (2, 5)),
+                                   ([0] * 7, (0, 0))):
+            A = IntMatrix([[diagonal[i] if i == j else (j > i)
+                            for j in range(7)] for i in range(7)])
+            assert count_eigen_signs(A) == expected, diagonal
+
+    @given(st.lists(st.integers(-6, 9), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_block_sums_of_square_roots(self, ds):
+        # x^2 - d has the roots +-sqrt(d): real beyond +-1 for d >= 2, +-1
+        # for d = 1, a double 0 for d = 0 and imaginary for d < 0
+        A = block_sum(*(IntMatrix([[0, 1], [d, 0]]) for d in ds))
+        if 1 in ds:
+            with pytest.raises(EigenvalueOnBoundary):
+                count_eigen_signs(A)
+        else:
+            real = sum(d >= 2 for d in ds)
+            assert count_eigen_signs(A) == (real, 2 * real)
+
+
+polynomials = st.lists(st.integers(-9, 9), max_size=8).map(IntPolynomial)
+
+
+def poly_add(p, q):
+    return IntPolynomial([a + b for a, b in itertools.zip_longest(
+        p.coefficients, q.coefficients, fillvalue=0)])
+
+
+class TestPseudoDivision:
+    @given(polynomials, polynomials.filter(lambda b: not b.is_zero()))
+    @settings(max_examples=200, deadline=None)
+    def test_division_identity(self, a, b):
+        q, r = a.pseudo_divmod(b)
+        e = max(a.degree - b.degree + 1, 0)
+        scale = IntPolynomial([abs(b.coefficients[-1]) ** e])
+        assert scale * a == poly_add(q * b, r)
+        assert r.degree < b.degree
+
+    @given(polynomials, polynomials)
+    @settings(max_examples=100, deadline=None)
+    def test_monic_divisor_divides_exactly(self, a, b):
+        b = IntPolynomial([*b.coefficients, 1])
+        assert (a * b).pseudo_divmod(b) == (a, IntPolynomial([]))
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            IntPolynomial([1, 1]).pseudo_divmod(IntPolynomial([]))
+
+
+def first_singular_iterate(M):
+    """Brute definition: the least n <= 2k^2 with det(I - M^n) = 0."""
+    k = M.rows
+    I = IntMatrix.identity(k)
+    return next((n for n in range(1, 2 * k * k + 1)
+                 if det(I - mat_pow(M, n)) == 0), None)
+
+
+class TestCyclotomic:
+    def test_divisor_products_are_x_n_minus_1(self):
+        phi = dict(cyclotomic_polynomials(60))
+        assert all(p.degree <= 60 for p in phi.values())
+        for n in range(1, 61):
+            product = IntPolynomial([1])
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    product = product * phi[d]
+            assert product == IntPolynomial([-1, *[0] * (n - 1), 1]), n
+
+    @given(st.one_of(square_matrices(0, 4), square_matrices(1, 4).map(
+        lambda A: IntMatrix([[a % 3 - 1 for a in row] for row in A.entries]))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_first_singular_iterate(self, M):
+        expected = first_singular_iterate(M)
+        assert first_cyclotomic_factor(char_poly(M)) == expected
+
+    def test_companions_with_a_hyperbolic_block(self):
+        # C(Phi_n) + [[2, 1], [1, 1]], conjugated by a unimodular matrix:
+        # the primitive n-th roots of unity are the only such eigenvalues
+        rng = random.Random(9)
+        for n, phi in cyclotomic_polynomials(6):
+            c = phi.coefficients
+            d = phi.degree
+            companion = IntMatrix([[(i == j + 1) - (j == d - 1) * c[i]
+                                    for j in range(d)] for i in range(d)])
+            block = block_sum(companion, IntMatrix([[2, 1], [1, 1]]))
+            snf = smith_normal_form(random_matrix(rng, d + 2, -3, 3))
+            M = snf.left @ block @ snf.left_inverse
+            assert char_poly(companion) == phi
+            assert char_poly(M) == char_poly(block)
+            assert first_cyclotomic_factor(char_poly(M)) == n
+            I = IntMatrix.identity(d + 2)
+            assert [m for m in range(1, n + 1)
+                    if det(I - mat_pow(M, m)) == 0] == [n]
+            with pytest.raises(InfiniteReidemeister) as info:
+                check_all_iterates_finite(M)
+            assert info.value.n == n

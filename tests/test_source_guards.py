@@ -83,3 +83,23 @@ def test_image_lengths_and_ring_products_stay_apart():
     ring_words = {"_join", "apply_word", "_add_product"}
     assert not ring_words & _reached_names("fox", "power_image_lengths")
     assert ring_words <= _reached_names("fox", "twisted_power_norms")
+
+
+def test_intlinalg_has_no_fraction_helpers():
+    # Sign counts and the cyclotomic test run on IntPolynomial by one
+    # integer pseudo-division; a Fraction import would let a second,
+    # rational polynomial layer grow back next to it.
+    tree = ast.parse((PACKAGE / "intlinalg.py").read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in modules
+
+
+def test_iterate_check_takes_no_matrix_powers():
+    # Root-of-unity eigenvalues are the cyclotomic factors of one
+    # characteristic polynomial; powers and determinants of M would be a
+    # second test of the same fact.
+    powers = {"mat_pow", "det", "__matmul__"}
+    assert not powers & _reached_names("zeta", "check_all_iterates_finite")

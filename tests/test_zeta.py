@@ -102,7 +102,7 @@ def reference_closed_form(P):
     """The closed form by one characteristic polynomial per block
     sigma * kron(wedge^i M, B), merged by exponent in the order i = 0..k."""
     p, r = count_eigen_signs(P.M)
-    B = class_function_matrix(P.F, P.phiF).B
+    B = class_function_matrix(P.F, P.phiF)
     merged = {}
     for i in range(P.k + 1):
         X = kron(exterior_power(P.M, i), B).scale((-1) ** p)
