@@ -53,10 +53,9 @@ from .groups import (
     eventual_image,
     group_from_permutations,
     identity_endo,
-    iterate_endo,
     phi_conjugacy_classes,
 )
-from .intlinalg import IntMatrix, det, mat_pow
+from .intlinalg import IntMatrix, det
 from .reidemeister import (
     ProductEndomorphism,
     class_function_matrix,
@@ -64,7 +63,7 @@ from .reidemeister import (
     r_abelian_smith,
     r_abelian_trace,
     r_finite,
-    r_product,
+    r_product_counts,
     r_product_oracle,
     r_product_traces,
 )
@@ -195,6 +194,7 @@ def parse_problem(text: str) -> ProblemDocument:
     _require(_is_int(order) and order >= 1, "'order' must be >= 1")
     _require(_is_int(crange) and crange >= 1,
              "'congruence_range' must be >= 1")
+    _require(crange <= order, "'congruence_range' must be <= 'order'")
     angles = options.get("torsion_angles", [])
     _require(isinstance(angles, list), "'torsion_angles' must be a list")
     angles = [_parse_angle(a, "torsion_angles") for a in angles]
@@ -252,12 +252,11 @@ def _closed_form(doc):
 
 
 def _formula_counts(doc) -> list[int]:
-    """``[r_product(P, n)]`` for n = 1..order, built once per document and
-    order: the counts section and the zeta series check both read it."""
+    """``r_product_counts(P, order)``, built once per document and order:
+    the counts section and the zeta series check both read it."""
     key = ("formula_counts", doc.order)
     if key not in doc.objects:
-        P = doc.objects["product"]
-        doc.objects[key] = [r_product(P, n) for n in range(1, doc.order + 1)]
+        doc.objects[key] = r_product_counts(doc.objects["product"], doc.order)
     return doc.objects[key]
 
 
@@ -277,14 +276,23 @@ def _counts(routes: dict) -> tuple[dict, bool]:
     return routes, all(_agrees(counts, formula) for counts in routes.values())
 
 
+def _powers(A: IntMatrix, N: int) -> list[IntMatrix]:
+    """A^1..A^N, one product each."""
+    powers = [A]
+    while len(powers) < N:
+        powers.append(powers[-1] @ A)
+    return powers
+
+
 def _finite_counts(doc, report):
     G, phi = doc.objects["group"], doc.objects["endo"]
     B = class_function_matrix(G, phi)
-    iterates = [iterate_endo(phi, n) for n in range(1, doc.order + 1)]
+    iterates = [phi]
+    while len(iterates) < doc.order:
+        iterates.append(phi.compose(iterates[-1]))
     return _counts({
         "fixed_class_formula": [r_finite(G, phin) for phin in iterates],
-        "class_function_trace": [mat_pow(B, n).trace()
-                                 for n in range(1, doc.order + 1)],
+        "class_function_trace": [Bn.trace() for Bn in _powers(B, doc.order)],
         "twisted_conjugacy_oracle": [
             phi_conjugacy_classes(G, phin).num_classes for phin in iterates],
     })
@@ -293,7 +301,7 @@ def _finite_counts(doc, report):
 def _abelian_counts(doc, report):
     M = doc.objects["product"].M
     check_all_iterates_finite(M)
-    powers = [mat_pow(M, n) for n in range(1, doc.order + 1)]
+    powers = _powers(M, doc.order)
     return _counts({
         "determinant_formula": _formula_counts(doc),
         "smith_coset_oracle": [r_abelian_smith(Mn) for Mn in powers],
@@ -304,12 +312,12 @@ def _abelian_counts(doc, report):
 def _product_counts(doc, report):
     P, N = doc.objects["product"], doc.order
     check_all_iterates_finite(P.M)
-    oracle = []
-    for n in range(1, N + 1):
-        # n first: the cell count costs a matrix power and a determinant
-        fits = n <= 4 and (r_abelian(mat_pow(P.M, n)) * P.F.order
-                           <= ORACLE_SIZE_CAP)
-        oracle.append(r_product_oracle(P, n) if fits else None)
+    # The oracle runs for n <= 4 while its cell count fits; it keeps its own
+    # powers of M, apart from the formula's.
+    oracle = [None] * N
+    for n, Mn in enumerate(_powers(P.M, min(N, 4)), start=1):
+        if r_abelian(Mn) * P.F.order <= ORACLE_SIZE_CAP:
+            oracle[n - 1] = r_product_oracle(P, n)
     return _counts({
         "product_formula": _formula_counts(doc),
         "signed_trace": r_product_traces(P, N),

@@ -145,12 +145,16 @@ class GroupEndomorphism:
             raise NotAHomomorphism("image table has wrong length")
         if self.image[G.identity] != G.identity:
             raise NotAHomomorphism("identity is not preserved")
+        image = self.image
         for g in G.elements():
-            for h in G.elements():
-                if self.image[G.mult[g][h]] != G.mult[self.image[g]][self.image[h]]:
-                    raise NotAHomomorphism(
-                        f"phi(g*h) != phi(g)*phi(h) at g={g}, h={h}"
-                    )
+            # row g of phi(g*h), and of phi(g)*phi(h), over all h
+            left = tuple(map(image.__getitem__, G.mult[g]))
+            right = tuple(map(G.mult[image[g]].__getitem__, image))
+            if left != right:
+                h = next(h for h in G.elements() if left[h] != right[h])
+                raise NotAHomomorphism(
+                    f"phi(g*h) != phi(g)*phi(h) at g={g}, h={h}"
+                )
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,12 @@ def group_from_permutations(
     """Close a set of permutations of {0..degree-1} under composition.
 
     Elements are canonically ordered by their image tuples, which puts the
-    identity at index 0.
+    identity at index 0.  The closure composes each element with each
+    generator once, which gives the table R of right multiplication by the
+    generators and a breadth-first tree in which every element but the
+    identity is h*s for an earlier h.  The multiplication table then takes
+    integer lookups only: the column of h*s is R[., s] applied to the
+    column of h, as p*(h*s) = (p*h)*s.
     """
     if degree < 1:
         raise NotAPermutation("degree must be positive")
@@ -198,34 +207,38 @@ def group_from_permutations(
         gens.append(p)
 
     ident = tuple(range(degree))
-    seen = {ident}
+    right = {ident: None}  # element -> its products with the generators
+    tree = []  # (h*s, h, s) in breadth-first order
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
-            for q in gens:
-                pq = _compose_perm(p, q)
-                if pq not in seen:
-                    seen.add(pq)
+            products = right[p] = [_compose_perm(p, q) for q in gens]
+            for s, pq in enumerate(products):
+                if pq not in right:
+                    right[pq] = None
+                    tree.append((pq, p, s))
                     nxt.append(pq)
-                    if len(seen) > cap:
+                    if len(right) > cap:
                         raise ClosureTooLarge(
                             f"closure exceeds cap of {cap} elements"
                         )
         frontier = nxt
 
-    perms = sorted(seen)
+    perms = sorted(right)
     index = {p: i for i, p in enumerate(perms)}
-    mult = tuple(
-        tuple(index[_compose_perm(p, q)] for q in perms) for p in perms
-    )
-    inv_of = {}
-    for p in perms:
-        pinv = tuple(sorted(range(degree), key=lambda x: p[x]))
-        inv_of[index[p]] = index[pinv]
-    inv = tuple(inv_of[i] for i in range(len(perms)))
+    by_generator = list(zip(*(map(index.__getitem__, right[p])
+                              for p in perms)))
+    columns = [None] * len(perms)
+    columns[index[ident]] = range(len(perms))
+    for child, parent, s in tree:
+        columns[index[child]] = list(
+            map(by_generator[s].__getitem__, columns[index[parent]]))
+    mult = tuple(zip(*columns))
+    e = index[ident]
+    inv = tuple(row.index(e) for row in mult)
     names = tuple(str(p) for p in perms)
-    return FiniteGroup(mult, inv, index[ident], names)
+    return FiniteGroup(mult, inv, e, names)
 
 
 def generated_subgroup(G: FiniteGroup, generators: list[int]) -> set[int]:

@@ -37,9 +37,19 @@ class IntMatrix:
         self.entries = tuple(tuple(row) for row in entries)
 
     @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...], rows: int,
+                 cols: int) -> "IntMatrix":
+        """A matrix from rows that are already tuples of ints of the right
+        shape, for the results the class builds itself: no validation."""
+        A = object.__new__(cls)
+        A.rows, A.cols, A.entries = rows, cols, entries
+        return A
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                   rows=n, cols=n)
+        return cls._trusted(
+            tuple(tuple(1 if i == j else 0 for j in range(n))
+                  for i in range(n)), n, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -70,39 +80,46 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)],
-            rows=self.rows, cols=self.cols)
+        return IntMatrix._trusted(
+            tuple(tuple(a + b for a, b in zip(ra, rb))
+                  for ra, rb in zip(self.entries, other.entries)),
+            self.rows, self.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a - b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)],
-            rows=self.rows, cols=self.cols)
+        return IntMatrix._trusted(
+            tuple(tuple(a - b for a, b in zip(ra, rb))
+                  for ra, rb in zip(self.entries, other.entries)),
+            self.rows, self.cols)
 
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * a for a in row] for row in self.entries],
-                         rows=self.rows, cols=self.cols)
+        c = int(c)
+        return IntMatrix._trusted(
+            tuple(tuple(c * a for a in row) for row in self.entries),
+            self.rows, self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Visits the nonzero entries of both factors only: the nonzero
+        (column, entry) pairs of each row of the right factor are listed
+        once per product."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.entries[i]
-            for k in range(self.cols):
-                a = row[k]
+        cols = other.cols
+        nonzero = [[(j, b) for j, b in enumerate(row) if b]
+                   for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [0] * cols
+            for a, pairs in zip(row, nonzero):
                 if a:
-                    orow = other.entries[k]
-                    for j in range(other.cols):
-                        out[i][j] += a * orow[j]
-        return IntMatrix(out, rows=self.rows, cols=other.cols)
+                    for j, b in pairs:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return IntMatrix._trusted(tuple(out), self.rows, cols)
 
     def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -111,8 +128,8 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([list(col) for col in zip(*self.entries)],
-                         rows=self.cols, cols=self.rows)
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix._trusted(entries, self.cols, self.rows)
 
     def trace(self) -> int:
         if not self.is_square:
@@ -120,9 +137,10 @@ class IntMatrix:
         return sum(self.entries[i][i] for i in range(self.rows))
 
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
-        return IntMatrix(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx],
-            rows=len(row_idx), cols=len(col_idx))
+        return IntMatrix._trusted(
+            tuple(tuple(self.entries[i][j] for j in col_idx)
+                  for i in row_idx),
+            len(row_idx), len(col_idx))
 
 
 class IntPolynomial:
@@ -397,16 +415,15 @@ def exterior_power(A: IntMatrix, i: int) -> IntMatrix:
     if i == 0:
         return IntMatrix.identity(1)
     subsets = list(itertools.combinations(range(k), i))
-    out = [[det(A.submatrix(rows, cols)) for cols in subsets]
-           for rows in subsets]
-    return IntMatrix(out, rows=len(subsets), cols=len(subsets))
+    out = tuple(tuple(det(A.submatrix(rows, cols)) for cols in subsets)
+                for rows in subsets)
+    return IntMatrix._trusted(out, len(subsets), len(subsets))
 
 
 def kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    out = [[A.entries[i][j] * B.entries[p][q]
-            for j in range(A.cols) for q in range(B.cols)]
-           for i in range(A.rows) for p in range(B.rows)]
-    return IntMatrix(out, rows=A.rows * B.rows, cols=A.cols * B.cols)
+    out = tuple(tuple(a * b for a in arow for b in brow)
+                for arow in A.entries for brow in B.entries)
+    return IntMatrix._trusted(out, A.rows * B.rows, A.cols * B.cols)
 
 
 def mat_pow(A: IntMatrix, n: int) -> IntMatrix:

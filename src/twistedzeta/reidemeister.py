@@ -23,6 +23,7 @@ from .groups import (
     ConjugacyPartition,
     FiniteGroup,
     GroupEndomorphism,
+    identity_endo,
     iterate_endo,
     phi_conjugacy_classes,
     trivial_group,
@@ -161,20 +162,36 @@ class ProductEndomorphism:
         return f
 
 
-def _check_finite_iterate(P: ProductEndomorphism,
-                          n: int) -> tuple[IntMatrix, int]:
-    """M^n and |det(I - M^n)|, which must not vanish."""
-    Mn = mat_pow(P.M, n)
-    d = det(IntMatrix.identity(P.k) - Mn)
+def _lattice_count(A: IntMatrix, n: int) -> int:
+    """|det A| for A = I - M^n, which must not vanish."""
+    d = det(A)
     if d == 0:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
-    return Mn, abs(d)
+    return abs(d)
 
 
 def r_product(P: ProductEndomorphism, n: int = 1) -> int:
     """Product formula: |det(I - M^n)| times the finite count for phi_F^n."""
-    _, lattice_count = _check_finite_iterate(P, n)
+    lattice_count = _lattice_count(
+        IntMatrix.identity(P.k) - mat_pow(P.M, n), n)
     return lattice_count * r_finite(P.F, iterate_endo(P.phiF, n))
+
+
+def r_product_counts(P: ProductEndomorphism, N: int) -> list[int]:
+    """``[r_product(P, n) for n in 1..N]`` in one pass of iterates.
+
+    M^n is M^(n-1) M and phi_F^n is phi_F after phi_F^(n-1): one matrix
+    product and one composition per n.  The first n with det(I - M^n) = 0
+    raises, as ``r_product`` does for that n.
+    """
+    identity = IntMatrix.identity(P.k)
+    Mn, phin = identity, identity_endo(P.F)
+    counts = []
+    for n in range(1, N + 1):
+        Mn = Mn @ P.M
+        phin = P.phiF.compose(phin)
+        counts.append(_lattice_count(identity - Mn, n) * r_finite(P.F, phin))
+    return counts
 
 
 def _trace_blocks(P: ProductEndomorphism):
@@ -191,7 +208,7 @@ def _signed_trace(p: int, r: int, n: int, powers: list[IntMatrix]) -> int:
 
 def r_product_trace(P: ProductEndomorphism, n: int = 1) -> int:
     """Signed trace (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M (x) B)^n."""
-    _check_finite_iterate(P, n)
+    _lattice_count(IntMatrix.identity(P.k) - mat_pow(P.M, n), n)
     p, r, blocks = _trace_blocks(P)
     return _signed_trace(p, r, n, [mat_pow(X, n) for X in blocks])
 
@@ -287,10 +304,12 @@ def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
     is |det(I - M^n)| times the number of phi_F^n-twisted classes of F;
     psi and the exact solve never change it.
     """
-    Mn, _ = _check_finite_iterate(P, n)
-    quotient = _SmithQuotient(IntMatrix.identity(P.k) - Mn)
+    A = IntMatrix.identity(P.k) - mat_pow(P.M, n)
+    _lattice_count(A, n)
+    quotient = _SmithQuotient(A)
     phin = iterate_endo(P.phiF, n)
     F = P.F
+    order, mult = F.order, F.mult
     twist_inv = [F.inv[phin(h)] for h in F.elements()]
     reps = quotient.representatives()
     keys = [quotient.residue(v) for v in reps]
@@ -298,17 +317,22 @@ def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
     for j, key in enumerate(keys):
         buckets[key].append(j)
 
-    marked = [False] * (len(reps) * F.order)
+    marked = [False] * (len(reps) * order)
     classes = 0
     for j1, v1 in enumerate(reps):
-        for f1 in F.elements():
-            if marked[j1 * F.order + f1]:
+        orbit = None  # the pairs (j2, c^-1), solved when a class opens
+        for f1 in range(order):
+            if marked[j1 * order + f1]:
                 continue
             classes += 1
-            for j2 in buckets[keys[j1]]:
-                w = quotient.solve(tuple(b - a for a, b in zip(v1, reps[j2])))
-                c_inv = F.inv[P.lattice_finite_part(w, n)]
-                for h in F.elements():
-                    f2 = F.mult[F.mult[F.mult[h][f1]][twist_inv[h]]][c_inv]
-                    marked[j2 * F.order + f2] = True
+            if orbit is None:
+                orbit = []
+                for j2 in buckets[keys[j1]]:
+                    w = quotient.solve(
+                        tuple(b - a for a, b in zip(v1, reps[j2])))
+                    orbit.append((j2, F.inv[P.lattice_finite_part(w, n)]))
+            for j2, c_inv in orbit:
+                for h in range(order):
+                    f2 = mult[mult[mult[h][f1]][twist_inv[h]]][c_inv]
+                    marked[j2 * order + f2] = True
     return classes

@@ -47,7 +47,7 @@ from .intlinalg import (
 from .reidemeister import (
     ProductEndomorphism,
     class_function_matrix,
-    r_product,
+    r_product_counts,
 )
 
 POLE_TOLERANCE = 1e-6
@@ -291,7 +291,7 @@ def series_from_counts(counts: list[int]) -> TruncatedSeries:
 def zeta_series_oracle(P: ProductEndomorphism, order: int) -> TruncatedSeries:
     """The defining series exp(sum_n R_n/n z^n) of the product-formula
     counts, truncated exactly at z^order (see ``series_from_counts``)."""
-    return series_from_counts([r_product(P, n) for n in range(1, order + 1)])
+    return series_from_counts(r_product_counts(P, order))
 
 
 def lefschetz_zeta(matrices: list[IntMatrix]) -> FactoredRationalFunction:

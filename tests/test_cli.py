@@ -154,9 +154,10 @@ class TestComputeOnce:
     def test_each_formula_count_once(self, tmp_path, capsys, monkeypatch):
         calls = []
         self.counting(monkeypatch, calls,
-                      [(cli, "r_product"), (zeta, "r_product")])
+                      [(cli, "r_product_counts"), (zeta, "r_product_counts")])
         out = self.compute(tmp_path, capsys)
-        assert len(calls) == 7
+        assert len(calls) == 1
+        assert len(out["counts"]["product_formula"]) == 7
         assert out["counts"]["product_formula"][:2] == [6, 12]
 
     def test_one_class_partition_per_group(self, tmp_path, capsys,
@@ -236,6 +237,23 @@ class TestMainExitCodes:
         assert main(["compute", write_doc(tmp_path, doc)]) == 2
         assert "'torsion_angles' must be a list" in capsys.readouterr().err
 
+    def test_congruence_range_above_order_is_2(self, tmp_path, capsys):
+        # the residues exist for n = 1..order only
+        doc = {"kind": "product", "matrix": [[2, 1], [1, 1]],
+               "finite": {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
+               "options": {"order": 3, "congruence_range": 10}}
+        assert main(["compute", write_doc(tmp_path, doc)]) == 2
+        assert ("'congruence_range' must be <= 'order'"
+                in capsys.readouterr().err)
+
+    def test_order_flag_lowers_congruence_range(self, tmp_path, capsys):
+        doc = dict(ABELIAN_MINUS_TWO,
+                   options={"order": 10, "congruence_range": 10})
+        assert main(["compute", write_doc(tmp_path, doc), "--order", "3"]) == 0
+        residues = json.loads(capsys.readouterr().out)["congruences"][
+            "residues"]
+        assert [n for n, _ in residues] == [1, 2, 3]
+
     def test_infinite_count_is_3(self, tmp_path, capsys):
         # det(I - M) is nonzero but det(I - M^2) vanishes
         doc = {"kind": "abelian", "matrix": [[-1]]}
@@ -251,14 +269,14 @@ class TestMainExitCodes:
 
     def test_oracle_disagreement_is_4(self, capsys, monkeypatch):
         # counts R_1 = 1, R_2 = 0 make exp(sum R_n/n z^n) non-integral
-        monkeypatch.setattr("twistedzeta.cli.r_product",
-                            lambda P, n: 1 if n == 1 else 0)
+        monkeypatch.setattr("twistedzeta.cli.r_product_counts",
+                            lambda P, N: [1] + [0] * (N - 1))
         assert main(["compute", str(SAMPLES / "doubling_flip.json")]) == 4
         assert "oracle disagreement" in capsys.readouterr().err
 
     def test_oracle_disagreement_prints_the_counts(self, capsys, monkeypatch):
-        monkeypatch.setattr("twistedzeta.cli.r_product",
-                            lambda P, n: 1 if n == 1 else 0)
+        monkeypatch.setattr("twistedzeta.cli.r_product_counts",
+                            lambda P, N: [1] + [0] * (N - 1))
         assert main(["compute", str(SAMPLES / "doubling_flip.json")]) == 4
         err = capsys.readouterr().err
         assert "at n = 2, counts R_1..R_2 = [1, 0]:" in err

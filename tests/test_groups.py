@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from twistedzeta import (
@@ -78,6 +80,62 @@ class TestGroupFromPermutations:
     def test_axioms_hold_for_whole_catalog(self):
         for name, G, _ in finite_catalog():
             G.check_axioms()
+
+
+def _closure_by_composition(degree, gens):
+    """Test-local reference: every product of two elements composed, the
+    elements sorted by their image tuples."""
+    compose = lambda p, q: tuple(p[x] for x in q)  # noqa: E731
+    seen = {tuple(range(degree))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [pq for pq in {compose(p, q) for p in frontier
+                                  for q in gens} if pq not in seen]
+        seen.update(frontier)
+    perms = sorted(seen)
+    index = {p: i for i, p in enumerate(perms)}
+    mult = tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)
+    identity = index[tuple(range(degree))]
+    inv = tuple(next(q for q in range(len(perms))
+                     if mult[p][q] == identity) for p in range(len(perms)))
+    return mult, inv, identity, tuple(str(p) for p in perms)
+
+
+def _regular_representation(G, gens):
+    """Left multiplication by each generator, as a permutation of G."""
+    return [tuple(G.mult[g][x] for x in G.elements()) for g in gens]
+
+
+class TestClosureByLookups:
+    def assert_matches_reference(self, degree, gens, axioms=True):
+        G = group_from_permutations(degree, gens)
+        assert (G.mult, G.inv, G.identity, G.names) == \
+            _closure_by_composition(degree, gens)
+        assert G.identity == 0
+        if axioms:
+            G.check_axioms()
+        return G
+
+    def test_every_catalog_group(self):
+        for name, G, gens in finite_catalog():
+            H = self.assert_matches_reference(
+                G.order, _regular_representation(G, gens))
+            assert H.order == G.order, name
+
+    def test_random_generators_in_s5_and_s6(self):
+        rng = random.Random(5)
+        cases = [(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])]  # all of S6
+        cases += [(degree, [tuple(rng.sample(range(degree), degree))
+                            for _ in range(rng.randint(1, 3))])
+                  for degree, count in ((5, 12), (6, 4))
+                  for _ in range(count)]
+        orders = set()
+        for degree, gens in cases:
+            # check_axioms takes order^3 steps: 3.7e8 on S6
+            G = self.assert_matches_reference(degree, gens,
+                                              axioms=degree == 5)
+            orders.add(G.order)
+        assert {720, 120} <= orders and len(orders) > 4
 
 
 class TestEndoFromGeneratorImages:

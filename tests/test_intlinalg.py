@@ -90,6 +90,91 @@ class TestIntMatrix:
         assert mat_pow(A, 3) == A @ A @ A
 
 
+# Entries: mostly zero (the trace blocks have one nonzero per column of B),
+# small of both signs, or far beyond a machine word.
+entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                    st.integers(-2 ** 80, 2 ** 80))
+
+
+def shaped(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda raw: IntMatrix(raw, rows=rows, cols=cols))
+
+
+# (A, B, C, D): A is r x m, B is m x c, C has the shape of A, D any shape;
+# every dimension may be 0.
+operands = st.tuples(*[st.integers(0, 4)] * 5).flatmap(
+    lambda d: st.tuples(shaped(d[0], d[1]), shaped(d[1], d[2]),
+                        shaped(d[0], d[1]), shaped(d[3], d[4])))
+
+
+def naive_matmul(A, B):
+    return [[sum(A[i, t] * B[t, j] for t in range(A.cols))
+             for j in range(B.cols)] for i in range(A.rows)]
+
+
+def naive_kron(A, B):
+    out = [[0] * (A.cols * B.cols) for _ in range(A.rows * B.rows)]
+    for i, j, p, q in itertools.product(range(A.rows), range(A.cols),
+                                        range(B.rows), range(B.cols)):
+        out[i * B.rows + p][j * B.cols + q] = A[i, j] * B[p, q]
+    return out
+
+
+def assert_same_matrix(result, raw, rows, cols):
+    """result is == to the publicly built matrix, hashes like it and holds
+    tuples of ints."""
+    public = IntMatrix(raw, rows=rows, cols=cols)
+    assert result == public and hash(result) == hash(public)
+    assert (result.rows, result.cols) == (rows, cols)
+    assert type(result.entries) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row)
+               for row in result.entries)
+
+
+class TestTrustedResults:
+    """Products, sums, differences, Kronecker products, transposes and
+    scalings against test-local loops over the entries."""
+
+    @given(operands)
+    @settings(max_examples=300, deadline=None)
+    def test_against_naive_loops(self, ops):
+        A, B, C, D = ops
+        assert_same_matrix(A @ B, naive_matmul(A, B), A.rows, B.cols)
+        assert_same_matrix(A + C, [[A[i, j] + C[i, j] for j in range(A.cols)]
+                                   for i in range(A.rows)], A.rows, A.cols)
+        assert_same_matrix(A - C, [[A[i, j] - C[i, j] for j in range(A.cols)]
+                                   for i in range(A.rows)], A.rows, A.cols)
+        assert_same_matrix(kron(A, D), naive_kron(A, D),
+                           A.rows * D.rows, A.cols * D.cols)
+        assert_same_matrix(A.transpose(), [[A[i, j] for i in range(A.rows)]
+                                           for j in range(A.cols)],
+                           A.cols, A.rows)
+        assert_same_matrix(-A, [[-A[i, j] for j in range(A.cols)]
+                                for i in range(A.rows)], A.rows, A.cols)
+
+    def test_shape_mismatch(self):
+        A, B = IntMatrix([[1, 2]]), IntMatrix([[1, 2]])
+        with pytest.raises(ValueError):
+            A @ B
+        with pytest.raises(ValueError):
+            A + IntMatrix([[1], [2]])
+
+    @given(square_matrices(0, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_identity_powers_and_compounds(self, A):
+        k = A.rows
+        assert_same_matrix(IntMatrix.identity(k),
+                           [[int(i == j) for j in range(k)] for i in range(k)],
+                           k, k)
+        assert_same_matrix(mat_pow(A, 2), naive_matmul(A, A), k, k)
+        for i in range(k + 1):
+            E = exterior_power(A, i)
+            assert_same_matrix(E, [list(row) for row in E.entries],
+                               E.rows, E.cols)
+
+
 class TestDetAndCharPoly:
     def test_known_det(self):
         assert det(IntMatrix([[-2]])) == -2

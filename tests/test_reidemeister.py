@@ -22,6 +22,7 @@ from twistedzeta import (
     r_abelian_trace,
     r_finite,
     r_product,
+    r_product_counts,
     r_product_oracle,
     r_product_trace,
     r_product_traces,
@@ -33,6 +34,7 @@ from twistedzeta.errors import (
     NotAHomomorphism,
 )
 from twistedzeta.intlinalg import det
+from twistedzeta import reidemeister
 from twistedzeta.reidemeister import coset_representatives, solve_lattice
 
 from catalog import (
@@ -286,6 +288,99 @@ class TestOrbitOracle:
             for n in (1, 2, 3):
                 assert (r_product_oracle(P, n) == _pairwise_oracle(P, n)
                         == r_product(P, n)), (M, n)
+
+
+@st.composite
+def any_products(draw):
+    """(P, N): k <= 3, |F| <= 8, any phi_F and commuting psi, N <= 8; some
+    iterate may be infinite."""
+    k = draw(st.integers(0, 3))
+    M = IntMatrix(draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+        min_size=k, max_size=k)), rows=k, cols=k)
+    G, endos = draw(st.sampled_from(_SMALL_FINITE))
+    phiF = draw(st.sampled_from(endos))
+    image = set(phiF.image)
+    commuting = [a for a in G.elements()
+                 if all(G.mult[a][f] == G.mult[f][a] for f in image)]
+    psi = tuple(draw(st.sampled_from(commuting)) for _ in range(k))
+    try:
+        P = ProductEndomorphism(M, psi, phiF, G)
+    except NotAHomomorphism:
+        P = None
+    assume(P is not None)
+    return P, draw(st.integers(1, 8))
+
+
+def _one_by_one(P, N):
+    """r_product for n = 1..N, and (n, message) of the first that raises."""
+    counts = []
+    for n in range(1, N + 1):
+        try:
+            counts.append(r_product(P, n))
+        except InfiniteReidemeister as exc:
+            return counts, (exc.n, str(exc))
+    return counts, None
+
+
+class TestCountSequence:
+    def test_matches_single_iterates_on_catalog(self):
+        for P in product_catalog():
+            assert r_product_counts(P, 12) == [
+                r_product(P, n) for n in range(1, 13)]
+
+    @given(any_products())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_single_iterates(self, case):
+        P, N = case
+        counts, error = _one_by_one(P, N)
+        if error is None:
+            assert r_product_counts(P, N) == counts
+        else:
+            with pytest.raises(InfiniteReidemeister) as info:
+                r_product_counts(P, N)
+            assert (info.value.n, str(info.value)) == error
+
+    def test_first_infinite_iterate_raises_like_r_product(self):
+        # M = [[0, -1], [1, 0]] has order 4: det(I - M^4) = 0
+        P = ProductEndomorphism.from_matrix(IntMatrix([[0, -1], [1, 0]]))
+        assert r_product_counts(P, 3) == [2, 4, 2]
+        counts, error = _one_by_one(P, 6)
+        assert error == (4, "det(I - M^4) = 0")
+        with pytest.raises(InfiniteReidemeister) as info:
+            r_product_counts(P, 6)
+        assert (info.value.n, str(info.value)) == error
+
+
+class TestOracleSolvesOncePerCoset:
+    def test_one_solve_per_pair_of_representatives(self, monkeypatch):
+        # A class that opens at (v1, f1) marks the same (v2, c^-1) pairs for
+        # every f1 of v1, so they are solved once per v1 and v2 in its
+        # bucket, not once per class.
+        calls = []
+        real = reidemeister._SmithQuotient.solve
+
+        def counting(self, target):
+            calls.append(target)
+            return real(self, target)
+
+        monkeypatch.setattr(reidemeister._SmithQuotient, "solve", counting)
+        several_classes = 0
+        for P in product_catalog():
+            for n in (1, 2, 3):
+                A = IntMatrix.identity(P.k) - mat_pow(P.M, n)
+                if r_abelian(mat_pow(P.M, n)) * P.F.order > 400:
+                    continue
+                quotient = reidemeister._SmithQuotient(A)
+                buckets = {}
+                for v in quotient.representatives():
+                    key = quotient.residue(v)
+                    buckets[key] = buckets.get(key, 0) + 1
+                del calls[:]
+                classes = r_product_oracle(P, n)
+                assert len(calls) <= sum(b * b for b in buckets.values())
+                several_classes += classes > len(calls)
+        assert several_classes  # the per-class solve would have run more
 
 
 class TestTraceSequence:

@@ -103,3 +103,14 @@ def test_iterate_check_takes_no_matrix_powers():
     # second test of the same fact.
     powers = {"mat_pow", "det", "__matmul__"}
     assert not powers & _reached_names("zeta", "check_all_iterates_finite")
+
+
+def test_formula_counts_advance_their_own_iterates():
+    # The formula counts take M^n = M^(n-1) M and phi_F^n = phi_F phi_F^(n-1)
+    # in one pass; a power from scratch for each n costs O(N^2).  The trace
+    # route and the oracle keep their own iterates, so that neither is
+    # handed the formula's M^n.
+    assert not ({"mat_pow", "iterate_endo"}
+                & _reached_names("reidemeister", "r_product_counts"))
+    for route in ("r_product_traces", "r_product_oracle"):
+        assert "r_product_counts" not in _reached_names("reidemeister", route)

@@ -212,8 +212,8 @@ class TestIntegerSeries:
         assert counts == [2 * 2 ** n for n in range(1, 11)]
 
     def test_series_oracle_of_inverse_square_counts(self, monkeypatch):
-        monkeypatch.setattr("twistedzeta.zeta.r_product",
-                            lambda P, n: 2 * 2 ** n)
+        monkeypatch.setattr("twistedzeta.zeta.r_product_counts",
+                            lambda P, N: [2 * 2 ** n for n in range(1, N + 1)])
         P = ProductEndomorphism.from_matrix(IntMatrix([[-2]]))
         series = zeta_series_oracle(P, 10)
         assert series == expand_rational(self.INVERSE_SQUARE, 10)
@@ -221,8 +221,8 @@ class TestIntegerSeries:
 
     def test_non_integral_oracle_coefficient_raises(self, monkeypatch):
         # R_1 = 1, R_2 = 0 breaks the congruence at n = 2: 2 a_2 = 1
-        monkeypatch.setattr("twistedzeta.zeta.r_product",
-                            lambda P, n: 1 if n == 1 else 0)
+        monkeypatch.setattr("twistedzeta.zeta.r_product_counts",
+                            lambda P, N: [1] + [0] * (N - 1))
         P = ProductEndomorphism.from_matrix(IntMatrix([[-2]]))
         with pytest.raises(OracleDisagreement) as info:
             zeta_series_oracle(P, 2)
