@@ -397,13 +397,16 @@ def _torsion(doc, report):
 
 
 def _bounds(doc, report):
+    # The spectral bound is at least the norm bound when every Perron root
+    # is at most the largest chain norm N: root <= N exactly when hi <= N 2^e.
     chain = doc.objects["chain"]
     bounds = chain_radius_bounds(chain)
+    norms = [matrix_norm(A) for A in chain]
     return {
         "norm_bound": str(bounds.bound_norm),
         "spectral_bound": bounds.bound_spectral,
-        "chain_norms": [matrix_norm(A) for A in chain],
-    }, bounds.bound_spectral >= float(bounds.bound_norm) - 1e-12
+        "chain_norms": norms,
+    }, all(hi <= max(norms) << e for _, hi, e in bounds.spectral_brackets)
 
 
 def _twisted_power_norms(doc, report):

@@ -14,13 +14,14 @@ the max matrix norm and of the max spectral radius of the entrywise norms.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NotSquare
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, char_poly, largest_real_root
 
 Word = bytes
 
@@ -307,99 +308,37 @@ def matrix_of_norms(A: GroupRingMatrix) -> IntMatrix:
 
 
 class SpectralRadius(NamedTuple):
+    """``bracket`` = (lo, hi, e) is exact: lo/2^e <= root <= hi/2^e.
+    ``value`` is the float nearest its midpoint, and ``low`` and ``high``
+    are its ends rounded outward, so low <= root <= high as well."""
+
     value: float
     low: float
     high: float
+    bracket: tuple[int, int, int]
 
 
-def _strongly_connected_components(adj: list[list[bool]]) -> list[list[int]]:
-    """Iterative Tarjan on a dense adjacency matrix."""
-    n = len(adj)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for w in range(pi, n):
-                if not adj[v][w]:
-                    continue
-                if index[w] is None:
-                    work[-1] = (v, w + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
-def spectral_radius(A: IntMatrix, rel_tol: float = 1e-12) -> SpectralRadius:
+def spectral_radius(A: IntMatrix) -> SpectralRadius:
     """Perron root of a non-negative integer matrix with a certified bracket.
 
-    Power iteration with Collatz-Wielandt row-ratio bounds, run per
-    strongly connected component (iteration on a reducible matrix stalls);
-    the shift A + I makes each irreducible block primitive.
+    By Perron-Frobenius the spectral radius of a non-negative matrix is one
+    of its eigenvalues, and no real eigenvalue exceeds it, so it is the
+    largest real root of char_poly(A); ``largest_real_root`` brackets it.
     """
     if not A.is_square:
         raise NotSquare("spectral radius of a non-square matrix")
     if any(a < 0 for row in A.entries for a in row):
         raise ValueError("matrix must be non-negative")
-    n = A.rows
-    if n == 0:
-        return SpectralRadius(0.0, 0.0, 0.0)
-    adj = [[A.entries[i][j] > 0 for j in range(n)] for i in range(n)]
-    best = SpectralRadius(0.0, 0.0, 0.0)
-    for comp in _strongly_connected_components(adj):
-        if len(comp) == 1:
-            i = comp[0]
-            v = float(A.entries[i][i])
-            cand = SpectralRadius(v, v, v)
-        else:
-            sub = [[float(A.entries[i][j] + (1 if i == j else 0))
-                    for j in comp] for i in comp]
-            m = len(comp)
-            x = [1.0] * m
-            lo, hi = 0.0, float("inf")
-            for _ in range(100000):
-                y = [sum(sub[i][j] * x[j] for j in range(m)) for i in range(m)]
-                ratios = [y[i] / x[i] for i in range(m)]
-                lo, hi = min(ratios), max(ratios)
-                if hi - lo <= rel_tol * hi:
-                    break
-                top = max(y)
-                x = [yi / top for yi in y]
-            cand = SpectralRadius((lo + hi) / 2.0 - 1.0, lo - 1.0, hi - 1.0)
-        if cand.value > best.value:
-            best = cand
-    return best
+    if A.rows == 0:
+        return SpectralRadius(0.0, 0.0, 0.0, (0, 0, 0))
+    lo, hi, e = largest_real_root(char_poly(A))
+    scale = 1 << e
+    low, high = lo / scale, hi / scale  # each rounded to nearest
+    if low * scale > lo:  # exact: a float times 2^e, compared with an int
+        low = math.nextafter(low, -math.inf)
+    if high * scale < hi:
+        high = math.nextafter(high, math.inf)
+    return SpectralRadius((lo + hi) / (2 * scale), low, high, (lo, hi, e))
 
 
 def chain_matrices(phi: FreeGroupEndo) -> list[GroupRingMatrix]:
@@ -410,18 +349,22 @@ def chain_matrices(phi: FreeGroupEndo) -> list[GroupRingMatrix]:
 class RadiusBounds(NamedTuple):
     bound_norm: Fraction
     bound_spectral: float
+    spectral_brackets: tuple[tuple[int, int, int], ...]
 
 
 def chain_radius_bounds(mats: list[GroupRingMatrix]) -> RadiusBounds:
     """Two lower bounds for the Nielsen-zeta radius of convergence.
 
-    1 / max_d ||F_d|| and 1 / max_d s(F_d^norm) over the chain matrices.
-    Prefixing every basis word with the mapping-torus generator is a
-    bijection on basis elements, so the extra letter never changes a norm.
+    1 / max_d ||F_d|| and 1 / max_d s(F_d^norm) over the chain matrices,
+    with the exact bracket of each s(F_d^norm).  Prefixing every basis word
+    with the mapping-torus generator is a bijection on basis elements, so
+    the extra letter never changes a norm.
     """
     max_norm = max(matrix_norm(A) for A in mats)
-    max_spec = max(spectral_radius(matrix_of_norms(A)).value for A in mats)
-    return RadiusBounds(Fraction(1, max_norm), 1.0 / max_spec)
+    radii = [spectral_radius(matrix_of_norms(A)) for A in mats]
+    return RadiusBounds(Fraction(1, max_norm),
+                        1.0 / max(r.value for r in radii),
+                        tuple(r.bracket for r in radii))
 
 
 def nielsen_radius_bounds(phi: FreeGroupEndo) -> RadiusBounds:

@@ -51,9 +51,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
     def conj(self, gamma: int, a: int) -> int:
         """gamma * a * gamma^-1."""
         return self.mult[self.mult[gamma][a]][self.inv[gamma]]
@@ -68,13 +65,6 @@ class FiniteGroup:
             g = self.mult[g][g]
             n >>= 1
         return acc
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.mult[a][b] == self.mult[b][a]
-            for a in self.elements()
-            for b in self.elements()
-        )
 
     def check_axioms(self) -> None:
         """Full O(order^3) verification of the group axioms.
@@ -264,6 +254,11 @@ def endo_from_generator_images(
 
     Raises DoesNotGenerate if the generators do not generate G, and
     NotAHomomorphism if the assignment is inconsistent.
+
+    No ``validate`` is needed: the pass checks phi(g*s) = phi(g)*t on every
+    Cayley edge (g, s), s a generator with image t.  By induction on k,
+    phi(g*s_1...s_k) = phi(g)*t_1...t_k = phi(g)*phi(s_1...s_k) (g = e),
+    and in a finite group every h is such a word, as s^-1 is a power of s.
     """
     if len(generators) != len(images):
         raise NotAHomomorphism("generators and images differ in length")
@@ -288,9 +283,7 @@ def endo_from_generator_images(
                     nxt.append(gs)
         frontier = nxt
 
-    phi = GroupEndomorphism(tuple(table[g] for g in G.elements()))
-    phi.validate(G)
-    return phi
+    return GroupEndomorphism(tuple(table[g] for g in G.elements()))
 
 
 def _partition_from_orbits(G: FiniteGroup, orbit) -> ConjugacyPartition:

@@ -2,11 +2,12 @@
 
 Determinants by fraction-free (Bareiss) elimination, characteristic
 polynomials by Faddeev-LeVerrier over the integers, Smith normal form with
-unimodular transforms, exterior powers as compound matrices, and two facts
+unimodular transforms, exterior powers as compound matrices, and facts
 about eigenvalues read off the characteristic polynomial by integer
-pseudo-division: real-root counts by Sturm sequences, and root-of-unity
-eigenvalues by cyclotomic divisors.  Everything is arbitrary precision; no
-floating point enters any of these computations.
+pseudo-division: real-root counts and a bracket of the largest real root by
+Sturm sequences, and root-of-unity eigenvalues by cyclotomic divisors.
+Everything is arbitrary precision; no floating point enters any of these
+computations.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class IntMatrix:
         return cls._trusted(
             tuple(tuple(1 if i == j else 0 for j in range(n))
                   for i in range(n)), n, n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows=rows, cols=cols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -177,10 +174,13 @@ class IntPolynomial:
                     out[i + j] += ai * bj
         return IntPolynomial(out)
 
-    def __call__(self, x):
-        acc = 0
+    def __call__(self, x, q=1):
+        """p(x); with q, q^deg p * p(x/q), which for q > 0 has the sign of
+        p(x/q) and is an integer for an integer x."""
+        acc, power = 0, 1
         for c in reversed(self.coefficients):
-            acc = acc * x + c
+            acc = acc * x + c * power
+            power *= q
         return acc
 
     def pseudo_divmod(self, divisor: "IntPolynomial"):
@@ -459,9 +459,10 @@ def _sturm_sequence(p: IntPolynomial) -> list[IntPolynomial]:
         seq.append(IntPolynomial([-c // content for c in r.coefficients]))
 
 
-def _sign_variations(seq: list[IntPolynomial], x: int) -> int:
-    signs = [v > 0 for v in (s(x) for s in seq) if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def _sign_variations(seq: list[IntPolynomial], a: int, q: int) -> int:
+    """Sign variations of the sequence at the rational point a/q, q > 0."""
+    signs = [v > 0 for v in (s(a, q) for s in seq) if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def count_eigen_signs(A: IntMatrix) -> tuple[int, int]:
@@ -486,11 +487,58 @@ def count_eigen_signs(A: IntMatrix) -> tuple[int, int]:
     g = cp
     while g.degree > 0:
         seq = _sturm_sequence(g)
-        v = [_sign_variations(seq, x) for x in (-bound, -1, 1, bound)]
+        v = [_sign_variations(seq, x, 1) for x in (-bound, -1, 1, bound)]
         below += v[0] - v[1]
         beyond += v[2] - v[3]
         g = seq[-1]
     return below, below + beyond
+
+
+def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
+    """Exact dyadic bracket (lo, hi, e), lo/2^e <= x <= hi/2^e, of the
+    largest real root x of a monic p; ValueError if p has no real root.
+
+    Sturm counts on the squarefree part s = p / gcd(p, p') (at a multiple
+    root every member of the sequence of p vanishes) find the integer m
+    with x in (m, m + 1], and lo = hi when x = m + 1.  Otherwise x is not
+    rational, as a rational root of a monic p is an integer: (m, m + 1) is
+    halved by Sturm counts until x is the only root above lo, then by the
+    sign of s, to about 2^-53 of x.  As the bracket stays within [m, m + 1],
+    x <= N exactly when hi <= N 2^e, for every integer N.
+    """
+    if p.degree < 1 or p.coefficients[-1] != 1:
+        raise ValueError("largest_real_root needs a monic, non-constant p")
+    s = p
+    seq = _sturm_sequence(p)
+    if seq[-1].degree > 0:  # gcd(p, p'): p has a multiple root
+        s, _ = p.pseudo_divmod(seq[-1])
+        seq = _sturm_sequence(s)
+    bound = 2 + max(map(abs, p.coefficients))  # beyond every root
+    top = _sign_variations(seq, bound, 1)
+
+    def above(a, e):  # the number of roots in (a/2^e, bound)
+        return _sign_variations(seq, a, 1 << e) - top
+
+    if not above(-bound, 0):
+        raise ValueError("polynomial has no real root")
+    lo, hi = -bound, bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid, 0) else (lo, mid)
+    if s(hi) == 0:
+        return hi, hi, 0
+    e = 0
+    while above(lo, e) > 1:
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        lo, hi = (lo + 1, hi) if above(lo + 1, e) else (lo, lo + 1)
+    sign_above = s(hi, 1 << e) > 0
+    while max(-lo, hi) < 1 << 53:
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        if (s(lo + 1, 1 << e) > 0) == sign_above:
+            hi = lo + 1
+        else:
+            lo += 1
+    return lo, hi, e
 
 
 def cyclotomic_polynomials(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,9 @@ from twistedzeta import (
     GroupRingElement,
     GroupRingMatrix,
     IntMatrix,
+    IntPolynomial,
     NotSquare,
+    char_poly,
     fox_derivative,
     free_reduce,
     jacobian,
@@ -216,6 +219,57 @@ class TestSpectralRadius:
             want = max(abs(mu) for mu in
                        np.linalg.eigvals(np.array(A.entries, dtype=float)))
             assert sr.value == pytest.approx(want, abs=1e-8)
+
+
+def non_negative_matrices(max_k):
+    return st.integers(1, max_k).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(0, 4), min_size=k, max_size=k),
+            min_size=k, max_size=k).map(IntMatrix))
+
+
+class TestExactPerronRoot:
+    @settings(max_examples=200, deadline=None)
+    @given(non_negative_matrices(6))
+    def test_bracket_holds_numpy_radius(self, A):
+        import numpy as np
+        sr = spectral_radius(A)
+        lo, hi, e = sr.bracket
+        assert sr.low <= lo / (1 << e) and hi / (1 << e) <= sr.high
+        assert (hi - lo) << 50 <= hi
+        want = max(abs(mu) for mu in
+                   np.linalg.eigvals(np.array(A.entries, dtype=float)))
+        # numpy's eigenvalues carry their own rounding error
+        slack = 1e-9 * max(sr.high, 1.0)
+        assert sr.low - slack <= want <= sr.high + slack
+
+    def test_integer_roots_are_exact(self):
+        for n in range(6):
+            assert spectral_radius(IntMatrix([[n]])).bracket == (n, n, 0)
+        for k in range(1, 5):
+            assert spectral_radius(IntMatrix([[0] * k] * k)) == (
+                0.0, 0.0, 0.0, (0, 0, 0))
+        for perm in itertools.permutations(range(4)):
+            P = IntMatrix([[int(perm[i] == j) for j in range(4)]
+                           for i in range(4)])
+            assert spectral_radius(P) == (1.0, 1.0, 1.0, (1, 1, 0))
+        # block triangular, the root in a later block or shared by two
+        for A, root in (([[2, 1, 0], [0, 3, 0], [0, 0, 5]], 5),
+                        ([[1, 4, 1], [0, 2, 2], [0, 2, 2]], 4),
+                        ([[3, 1, 0, 0], [0, 3, 1, 0], [0, 0, 3, 1],
+                          [0, 0, 0, 3]], 3),
+                        ([[1, 1, 2, 0], [1, 1, 0, 3], [0, 0, 1, 1],
+                          [0, 0, 1, 1]], 2)):
+            assert spectral_radius(IntMatrix(A)).bracket == (root, root, 0)
+
+    def test_double_root_at_zero(self):
+        # char_poly(T) = x^2 (x - 2): a bisection on the polynomial itself,
+        # whose Sturm sequence vanishes at 0, once returned 0 here
+        phi = FreeGroupEndo.from_strings(3, ["bA", "ca", "CA"])
+        T = matrix_of_norms(jacobian(phi))
+        assert char_poly(T) == IntPolynomial([0, 0, -2, 1])
+        assert spectral_radius(T) == (2.0, 2.0, 2.0, (2, 2, 0))
+        assert nielsen_radius_bounds(phi).bound_spectral == 0.5
 
 
 class TestRadiusBounds:

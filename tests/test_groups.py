@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from twistedzeta import (
+    GroupEndomorphism,
     all_endomorphisms,
     endo_from_generator_images,
     eventual_image,
@@ -164,6 +166,45 @@ class TestEndoFromGeneratorImages:
         G, gens = sym3()
         with pytest.raises(DoesNotGenerate):
             endo_from_generator_images(G, [gens[0]], [gens[0]])
+
+
+def _first_assignment_table(G, generators, images):
+    """phi(g*s) = phi(g)*t at the first visit of g*s, breadth-first from the
+    identity, with no check of later edges."""
+    table, frontier = {G.identity: G.identity}, [G.identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s, t in zip(generators, images):
+                if G.mult[g][s] not in table:
+                    table[G.mult[g][s]] = G.mult[table[g]][t]
+                    nxt.append(G.mult[g][s])
+        frontier = nxt
+    return GroupEndomorphism(tuple(table[g] for g in G.elements()))
+
+
+class TestEndoNeedsNoValidate:
+    def test_succeeds_exactly_on_homomorphisms(self):
+        # The consistency checks of the breadth-first pass prove the table
+        # a homomorphism, so endo_from_generator_images no longer runs
+        # validate; validate is the reference here.
+        for name, G, gens in finite_catalog():
+            if len(gens) > 2:
+                continue
+            for images in itertools.product(G.elements(), repeat=len(gens)):
+                table = _first_assignment_table(G, gens, images)
+                try:
+                    table.validate(G)
+                    is_hom = all(table(s) == t for s, t in zip(gens, images))
+                except NotAHomomorphism:
+                    is_hom = False
+                try:
+                    phi = endo_from_generator_images(G, gens, list(images))
+                except NotAHomomorphism:
+                    phi = None
+                assert (phi is not None) == is_hom, (name, images)
+                if phi is not None:
+                    assert phi == table, (name, images)
 
 
 class TestConjugacy:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from twistedzeta.intlinalg import (
     IntPolynomial,
     cyclotomic_polynomials,
     first_cyclotomic_factor,
+    largest_real_root,
     unimodular_inverse,
 )
 from twistedzeta.zeta import check_all_iterates_finite
@@ -376,6 +378,50 @@ class TestEigenSigns:
 
 
 polynomials = st.lists(st.integers(-9, 9), max_size=8).map(IntPolynomial)
+
+
+def linear_factors(*roots):
+    p = IntPolynomial([1])
+    for a in roots:
+        p = p * IntPolynomial([-a, 1])
+    return p
+
+
+class TestLargestRealRoot:
+    def test_integer_roots_close_exactly(self):
+        # x^2 (x - 2): every member of the plain Sturm sequence vanishes at
+        # the double root 0, and the bracket must still find 2
+        assert largest_real_root(linear_factors(0, 0, 2)) == (2, 2, 0)
+        assert largest_real_root(linear_factors(3, 3, 3)) == (3, 3, 0)
+        assert largest_real_root(linear_factors(-4, -1, -1)) == (-1, -1, 0)
+        assert largest_real_root(linear_factors(0)) == (0, 0, 0)
+        # an irrational root just below the integer one
+        p = linear_factors(20) * IntPolynomial([-399, 0, 1])
+        assert largest_real_root(p) == (20, 20, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 60), st.integers(-8, 8), st.integers(1, 3))
+    def test_bracket_decides_every_integer_bound(self, d, a, copies):
+        # (x^2 - d)(x - a)^copies has the largest root max(sqrt(d), a); for
+        # every integer N, x <= N exactly when hi <= N 2^e
+        p = IntPolynomial([-d, 0, 1]) * linear_factors(*[a] * copies)
+        lo, hi, e = largest_real_root(p)
+        for N in range(-10, 10):
+            at_most = a <= N and 0 <= N and d <= N * N
+            assert (hi <= N << e) == at_most, N
+        if math.isqrt(d) ** 2 == d or (a >= 0 and a * a >= d):
+            assert lo == hi
+        else:
+            assert lo * lo < d << 2 * e < hi * hi
+            assert (hi - lo) << 50 <= hi
+
+    def test_rejects_no_real_root_and_non_monic(self):
+        with pytest.raises(ValueError):
+            largest_real_root(IntPolynomial([1, 0, 1]))
+        with pytest.raises(ValueError):
+            largest_real_root(IntPolynomial([-2, 0, 2]))
+        with pytest.raises(ValueError):
+            largest_real_root(IntPolynomial([5]))
 
 
 def poly_add(p, q):

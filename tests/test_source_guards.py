@@ -114,3 +114,10 @@ def test_formula_counts_advance_their_own_iterates():
                 & _reached_names("reidemeister", "r_product_counts"))
     for route in ("r_product_traces", "r_product_oracle"):
         assert "r_product_counts" not in _reached_names("reidemeister", route)
+
+
+def test_bounds_decide_without_floats():
+    # Each Perron root has an exact dyadic bracket, which decides root <= N
+    # for the integer chain norm N; a float compared with a tolerance would
+    # let rounding decide the section's agreement.
+    assert "float" not in _reached_names("cli", "_bounds")
