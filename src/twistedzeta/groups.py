@@ -10,7 +10,6 @@ the other modules are judged.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -349,19 +348,3 @@ def eventual_image(
     phi_H = GroupEndomorphism(tuple(back[phi(g)] for g in embedding))
     return H, phi_H, embedding
 
-
-def all_endomorphisms(
-    G: FiniteGroup, generators: list[int]
-) -> list[GroupEndomorphism]:
-    """Every endomorphism found by searching over generator images."""
-    found = []
-    seen_tables = set()
-    for images in itertools.product(G.elements(), repeat=len(generators)):
-        try:
-            phi = endo_from_generator_images(G, generators, list(images))
-        except NotAHomomorphism:
-            continue
-        if phi.image not in seen_tables:
-            seen_tables.add(phi.image)
-            found.append(phi)
-    return found

@@ -23,7 +23,7 @@ from .errors import BadIndex, EigenvalueOnBoundary, NotSquare
 class IntMatrix:
     """Immutable integer matrix.  The 0x0 matrix is allowed (rank-0 lattice)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nonzero")
 
     def __init__(self, entries, rows=None, cols=None):
         entries = [list(map(int, row)) for row in entries]
@@ -36,6 +36,7 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = tuple(tuple(row) for row in entries)
+        self._nonzero = None
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, ...], ...], rows: int,
@@ -43,7 +44,7 @@ class IntMatrix:
         """A matrix from rows that are already tuples of ints of the right
         shape, for the results the class builds itself: no validation."""
         A = object.__new__(cls)
-        A.rows, A.cols, A.entries = rows, cols, entries
+        A.rows, A.cols, A.entries, A._nonzero = rows, cols, entries, None
         return A
 
     @classmethod
@@ -99,15 +100,21 @@ class IntMatrix:
             tuple(tuple(c * a for a in row) for row in self.entries),
             self.rows, self.cols)
 
+    def _nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero (column, entry) pairs of each row, listed on first
+        use and kept: the matrix is immutable."""
+        if self._nonzero is None:
+            self._nonzero = tuple(
+                tuple((j, b) for j, b in enumerate(row) if b)
+                for row in self.entries)
+        return self._nonzero
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Visits the nonzero entries of both factors only: the nonzero
-        (column, entry) pairs of each row of the right factor are listed
-        once per product."""
+        """Visits the nonzero entries of both factors only, through the
+        right factor's ``_nonzero_rows``."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = other.cols
-        nonzero = [[(j, b) for j, b in enumerate(row) if b]
-                   for row in other.entries]
+        cols, nonzero = other.cols, other._nonzero_rows()
         out = []
         for row in self.entries:
             acc = [0] * cols
@@ -263,19 +270,27 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
 
     For an integer matrix every intermediate matrix is integral and each
     coefficient -tr/k divides exactly; a remainder is an arithmetic fault.
+    Each M_k is a polynomial in A, so A M_k = M_k A, and the product is
+    taken as M_k A, over the nonzero entries of A's rows only.
     """
     if not A.is_square:
         raise NotSquare("characteristic polynomial of a non-square matrix")
     n = A.rows
-    rows = A.entries
+    nonzero = A._nonzero_rows()
     coeffs = [1]  # of x^n, then x^{n-1}, ...
     M = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
             M[i][i] += coeffs[-1]
-        cols = list(zip(*M))
-        M = [[sum(a * b for a, b in zip(row, col)) for col in cols]
-             for row in rows]
+        product = []
+        for row in M:
+            acc = [0] * n
+            for m, pairs in zip(row, nonzero):
+                if m:
+                    for j, a in pairs:
+                        acc[j] += m * a
+            product.append(acc)
+        M = product
         c, rem = divmod(-sum(M[i][i] for i in range(n)), k)
         if rem:
             raise ArithmeticError(f"trace not divisible by {k} in char_poly")

@@ -18,7 +18,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import InfiniteReidemeister, NotAHomomorphism, NotSquare
+from .errors import InfiniteReidemeister, NotAHomomorphism
 from .groups import (
     ConjugacyPartition,
     FiniteGroup,
@@ -271,18 +271,6 @@ class _SmithQuotient:
                     return None
                 w.append(q)
         return self.right.apply(tuple(w))
-
-
-def coset_representatives(A: IntMatrix) -> list[tuple[int, ...]]:
-    """Representatives of Z^k / A Z^k for nonsingular A, via the Smith form."""
-    if not A.is_square:
-        raise NotSquare("coset representatives of a non-square matrix")
-    return _SmithQuotient(A).representatives()
-
-
-def solve_lattice(A: IntMatrix, target: tuple[int, ...]):
-    """Integer solution w of A w = target, or None if target is not in A Z^k."""
-    return _SmithQuotient(A).solve(target)
 
 
 def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:

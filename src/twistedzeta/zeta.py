@@ -6,8 +6,8 @@ polynomials det(I - (wedge^i M (x) B) sigma z) raised to +-1 exponents; this
 module builds that product, expands it back to an exact integer power
 series to compare against the defining series, checks the Dold-style
 divisibility of the count sequence, verifies the functional equation under
-z -> 1/(det(M) z), and evaluates the torsion special value on the unit
-circle by two routes.
+z -> 1/(det(M) z), and proves the two routes to the torsion special value
+equal by an identity in Z[z].
 
 The product is built from power sums, never from the blocks themselves.
 The block wedge^i M (x) B has the eigenvalues lambda_S mu, so its n-th power
@@ -39,6 +39,7 @@ from .intlinalg import (
     IntPolynomial,
     char_poly,
     count_eigen_signs,
+    cyclotomic_polynomials,
     det,
     exterior_power,
     first_cyclotomic_factor,
@@ -49,8 +50,6 @@ from .reidemeister import (
     class_function_matrix,
     r_product_counts,
 )
-
-POLE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,11 @@ class FactoredRationalFunction:
     sign_convention: SignConvention | None = None
 
     def evaluate(self, z: complex) -> complex:
+        """The value at z in floats; PoleAtEvaluation if a factor is 0."""
         value = complex(1.0)
         for poly, e in self.factors:
             f = complex(poly(z))
-            if abs(f) < POLE_TOLERANCE:
+            if f == 0:
                 raise PoleAtEvaluation(
                     f"factor {poly} vanishes at z = {z}"
                 )
@@ -391,10 +391,6 @@ def functional_equation_check(
 
 # -- torsion special value -----------------------------------------------------
 
-def _angle_to_unit(t: Fraction) -> complex:
-    return cmath.exp(2j * cmath.pi * float(t))
-
-
 def check_invertible(P: ProductEndomorphism) -> None:
     """Raise NonInvertible unless both parts of the map are bijective: the
     mapping torus and its torsion need an automorphism."""
@@ -404,44 +400,76 @@ def check_invertible(P: ProductEndomorphism) -> None:
         raise NonInvertible("finite part is not bijective")
 
 
+def _value_at_angle(rf: FactoredRationalFunction, s: Fraction) -> complex:
+    """rf at z = e^(2 pi i s) in floats, after an exact pole test: z is a
+    primitive m-th root of unity, m the denominator of s, so a factor
+    vanishes at z exactly when Phi_m divides it.  That needs phi(m) <= deg,
+    so an m above 2 deg^2 builds nothing."""
+    m = s.denominator
+    degree = max((poly.degree for poly, _ in rf.factors), default=0)
+    if m <= 2 * degree * degree:
+        for n, phi in cyclotomic_polynomials(degree):
+            if n >= m:
+                break
+        if n == m:
+            for poly, _ in rf.factors:
+                if poly.pseudo_divmod(phi)[1].is_zero():
+                    raise PoleAtEvaluation(
+                        f"factor {poly} vanishes at z = exp(2 pi i {s % 1})")
+    return rf.evaluate(cmath.exp(2j * cmath.pi * (s % 1)))
+
+
 def torsion_special_value(
         P: ProductEndomorphism, t: Fraction,
         closed_form: FactoredRationalFunction | None = None,
 ) -> float:
     """Mapping-torus torsion |R(sigma lambda)|^((-1)^(r+1)), lambda = e^(2 pi i t).
 
-    ``closed_form`` is ``zeta_product(P)`` when the caller has built it
-    already.
+    sigma lambda = e^(2 pi i (t + p/2)).  ``closed_form`` is
+    ``zeta_product(P)`` when the caller has built it already.
     """
     check_invertible(P)
     rf = closed_form
     if rf is None:
         rf = zeta_product(P)
     sc = rf.sign_convention
-    lam = _angle_to_unit(t)
-    value = rf.evaluate(sc.sigma * lam)
+    value = _value_at_angle(rf, t + Fraction(sc.p, 2))
     return abs(value) ** ((-1) ** (sc.r + 1))
 
 
-def torsion_via_lefschetz(P: ProductEndomorphism, t: Fraction) -> float:
-    """Independent route: |L(lambda)|^-1 with the dual homology data.
-
-    The dual map acts on the i-th level by wedge^i M (x) B; the torsion is
-    the inverse modulus of the alternating determinant product there.
-    """
-    check_invertible(P)
-    import numpy as np
-
+def dual_lefschetz_zeta(P: ProductEndomorphism) -> FactoredRationalFunction:
+    """Lefschetz zeta function L(z) of the dual map, which acts on the i-th
+    level by wedge^i M (x) B; each det(I - X z) comes from char_poly(X)."""
     B = class_function_matrix(P.F, P.phiF)
-    lam = _angle_to_unit(t)
-    value = 1.0
-    for i in range(P.k + 1):
-        X = kron(exterior_power(P.M, i), B)
-        A = np.array(X.entries, dtype=complex)
-        f = np.linalg.det(np.eye(A.shape[0]) - lam * A)
-        if abs(f) < POLE_TOLERANCE:
-            raise PoleAtEvaluation(
-                f"dual determinant vanishes at degree {i}, t = {t}"
-            )
-        value *= abs(f) ** ((-1) ** (i + 1))
-    return 1.0 / value
+    return lefschetz_zeta(
+        [kron(exterior_power(P.M, i), B) for i in range(P.k + 1)])
+
+
+def torsion_via_lefschetz(
+        P: ProductEndomorphism, t: Fraction,
+        dual: FactoredRationalFunction | None = None,
+) -> float:
+    """Independent route: |L(lambda)|^-1 with L the Lefschetz zeta function
+    of the dual map; ``dual`` is ``dual_lefschetz_zeta(P)`` when the caller
+    has built it already."""
+    check_invertible(P)
+    L = dual
+    if L is None:
+        L = dual_lefschetz_zeta(P)
+    return 1.0 / abs(_value_at_angle(L, t))
+
+
+def lefschetz_identity(closed_form: FactoredRationalFunction,
+                       dual: FactoredRationalFunction) -> bool:
+    """Whether R(sigma z)^((-1)^r) = L(z) in Z[z], cross-multiplied, for R
+    the closed form and L the dual Lefschetz zeta function: then the two
+    torsion routes agree at every angle."""
+    sc = closed_form.sign_convention
+    substituted = [
+        (IntPolynomial([c * sc.sigma ** j
+                        for j, c in enumerate(poly.coefficients)]),
+         (-1) ** sc.r * e)
+        for poly, e in closed_form.factors]
+    num, den = _multiply_out(substituted
+                             + [(poly, -e) for poly, e in dual.factors])
+    return num == den

@@ -3,6 +3,7 @@ and a pool of product endomorphisms used across the formula/oracle tests."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from twistedzeta import (
@@ -10,7 +11,6 @@ from twistedzeta import (
     GroupEndomorphism,
     IntMatrix,
     ProductEndomorphism,
-    all_endomorphisms,
     count_eigen_signs,
     det,
     endo_from_generator_images,
@@ -19,6 +19,23 @@ from twistedzeta import (
     trivial_group,
 )
 from twistedzeta.errors import EigenvalueOnBoundary, NotAHomomorphism
+
+
+def all_endomorphisms(
+    G: FiniteGroup, generators: list[int]
+) -> list[GroupEndomorphism]:
+    """Every endomorphism found by searching over generator images."""
+    found = []
+    seen_tables = set()
+    for images in itertools.product(G.elements(), repeat=len(generators)):
+        try:
+            phi = endo_from_generator_images(G, generators, list(images))
+        except NotAHomomorphism:
+            continue
+        if phi.image not in seen_tables:
+            seen_tables.add(phi.image)
+            found.append(phi)
+    return found
 
 
 def perm_group(degree, gens):

@@ -3,7 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from twistedzeta import cli, fox, groups, zeta
+from twistedzeta import (
+    FactoredRationalFunction,
+    IntPolynomial,
+    cli,
+    fox,
+    groups,
+    zeta,
+)
 from twistedzeta.cli import main, parse_problem, run
 from twistedzeta.errors import SchemaError, ValidationError
 
@@ -415,6 +422,36 @@ class TestSkippedAndBooleans:
                                    "agree": True}]
         assert main(["zeta", path]) == 3
         assert main(["compute", path]) == 3
+
+    def test_no_false_pole_next_to_one(self, tmp_path, capsys):
+        # 1 - z is 6.3e-7 at this angle, which a float tolerance took for 0
+        doc = {"kind": "abelian", "matrix": [[2]],
+               "options": {"torsion_angles": ["1/10000000"]}}
+        code, out = run_verb(capsys, "torsion", write_doc(tmp_path, doc))
+        assert code == 0
+        entry, = out["torsion"]
+        assert "pole" not in entry and entry["agree"] is True
+        assert entry["value"] == pytest.approx(6.283185307e-07, rel=1e-9)
+        assert entry["lefschetz_route"] == pytest.approx(entry["value"],
+                                                         rel=1e-12)
+
+    def test_wrong_closed_form_factor_disagrees(self, tmp_path, capsys,
+                                                monkeypatch):
+        real = cli.zeta_product
+
+        def wrong_factor(P):
+            rf = real(P)
+            (poly, e), *rest = rf.factors
+            wrong = IntPolynomial([*poly.coefficients, 1])
+            return FactoredRationalFunction(((wrong, e), *rest),
+                                            rf.sign_convention)
+
+        monkeypatch.setattr(cli, "zeta_product", wrong_factor)
+        doc = dict(PRODUCT_DOC, options={"torsion_angles": ["1/3", "1/5"]})
+        assert main(["torsion", write_doc(tmp_path, doc)]) == 4
+        out = json.loads(capsys.readouterr().out)
+        assert [entry["agree"] for entry in out["torsion"]] == [False, False]
+        assert out["agreement"] is False
 
     @pytest.mark.parametrize("order", ["0", "-3"])
     @pytest.mark.parametrize("sample", ["doubling_flip", "klein_swap"])

@@ -5,7 +5,6 @@ import pytest
 
 from twistedzeta import (
     GroupEndomorphism,
-    all_endomorphisms,
     endo_from_generator_images,
     eventual_image,
     group_from_permutations,
@@ -23,6 +22,7 @@ from twistedzeta.errors import (
 )
 
 from catalog import (
+    all_endomorphisms,
     cyclic6_doubling,
     finite_catalog,
     klein_four,

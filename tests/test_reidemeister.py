@@ -9,7 +9,6 @@ from twistedzeta import (
     GroupEndomorphism,
     IntMatrix,
     ProductEndomorphism,
-    all_endomorphisms,
     class_function_matrix,
     endo_from_generator_images,
     eventual_image,
@@ -35,9 +34,10 @@ from twistedzeta.errors import (
 )
 from twistedzeta.intlinalg import det
 from twistedzeta import reidemeister
-from twistedzeta.reidemeister import coset_representatives, solve_lattice
+from twistedzeta.reidemeister import _SmithQuotient
 
 from catalog import (
+    all_endomorphisms,
     catalog_with_endos,
     cyclic6_doubling,
     cyclic_group,
@@ -400,7 +400,7 @@ class TestTraceSequence:
 class TestLatticeHelpers:
     def test_coset_representatives_count(self):
         A = IntMatrix([[2, 0], [0, 3]])
-        reps = coset_representatives(A)
+        reps = _SmithQuotient(A).representatives()
         assert len(reps) == 6
         # all distinct modulo A Z^k
         seen = set()
@@ -415,10 +415,10 @@ class TestLatticeHelpers:
         for _ in range(30):
             w = (rng.randint(-4, 4), rng.randint(-4, 4))
             target = A.apply(w)
-            sol = solve_lattice(A, target)
+            sol = _SmithQuotient(A).solve(target)
             assert sol is not None
             assert A.apply(sol) == target
 
     def test_solve_lattice_detects_non_membership(self):
         A = IntMatrix([[2, 0], [0, 2]])
-        assert solve_lattice(A, (1, 0)) is None
+        assert _SmithQuotient(A).solve((1, 0)) is None

@@ -121,3 +121,18 @@ def test_bounds_decide_without_floats():
     # for the integer chain norm N; a float compared with a tolerance would
     # let rounding decide the section's agreement.
     assert "float" not in _reached_names("cli", "_bounds")
+
+
+def test_torsion_routes_stay_apart():
+    # The closed-form route evaluates zeta_product, built from power sums;
+    # the Lefschetz route takes char_poly of the blocks kron(wedge^i M, B).
+    # Were either to reach the other's construction, the identity that
+    # compares them would check a route against itself.
+    blocks = {"class_function_matrix", "kron", "exterior_power",
+              "lefschetz_zeta"}
+    power_sums = {"zeta_product", "_power_sums", "_from_power_sums",
+                  "_fixed_class_counts"}
+    assert not blocks & _reached_names("zeta", "torsion_special_value")
+    assert "zeta_product" in _reached_names("zeta", "torsion_special_value")
+    assert not power_sums & _reached_names("zeta", "torsion_via_lefschetz")
+    assert blocks <= _reached_names("zeta", "torsion_via_lefschetz")

@@ -1,4 +1,6 @@
+import cmath
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -36,10 +38,13 @@ from twistedzeta.errors import (
     PoleAtEvaluation,
     ZeroDeterminant,
 )
+from twistedzeta import zeta
 from twistedzeta.zeta import (
     check_all_iterates_finite,
     det_identity_minus_z,
+    dual_lefschetz_zeta,
     functional_equation_check,
+    lefschetz_identity,
 )
 
 from catalog import (
@@ -329,6 +334,75 @@ class TestTorsion:
         P = ProductEndomorphism.from_matrix(IntMatrix([[0, 1], [0, 1]]))
         with pytest.raises(NonInvertible):
             torsion_special_value(P, Fraction(1, 3))
+
+
+
+class TestExactTorsion:
+    """Poles decided by cyclotomic divisors, and the two torsion routes
+    compared as one identity of rational functions in Z[z]."""
+
+    @staticmethod
+    def invertible_catalog():
+        return [P for P in product_catalog() if det(P)]
+
+    def test_no_false_pole_next_to_one(self):
+        # |1 - z| is 6.3e-7 at this angle: small, but not zero
+        P = ProductEndomorphism.from_matrix(IntMatrix([[2]]))
+        t = Fraction(1, 10 ** 7)
+        lam = cmath.exp(2j * cmath.pi * float(t))
+        expected = abs(1 - lam) / abs(1 - 2 * lam)
+        assert torsion_special_value(P, t) == pytest.approx(expected,
+                                                            rel=1e-9)
+        assert torsion_via_lefschetz(P, t) == pytest.approx(expected,
+                                                            rel=1e-9)
+
+    def test_poles_are_the_vanishing_factors(self):
+        # The catalog's factors have degree at most 8; one that is not zero
+        # at a root of unity of order <= 16 is above 1e-3 there.
+        for P in self.invertible_catalog():
+            rf, dual = zeta_product(P), dual_lefschetz_zeta(P)
+            for q in range(1, 9):
+                for a in range(q):
+                    t = Fraction(a, q)
+                    z = rf.sign_convention.sigma * cmath.exp(
+                        2j * cmath.pi * float(t))
+                    vanishing = any(abs(complex(poly(z))) < 1e-9
+                                    for poly, _ in rf.factors)
+                    for route in (lambda: torsion_special_value(P, t, rf),
+                                  lambda: torsion_via_lefschetz(P, t, dual)):
+                        if vanishing:
+                            with pytest.raises(PoleAtEvaluation):
+                                route()
+                        else:
+                            route()
+
+    def test_large_denominator_builds_no_cyclotomic_polynomial(
+            self, monkeypatch):
+        # Phi_m divides a factor only if phi(m) <= its degree, and m > 2 deg^2
+        # rules that out: building Phi_999983 would take minutes.
+        def refuse(max_degree):
+            raise AssertionError("cyclotomic polynomials were built")
+
+        monkeypatch.setattr(zeta, "cyclotomic_polynomials", refuse)
+        t = Fraction(1, 999983)
+        start = time.perf_counter()
+        for P in self.invertible_catalog():
+            assert torsion_special_value(P, t) == pytest.approx(
+                torsion_via_lefschetz(P, t), rel=1e-9)
+        assert time.perf_counter() - start < 1.0
+
+    def test_identity_holds_on_catalog(self):
+        for P in self.invertible_catalog():
+            assert lefschetz_identity(zeta_product(P), dual_lefschetz_zeta(P))
+
+    def test_identity_fails_for_a_wrong_factor(self):
+        for P in self.invertible_catalog():
+            rf = zeta_product(P)
+            (poly, e), *rest = rf.factors
+            wrong = IntPolynomial([*poly.coefficients, 1])
+            altered = FactoredRationalFunction(((wrong, e), *rest),
+                                               rf.sign_convention)
+            assert not lefschetz_identity(altered, dual_lefschetz_zeta(P))
 
 
 def det(P):
