@@ -7,6 +7,11 @@ Words are always freely reduced.  Group-ring elements are sparse integer
 combinations of words; the norm of an element is the sum of the absolute
 coefficients and matrix norms are total entry norms.
 
+Element and matrix products run one kernel, ``_add_product``, over
+operands prepared once per product: each word with its junction letter and
+its (left) inverse or (right) self read as an integer from the junction
+outwards, so a pair of words that cancels costs one XOR.
+
 The chain data of a bouquet of r circles is the pair of ring matrices
 (1) and D = (d b_i / d a_j); the two radius bounds are the reciprocals of
 the max matrix norm and of the max spectral radius of the entrywise norms.
@@ -97,13 +102,37 @@ def word_to_str(w: Word) -> str:
 class GroupRingElement:
     """Sparse element of the integral group ring of a free group.
 
-    The keys of ``terms`` are freely reduced words.
+    ``terms`` maps freely reduced words in ``a-zA-Z`` to nonzero ints.  The
+    constructor checks both and drops zero coefficients; the products, sums
+    and images of this module, whose words are reduced by construction,
+    build their results by ``_trusted``.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {w: int(c) for w, c in terms.items() if c} if terms else {}
+        terms = terms or {}
+        for w, c in terms.items():
+            if not isinstance(w, bytes):
+                raise TypeError(f"a group-ring word is bytes, not {w!r}")
+            if (_outside_rank(w, len(_GENERATORS))
+                    or _CANCELLING_PAIR.search(w)):
+                raise ValueError(
+                    f"{w!r} is not a freely reduced word in a-z and A-Z")
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(
+                    f"a group-ring coefficient is an int, not {c!r}")
+        self.terms = {w: c for w, c in terms.items() if c}
+
+    @classmethod
+    def _trusted(cls, terms: dict[Word, int]) -> "GroupRingElement":
+        """The element of a word -> int dict built by this module, taken as
+        it is once its zero coefficients are deleted."""
+        for w in [w for w, c in terms.items() if not c]:
+            del terms[w]
+        x = object.__new__(cls)
+        x.terms = terms
+        return x
 
     @classmethod
     def zero(cls) -> "GroupRingElement":
@@ -130,18 +159,19 @@ class GroupRingElement:
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
+        return GroupRingElement._trusted(out)
 
     def __neg__(self):
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
+        return GroupRingElement._trusted(
+            {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         out: dict[Word, int] = {}
-        _add_product(out, self, other)
-        return GroupRingElement(out)
+        _add_product(out, _left_factor(self), _right_factor(other))
+        return GroupRingElement._trusted(out)
 
     def __repr__(self):
         if not self.terms:
@@ -158,12 +188,47 @@ class GroupRingElement:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _add_product(acc: dict, x: GroupRingElement, y: GroupRingElement):
-    """Add the terms of x * y into the word -> coefficient dict acc."""
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            w = _join(w1, w2)
-            acc[w] = acc.get(w, 0) + c1 * c2
+def _left_factor(x: GroupRingElement) -> list[tuple]:
+    """The terms of x prepared as a left factor of ``_add_product``: each
+    word u as (u, coefficient, the inverse of its last letter, u^-1 as a
+    little-endian integer, |u|).  The empty word has no last letter; -1
+    matches no first letter."""
+    return [(u, c, u[-1] ^ 32 if u else -1,
+             int.from_bytes(u.swapcase(), "big"), len(u))
+            for u, c in x.terms.items()]
+
+
+def _right_factor(y: GroupRingElement) -> list[tuple]:
+    """The terms of y prepared as a right factor of ``_add_product``: each
+    word v as (v, coefficient, its first letter or 0, v as a little-endian
+    integer)."""
+    return [(v, c, v[0] if v else 0, int.from_bytes(v, "little"))
+            for v, c in y.terms.items()]
+
+
+def _add_product(acc: dict, left: list[tuple], right: list[tuple]):
+    """Add the terms of x * y into the word -> coefficient dict acc, for x
+    and y prepared by ``_left_factor`` and ``_right_factor``.
+
+    The reduced form of u v is u v unless the first letter of v is the
+    inverse of the last letter of u.  Otherwise the integers T of u^-1 and
+    V of v, both read from the junction outwards, agree in exactly the c
+    bytes that cancel: no letter is byte 0, so the shorter word, once
+    cancelled, differs from the longer there.  The lowest set bit of
+    T ^ V lies in byte c, and T = V means u v = 1.  A pair costs one XOR and
+    one copy of the two remaining slices; the integers are built once per
+    word, not once per pair.
+    """
+    get = acc.get
+    for u, c1, last, T, n in left:
+        for v, c2, first, V in right:
+            if first == last:
+                x = T ^ V
+                k = ((x & -x).bit_length() - 1) >> 3 if x else n
+                w = u[:n - k] + v[k:]
+            else:
+                w = u + v
+            acc[w] = get(w, 0) + c1 * c2
 
 
 def ring_norm(x: GroupRingElement) -> int:
@@ -217,7 +282,7 @@ class FreeGroupEndo:
         for w, c in x.terms.items():
             iw = self.apply_word(w)
             out[iw] = out.get(iw, 0) + c
-        return GroupRingElement(out)
+        return GroupRingElement._trusted(out)
 
 
 class GroupRingMatrix:
@@ -245,15 +310,17 @@ class GroupRingMatrix:
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        columns = list(zip(*other.entries))
+        columns = [[_right_factor(y) for y in column]
+                   for column in zip(*other.entries)]
         out = []
         for row in self.entries:
+            left = [_left_factor(x) for x in row]
             out_row = []
             for column in columns:
                 acc: dict[Word, int] = {}
-                for x, y in zip(row, column):
+                for x, y in zip(left, column):
                     _add_product(acc, x, y)
-                out_row.append(GroupRingElement(acc))
+                out_row.append(GroupRingElement._trusted(acc))
             out.append(out_row)
         return GroupRingMatrix(out)
 

@@ -134,6 +134,108 @@ class TestGroupRing:
         y = GroupRingElement.from_word(v) - GroupRingElement.from_word(u)
         assert ring_norm(x * y) <= ring_norm(x) * ring_norm(y)
 
+    @pytest.mark.parametrize("terms, error", [
+        ({b"a": 0.4}, TypeError), ({b"a": 1.5}, TypeError),
+        ({b"a": True}, TypeError), ({"a": 1}, TypeError),
+        ({b"aA": 1}, ValueError), ({b"bBa": 1}, ValueError),
+        ({b"a1": 1}, ValueError), ({b"a\x00": 1}, ValueError),
+    ])
+    def test_constructor_validates_its_terms(self, terms, error):
+        with pytest.raises(error):
+            GroupRingElement(terms)
+
+    def test_constructor_drops_zero_coefficients(self):
+        assert GroupRingElement({b"a": 0, b"bA": -2}).terms == {b"bA": -2}
+        assert not GroupRingElement({b"": 0})
+
+
+def reference_product(x, y):
+    """Terms of x * y by reducing the concatenation of every pair of words."""
+    out = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            w = free_reduce(w1 + w2)
+            out[w] = out.get(w, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+@st.composite
+def cancelling_elements(draw, count):
+    """count group-ring elements over one pool of reduced words of up to 600
+    letters in ranks 1 to 4: words u, u^-1, the inverses of a prefix and of
+    a suffix of u, the prefix and suffix themselves, and the empty word.
+    Most pairs of the pool cancel at the junction: u u^-1 completely and at
+    equal lengths, u (suffix)^-1 by the whole right word, (prefix)^-1 u by
+    the whole left word."""
+    rank = draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    pool = [b""]
+    for _ in range(2):
+        u = free_reduce(bytes(rng.choice(letters(rank))
+                              for _ in range(rng.randint(0, 600))))
+        k = rng.randint(0, len(u))
+        pool += [u, word_inverse(u), u[:k], u[k:],
+                 word_inverse(u[:k]), word_inverse(u[k:])]
+    element = st.dictionaries(st.sampled_from(pool), st.integers(-2, 2),
+                              max_size=5).map(GroupRingElement)
+    return [draw(element) for _ in range(count)]
+
+
+class TestProductKernel:
+    """Element and matrix products, entry by entry, against the reduced
+    concatenation of every pair of words."""
+
+    @given(cancelling_elements(2))
+    @settings(max_examples=200, deadline=None)
+    def test_element_product(self, elements):
+        x, y = elements
+        assert (x * y).terms == reference_product(x, y)
+
+    @given(cancelling_elements(12))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_product(self, elements):
+        # a 2x3 times a 3x2 matrix: each entry sums three products
+        A = GroupRingMatrix([elements[0:3], elements[3:6]])
+        B = GroupRingMatrix([elements[6:8], elements[8:10], elements[10:12]])
+        for i, row in enumerate((A @ B).entries):
+            for j, entry in enumerate(row):
+                want = {}
+                for k in range(3):
+                    for w, c in reference_product(A.entries[i][k],
+                                                  B.entries[k][j]).items():
+                        want[w] = want.get(w, 0) + c
+                assert entry.terms == {w: c for w, c in want.items() if c}
+
+    def test_junction_cases(self):
+        u = random_word(random.Random(3), 3, 600)
+        k = len(u) // 3
+        cases = [
+            (u, word_inverse(u), b""),  # equal lengths, T == V
+            (u, word_inverse(u[k:]), u[:k]),  # right word cancelled
+            (word_inverse(u[:k]), u, u[k:]),  # left word cancelled
+            (u[:k], u[k:], u), (b"", u, u), (u, b"", u), (b"", b"", b""),
+        ]
+        for left, right, product in cases:
+            x = GroupRingElement.from_word(left, 3)
+            y = GroupRingElement.from_word(right, -2)
+            want = GroupRingElement.from_word(product, -6)
+            assert x * y == want
+            assert (GroupRingMatrix([[x]]) @ GroupRingMatrix([[y]])
+                    == GroupRingMatrix([[want]]))
+
+    def test_coefficients_summing_to_zero_are_not_stored(self):
+        # (1 + u)(u^-1 - 1) = u^-1 - u: the two terms at 1 cancel
+        u = random_word(random.Random(4), 2, 600)
+        one, w = GroupRingElement.one(), GroupRingElement.from_word(u)
+        w_inv = GroupRingElement.from_word(word_inverse(u))
+        product = (one + w) * (w_inv - one)
+        assert product.terms == {word_inverse(u): 1, u: -1}
+        X = GroupRingMatrix([[one, w]])
+        Y = GroupRingMatrix([[w_inv], [-one]])
+        assert (X @ Y).entries[0][0].terms == {word_inverse(u): 1, u: -1}
+        # one w + w (-1) = 0 across the sum over k
+        assert (X @ GroupRingMatrix([[w], [-one]])).entries[0][0].terms == {}
+
 
 class TestFoxDerivative:
     def test_generator_rules(self):

@@ -136,3 +136,13 @@ def test_torsion_routes_stay_apart():
     assert "zeta_product" in _reached_names("zeta", "torsion_special_value")
     assert not power_sums & _reached_names("zeta", "torsion_via_lefschetz")
     assert blocks <= _reached_names("zeta", "torsion_via_lefschetz")
+
+
+def test_one_product_kernel():
+    # Element and matrix products run the one prepared-operand kernel, so
+    # the entry-level tests of `*` check the words of the ring-product
+    # oracle as well; neither keeps a per-pair join of its own.
+    for product in ("__mul__", "__matmul__"):
+        reached = _reached_names("fox", product)
+        assert "_add_product" in reached
+        assert "_join" not in reached
