@@ -67,21 +67,12 @@ def word_inverse(w: Word) -> Word:
 
 
 def _join(u: Word, v: Word) -> Word:
-    """Reduced form of u v for freely reduced u and v.
-
-    Only the junction can cancel.  With m = min(|u|, |v|), the inverse of
-    the last m letters of u and the first m letters of v agree in exactly
-    the c letters that cancel, so the integers of the two, most significant
-    byte first, XOR to a number of m - c significant bytes: c is found in
-    C, and the result is one copy of the two remaining slices.  Reading
-    the tail of u little-endian reverses it without a copy.
-    """
+    """Reduced form of u v for freely reduced u and v: the one-pair form of
+    ``_add_product``, whose docstring gives the cancellation rule."""
     if not u or not v or u[-1] ^ v[0] != 32:
         return u + v
-    m = min(len(u), len(v))
-    x = (int.from_bytes(u[-m:].swapcase(), "little")
-         ^ int.from_bytes(v[:m], "big"))
-    c = m - (x.bit_length() + 7) // 8
+    x = int.from_bytes(u.swapcase(), "big") ^ int.from_bytes(v, "little")
+    c = ((x & -x).bit_length() - 1) >> 3 if x else len(u)
     return u[:len(u) - c] + v[c:]
 
 
@@ -352,7 +343,7 @@ def fox_derivative(w: Word, j: int) -> GroupRingElement:
         if s == inverse:
             out[prefix_next] = out.get(prefix_next, 0) - 1
         prefix = prefix_next
-    return GroupRingElement(out)
+    return GroupRingElement._trusted(out)
 
 
 def jacobian(phi: FreeGroupEndo) -> GroupRingMatrix:

@@ -509,42 +509,6 @@ def count_eigen_signs(A: IntMatrix) -> tuple[int, int]:
     return below, below + beyond
 
 
-def _newton_floor(s: IntPolynomial, ds: IntPolynomial, a: int, b: int,
-                  f: int, sign_above: bool) -> int | None:
-    """floor(x 2^f) for the one root x of s in (a/2^f, b/2^f], a simple
-    root above which s has the sign ``sign_above``; None if unconfirmed.
-
-    Integer Newton steps y -= s(y/2^f) / s'(y/2^f) 2^f, rounded down, run
-    from the midpoint of (a, b) until a step moves y by at most 1.  A y
-    that leaves (a, b) or meets s' = 0 is given up.  The proposal L is y or
-    y - 1, by the sign of s at y, and is returned only when s has the sign
-    of below x at L (or L = a) and of above x at L + 1 (or L + 1 = b): the
-    only root in between is then x, which an irrational x excludes from the
-    ends.
-    """
-    q = 1 << f
-
-    def above_x(y):  # for a < y <= b, where s(y/2^f) = 0 only at y = x 2^f
-        return (s(y, q) > 0) == sign_above
-
-    y = (a + b) // 2
-    for _ in range(f.bit_length() + 4):  # quadratic, so bits double per step
-        slope = ds(y, q)
-        if not slope:
-            return None
-        step = -s(y, q) // slope
-        y += step
-        if not a < y < b:
-            return None
-        if -1 <= step <= 1:
-            break
-    else:
-        return None
-    if above_x(y):
-        return y - 1 if y - 1 == a or not above_x(y - 1) else None
-    return y if y + 1 == b or above_x(y + 1) else None
-
-
 def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
     """Exact dyadic bracket (lo, hi, e), lo/2^e <= x <= hi/2^e, of the
     largest real root x of a monic p; ValueError if p has no real root.
@@ -556,12 +520,6 @@ def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
     halved by Sturm counts until x is the only root above lo, then by the
     sign of s, to about 2^-53 of x.  As the bracket stays within [m, m + 1],
     x <= N exactly when hi <= N 2^e, for every integer N.
-
-    The last stage ends at the first e with max(-lo, hi) >= 2^53, where
-    lo = floor(x 2^e).  Once the bracket excludes 0, one Newton proposal
-    (``_newton_floor``) for floor(x 2^f), at an f past that e, replaces the
-    halvings: every lo on the way is that floor shifted right.  A proposal
-    that s does not confirm by its signs leaves the halvings to do it.
     """
     if p.degree < 1 or p.coefficients[-1] != 1:
         raise ValueError("largest_real_root needs a monic, non-constant p")
@@ -589,19 +547,12 @@ def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
         lo, hi, e = 2 * lo, 2 * hi, e + 1
         lo, hi = (lo + 1, hi) if above(lo + 1, e) else (lo, lo + 1)
     sign_above = s(hi, 1 << e) > 0
-    f = floor = None  # floor = floor(x 2^f), once a proposal is confirmed
     while max(-lo, hi) < 1 << 53:
-        if f is None and (lo > 0 or hi < 0):
-            # |floor(x 2^f)| >= min(|lo|, |hi|) 2^(f - e) >= 2^53
-            f = e + 54 - min(abs(lo), abs(hi)).bit_length()
-            floor = _newton_floor(s, seq[1], lo << (f - e), hi << (f - e),
-                                  f, sign_above)
-        e += 1
-        if floor is not None:
-            lo = floor >> (f - e)
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        if (s(lo + 1, 1 << e) > 0) == sign_above:
+            hi = lo + 1
         else:
-            lo = 2 * lo + ((s(2 * lo + 1, 1 << e) > 0) != sign_above)
-        hi = lo + 1
+            lo += 1
     return lo, hi, e
 
 

@@ -23,9 +23,6 @@ from twistedzeta.errors import (
 )
 from twistedzeta.intlinalg import (
     IntPolynomial,
-    _newton_floor,
-    _sign_variations,
-    _sturm_sequence,
     cyclotomic_polynomials,
     first_cyclotomic_factor,
     largest_real_root,
@@ -390,50 +387,6 @@ def linear_factors(*roots):
     return p
 
 
-def bisected_largest_real_root(p):
-    """The bracket of ``largest_real_root`` by halvings alone: Sturm counts
-    until the largest root x is the only one above lo, then the sign of the
-    squarefree part s at each midpoint, until max(-lo, hi) >= 2^53."""
-    s = p
-    seq = _sturm_sequence(p)
-    if seq[-1].degree > 0:
-        s, _ = p.pseudo_divmod(seq[-1])
-        seq = _sturm_sequence(s)
-    bound = 2 + max(map(abs, p.coefficients))
-    top = _sign_variations(seq, bound, 1)
-
-    def above(a, e):
-        return _sign_variations(seq, a, 1 << e) - top
-
-    if not above(-bound, 0):
-        raise ValueError("polynomial has no real root")
-    lo, hi = -bound, bound
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if above(mid, 0) else (lo, mid)
-    if s(hi) == 0:
-        return hi, hi, 0
-    e = 0
-    while above(lo, e) > 1:
-        lo, hi, e = 2 * lo, 2 * hi, e + 1
-        lo, hi = (lo + 1, hi) if above(lo + 1, e) else (lo, lo + 1)
-    sign_above = s(hi, 1 << e) > 0
-    while max(-lo, hi) < 1 << 53:
-        lo, hi, e = 2 * lo, 2 * hi, e + 1
-        if (s(lo + 1, 1 << e) > 0) == sign_above:
-            hi = lo + 1
-        else:
-            lo += 1
-    return lo, hi, e
-
-
-def scaled_roots(p, k):
-    """2^(k deg p) p(x / 2^k): monic again, with every root times 2^k."""
-    n = p.degree
-    return IntPolynomial([c << k * (n - i)
-                          for i, c in enumerate(p.coefficients)])
-
-
 class TestLargestRealRoot:
     def test_integer_roots_close_exactly(self):
         # x^2 (x - 2): every member of the plain Sturm sequence vanishes at
@@ -461,36 +414,6 @@ class TestLargestRealRoot:
         else:
             assert lo * lo < d << 2 * e < hi * hi
             assert (hi - lo) << 50 <= hi
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.lists(st.integers(-300, 300), min_size=1, max_size=6),
-           st.lists(st.integers(-6, 6), max_size=2), st.integers(0, 70))
-    def test_newton_finish_is_the_bisection(self, coefficients, doubled, k):
-        # Roots small and large (up to 2^70 times those of p), negative
-        # largest roots, and multiple roots from the doubled factors: the
-        # bracket, its exponent included, is the one halving alone gives.
-        p = IntPolynomial([*coefficients, 1])
-        p = scaled_roots(p * linear_factors(*doubled, *doubled), k)
-        try:
-            want = bisected_largest_real_root(p)
-        except ValueError:
-            with pytest.raises(ValueError):
-                largest_real_root(p)
-            return
-        assert largest_real_root(p) == want
-
-    @pytest.mark.parametrize("d", [2, 3, 5, 7, 10, 1000, 2 ** 61 + 1])
-    def test_newton_proposals_are_confirmed(self, d):
-        # x^2 - d near sqrt(d) and near -sqrt(d), where s is falling: the
-        # proposal is floor(x 2^f), not a fallback to halving
-        s = IntPolynomial([-d, 0, 1])
-        r = math.isqrt(d)
-        for f in (10, 53):
-            root = math.isqrt(d << 2 * f)
-            assert _newton_floor(s, IntPolynomial([0, 2]), r << f,
-                                 (r + 1) << f, f, True) == root
-            assert _newton_floor(s, IntPolynomial([0, 2]), -(r + 1) << f,
-                                 -r << f, f, False) == -root - 1
 
     def test_rejects_no_real_root_and_non_monic(self):
         with pytest.raises(ValueError):
