@@ -224,7 +224,7 @@ def _add_product(acc: dict, left: list[tuple], right: list[tuple]):
 
 def ring_norm(x: GroupRingElement) -> int:
     """Sum of absolute coefficients."""
-    return sum(abs(c) for c in x.terms.values())
+    return sum(map(abs, x.terms.values()))
 
 
 @dataclass(frozen=True)

@@ -300,12 +300,10 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """left @ A @ right is diagonal with d1 | d2 | ... (zeros last), and
-    left_inverse is the integer inverse of the unimodular left."""
+    """left @ A @ right is diagonal with d1 | d2 | ... (zeros last)."""
 
     diagonal: tuple[int, ...]
     left: IntMatrix
-    left_inverse: IntMatrix
     right: IntMatrix
 
 
@@ -313,7 +311,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     m, n = A.rows, A.cols
     S = [list(row) for row in A.entries]
     L = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Linv = [row[:] for row in L]  # each row op on L, inverted, on its columns
     R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
@@ -321,7 +318,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
             S[i][t] -= q * S[j][t]
         for t in range(m):
             L[i][t] -= q * L[j][t]
-            Linv[t][j] += q * Linv[t][i]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for t in range(m):
@@ -332,8 +328,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
         L[i], L[j] = L[j], L[i]
-        for t in range(m):
-            Linv[t][i], Linv[t][j] = Linv[t][j], Linv[t][i]
 
     def swap_cols(i, j):
         for t in range(m):
@@ -346,7 +340,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
             S[i][t] = -S[i][t]
         for t in range(m):
             L[i][t] = -L[i][t]
-            Linv[t][i] = -Linv[t][i]
 
     t = 0
     while t < min(m, n):
@@ -403,15 +396,14 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
 
     diagonal = tuple(S[i][i] for i in range(min(m, n)))
     return SmithForm(diagonal, IntMatrix(L, rows=m, cols=m),
-                     IntMatrix(Linv, rows=m, cols=m),
                      IntMatrix(R, rows=n, cols=n))
 
 
 def unimodular_inverse(U: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a matrix with determinant +-1.
 
-    Its Smith form is L U R = I, so the inverse is R L.  The package reads
-    ``SmithForm.left_inverse`` instead; this name stays because
+    Its Smith form is L U R = I, so the inverse is R L.  No route of the
+    package calls it; the tests invert Smith transforms with it, and
     ``perfbench/run.py`` reports it among its per-layer functions.
     """
     snf = smith_normal_form(U)

@@ -8,14 +8,13 @@ Three settings, each with two or three independent routes that must agree:
 * free abelian Z^k: |det(I - M)|, equal to the Smith coset count of
   (I - M)Z^k, equal to the signed alternating exterior trace;
 * products Z^k x F: the product formula, the signed exterior/class trace,
-  and a coset-by-coset enumeration that decides twisted conjugacy through
-  the explicit two-condition criterion.
+  and the Smith coset count times the exhaustive twisted-class count of F.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+import math
 from dataclasses import dataclass
 
 from .errors import InfiniteReidemeister, NotAHomomorphism
@@ -76,12 +75,10 @@ def r_abelian(M: IntMatrix) -> int:
 
 def r_abelian_smith(M: IntMatrix) -> int:
     """Coset-count oracle: order of Z^k / (I - M)Z^k via the Smith diagonal."""
-    snf = smith_normal_form(IntMatrix.identity(M.rows) - M)
-    if any(d == 0 for d in snf.diagonal):
+    count = math.prod(
+        smith_normal_form(IntMatrix.identity(M.rows) - M).diagonal)
+    if count == 0:
         raise InfiniteReidemeister("(I - M) is singular", n=1)
-    count = 1
-    for d in snf.diagonal:
-        count *= d
     return count
 
 
@@ -232,95 +229,20 @@ def r_product_traces(P: ProductEndomorphism, N: int) -> list[int]:
     return counts
 
 
-class _SmithQuotient:
-    """Z^k / A Z^k through one Smith form L A R = D of a square A.
-
-    v lies in A Z^k iff L v is divisible by D entrywise, so the residue of
-    L v modulo the diagonal names the coset of v.
-    """
-
-    def __init__(self, A: IntMatrix):
-        snf = smith_normal_form(A)
-        self.diagonal = snf.diagonal
-        self.left = snf.left
-        self.left_inverse = snf.left_inverse
-        self.right = snf.right
-
-    def representatives(self) -> list[tuple[int, ...]]:
-        if 0 in self.diagonal:
-            raise InfiniteReidemeister("lattice quotient is infinite")
-        return [self.left_inverse.apply(x)
-                for x in itertools.product(*(range(d) for d in self.diagonal))]
-
-    def residue(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """Key equal for two vectors exactly when they differ by A Z^k."""
-        return tuple(xi % d if d else xi
-                     for xi, d in zip(self.left.apply(v), self.diagonal))
-
-    def solve(self, target: tuple[int, ...]):
-        """Integer w with A w = target, or None if target is not in A Z^k."""
-        w = []
-        for xi, d in zip(self.left.apply(target), self.diagonal):
-            if d == 0:
-                if xi != 0:
-                    return None
-                w.append(0)
-            else:
-                q, rem = divmod(xi, d)
-                if rem:
-                    return None
-                w.append(q)
-        return self.right.apply(tuple(w))
-
-
 def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
-    """Independent enumeration of the twisted classes of the n-th iterate.
+    """Independent count of the twisted classes of the n-th iterate.
 
-    Representatives (v, f) run over lattice-coset representatives times F.
-    Two of them are equivalent iff v2 - v1 lies in (I - M^n)Z^k and some
-    h in F satisfies h f1 = f2 * c * phi_F^n(h), where c is the F-part of
-    the iterate applied to the exact integer solution w of
-    (I - M^n) w = v2 - v1.
-
-    Rather than testing pairs, each class is generated as an orbit: the
-    representatives are bucketed by Smith residue, and a new class marks
-    every (v2, h f1 phi_F^n(h)^-1 c^-1) with v2 in the bucket of v1 and h
-    in F.  The cost is O(#cosets * |F|) group operations.
-
-    What this checks today: the representatives are one per coset, so each
-    bucket holds one of them, w is always 0 and c the identity.  The count
-    is |det(I - M^n)| times the number of phi_F^n-twisted classes of F;
-    psi and the exact solve never change it.
+    Conjugating (v, f) by (u, g) moves v to v + (I - M^n)u.  When
+    det(I - M^n) != 0 only u = 0 keeps v, so every coset of (I - M^n)Z^k
+    carries the phi_F^n-twisted classes of F, and psi never enters the
+    count.  The coset count is the product of the Smith diagonal of
+    I - M^n, from this route's own power of M; the F-count is the orbit
+    enumeration of f -> g f phi_F^n(g)^-1.  Neither reads a determinant
+    or a class map.
     """
-    A = IntMatrix.identity(P.k) - mat_pow(P.M, n)
-    _lattice_count(A, n)
-    quotient = _SmithQuotient(A)
-    phin = iterate_endo(P.phiF, n)
-    F = P.F
-    order, mult = F.order, F.mult
-    twist_inv = [F.inv[phin(h)] for h in F.elements()]
-    reps = quotient.representatives()
-    keys = [quotient.residue(v) for v in reps]
-    buckets = defaultdict(list)
-    for j, key in enumerate(keys):
-        buckets[key].append(j)
-
-    marked = [False] * (len(reps) * order)
-    classes = 0
-    for j1, v1 in enumerate(reps):
-        orbit = None  # the pairs (j2, c^-1), solved when a class opens
-        for f1 in range(order):
-            if marked[j1 * order + f1]:
-                continue
-            classes += 1
-            if orbit is None:
-                orbit = []
-                for j2 in buckets[keys[j1]]:
-                    w = quotient.solve(
-                        tuple(b - a for a, b in zip(v1, reps[j2])))
-                    orbit.append((j2, F.inv[P.lattice_finite_part(w, n)]))
-            for j2, c_inv in orbit:
-                for h in range(order):
-                    f2 = mult[mult[mult[h][f1]][twist_inv[h]]][c_inv]
-                    marked[j2 * order + f2] = True
-    return classes
+    cosets = math.prod(smith_normal_form(
+        IntMatrix.identity(P.k) - mat_pow(P.M, n)).diagonal)
+    if cosets == 0:
+        raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
+    twisted = phi_conjugacy_classes(P.F, iterate_endo(P.phiF, n))
+    return cosets * twisted.num_classes

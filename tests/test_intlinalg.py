@@ -255,9 +255,8 @@ class TestSmith:
     @settings(max_examples=60, deadline=None)
     def test_unimodular_inverse(self, A):
         snf = smith_normal_form(A)
-        L, Linv = snf.left, snf.left_inverse
+        L, Linv = snf.left, unimodular_inverse(snf.left)
         assert L @ Linv == IntMatrix.identity(A.rows) == Linv @ L
-        assert unimodular_inverse(L) == Linv
 
 
 class TestExteriorPowers:
@@ -487,7 +486,7 @@ class TestCyclotomic:
                                     for j in range(d)] for i in range(d)])
             block = block_sum(companion, IntMatrix([[2, 1], [1, 1]]))
             snf = smith_normal_form(random_matrix(rng, d + 2, -3, 3))
-            M = snf.left @ block @ snf.left_inverse
+            M = snf.left @ block @ unimodular_inverse(snf.left)
             assert char_poly(companion) == phi
             assert char_poly(M) == char_poly(block)
             assert first_cyclotomic_factor(char_poly(M)) == n

@@ -116,6 +116,15 @@ def test_formula_counts_advance_their_own_iterates():
         assert "r_product_counts" not in _reached_names("reidemeister", route)
 
 
+def test_product_oracle_counts_without_the_formula():
+    # The oracle multiplies the Smith coset count by an orbit enumeration
+    # of F; a determinant, the fixed-class count or the class partition
+    # would be the product formula's own factors.
+    formula = {"det", "_lattice_count", "r_finite", "class_function_matrix",
+               "conjugacy_classes", "r_product_counts"}
+    assert not formula & _reached_names("reidemeister", "r_product_oracle")
+
+
 def test_bounds_decide_without_floats():
     # Each Perron root has an exact dyadic bracket, which decides root <= N
     # for the integer chain norm N; a float compared with a tolerance would
