@@ -499,8 +499,13 @@ def _read_document(path: str) -> str:
 
 
 def _emit(report: dict, as_json: bool) -> None:
+    """Print the report.  As JSON, each top-level key starts a line of its
+    own and its value follows on that line: the compact encoding goes
+    through the C encoder, which ``indent`` would bypass."""
     if as_json:
-        print(json.dumps(report, indent=2, default=str))
+        lines = (f"  {json.dumps(key)}: {json.dumps(value, default=str)}"
+                 for key, value in report.items())
+        print("{\n" + ",\n".join(lines) + "\n}")
     else:
         print(_render_text(report))
 

@@ -548,25 +548,48 @@ def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
     return lo, hi, e
 
 
+# Phi_n for every n some call has needed, and Euler's phi(n) for every n
+# scanned so far (index n).  Both hold exact constants, so one table per
+# process serves every caller, and neither grows past the 2 max_degree^2 of
+# the largest degree asked for.
+_CYCLOTOMIC: dict[int, IntPolynomial] = {}
+_TOTIENTS = [0]
+
+
+def _totient(n: int) -> int:
+    """Euler's phi(n), by trial division."""
+    result, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            result -= result // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return result - result // rest if rest > 1 else result
+
+
 def cyclotomic_polynomials(
         max_degree: int) -> Iterator[tuple[int, IntPolynomial]]:
     """(n, Phi_n) for every n with phi(n) <= max_degree, n increasing.
 
     phi(n) >= sqrt(n/2), so such n are at most 2 max_degree^2.  Phi_n is
-    x^n - 1 divided exactly by the Phi_d of the proper divisors d of n, and
-    its degree, n minus theirs, is known before it is built: a divisor with
-    phi(d) > max_degree was never built, which leaves that difference above
-    max_degree, as phi(n) >= phi(d) requires.
+    x^n - 1 divided exactly by the Phi_d of the proper divisors d of n,
+    each of which has phi(d) <= phi(n) and so was yielded first.  A Phi_n
+    is built once per process and kept in a module table; whatever degrees
+    earlier calls asked for, a call yields the same pairs.
     """
-    built: dict[int, IntPolynomial] = {}
     for n in range(1, 2 * max_degree * max_degree + 1):
-        divisors = [phi for d, phi in built.items() if n % d == 0]
-        if n - sum(phi.degree for phi in divisors) > max_degree:
+        while len(_TOTIENTS) <= n:
+            _TOTIENTS.append(_totient(len(_TOTIENTS)))
+        if _TOTIENTS[n] > max_degree:
             continue
-        phi_n = IntPolynomial([-1] + [0] * (n - 1) + [1])
-        for phi in divisors:
-            phi_n, _ = phi_n.pseudo_divmod(phi)
-        built[n] = phi_n
+        phi_n = _CYCLOTOMIC.get(n)
+        if phi_n is None:
+            phi_n = IntPolynomial([-1] + [0] * (n - 1) + [1])
+            for d, phi in _CYCLOTOMIC.items():
+                if n % d == 0:
+                    phi_n, _ = phi_n.pseudo_divmod(phi)
+            _CYCLOTOMIC[n] = phi_n
         yield n, phi_n
 
 

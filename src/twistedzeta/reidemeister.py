@@ -34,7 +34,6 @@ from .intlinalg import (
     det,
     exterior_power,
     first_cyclotomic_factor,
-    kron,
     mat_pow,
     smith_normal_form,
 )
@@ -192,40 +191,53 @@ def r_product_counts(P: ProductEndomorphism, N: int) -> list[int]:
 
 
 def _trace_blocks(P: ProductEndomorphism):
-    """Sign counts (p, r) of M and the blocks wedge^i M (x) B, i = 0..k."""
+    """Sign counts (p, r) of M, the levels wedge^i M for i = 0..k, and
+    B = class_function_matrix(F, phi_F).
+
+    The blocks of the trace formula are kron(wedge^i M, B), and a trace of
+    a Kronecker product splits, Tr (X (x) Y)^n = Tr X^n Tr Y^n, so the
+    factors are powered apart and no block is formed.
+    """
     p, r = count_eigen_signs(P.M)
-    B = class_function_matrix(P.F, P.phiF)
-    return p, r, [kron(exterior_power(P.M, i), B) for i in range(P.k + 1)]
+    levels = [exterior_power(P.M, i) for i in range(P.k + 1)]
+    return p, r, levels, class_function_matrix(P.F, P.phiF)
 
 
-def _signed_trace(p: int, r: int, n: int, powers: list[IntMatrix]) -> int:
-    total = sum((-1) ** i * X.trace() for i, X in enumerate(powers))
-    return (-1) ** ((r + p * n) % 2) * total
+def _signed_trace(p: int, r: int, n: int, level_powers: list[IntMatrix],
+                  Bn: IntMatrix) -> int:
+    total = sum((-1) ** i * X.trace() for i, X in enumerate(level_powers))
+    return (-1) ** ((r + p * n) % 2) * total * Bn.trace()
 
 
 def r_product_trace(P: ProductEndomorphism, n: int = 1) -> int:
-    """Signed trace (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M (x) B)^n."""
+    """Signed trace (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M (x) B)^n,
+    taken as (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M)^n times Tr B^n."""
     _lattice_count(IntMatrix.identity(P.k) - mat_pow(P.M, n), n)
-    p, r, blocks = _trace_blocks(P)
-    return _signed_trace(p, r, n, [mat_pow(X, n) for X in blocks])
+    p, r, levels, B = _trace_blocks(P)
+    return _signed_trace(p, r, n, [mat_pow(X, n) for X in levels],
+                         mat_pow(B, n))
 
 
 def r_product_traces(P: ProductEndomorphism, N: int) -> list[int]:
-    """``[r_product_trace(P, n) for n in 1..N]``, with the blocks built once.
+    """``[r_product_trace(P, n) for n in 1..N]``, with the factors built once.
 
     Every iterate is checked finite first: the first n with
     det(I - M^n) = 0 is the first cyclotomic factor of char_poly(M).  The
-    n-th block powers are the (n-1)-th times the blocks.
+    n-th powers of the levels wedge^i M and of B are the (n-1)-th times
+    the factors, so an iterate costs sum_i C(k,i)^3 + c^3 for c classes
+    rather than the (C(k,i) c)^3 of each block power.
     """
     n = first_cyclotomic_factor(char_poly(P.M))
     if n is not None and n <= N:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
-    p, r, blocks = _trace_blocks(P)
-    powers = [IntMatrix.identity(X.rows) for X in blocks]
+    p, r, levels, B = _trace_blocks(P)
+    powers = [IntMatrix.identity(X.rows) for X in levels]
+    Bn = IntMatrix.identity(B.rows)
     counts = []
     for n in range(1, N + 1):
-        powers = [Xn @ X for Xn, X in zip(powers, blocks)]
-        counts.append(_signed_trace(p, r, n, powers))
+        powers = [Xn @ X for Xn, X in zip(powers, levels)]
+        Bn = Bn @ B
+        counts.append(_signed_trace(p, r, n, powers, Bn))
     return counts
 
 

@@ -374,6 +374,34 @@ class TestEveryVerb:
             for name in sections:
                 assert out[name] == full[name], (verb, name)
 
+    @pytest.mark.parametrize("verb", ["check", "compute", *VERB_SECTIONS])
+    @pytest.mark.parametrize("path", SAMPLE_PATHS, ids=lambda p: p.stem)
+    def test_json_has_one_line_per_key(self, capsys, monkeypatch, path,
+                                       verb):
+        # One line per top-level key parses to what the indented encoding
+        # of the same report parses to.
+        emitted = []
+        emit = cli._emit
+
+        def recording(report, as_json):
+            emitted.append(report)
+            emit(report, as_json)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        code = main([verb, str(path)])
+        out = capsys.readouterr().out
+        if not emitted:
+            assert code == 2 and out == ""
+            return
+        [report] = emitted
+        assert json.loads(out) == json.loads(
+            json.dumps(report, indent=2, default=str))
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == ("{", "}")
+        assert len(lines) == len(report) + 2
+        for key, line in zip(report, lines[1:]):
+            assert line.startswith(f"  {json.dumps(key)}: ")
+
 
 class TestSkippedAndBooleans:
     def test_torsion_agree_is_a_json_boolean(self, capsys):

@@ -12,6 +12,7 @@ from twistedzeta import (
     count_eigen_signs,
     det,
     exterior_power,
+    intlinalg,
     kron,
     mat_pow,
     smith_normal_form,
@@ -467,6 +468,33 @@ class TestCyclotomic:
                 if n % d == 0:
                     product = product * phi[d]
             assert product == IntPolynomial([-1, *[0] * (n - 1), 1]), n
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_table_yields_a_fresh_build_in_any_call_order(
+            self, monkeypatch, order):
+        # Reference: every Phi_n with n <= 200 = 2 * 10^2, each x^n - 1
+        # divided by the Phi_d of its proper divisors, no degree skipped.
+        reference = {}
+        for n in range(1, 201):
+            phi_n = IntPolynomial([-1, *[0] * (n - 1), 1])
+            for d in range(1, n):
+                if n % d == 0:
+                    phi_n, remainder = phi_n.pseudo_divmod(reference[d])
+                    assert remainder.is_zero()
+            reference[n] = phi_n
+        degrees = list(range(1, 11))
+        if order == "descending":
+            degrees.reverse()
+        elif order == "shuffled":
+            random.Random(4).shuffle(degrees)
+        monkeypatch.setattr(intlinalg, "_CYCLOTOMIC", {})
+        monkeypatch.setattr(intlinalg, "_TOTIENTS", [0])
+        for max_degree in degrees:
+            assert list(cyclotomic_polynomials(max_degree)) == [
+                (n, phi) for n, phi in reference.items()
+                if phi.degree <= max_degree], max_degree
+        assert set(intlinalg._CYCLOTOMIC) == {
+            n for n, phi in reference.items() if phi.degree <= 10}
 
     @given(st.one_of(square_matrices(0, 4), square_matrices(1, 4).map(
         lambda A: IntMatrix([[a % 3 - 1 for a in row] for row in A.entries]))))

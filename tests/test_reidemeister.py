@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +10,13 @@ from twistedzeta import (
     IntMatrix,
     ProductEndomorphism,
     class_function_matrix,
+    count_eigen_signs,
     endo_from_generator_images,
     eventual_image,
+    exterior_power,
     identity_endo,
     iterate_endo,
+    kron,
     mat_pow,
     phi_conjugacy_classes,
     r_abelian,
@@ -369,3 +373,56 @@ class TestTraceSequence:
         with pytest.raises(InfiniteReidemeister) as info:
             r_product_traces(P, 2)
         assert info.value.n == 2
+
+
+def block_traces(P, N):
+    """The signed trace from the blocks kron(wedge^i M, B), each raised to
+    its powers: (-1)^(r+p*n) sum_i (-1)^i Tr kron(wedge^i M, B)^n."""
+    p, r = count_eigen_signs(P.M)
+    B = class_function_matrix(P.F, P.phiF)
+    blocks = [kron(exterior_power(P.M, i), B) for i in range(P.k + 1)]
+    powers = [IntMatrix.identity(X.rows) for X in blocks]
+    counts = []
+    for n in range(1, N + 1):
+        powers = [Xn @ X for Xn, X in zip(powers, blocks)]
+        total = sum((-1) ** i * X.trace() for i, X in enumerate(powers))
+        counts.append((-1) ** ((r + p * n) % 2) * total)
+    return counts
+
+
+class TestTracesWithoutBlocks:
+    """The factors wedge^i M and B powered apart against the block loop."""
+
+    def test_matches_block_powers_on_catalog(self):
+        for P in product_catalog():
+            assert r_product_traces(P, 12) == block_traces(P, 12)
+
+    @given(any_products())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_block_powers(self, case):
+        P, _ = case
+        I = IntMatrix.identity(P.k)
+        infinite = next((n for n in range(1, 13)
+                         if det(I - mat_pow(P.M, n)) == 0), None)
+        if infinite is None:
+            assert r_product_traces(P, 12) == block_traces(P, 12)
+        else:
+            with pytest.raises(InfiniteReidemeister) as info:
+                r_product_traces(P, 12)
+            assert info.value.n == infinite
+
+    def test_powers_no_matrix_larger_than_a_factor(self, monkeypatch):
+        sizes = []
+        matmul = IntMatrix.__matmul__
+
+        def recording(A, B):
+            sizes.append(max(A.rows, A.cols, B.rows, B.cols))
+            return matmul(A, B)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", recording)
+        for P in product_catalog():
+            sizes.clear()
+            r_product_traces(P, 12)
+            classes = P.F.conjugacy_classes.num_classes
+            assert max(sizes) <= max(math.comb(P.k, P.k // 2), classes)
+

@@ -66,12 +66,17 @@ def _reached_names(module: str, function: str) -> set[str]:
 
 
 def test_closed_form_and_trace_route_stay_apart():
-    # The closed form is built from power sums; the signed trace forms the
-    # blocks kron(wedge^i M, B).  Were both to form the blocks, the trace
-    # route would no longer check the closed form independently.
-    blocks = {"kron", "exterior_power"}
-    assert not blocks & _reached_names("zeta", "zeta_product")
-    assert blocks <= _reached_names("reidemeister", "r_product_traces")
+    # The closed form is built from power sums; the signed trace powers the
+    # factors wedge^i M and B of the blocks kron(wedge^i M, B) apart.  Were
+    # the closed form to reach those factors, or the trace route the
+    # formula's determinants and counts, neither would check the other
+    # independently.
+    factors = {"exterior_power", "class_function_matrix"}
+    traces = _reached_names("reidemeister", "r_product_traces")
+    assert factors <= traces
+    assert not {"det", "_lattice_count", "r_finite",
+                "r_product_counts"} & traces
+    assert not ({"kron"} | factors) & _reached_names("zeta", "zeta_product")
 
 
 def test_image_lengths_and_ring_products_stay_apart():
