@@ -476,19 +476,78 @@ def power_image_lengths(phi: FreeGroupEndo, N: int) -> list[int]:
     contain.  Nothing cancels, ||d(w)/d(a_j)|| counts the letters a_j^+-1
     of w, and the norm of row i of J(phi^n) is |phi^n(a_i)|.
 
-    Each step rebuilds phi(w) from the letter images of every reduced
-    image w and reduces it on a stack, so this route shares nothing with
-    the ring products of ``twisted_power_norms`` but the generator images.
+    The route composes in the same order as the ``power`` update of the
+    oracle, phi^n(a_i) = phi^(n-1)(phi(a_i)): the reduced images of
+    phi^(n-1) and their inverses are kept from step to step, so a new image
+    is the product of at most |phi(a_i)| long reduced pieces, reduced at
+    the piece junctions only (``_reduced_product``).  A step costs
+    O(|phi(a_i)|) junctions, each a few slice comparisons, and one copy of
+    the letters it keeps, where reducing the letters of the unreduced
+    image one by one costs a Python step per letter.  The route shares no
+    word code with the ring products of ``twisted_power_norms``, only the
+    generator images.
     """
     if N < 1:
         raise ValueError("n must be >= 1")
-    letter_images = {}
-    for g, w in zip(_GENERATORS, phi.images):
-        letter_images[g], letter_images[g ^ 32] = w, word_inverse(w)
     images = phi.images
     lengths = [sum(map(len, images))]
     for _ in range(N - 1):
-        images = [free_reduce(b"".join(map(letter_images.__getitem__, w)))
-                  for w in images]
+        pieces = {}
+        for g, w in zip(_GENERATORS, images):
+            w_inverse = word_inverse(w)
+            pieces[g], pieces[g ^ 32] = (w, w_inverse), (w_inverse, w)
+        images = [_reduced_product(map(pieces.__getitem__, w))
+                  for w in phi.images]
         lengths.append(sum(map(len, images)))
     return lengths
+
+
+def _reduced_product(pieces) -> Word:
+    """Reduced product of reduced words, given in order as pairs (v, v^-1).
+
+    The reduced prefix of the product is kept as a stack of pieces, each
+    the remainder of one word.  A new piece cancels against the top only:
+    by ``_cancelled_length`` the top loses its last k letters and the piece
+    its first k.  A cascade that eats the whole top pops it and goes on
+    against the piece below.
+    """
+    stack = []
+    for v, v_inverse in pieces:
+        while stack and v:
+            u = stack[-1]
+            k = _cancelled_length(u, v_inverse)
+            if not k:
+                break
+            v, v_inverse = v[k:], v_inverse[:-k]
+            if k < len(u):
+                stack[-1] = u[:-k]
+                break
+            stack.pop()
+        if v:
+            stack.append(v)
+    return b"".join(stack)
+
+
+def _cancelled_length(u: Word, v_inverse: Word) -> int:
+    """The number k of letters cancelled in u v for reduced u and v, given
+    v^-1: the largest k with u[-k:] == inverse(v[:k]) == v_inverse[-k:].
+
+    The predicate is monotone (if k letters cancel, so do any fewer), so k
+    is found by galloping over 1, 2, 4, ... and then bisecting, on slice
+    comparisons: O(log k) comparisons of at most 2k letters.
+    """
+    m = min(len(u), len(v_inverse))
+    if not m or u[-1] != v_inverse[-1]:
+        return 0
+    # lo letters cancel; hi letters do not, or hi > m.
+    lo, hi = 1, 2
+    while hi <= m and u[-hi:] == v_inverse[-hi:]:
+        lo, hi = hi, hi << 1
+    hi = min(hi, m + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if u[-mid:] == v_inverse[-mid:]:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -472,21 +472,21 @@ def _sign_variations(seq: list[IntPolynomial], a: int, q: int) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def count_eigen_signs(A: IntMatrix) -> tuple[int, int]:
-    """Exact eigenvalue sign counts for the determinant-sign constants.
+def count_eigen_signs(cp: IntPolynomial) -> tuple[int, int]:
+    """Exact eigenvalue sign counts for the determinant-sign constants of a
+    matrix A, read from its characteristic polynomial cp = char_poly(A).
 
     Returns (p, r): p = number of real eigenvalues < -1 and r = number of
     real eigenvalues with |mu| > 1, both with algebraic multiplicity.
     Raises EigenvalueOnBoundary if +1 or -1 is an eigenvalue.
 
     The Sturm sequence of g counts the distinct real roots of g between two
-    points that are not roots.  Summed over g_0 = char_poly(A) and
+    points that are not roots.  Summed over g_0 = cp and
     g_(i+1) = gcd(g_i, g_i'), the last element of the sequence of g_i, a
     root of multiplicity m is counted once in each of g_0..g_(m-1).  Every
     g_i divides g_0, so none vanishes at +-1, and none at +-B with
     B = 2 + max |c_j|, beyond the Cauchy bound of the monic g_0.
     """
-    cp = char_poly(A)
     if cp(1) == 0 or cp(-1) == 0:
         raise EigenvalueOnBoundary("matrix has an eigenvalue equal to +1 or -1")
     bound = 2 + max(map(abs, cp.coefficients))

@@ -29,6 +29,7 @@ from .groups import (
 )
 from .intlinalg import (
     IntMatrix,
+    IntPolynomial,
     char_poly,
     count_eigen_signs,
     det,
@@ -82,8 +83,10 @@ def r_abelian_smith(M: IntMatrix) -> int:
 
 
 def r_abelian_trace(M: IntMatrix) -> int:
-    """Signed alternating exterior trace (-1)^(r+p) sum_i (-1)^i Tr wedge^i M."""
-    p, r = count_eigen_signs(M)
+    """Signed alternating exterior trace (-1)^(r+p) sum_i (-1)^i Tr wedge^i M.
+
+    The sign counts (p, r) come from char_poly(M)."""
+    p, r = count_eigen_signs(char_poly(M))
     k = M.rows
     total = sum(
         (-1) ** i * exterior_power(M, i).trace() for i in range(k + 1)
@@ -190,15 +193,15 @@ def r_product_counts(P: ProductEndomorphism, N: int) -> list[int]:
     return counts
 
 
-def _trace_blocks(P: ProductEndomorphism):
-    """Sign counts (p, r) of M, the levels wedge^i M for i = 0..k, and
-    B = class_function_matrix(F, phi_F).
+def _trace_blocks(P: ProductEndomorphism, cp: IntPolynomial):
+    """Sign counts (p, r) of M from cp = char_poly(M), the levels wedge^i M
+    for i = 0..k, and B = class_function_matrix(F, phi_F).
 
     The blocks of the trace formula are kron(wedge^i M, B), and a trace of
     a Kronecker product splits, Tr (X (x) Y)^n = Tr X^n Tr Y^n, so the
     factors are powered apart and no block is formed.
     """
-    p, r = count_eigen_signs(P.M)
+    p, r = count_eigen_signs(cp)
     levels = [exterior_power(P.M, i) for i in range(P.k + 1)]
     return p, r, levels, class_function_matrix(P.F, P.phiF)
 
@@ -213,7 +216,7 @@ def r_product_trace(P: ProductEndomorphism, n: int = 1) -> int:
     """Signed trace (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M (x) B)^n,
     taken as (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M)^n times Tr B^n."""
     _lattice_count(IntMatrix.identity(P.k) - mat_pow(P.M, n), n)
-    p, r, levels, B = _trace_blocks(P)
+    p, r, levels, B = _trace_blocks(P, char_poly(P.M))
     return _signed_trace(p, r, n, [mat_pow(X, n) for X in levels],
                          mat_pow(B, n))
 
@@ -227,10 +230,11 @@ def r_product_traces(P: ProductEndomorphism, N: int) -> list[int]:
     the factors, so an iterate costs sum_i C(k,i)^3 + c^3 for c classes
     rather than the (C(k,i) c)^3 of each block power.
     """
-    n = first_cyclotomic_factor(char_poly(P.M))
+    cp = char_poly(P.M)
+    n = first_cyclotomic_factor(cp)
     if n is not None and n <= N:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
-    p, r, levels, B = _trace_blocks(P)
+    p, r, levels, B = _trace_blocks(P, cp)
     powers = [IntMatrix.identity(X.rows) for X in levels]
     Bn = IntMatrix.identity(B.rows)
     counts = []

@@ -239,7 +239,7 @@ def zeta_product(P: ProductEndomorphism) -> FactoredRationalFunction:
     # (det(I - M^2) = 0) before it is a boundary case for count_eigen_signs.
     cp = char_poly(P.M)
     _reject_roots_of_unity(cp)
-    p, r = count_eigen_signs(P.M)
+    p, r = count_eigen_signs(cp)
     sigma = (-1) ** p
     outer = (-1) ** r
     k = P.k

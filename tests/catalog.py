@@ -11,6 +11,7 @@ from twistedzeta import (
     GroupEndomorphism,
     IntMatrix,
     ProductEndomorphism,
+    char_poly,
     count_eigen_signs,
     det,
     endo_from_generator_images,
@@ -133,7 +134,7 @@ def cyclic6_doubling():
 
 def _matrix_ok_for_iterates(M, max_n=12, det_cap=None):
     try:
-        count_eigen_signs(M)
+        count_eigen_signs(char_poly(M))
     except EigenvalueOnBoundary:
         return False
     for n in range(1, max_n + 1):

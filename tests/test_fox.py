@@ -29,7 +29,13 @@ from twistedzeta import (
     twisted_power_norms,
     word_to_str,
 )
-from twistedzeta.fox import _join, chain_matrices, word_inverse
+from twistedzeta.fox import (
+    _cancelled_length,
+    _join,
+    _reduced_product,
+    chain_matrices,
+    word_inverse,
+)
 
 
 GENERATORS = b"abcdefghijklmnopqrstuvwxyz"
@@ -586,6 +592,89 @@ class TestTwistedPowerNorms:
                 fn(phi, D, 0)
 
 
+def reference_power_image_lengths(phi, N):
+    """[sum_i |phi^n(a_i)| for n = 1..N], rebuilding phi(w) from the letter
+    images of every reduced image w and reducing it letter by letter."""
+    letter_images = {}
+    for g, w in zip(GENERATORS, phi.images):
+        letter_images[g], letter_images[g ^ 32] = w, word_inverse(w)
+    images = phi.images
+    lengths = [sum(map(len, images))]
+    for _ in range(N - 1):
+        images = [free_reduce(b"".join(map(letter_images.__getitem__, w)))
+                  for w in images]
+        lengths.append(sum(map(len, images)))
+    return lengths
+
+
+@st.composite
+def short_substitutions(draw):
+    """Substitutions of ranks 1 to 4 with images of up to three letters,
+    the empty image included."""
+    rank = draw(st.integers(1, 4))
+    return FreeGroupEndo(
+        rank, tuple(draw(reduced_words(rank, 3)) for _ in range(rank)))
+
+
+class TestImageJunctions:
+    """The piece reduction of ``power_image_lengths`` against letter-by-letter
+    free reduction."""
+
+    @staticmethod
+    def cancelled(u, v):
+        return (len(u) + len(v) - len(free_reduce(u + v))) // 2
+
+    @given(words, words, st.integers(0, 25))
+    @settings(max_examples=200, deadline=None)
+    def test_cancelled_length_is_free_reduction(self, u, x, k):
+        # v starts by undoing the last k letters of u, then goes on with x
+        v = free_reduce(word_inverse(u[len(u) - min(k, len(u)):]) + x)
+        assert _cancelled_length(u, word_inverse(v)) == self.cancelled(u, v)
+
+    @given(long_words(), long_words(), st.integers(0, 600))
+    @settings(max_examples=100, deadline=None)
+    def test_cancelled_length_of_long_words(self, u, x, k):
+        v = free_reduce(word_inverse(u[len(u) - min(k, len(u)):]) + x)
+        assert _cancelled_length(u, word_inverse(v)) == self.cancelled(u, v)
+
+    def test_every_cancelled_length(self):
+        # Equal lengths, u cancelled whole (v = u^-1 d), v cancelled whole
+        # (v a suffix of u^-1) and u v = 1, for every gallop and bisection
+        # end point in a word of 429 letters.
+        u = random_word(random.Random(5), 3, 700)
+        for c in range(len(u) + 1):
+            tail = word_inverse(u[len(u) - c:])
+            for v in (tail, tail + b"d", tail + b"dd"):
+                assert _cancelled_length(u, word_inverse(v)) == \
+                    self.cancelled(u, v) == c
+        assert _cancelled_length(u, u) == len(u)  # v = u^-1: u v = 1
+
+    @pytest.mark.parametrize("u, v, k", [
+        (b"", b"", 0), (b"a", b"", 0), (b"", b"A", 0), (b"a", b"A", 1),
+        (b"ab", b"BA", 2), (b"ab", b"Ba", 1), (b"ab", b"BAc", 2),
+        (b"cab", b"BA", 2), (b"ab", b"ab", 0), (b"aB", b"bA", 2),
+    ])
+    def test_short_junctions(self, u, v, k):
+        assert _cancelled_length(u, word_inverse(v)) == k
+
+    @given(st.integers(1, 4).flatmap(
+        lambda rank: st.lists(reduced_words(rank, 6), max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_reduced_product_is_free_reduction(self, pieces):
+        assert _reduced_product((v, word_inverse(v)) for v in pieces) == \
+            free_reduce(b"".join(pieces))
+
+    @pytest.mark.parametrize("pieces, product", [
+        ([b"ab", b"c", b"CBA"], b""),  # a cascade pops two pieces
+        ([b"ab", b"c", b"CBd"], b"ad"),
+        ([b"ab", b"", b"B"], b"a"),
+        ([b"a", b"b", b"B", b"A", b"c"], b"c"),
+    ])
+    def test_cascades(self, pieces, product):
+        assert _reduced_product((v, word_inverse(v)) for v in pieces) == \
+            product
+
+
 class TestPowerImageLengths:
     """The formula route of the twisted power norms of the Jacobian J.
 
@@ -604,15 +693,33 @@ class TestPowerImageLengths:
         assert power_image_lengths(phi, N) == \
             twisted_power_norms(phi, jacobian(phi), N)
 
+    @given(short_substitutions(), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_lengths_match_the_per_letter_reference(self, phi, N):
+        assert power_image_lengths(phi, N) == \
+            reference_power_image_lengths(phi, N)
+
     @pytest.mark.parametrize("images, norms", [
         (["ab", "B"], [3, 2, 3, 2, 3, 2]),
         (["ba", "A"], [3, 5, 8, 11, 13, 16]),
         (["ab", "a"], [3, 5, 8, 13, 21, 34]),
+        (["aB", "bA"], [4, 8, 16, 32, 64, 128]),
+        (["ab", "BA"], [4, 0, 0, 0, 0, 0]),  # phi^2(a) = ab BA = 1
+        (["", "ab"], [2, 2, 2, 2, 2, 2]),
     ])
     def test_fixed_cases(self, images, norms):
         phi = FreeGroupEndo.from_strings(2, images)
         assert power_image_lengths(phi, len(norms)) == norms
+        assert reference_power_image_lengths(phi, len(norms)) == norms
         assert twisted_power_norms(phi, jacobian(phi), len(norms)) == norms
+
+    def test_cascade_over_two_pieces(self):
+        # phi^2(a) = phi(b) phi(b) phi(a) = B . B . bba: the piece bba pops
+        # both pieces B and leaves a.
+        phi = FreeGroupEndo.from_strings(2, ["bba", "B"])
+        assert power_image_lengths(phi, 2) == [4, 2]
+        assert power_image_lengths(phi, 8) == \
+            reference_power_image_lengths(phi, 8)
 
     def test_rank_three_frontier_substitution(self):
         phi = FreeGroupEndo.from_strings(3, ["abcAB", "bcaBC", "cabCA"])

@@ -302,21 +302,23 @@ class TestExteriorPowers:
 
 class TestEigenSigns:
     def test_known_values(self):
-        assert count_eigen_signs(IntMatrix([[-2]])) == (1, 1)
-        assert count_eigen_signs(IntMatrix([[2, 1], [1, 1]])) == (0, 1)
+        assert count_eigen_signs(char_poly(IntMatrix([[-2]]))) == (1, 1)
+        assert count_eigen_signs(
+            char_poly(IntMatrix([[2, 1], [1, 1]]))) == (0, 1)
         # rotation by 90 degrees: eigenvalues +-i on the unit circle... no:
         # char poly z^2 + 1, no real eigenvalues, |mu| = 1 but not +-1
-        assert count_eigen_signs(IntMatrix([[0, 1], [-1, 0]])) == (0, 0)
+        assert count_eigen_signs(
+            char_poly(IntMatrix([[0, 1], [-1, 0]]))) == (0, 0)
 
     def test_diagonal_multiplicities(self):
         A = IntMatrix([[-3, 0, 0], [0, -3, 0], [0, 0, 2]])
-        assert count_eigen_signs(A) == (2, 3)
+        assert count_eigen_signs(char_poly(A)) == (2, 3)
 
     def test_boundary_rejected(self):
         with pytest.raises(EigenvalueOnBoundary):
-            count_eigen_signs(IntMatrix([[1]]))
+            count_eigen_signs(char_poly(IntMatrix([[1]])))
         with pytest.raises(EigenvalueOnBoundary):
-            count_eigen_signs(IntMatrix([[-1]]))
+            count_eigen_signs(char_poly(IntMatrix([[-1]])))
 
     def test_matches_numpy_on_random_matrices(self):
         import numpy as np
@@ -326,7 +328,7 @@ class TestEigenSigns:
             k = rng.randint(1, 4)
             A = random_matrix(rng, k)
             try:
-                p, r = count_eigen_signs(A)
+                p, r = count_eigen_signs(char_poly(A))
             except EigenvalueOnBoundary:
                 continue
             eig = np.linalg.eigvals(np.array(A.entries, dtype=float))
@@ -349,9 +351,9 @@ class TestEigenSigns:
                         for j in range(k)] for i in range(k)])
         if 1 in diagonal or -1 in diagonal:
             with pytest.raises(EigenvalueOnBoundary):
-                count_eigen_signs(A)
+                count_eigen_signs(char_poly(A))
         else:
-            assert count_eigen_signs(A) == (
+            assert count_eigen_signs(char_poly(A)) == (
                 sum(d < -1 for d in diagonal),
                 sum(abs(d) > 1 for d in diagonal))
 
@@ -361,7 +363,7 @@ class TestEigenSigns:
                                    ([0] * 7, (0, 0))):
             A = IntMatrix([[diagonal[i] if i == j else (j > i)
                             for j in range(7)] for i in range(7)])
-            assert count_eigen_signs(A) == expected, diagonal
+            assert count_eigen_signs(char_poly(A)) == expected, diagonal
 
     @given(st.lists(st.integers(-6, 9), min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
@@ -371,10 +373,10 @@ class TestEigenSigns:
         A = block_sum(*(IntMatrix([[0, 1], [d, 0]]) for d in ds))
         if 1 in ds:
             with pytest.raises(EigenvalueOnBoundary):
-                count_eigen_signs(A)
+                count_eigen_signs(char_poly(A))
         else:
             real = sum(d >= 2 for d in ds)
-            assert count_eigen_signs(A) == (real, 2 * real)
+            assert count_eigen_signs(char_poly(A)) == (real, 2 * real)
 
 
 polynomials = st.lists(st.integers(-9, 9), max_size=8).map(IntPolynomial)

@@ -9,6 +9,7 @@ from twistedzeta import (
     GroupEndomorphism,
     IntMatrix,
     ProductEndomorphism,
+    char_poly,
     class_function_matrix,
     count_eigen_signs,
     endo_from_generator_images,
@@ -378,7 +379,7 @@ class TestTraceSequence:
 def block_traces(P, N):
     """The signed trace from the blocks kron(wedge^i M, B), each raised to
     its powers: (-1)^(r+p*n) sum_i (-1)^i Tr kron(wedge^i M, B)^n."""
-    p, r = count_eigen_signs(P.M)
+    p, r = count_eigen_signs(char_poly(P.M))
     B = class_function_matrix(P.F, P.phiF)
     blocks = [kron(exterior_power(P.M, i), B) for i in range(P.k + 1)]
     powers = [IntMatrix.identity(X.rows) for X in blocks]

@@ -84,10 +84,16 @@ def test_image_lengths_and_ring_products_stay_apart():
     # the twisted power norms; the group-ring products P_n are its oracle.
     # They share the generator images only: were the lengths taken from
     # joined or pushed words, the ring products would check them against
-    # their own word code.
+    # their own word code.  The lengths reduce at piece junctions, not
+    # letter by letter, and the products keep away from that junction code.
     ring_words = {"_join", "apply_word", "_add_product"}
-    assert not ring_words & _reached_names("fox", "power_image_lengths")
-    assert ring_words <= _reached_names("fox", "twisted_power_norms")
+    image_words = {"_reduced_product", "_cancelled_length"}
+    lengths = _reached_names("fox", "power_image_lengths")
+    products = _reached_names("fox", "twisted_power_norms")
+    assert not (ring_words | {"free_reduce"}) & lengths
+    assert image_words <= lengths
+    assert ring_words <= products
+    assert not image_words & products
 
 
 def test_intlinalg_has_no_fraction_helpers():

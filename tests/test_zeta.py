@@ -14,6 +14,7 @@ from twistedzeta import (
     IntMatrix,
     IntPolynomial,
     ProductEndomorphism,
+    char_poly,
     class_function_matrix,
     congruence_check,
     count_eigen_signs,
@@ -106,7 +107,7 @@ class TestClosedForm:
 def reference_closed_form(P):
     """The closed form by one characteristic polynomial per block
     sigma * kron(wedge^i M, B), merged by exponent in the order i = 0..k."""
-    p, r = count_eigen_signs(P.M)
+    p, r = count_eigen_signs(char_poly(P.M))
     B = class_function_matrix(P.F, P.phiF)
     merged = {}
     for i in range(P.k + 1):
@@ -140,7 +141,7 @@ def products_with_finite_iterates(draw):
         st.lists(st.integers(-3, 3), min_size=k, max_size=k),
         min_size=k, max_size=k)), rows=k, cols=k)
     try:
-        count_eigen_signs(M)
+        count_eigen_signs(char_poly(M))
         check_all_iterates_finite(M)
     except (EigenvalueOnBoundary, InfiniteReidemeister):
         assume(False)
