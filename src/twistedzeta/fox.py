@@ -482,10 +482,8 @@ def power_image_lengths(phi: FreeGroupEndo, N: int) -> list[int]:
     is the product of at most |phi(a_i)| long reduced pieces, reduced at
     the piece junctions only (``_reduced_product``).  A step costs
     O(|phi(a_i)|) junctions, each a few slice comparisons, and one copy of
-    the letters it keeps, where reducing the letters of the unreduced
-    image one by one costs a Python step per letter.  The route shares no
-    word code with the ring products of ``twisted_power_norms``, only the
-    generator images.
+    the letters it keeps.  The route shares no word code with the ring
+    products of ``twisted_power_norms``, only the generator images.
     """
     if N < 1:
         raise ValueError("n must be >= 1")
