@@ -7,10 +7,13 @@ Words are always freely reduced.  Group-ring elements are sparse integer
 combinations of words; the norm of an element is the sum of the absolute
 coefficients and matrix norms are total entry norms.
 
-Element and matrix products run one kernel, ``_add_product``, over
-operands prepared once per product: each word with its junction letter and
-its (left) inverse or (right) self read as an integer from the junction
-outwards, so a pair of words that cancels costs one XOR.
+Products hold the right factor and the result as prefix chains: a chain is
+a base word X with a map {l: c} and stands for sum c X[:l].  A word u
+times a chain cancels at one junction, found once per (u, X) pair by one
+XOR, and every term of the chain then moves by one shift of its length
+(``_add_product``), so a term costs an integer, not a new word.  Element
+products, matrix products and the twisted power oracle run that one
+kernel through ``_chain_matmul``.
 
 The chain data of a bouquet of r circles is the pair of ring matrices
 (1) and D = (d b_i / d a_j); the two radius bounds are the reciprocals of
@@ -160,9 +163,8 @@ class GroupRingElement:
         return self + (-other)
 
     def __mul__(self, other):
-        out: dict[Word, int] = {}
-        _add_product(out, _left_factor(self), _right_factor(other))
-        return GroupRingElement._trusted(out)
+        [[chains]] = _chain_matmul([[self]], [[_chains(other.terms)]])
+        return GroupRingElement._trusted(_words(chains))
 
     def __repr__(self):
         if not self.terms:
@@ -179,47 +181,123 @@ class GroupRingElement:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _left_factor(x: GroupRingElement) -> list[tuple]:
-    """The terms of x prepared as a left factor of ``_add_product``: each
-    word u as (u, coefficient, the inverse of its last letter, u^-1 as a
-    little-endian integer, |u|).  The empty word has no last letter; -1
-    matches no first letter."""
-    return [(u, c, u[-1] ^ 32 if u else -1,
-             int.from_bytes(u.swapcase(), "big"), len(u))
-            for u, c in x.terms.items()]
+def _chains(terms: dict[Word, int]) -> list[tuple[Word, dict]]:
+    """The canonical chains of a word -> coefficient dict."""
+    return _canonical({w: {len(w): c} for w, c in terms.items()})
 
 
-def _right_factor(y: GroupRingElement) -> list[tuple]:
-    """The terms of y prepared as a right factor of ``_add_product``: each
-    word v as (v, coefficient, its first letter or 0, v as a little-endian
-    integer)."""
-    return [(v, c, v[0] if v else 0, int.from_bytes(v, "little"))
-            for v, c in y.terms.items()]
+def _words(chains: list[tuple[Word, dict]]) -> dict[Word, int]:
+    """The word -> coefficient dict of canonical chains."""
+    return {X[:l]: c for X, lengths in chains for l, c in lengths.items()}
+
+
+def _canonical(acc: dict[Word, dict]) -> list[tuple[Word, dict]]:
+    """The chains of a base -> {length: coefficient} dict, each word filed
+    under the last base, in sorted order, that it is a prefix of, and with
+    no zero coefficient: a word has one term, so the norm is the sum of
+    the absolute coefficients.
+
+    The bases that start with a word are adjacent once sorted, so a term
+    moves base by base: from X to the next base Y when its length is at
+    most the common prefix length g of X and Y (the empty word too, at
+    g = 0).  Bases are reduced words, so no letter is byte 0 and the
+    lowest set bit of X ^ Y, read little-endian, lies in byte g.
+    """
+    bases = sorted(acc)
+    out = []
+    for X, Y in zip(bases, bases[1:] + [None]):
+        lengths = acc[X]
+        if Y is not None:
+            if Y.startswith(X):
+                g = len(X)
+            else:
+                x = int.from_bytes(X, "little") ^ int.from_bytes(Y, "little")
+                g = ((x & -x).bit_length() - 1) >> 3
+            if max(lengths) <= g:
+                _merge(acc, Y, lengths)
+                continue
+            if min(lengths) <= g:
+                _merge(acc, Y, {l: c for l, c in lengths.items() if l <= g})
+                lengths = {l: c for l, c in lengths.items() if l > g}
+        if not all(lengths.values()):
+            lengths = {l: c for l, c in lengths.items() if c}
+        if lengths:
+            out.append((X, lengths))
+    return out
+
+
+def _merge(acc: dict[Word, dict], base: Word, terms: dict[int, int]):
+    """Add the terms, a length -> coefficient dict that acc may keep, to
+    the chain of base in acc: the smaller dict goes into the larger."""
+    chain = acc.setdefault(base, terms)
+    if chain is terms:
+        return
+    if len(terms) > len(chain):
+        acc[base], chain, terms = terms, terms, chain
+    if chain.keys().isdisjoint(terms):
+        chain.update(terms)
+    else:
+        for l, c in terms.items():
+            chain[l] = chain.get(l, 0) + c
+
+
+def _chain_matmul(left, right) -> list[list[list[tuple[Word, dict]]]]:
+    """The canonical chains of each entry of L R, for L given by its rows
+    of elements and R by its rows of canonical chains.  Each operand is
+    prepared once for ``_add_product``: a left word u as (u, coefficient,
+    the inverse of its last letter or -1, u^-1 as a little-endian integer,
+    |u|), a right chain as (X, its first letter or 0, X as a little-endian
+    integer, lengths).  -1 and 0 match no letter."""
+    columns = [[[(X, X[0] if X else 0, int.from_bytes(X, "little"), lengths)
+                 for X, lengths in y] for y in column]
+               for column in zip(*right)]
+    out = []
+    for row in left:
+        row = [[(u, c, u[-1] ^ 32 if u else -1,
+                 int.from_bytes(u.swapcase(), "big"), len(u))
+                for u, c in x.terms.items()] for x in row]
+        out_row = []
+        for column in columns:
+            acc: dict[Word, dict] = {}
+            for x, y in zip(row, column):
+                _add_product(acc, x, y)
+            out_row.append(_canonical(acc))
+        out.append(out_row)
+    return out
 
 
 def _add_product(acc: dict, left: list[tuple], right: list[tuple]):
-    """Add the terms of x * y into the word -> coefficient dict acc, for x
-    and y prepared by ``_left_factor`` and ``_right_factor``.
+    """Add the chains of x * y into the base -> {length: coefficient} dict
+    acc, for the words of x and the chains of y prepared by
+    ``_chain_matmul``.
 
-    The reduced form of u v is u v unless the first letter of v is the
+    The reduced form of u X is u X unless the first letter of X is the
     inverse of the last letter of u.  Otherwise the integers T of u^-1 and
-    V of v, both read from the junction outwards, agree in exactly the c
+    V of X, both read from the junction outwards, agree in exactly the K
     bytes that cancel: no letter is byte 0, so the shorter word, once
-    cancelled, differs from the longer there.  The lowest set bit of
-    T ^ V lies in byte c, and T = V means u v = 1.  A pair costs one XOR and
-    one copy of the two remaining slices; the integers are built once per
-    word, not once per pair.
+    cancelled, differs from the longer there.  The lowest set bit of T ^ V
+    lies in byte K, and T = V means u X = 1.  Then u X[:l] is the prefix of
+    length l + |u| - 2K of u[:|u|-K] X[K:] for l >= K, and the prefix of
+    length |u| - l of u for l < K: a term costs one shift of its length,
+    and a word is built once per (u, X) pair.
     """
-    get = acc.get
     for u, c1, last, T, n in left:
-        for v, c2, first, V in right:
+        for X, first, V, lengths in right:
+            k = 0
             if first == last:
                 x = T ^ V
                 k = ((x & -x).bit_length() - 1) >> 3 if x else n
-                w = u[:n - k] + v[k:]
+            shift = n - k - k
+            if k and min(lengths) < k:
+                _merge(acc, u, {n - l: c1 * c
+                                for l, c in lengths.items() if l < k})
+                if max(lengths) < k:
+                    continue
+                terms = {l + shift: c1 * c
+                         for l, c in lengths.items() if l >= k}
             else:
-                w = u + v
-            acc[w] = get(w, 0) + c1 * c2
+                terms = {l + shift: c1 * c for l, c in lengths.items()}
+            _merge(acc, u[:n - k] + X[k:], terms)
 
 
 def ring_norm(x: GroupRingElement) -> int:
@@ -301,19 +379,10 @@ class GroupRingMatrix:
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        columns = [[_right_factor(y) for y in column]
-                   for column in zip(*other.entries)]
-        out = []
-        for row in self.entries:
-            left = [_left_factor(x) for x in row]
-            out_row = []
-            for column in columns:
-                acc: dict[Word, int] = {}
-                for x, y in zip(left, column):
-                    _add_product(acc, x, y)
-                out_row.append(GroupRingElement._trusted(acc))
-            out.append(out_row)
-        return GroupRingMatrix(out)
+        chains = [[_chains(y.terms) for y in row] for row in other.entries]
+        return GroupRingMatrix(
+            [[GroupRingElement._trusted(_words(entry)) for entry in row]
+             for row in _chain_matmul(self.entries, chains)])
 
     def map_entries(self, fn) -> "GroupRingMatrix":
         return GroupRingMatrix(
@@ -439,18 +508,20 @@ def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
     left by one twisted factor.  That factor is A pushed through phi^(n-1),
     whose generator images are kept from step to step (phi^n(a_j) is
     phi^(n-1) applied to the short word phi(a_j)), so no long word is ever
-    pushed through phi letter by letter.
+    pushed through phi letter by letter.  P_n stays in canonical chains
+    from step to step, and its norm is read from their coefficients.
     """
     if A.rows != A.cols:
         raise NotSquare("twisted power of a non-square matrix")
     if N < 1:
         raise ValueError("n must be >= 1")
-    product = A
+    product = [[_chains(x.terms) for x in row] for row in A.entries]
     norms = [matrix_norm(A)]
     power = phi
     for n in range(2, N + 1):
-        product = A.map_entries(power.apply) @ product
-        norms.append(matrix_norm(product))
+        product = _chain_matmul(A.map_entries(power.apply).entries, product)
+        norms.append(sum(sum(map(abs, lengths.values())) for row in product
+                         for entry in row for _, lengths in entry))
         if n < N:
             power = FreeGroupEndo(
                 phi.rank, tuple(power.apply_word(w) for w in phi.images))

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistedzeta import (
@@ -30,9 +30,13 @@ from twistedzeta import (
     word_to_str,
 )
 from twistedzeta.fox import (
+    _canonical,
     _cancelled_length,
+    _chain_matmul,
+    _chains,
     _join,
     _reduced_product,
+    _words,
     chain_matrices,
     word_inverse,
 )
@@ -241,6 +245,77 @@ class TestProductKernel:
         assert (X @ Y).entries[0][0].terms == {word_inverse(u): 1, u: -1}
         # one w + w (-1) = 0 across the sum over k
         assert (X @ GroupRingMatrix([[w], [-one]])).entries[0][0].terms == {}
+
+
+def assert_canonical(chains):
+    """Sorted distinct bases, no zero coefficient, and every word filed
+    once, under the last base that it is a prefix of."""
+    bases = [X for X, _ in chains]
+    assert bases == sorted(set(bases))
+    words = [X[:l] for X, lengths in chains for l in lengths]
+    assert len(words) == len(set(words))
+    for i, (X, lengths) in enumerate(chains):
+        assert lengths and all(lengths.values())
+        for l in lengths:
+            assert 0 <= l <= len(X)
+            assert not any(Y.startswith(X[:l]) for Y in bases[i + 1:])
+
+
+def extending_letters(w, count):
+    """count letters e with w e freely reduced."""
+    return [bytes([e]) for e in b"abcdABCD" if not w or e ^ 32 != w[-1]][
+        :count]
+
+
+class TestPrefixChains:
+    """Chains (X, {l: c}) stand for sum c X[:l]; products and their
+    operands hold them in canonical form."""
+
+    @given(cancelling_elements(1))
+    @settings(max_examples=200, deadline=None)
+    def test_words_to_chains_and_back(self, elements):
+        [x] = elements
+        chains = _chains(x.terms)
+        assert_canonical(chains)
+        assert _words(chains) == x.terms
+
+    @given(cancelling_elements(2))
+    @settings(max_examples=200, deadline=None)
+    def test_product_chains_are_canonical(self, elements):
+        x, y = elements
+        [[chains]] = _chain_matmul([[x]], [[_chains(y.terms)]])
+        assert_canonical(chains)
+        assert _words(chains) == reference_product(x, y)
+
+    @given(cancelling_elements(1), st.sampled_from([-2, -1, 1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_empty_word_is_filed_once(self, elements, c):
+        # bases that start with different letters share a prefix of length
+        # 0, and the empty word still moves on to the last base
+        [x] = elements
+        assume(len({w[:1] for w in x.terms if w}) > 1)
+        chains = _chains({**x.terms, b"": c})
+        assert [X for X, lengths in chains if 0 in lengths] == \
+            [chains[-1][0]]
+        assert chains[-1][1][0] == c
+
+    @given(cancelling_elements(1))
+    @settings(max_examples=200, deadline=None)
+    def test_opposite_terms_under_two_bases_cancel(self, elements):
+        # +w under w e1 and -w under w e2 are one word: nothing is left,
+        # and a third copy under w e3 leaves the element itself
+        [x] = elements
+
+        def filed(copies):
+            acc = {}
+            for w, c in x.terms.items():
+                for e, sign in zip(extending_letters(w, copies), (1, -1, 1)):
+                    acc[w + e] = {len(w): sign * c}
+            return _canonical(acc)
+
+        assert filed(2) == []
+        assert_canonical(filed(3))
+        assert _words(filed(3)) == x.terms
 
 
 class TestFoxDerivative:
@@ -580,6 +655,13 @@ class TestTwistedPowerNorms:
         D = jacobian(phi)
         assert twisted_power_norm(phi, D, n) == \
             twisted_power_norms(phi, D, n)[-1]
+
+    def test_frontier_past_the_term_cap(self):
+        # n = 6 has 20295 terms, beyond the command line's cap of 4096
+        phi = FreeGroupEndo.from_strings(3, ["abcAB", "bcaBC", "cabCA"])
+        norms = twisted_power_norms(phi, jacobian(phi), 6)
+        assert norms == power_image_lengths(phi, 6)
+        assert norms[-1] == 20295
 
     def test_errors_from_both(self):
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])

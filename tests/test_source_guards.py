@@ -31,12 +31,23 @@ def _reached_names(module: str, function: str) -> set[str]:
     A function reaches every name it calls or refers to, by itself or as an
     attribute (``x.apply_word(w)``, ``map(power.apply, ...)``), and the
     method of every operator it applies (``A @ B`` reaches ``__matmul__``).
-    The module's own functions and methods (by name, whatever their class)
+    An operator with an int literal operand (``2 * hi``, ``n - 1``, ``-1``)
+    reaches no method: no operator method of the package takes an int.  The
+    module's own functions and methods (by name, whatever their class)
     reached that way are followed in turn, so the set over-approximates
     what the function can run within its module.
     """
     path = PACKAGE / f"{module}.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return _reached_in(path.read_text(encoding="utf-8"), function)
+
+
+def _int_literal(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _reached_in(source: str, function: str) -> set[str]:
+    """``_reached_names`` of a function of the module source."""
+    tree = ast.parse(source)
     defs: dict[str, list[ast.FunctionDef]] = {}
     for node in tree.body:
         body = node.body if isinstance(node, ast.ClassDef) else [node]
@@ -55,7 +66,8 @@ def _reached_names(module: str, function: str) -> set[str]:
             elif isinstance(node, ast.Attribute):
                 reached = node.attr
             elif (isinstance(node, (ast.BinOp, ast.UnaryOp))
-                  and type(node.op) in _OPERATOR_METHODS):
+                  and type(node.op) in _OPERATOR_METHODS
+                  and not any(map(_int_literal, ast.iter_child_nodes(node)))):
                 reached = _OPERATOR_METHODS[type(node.op)]
             else:
                 continue
@@ -63,6 +75,25 @@ def _reached_names(module: str, function: str) -> set[str]:
             if reached in defs:
                 todo.append(reached)
     return reached_names
+
+
+def test_int_literal_operands_reach_no_operator_method():
+    # 2 * hi is integer arithmetic; read as GroupRingElement.__mul__, it
+    # would make any function that doubles an int reach the ring products.
+    source = """
+class GroupRingElement:
+    def __mul__(self, other):
+        return _add_product(self, other)
+
+def doubled(hi, n):
+    return 2 * hi, hi * 2, n - 1, -1
+
+def squared(x):
+    return x * x
+"""
+    doubled = _reached_in(source, "doubled")
+    assert not {"__mul__", "__sub__", "__neg__", "_add_product"} & doubled
+    assert {"__mul__", "_add_product"} <= _reached_in(source, "squared")
 
 
 def test_closed_form_and_trace_route_stay_apart():
@@ -85,14 +116,16 @@ def test_image_lengths_and_ring_products_stay_apart():
     # They share the generator images only: were the lengths taken from
     # joined or pushed words, the ring products would check them against
     # their own word code.  The lengths reduce at piece junctions, not
-    # letter by letter, and the products keep away from that junction code.
+    # letter by letter, and the products, which run on prefix chains, keep
+    # away from that junction code.
     ring_words = {"_join", "apply_word", "_add_product"}
+    chains = {"_chain_matmul", "_canonical", "_merge", "_chains", "_words"}
     image_words = {"_reduced_product", "_cancelled_length"}
     lengths = _reached_names("fox", "power_image_lengths")
     products = _reached_names("fox", "twisted_power_norms")
-    assert not (ring_words | {"free_reduce"}) & lengths
+    assert not (ring_words | chains | {"free_reduce"}) & lengths
     assert image_words <= lengths
-    assert ring_words <= products
+    assert ring_words | {"_chain_matmul", "_canonical", "_chains"} <= products
     assert not image_words & products
 
 
