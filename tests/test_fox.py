@@ -30,8 +30,8 @@ from twistedzeta import (
     word_to_str,
 )
 from twistedzeta.fox import (
-    _canonical,
     _cancelled_length,
+    _canonical,
     _chain_matmul,
     _chains,
     _join,
@@ -314,8 +314,9 @@ class TestPrefixChains:
             return _canonical(acc)
 
         assert filed(2) == []
-        assert_canonical(filed(3))
-        assert _words(filed(3)) == x.terms
+        chains = filed(3)
+        assert_canonical(chains)
+        assert _words(chains) == x.terms
 
 
 class TestFoxDerivative:
