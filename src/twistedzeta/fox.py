@@ -7,13 +7,16 @@ Words are always freely reduced.  Group-ring elements are sparse integer
 combinations of words; the norm of an element is the sum of the absolute
 coefficients and matrix norms are total entry norms.
 
-Products hold the right factor and the result as prefix chains: a chain is
-a base word X with a map {l: c} and stands for sum c X[:l].  A word u
-times a chain cancels at one junction, found once per (u, X) pair by one
-XOR, and every term of the chain then moves by one shift of its length
-(``_add_product``), so a term costs an integer, not a new word.  Element
-products, matrix products and the twisted power oracle run that one
-kernel through ``_chain_matmul``.
+Products hold the right factor and the result as prefix chains, one list
+of chains per matrix row: a chain is a base word X with a map {key: c},
+key = l r + j for a row of r columns, and stands for sum c X[:l] in
+column j.  A word u times a chain cancels at one junction, found once per
+(u, X) pair by one XOR, and every term of the chain, whatever its column,
+then moves by one integer shift (``_add_product``), so a term costs an
+integer, not a new word.  Canonical form files every term once, at the
+last base it is a prefix of (``_canonical``).  Element products, matrix
+products and the twisted power oracle run that one kernel through
+``_chain_matmul``; element products are rows of r = 1 column.
 
 The chain data of a bouquet of r circles is the pair of ring matrices
 (1) and D = (d b_i / d a_j); the two radius bounds are the reciprocals of
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -163,8 +167,10 @@ class GroupRingElement:
         return self + (-other)
 
     def __mul__(self, other):
-        [[chains]] = _chain_matmul([[self]], [[_chains(other.terms)]])
-        return GroupRingElement._trusted(_words(chains))
+        [chains] = _chain_matmul([[self.terms.items()]],
+                                 (1, [_chains([other.terms])]))
+        [terms] = _words(chains, 1)
+        return GroupRingElement._trusted(terms)
 
     def __repr__(self):
         if not self.terms:
@@ -181,54 +187,88 @@ class GroupRingElement:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _chains(terms: dict[Word, int]) -> list[tuple[Word, dict]]:
-    """The canonical chains of a word -> coefficient dict."""
-    return _canonical({w: {len(w): c} for w, c in terms.items()})
+def _chains(row: list[dict[Word, int]]) -> list[tuple[Word, dict]]:
+    """The canonical chains of a matrix row, given as the word -> coefficient
+    dicts of its r entries: word w of entry j is the key |w| r + j."""
+    r, acc = len(row), {}
+    for j, terms in enumerate(row):
+        for w, c in terms.items():
+            acc.setdefault(w, {})[len(w) * r + j] = c
+    return _canonical(acc, r)
 
 
-def _words(chains: list[tuple[Word, dict]]) -> dict[Word, int]:
-    """The word -> coefficient dict of canonical chains."""
-    return {X[:l]: c for X, lengths in chains for l, c in lengths.items()}
+def _words(chains: list[tuple[Word, dict]], r: int) -> list[dict[Word, int]]:
+    """The word -> coefficient dicts of the r entries of a row of canonical
+    chains."""
+    row = [{} for _ in range(r)]
+    for X, keys in chains:
+        for key, c in keys.items():
+            l, j = divmod(key, r)
+            row[j][X[:l]] = c
+    return row
 
 
-def _canonical(acc: dict[Word, dict]) -> list[tuple[Word, dict]]:
-    """The chains of a base -> {length: coefficient} dict, each word filed
-    under the last base, in sorted order, that it is a prefix of, and with
-    no zero coefficient: a word has one term, so the norm is the sum of
-    the absolute coefficients.
+def _canonical(acc: dict[Word, dict], r: int) -> list[tuple[Word, dict]]:
+    """The chains of a base -> {l r + j: coefficient} dict, each term filed
+    under the last base, in sorted order, that its word X[:l] is a prefix
+    of, and with no zero coefficient: a word has one term per column, so
+    the norm is the sum of the absolute coefficients.
 
     The bases that start with a word are adjacent once sorted, so a term
-    moves base by base: from X to the next base Y when its length is at
-    most the common prefix length g of X and Y (the empty word too, at
-    g = 0).  Bases are reduced words, so no letter is byte 0 and the
-    lowest set bit of X ^ Y, read little-endian, lies in byte g.
+    would move base by base: from X to the next base Y while l is at most
+    the common prefix length g of X and Y (the empty word too, at g = 0),
+    that is while key < (g + 1) r.  Bases are reduced words, so no letter
+    is byte 0 and the lowest set bit of X ^ Y, read little-endian, lies in
+    byte g, also when X is a prefix of Y.  The term stops at the first base
+    from X on whose threshold (g + 1) r, 0 for the last base, is at most
+    its key.  Walking the bases backwards, a stack keeps the bases that can
+    be that first stop: the current base, then each next base of lower
+    threshold, so the thresholds increase up the stack and a stop is one
+    bisection.  A chain whose terms all stop at one base is handed over
+    whole; otherwise its keys are sorted once and the terms that stop are
+    peeled off the top by bisection, so a split costs the terms it moves.
     """
     bases = sorted(acc)
+    filed: dict[Word, dict] = {}
+    thresholds, stops = [], []
+    t, next_base = 0, None
+    for X in reversed(bases):
+        V = int.from_bytes(X, "little")
+        if next_base is not None:
+            x = V ^ next_base
+            t = (((x & -x).bit_length() - 1) >> 3) * r + r
+        next_base = V
+        while thresholds and thresholds[-1] >= t:
+            thresholds.pop()
+            stops.pop()
+        thresholds.append(t)
+        stops.append(X)
+        terms = acc[X]
+        top = max(terms)
+        p = len(stops) - 1 if top >= t else bisect_right(thresholds, top) - 1
+        if min(terms) >= thresholds[p]:
+            _merge(filed, stops[p], terms)
+            continue
+        keys = sorted(terms)
+        hi = len(keys)
+        while hi:
+            p = bisect_right(thresholds, keys[hi - 1], 0, p + 1) - 1
+            lo = bisect_left(keys, thresholds[p], 0, hi)
+            _merge(filed, stops[p], {key: terms[key] for key in keys[lo:hi]})
+            hi = lo
     out = []
-    for X, Y in zip(bases, bases[1:] + [None]):
-        lengths = acc[X]
-        if Y is not None:
-            if Y.startswith(X):
-                g = len(X)
-            else:
-                x = int.from_bytes(X, "little") ^ int.from_bytes(Y, "little")
-                g = ((x & -x).bit_length() - 1) >> 3
-            if max(lengths) <= g:
-                _merge(acc, Y, lengths)
-                continue
-            if min(lengths) <= g:
-                _merge(acc, Y, {l: c for l, c in lengths.items() if l <= g})
-                lengths = {l: c for l, c in lengths.items() if l > g}
-        if not all(lengths.values()):
-            lengths = {l: c for l, c in lengths.items() if c}
-        if lengths:
-            out.append((X, lengths))
+    for X in bases:
+        keys = filed.get(X)
+        if keys and not all(keys.values()):
+            keys = {key: c for key, c in keys.items() if c}
+        if keys:
+            out.append((X, keys))
     return out
 
 
 def _merge(acc: dict[Word, dict], base: Word, terms: dict[int, int]):
-    """Add the terms, a length -> coefficient dict that acc may keep, to
-    the chain of base in acc: the smaller dict goes into the larger."""
+    """Add the terms, a key -> coefficient dict that acc may keep, to the
+    chain of base in acc: the smaller dict goes into the larger."""
     chain = acc.setdefault(base, terms)
     if chain is terms:
         return
@@ -237,38 +277,37 @@ def _merge(acc: dict[Word, dict], base: Word, terms: dict[int, int]):
     if chain.keys().isdisjoint(terms):
         chain.update(terms)
     else:
-        for l, c in terms.items():
-            chain[l] = chain.get(l, 0) + c
+        for key, c in terms.items():
+            chain[key] = chain.get(key, 0) + c
 
 
-def _chain_matmul(left, right) -> list[list[list[tuple[Word, dict]]]]:
-    """The canonical chains of each entry of L R, for L given by its rows
-    of elements and R by its rows of canonical chains.  Each operand is
-    prepared once for ``_add_product``: a left word u as (u, coefficient,
-    the inverse of its last letter or -1, u^-1 as a little-endian integer,
-    |u|), a right chain as (X, its first letter or 0, X as a little-endian
-    integer, lengths).  -1 and 0 match no letter."""
-    columns = [[[(X, X[0] if X else 0, int.from_bytes(X, "little"), lengths)
-                 for X, lengths in y] for y in column]
-               for column in zip(*right)]
+def _chain_matmul(left, right) -> list[list[tuple[Word, dict]]]:
+    """The canonical chains of each row of L R, for L given by its rows of
+    entries, each an iterable of (word, coefficient) pairs in which a word
+    may repeat, and R as the pair (r, its rows of canonical chains), r its
+    number of columns.  Each operand is prepared once for
+    ``_add_product``: a left word u as (u, coefficient, the inverse of its
+    last letter or -1, u^-1 as a little-endian integer, |u|), a right
+    chain as (X, its first letter or 0, X as a little-endian integer, keys,
+    smallest key, largest key).  -1 and 0 match no letter."""
+    r, rows = right
+    rows = [[(X, X[0] if X else 0, int.from_bytes(X, "little"), keys,
+              min(keys), max(keys)) for X, keys in y] for y in rows]
     out = []
     for row in left:
-        row = [[(u, c, u[-1] ^ 32 if u else -1,
-                 int.from_bytes(u.swapcase(), "big"), len(u))
-                for u, c in x.terms.items()] for x in row]
-        out_row = []
-        for column in columns:
-            acc: dict[Word, dict] = {}
-            for x, y in zip(row, column):
-                _add_product(acc, x, y)
-            out_row.append(_canonical(acc))
-        out.append(out_row)
+        acc: dict[Word, dict] = {}
+        for x, y in zip(row, rows):
+            x = [(u, c, u[-1] ^ 32 if u else -1,
+                  int.from_bytes(u.swapcase(), "big"), len(u))
+                 for u, c in x]
+            _add_product(acc, x, y, r)
+        out.append(_canonical(acc, r))
     return out
 
 
-def _add_product(acc: dict, left: list[tuple], right: list[tuple]):
-    """Add the chains of x * y into the base -> {length: coefficient} dict
-    acc, for the words of x and the chains of y prepared by
+def _add_product(acc: dict, left: list[tuple], right: list[tuple], r: int):
+    """Add the chains of x * y into the base -> {key: coefficient} dict acc,
+    for the words of x and the chains of a row y of r columns prepared by
     ``_chain_matmul``.
 
     The reduced form of u X is u X unless the first letter of X is the
@@ -278,25 +317,28 @@ def _add_product(acc: dict, left: list[tuple], right: list[tuple]):
     cancelled, differs from the longer there.  The lowest set bit of T ^ V
     lies in byte K, and T = V means u X = 1.  Then u X[:l] is the prefix of
     length l + |u| - 2K of u[:|u|-K] X[K:] for l >= K, and the prefix of
-    length |u| - l of u for l < K: a term costs one shift of its length,
-    and a word is built once per (u, X) pair.
+    length |u| - l of u for l < K.  On keys l r + j, l >= K holds exactly
+    when key >= K r; the first case adds (|u| - 2K) r to the key and the
+    second maps it to |u| r - key + 2 j.  A term costs one shift of its
+    key, and a word is built once per (u, X) pair, for every column.
     """
     for u, c1, last, T, n in left:
-        for X, first, V, lengths in right:
+        for X, first, V, keys, low, high in right:
             k = 0
             if first == last:
                 x = T ^ V
                 k = ((x & -x).bit_length() - 1) >> 3 if x else n
-            shift = n - k - k
-            if k and min(lengths) < k:
-                _merge(acc, u, {n - l: c1 * c
-                                for l, c in lengths.items() if l < k})
-                if max(lengths) < k:
+            shift = (n - k - k) * r
+            if k and low < k * r:
+                kr, nr = k * r, n * r
+                _merge(acc, u, {nr - key + 2 * (key % r): c1 * c
+                                for key, c in keys.items() if key < kr})
+                if high < kr:
                     continue
-                terms = {l + shift: c1 * c
-                         for l, c in lengths.items() if l >= k}
+                terms = {key + shift: c1 * c
+                         for key, c in keys.items() if key >= kr}
             else:
-                terms = {l + shift: c1 * c for l, c in lengths.items()}
+                terms = {key + shift: c1 * c for key, c in keys.items()}
             _merge(acc, u[:n - k] + X[k:], terms)
 
 
@@ -346,13 +388,6 @@ class FreeGroupEndo:
             parts = list(map(_join, parts[::2], parts[1::2])) + odd
         return parts[0] if parts else b""
 
-    def apply(self, x: GroupRingElement) -> GroupRingElement:
-        out: dict[Word, int] = {}
-        for w, c in x.terms.items():
-            iw = self.apply_word(w)
-            out[iw] = out.get(iw, 0) + c
-        return GroupRingElement._trusted(out)
-
 
 class GroupRingMatrix:
     """Rectangular matrix over the integral group ring of a free group."""
@@ -379,23 +414,12 @@ class GroupRingMatrix:
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        chains = [[_chains(y.terms) for y in row] for row in other.entries]
+        r = other.cols
+        rows = [_chains([y.terms for y in row]) for row in other.entries]
+        left = [[x.terms.items() for x in row] for row in self.entries]
         return GroupRingMatrix(
-            [[GroupRingElement._trusted(_words(entry)) for entry in row]
-             for row in _chain_matmul(self.entries, chains)])
-
-    def map_entries(self, fn) -> "GroupRingMatrix":
-        return GroupRingMatrix(
-            [[fn(x) for x in row] for row in self.entries]
-        )
-
-    def trace(self) -> GroupRingElement:
-        if self.rows != self.cols:
-            raise NotSquare("trace of a non-square ring matrix")
-        acc = GroupRingElement.zero()
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+            [[GroupRingElement._trusted(terms) for terms in _words(chains, r)]
+             for chains in _chain_matmul(left, (r, rows))])
 
 
 def fox_derivative(w: Word, j: int) -> GroupRingElement:
@@ -506,26 +530,59 @@ def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
     g z = z phi(g) gives (zA)^n = z^n P_n with P_n = phi^(n-1)(A) ... phi(A) A,
     so P_n = phi^(n-1)(A) P_(n-1): each step multiplies the product on the
     left by one twisted factor.  That factor is A pushed through phi^(n-1),
-    whose generator images are kept from step to step (phi^n(a_j) is
-    phi^(n-1) applied to the short word phi(a_j)), so no long word is ever
-    pushed through phi letter by letter.  P_n stays in canonical chains
+    whose generator images are kept from step to step: one sweep
+    (``_prefix_images``) gives the images of the prefixes of A's words and
+    of the phi(a_j), so it gives the factor and the next images
+    phi^n(a_j) = phi^(n-1)(phi(a_j)) at once, and no long word is ever
+    pushed through phi letter by letter.  P_n stays in canonical row chains
     from step to step, and its norm is read from their coefficients.
     """
     if A.rows != A.cols:
         raise NotSquare("twisted power of a non-square matrix")
     if N < 1:
         raise ValueError("n must be >= 1")
-    product = [[_chains(x.terms) for x in row] for row in A.entries]
+    entries = [[x.terms for x in row] for row in A.entries]
+    words = sorted({w for row in entries for terms in row for w in terms}
+                   | set(phi.images), key=len, reverse=True)
+    product = [_chains(row) for row in entries]
     norms = [matrix_norm(A)]
-    power = phi
+    images = phi.images
     for n in range(2, N + 1):
-        product = _chain_matmul(A.map_entries(power.apply).entries, product)
-        norms.append(sum(sum(map(abs, lengths.values())) for row in product
-                         for entry in row for _, lengths in entry))
-        if n < N:
-            power = FreeGroupEndo(
-                phi.rank, tuple(power.apply_word(w) for w in phi.images))
+        image = _prefix_images(words, images)
+        twisted = [[[(image[w], c) for w, c in terms.items()]
+                    for terms in row] for row in entries]
+        product = _chain_matmul(twisted, (A.cols, product))
+        norms.append(sum(sum(map(abs, keys.values())) for row in product
+                         for _, keys in row))
+        images = [image[w] for w in phi.images]
     return norms
+
+
+def _prefix_images(words, images) -> dict[Word, Word]:
+    """The reduced image of every prefix of the words under the
+    endomorphism with the generator images ``images``.
+
+    The image of w[:k+1] is the image of w[:k] joined with the image of
+    the letter w[k], so each new prefix costs one ``_join`` and prefixes
+    that the words share are joined once; a word that is a prefix of an
+    earlier word costs one lookup.  The prefixes are walked in a loop, so
+    a word may be longer than the recursion limit.
+    """
+    letter_images = {}
+    for g, w in zip(_GENERATORS, images):
+        letter_images[g], letter_images[g ^ 32] = w, word_inverse(w)
+    memo = {b"": b""}
+    for w in words:
+        if w in memo:
+            continue
+        image = b""
+        for k in range(1, len(w) + 1):
+            prefix = w[:k]
+            known = memo.get(prefix)
+            if known is None:
+                known = memo[prefix] = _join(image, letter_images[w[k - 1]])
+            image = known
+    return memo
 
 
 def twisted_power_norm(phi: FreeGroupEndo, A: GroupRingMatrix, n: int) -> int:
@@ -547,7 +604,7 @@ def power_image_lengths(phi: FreeGroupEndo, N: int) -> list[int]:
     contain.  Nothing cancels, ||d(w)/d(a_j)|| counts the letters a_j^+-1
     of w, and the norm of row i of J(phi^n) is |phi^n(a_i)|.
 
-    The route composes in the same order as the ``power`` update of the
+    The route composes in the same order as the image update of the
     oracle, phi^n(a_i) = phi^(n-1)(phi(a_i)): the reduced images of
     phi^(n-1) and their inverses are kept from step to step, so a new image
     is the product of at most |phi(a_i)| long reduced pieces, reduced at

@@ -247,18 +247,35 @@ class TestProductKernel:
         assert (X @ GroupRingMatrix([[w], [-one]])).entries[0][0].terms == {}
 
 
-def assert_canonical(chains):
-    """Sorted distinct bases, no zero coefficient, and every word filed
-    once, under the last base that it is a prefix of."""
+def assert_canonical(chains, r=1):
+    """Sorted distinct bases, no zero coefficient, and every (word, column)
+    filed once, under the last base that the word is a prefix of, for a
+    row of chains with keys l r + j."""
     bases = [X for X, _ in chains]
     assert bases == sorted(set(bases))
-    words = [X[:l] for X, lengths in chains for l in lengths]
-    assert len(words) == len(set(words))
-    for i, (X, lengths) in enumerate(chains):
-        assert lengths and all(lengths.values())
-        for l in lengths:
-            assert 0 <= l <= len(X)
-            assert not any(Y.startswith(X[:l]) for Y in bases[i + 1:])
+    filed = [(X[:key // r], key % r) for X, keys in chains for key in keys]
+    assert len(filed) == len(set(filed))
+    for i, (X, keys) in enumerate(chains):
+        assert keys and all(keys.values())
+        for key in keys:
+            assert 0 <= key < (len(X) + 1) * r
+            assert not any(Y.startswith(X[:key // r]) for Y in bases[i + 1:])
+
+
+def brute_force_filing(acc, r):
+    """The canonical chains of acc, a base -> {l r + j: coefficient} dict,
+    by filing each term directly under the last base its word is a prefix
+    of."""
+    bases = sorted(acc)
+    filed = {}
+    for X, keys in acc.items():
+        for key, c in keys.items():
+            w = X[:key // r]
+            last = [Y for Y in bases if Y.startswith(w)][-1]
+            chain = filed.setdefault(last, {})
+            chain[key] = chain.get(key, 0) + c
+    return [(Y, {key: c for key, c in filed[Y].items() if c})
+            for Y in bases if any(filed.get(Y, {}).values())]
 
 
 def extending_letters(w, count):
@@ -275,17 +292,18 @@ class TestPrefixChains:
     @settings(max_examples=200, deadline=None)
     def test_words_to_chains_and_back(self, elements):
         [x] = elements
-        chains = _chains(x.terms)
+        chains = _chains([x.terms])
         assert_canonical(chains)
-        assert _words(chains) == x.terms
+        assert _words(chains, 1) == [x.terms]
 
     @given(cancelling_elements(2))
     @settings(max_examples=200, deadline=None)
     def test_product_chains_are_canonical(self, elements):
         x, y = elements
-        [[chains]] = _chain_matmul([[x]], [[_chains(y.terms)]])
+        [chains] = _chain_matmul([[x.terms.items()]],
+                                 (1, [_chains([y.terms])]))
         assert_canonical(chains)
-        assert _words(chains) == reference_product(x, y)
+        assert _words(chains, 1) == [reference_product(x, y)]
 
     @given(cancelling_elements(1), st.sampled_from([-2, -1, 1, 2]))
     @settings(max_examples=200, deadline=None)
@@ -294,7 +312,7 @@ class TestPrefixChains:
         # 0, and the empty word still moves on to the last base
         [x] = elements
         assume(len({w[:1] for w in x.terms if w}) > 1)
-        chains = _chains({**x.terms, b"": c})
+        chains = _chains([{**x.terms, b"": c}])
         assert [X for X, lengths in chains if 0 in lengths] == \
             [chains[-1][0]]
         assert chains[-1][1][0] == c
@@ -311,12 +329,57 @@ class TestPrefixChains:
             for w, c in x.terms.items():
                 for e, sign in zip(extending_letters(w, copies), (1, -1, 1)):
                     acc[w + e] = {len(w): sign * c}
-            return _canonical(acc)
+            return _canonical(acc, 1)
 
         assert filed(2) == []
         chains = filed(3)
         assert_canonical(chains)
-        assert _words(chains) == x.terms
+        assert _words(chains, 1) == [x.terms]
+
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4))
+           .flatmap(lambda shape: st.tuples(
+               st.just(shape),
+               cancelling_elements(shape[0] * shape[1]
+                                   + shape[1] * shape[2]))))
+    @settings(max_examples=60, deadline=None)
+    def test_row_chains_of_matrix_products(self, case):
+        # rows of r = 1..4 columns share one chain list: every entry of
+        # A @ B and every row of chains is checked
+        (p, m, r), elements = case
+        A = [elements[i * m:(i + 1) * m] for i in range(p)]
+        B = [elements[p * m + k * r:p * m + (k + 1) * r] for k in range(m)]
+        rows = _chain_matmul([[x.terms.items() for x in row] for row in A],
+                             (r, [_chains([y.terms for y in row])
+                                  for row in B]))
+        product = GroupRingMatrix(A) @ GroupRingMatrix(B)
+        for i, chains in enumerate(rows):
+            assert_canonical(chains, r)
+            columns = _words(chains, r)
+            for j in range(r):
+                want = {}
+                for k in range(m):
+                    for w, c in reference_product(A[i][k], B[k][j]).items():
+                        want[w] = want.get(w, 0) + c
+                want = {w: c for w, c in want.items() if c}
+                assert columns[j] == want
+                assert product.entries[i][j].terms == want
+
+    def test_long_chain_stops_at_several_bases(self):
+        # every prefix of w, in three columns, starts under w; the bases
+        # w[:g] c take the prefixes of length at most g, so the chain is
+        # peeled at four bases, and some terms filed there cancel
+        r, rng, w = 3, random.Random(6), b"a"
+        while len(w) < 1200:  # a reduced word in a, b: no c, which sorts last
+            w += bytes([rng.choice([e for e in b"abAB" if e ^ 32 != w[-1]])])
+        acc = {w: {l * r + j: l % 5 - 2 or 1
+                   for l in range(len(w) + 1) for j in range(r)}}
+        for g in (100, 500, 900):
+            acc[w[:g] + b"c"] = {g * r + 1: 2 - g % 5, 40 * r: 7,
+                                 (g + 1) * r + 2: -1}
+        chains = _canonical({X: dict(keys) for X, keys in acc.items()}, r)
+        assert len(chains) == 4
+        assert_canonical(chains, r)
+        assert chains == brute_force_filing(acc, r)
 
 
 class TestFoxDerivative:
@@ -663,6 +726,19 @@ class TestTwistedPowerNorms:
         norms = twisted_power_norms(phi, jacobian(phi), 6)
         assert norms == power_image_lengths(phi, 6)
         assert norms[-1] == 20295
+
+    def test_word_longer_than_the_recursion_limit(self):
+        # the prefix sweep walks the 1500 prefixes of w in a loop
+        rng, w = random.Random(7), b"a"
+        while len(w) < 1500:
+            w += bytes([rng.choice([e for e in b"abAB" if e ^ 32 != w[-1]])])
+        phi = FreeGroupEndo.from_strings(2, ["b", "a"])
+        one = GroupRingElement.one()
+        A = GroupRingMatrix([
+            [GroupRingElement.from_word(w), one],
+            [one, GroupRingElement.from_word(word_inverse(w), -1)]])
+        assert twisted_power_norms(phi, A, 3) == \
+            reference_twisted_power_norms(phi, A, 3)
 
     def test_errors_from_both(self):
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])

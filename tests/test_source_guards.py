@@ -29,9 +29,10 @@ def _reached_names(module: str, function: str) -> set[str]:
     """Names reached from a module-level function of the package.
 
     A function reaches every name it calls or refers to, by itself or as an
-    attribute (``x.apply_word(w)``, ``map(power.apply, ...)``), and the
+    attribute (``x.apply_word(w)``, ``map(pieces.__getitem__, w)``), and the
     method of every operator it applies (``A @ B`` reaches ``__matmul__``).
-    An operator with an int literal operand (``2 * hi``, ``n - 1``, ``-1``)
+    Annotations name types and run nothing, so they reach nothing.  An
+    operator with an int literal operand (``2 * hi``, ``n - 1``, ``-1``)
     reaches no method: no operator method of the package takes an int.  The
     module's own functions and methods (by name, whatever their class)
     reached that way are followed in turn, so the set over-approximates
@@ -60,7 +61,7 @@ def _reached_in(source: str, function: str) -> set[str]:
         if name in seen:
             continue
         seen.add(name)
-        for node in (n for d in defs[name] for n in ast.walk(d)):
+        for node in (n for d in defs[name] for n in _runtime_nodes(d)):
             if isinstance(node, ast.Name):
                 reached = node.id
             elif isinstance(node, ast.Attribute):
@@ -75,6 +76,33 @@ def _reached_in(source: str, function: str) -> set[str]:
             if reached in defs:
                 todo.append(reached)
     return reached_names
+
+
+def _runtime_nodes(node: ast.AST) -> list[ast.AST]:
+    """The nodes of ``ast.walk(node)`` outside annotations."""
+    annotations = {id(n) for a in ast.walk(node)
+                   for field in ("annotation", "returns")
+                   if isinstance(getattr(a, field, None), ast.AST)
+                   for n in ast.walk(getattr(a, field))}
+    return [n for n in ast.walk(node) if id(n) not in annotations]
+
+
+def test_annotations_reach_nothing():
+    # A parameter typed FreeGroupEndo does not build one; a call does.
+    source = """
+class FreeGroupEndo:
+    def __post_init__(self):
+        return _validate(self)
+
+def typed(phi: FreeGroupEndo, n: int) -> FreeGroupEndo:
+    x: FreeGroupEndo = phi
+    return x
+
+def built(rank, images):
+    return FreeGroupEndo(rank, images)
+"""
+    assert not {"FreeGroupEndo", "int"} & _reached_in(source, "typed")
+    assert "FreeGroupEndo" in _reached_in(source, "built")
 
 
 def test_int_literal_operands_reach_no_operator_method():
@@ -116,17 +144,22 @@ def test_image_lengths_and_ring_products_stay_apart():
     # They share the generator images only: were the lengths taken from
     # joined or pushed words, the ring products would check them against
     # their own word code.  The lengths reduce at piece junctions, not
-    # letter by letter, and the products, which run on prefix chains, keep
-    # away from that junction code.
-    ring_words = {"_join", "apply_word", "_add_product"}
+    # letter by letter, and the products, which run on prefix chains and
+    # push A through phi^(n-1) by one sweep of prefix images, keep away
+    # from that junction code.  The products take the generator images as
+    # words the module reduced itself: they build no FreeGroupEndo, whose
+    # construction would validate every long image again at each step.
+    ring_words = {"_join", "apply_word", "_prefix_images", "_add_product"}
     chains = {"_chain_matmul", "_canonical", "_merge", "_chains", "_words"}
     image_words = {"_reduced_product", "_cancelled_length"}
     lengths = _reached_names("fox", "power_image_lengths")
     products = _reached_names("fox", "twisted_power_norms")
     assert not (ring_words | chains | {"free_reduce"}) & lengths
     assert image_words <= lengths
-    assert ring_words | {"_chain_matmul", "_canonical", "_chains"} <= products
+    assert {"_join", "_prefix_images", "_add_product", "_chain_matmul",
+            "_canonical", "_chains"} <= products
     assert not image_words & products
+    assert not {"FreeGroupEndo", "__post_init__"} & products
 
 
 def test_intlinalg_has_no_fraction_helpers():
