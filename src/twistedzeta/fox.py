@@ -14,8 +14,15 @@ column j.  A word u times a chain cancels at one junction, found once per
 (u, X) pair by one XOR, and every term of the chain, whatever its column,
 then moves by one integer shift (``_add_product``), so a term costs an
 integer, not a new word.  Canonical form files every term once, at the
-last base it is a prefix of (``_canonical``).  Element products, matrix
-products and the twisted power oracle run that one kernel through
+last base it is a prefix of (``_canonical``).  A chain also carries what
+the products learn about it: the first letter of X and bounds
+lo <= l <= hi on its prefix lengths, hi attained.  Every branch of a
+product compares prefix lengths with a whole length (the junction K, a
+filing threshold g + 1), so the bounds decide it exactly, and they move
+by the same shift or reflection as the keys.  A product step scans a
+chain for its ends only where a cancelled coefficient or a loose lower
+bound may have left hi unattained.  Element products, matrix products
+and the twisted power oracle run that one kernel through
 ``_chain_matmul``; element products are rows of r = 1 column.
 
 The chain data of a bouquet of r circles is the pair of ring matrices
@@ -187,126 +194,168 @@ class GroupRingElement:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _chains(row: list[dict[Word, int]]) -> list[tuple[Word, dict]]:
+def _chains(row: list[dict[Word, int]]) -> list[tuple]:
     """The canonical chains of a matrix row, given as the word -> coefficient
     dicts of its r entries: word w of entry j is the key |w| r + j."""
-    r, acc = len(row), {}
+    r, acc, overlaps = len(row), {}, set()
     for j, terms in enumerate(row):
         for w, c in terms.items():
-            acc.setdefault(w, {})[len(w) * r + j] = c
-    return _canonical(acc, r)
+            _merge(acc, w, {len(w) * r + j: c}, len(w), len(w), overlaps)
+    return _canonical(acc, r, overlaps)
 
 
-def _words(chains: list[tuple[Word, dict]], r: int) -> list[dict[Word, int]]:
+def _words(chains: list[tuple], r: int) -> list[dict[Word, int]]:
     """The word -> coefficient dicts of the r entries of a row of canonical
     chains."""
     row = [{} for _ in range(r)]
-    for X, keys in chains:
+    for X, keys, *_ in chains:
         for key, c in keys.items():
             l, j = divmod(key, r)
             row[j][X[:l]] = c
     return row
 
 
-def _canonical(acc: dict[Word, dict], r: int) -> list[tuple[Word, dict]]:
-    """The chains of a base -> {l r + j: coefficient} dict, each term filed
+def _canonical(acc: dict[Word, list], r: int, overlaps: set) -> list[tuple]:
+    """The canonical chains of an accumulator: acc maps a base X to its
+    entry [{l r + j: coefficient}, lo, hi], lo <= l <= hi for every key and
+    hi attained, and overlaps names the bases whose entries an overlapping
+    ``_merge`` may have left with a zero coefficient.  Each term is filed
     under the last base, in sorted order, that its word X[:l] is a prefix
-    of, and with no zero coefficient: a word has one term per column, so
-    the norm is the sum of the absolute coefficients.
+    of, and no coefficient is 0: a word has one term per column, so the
+    norm is the sum of the absolute coefficients.  A canonical chain is the
+    tuple (X, keys, lo, hi, first), first the first letter of X or 0 for
+    the empty base.
 
     The bases that start with a word are adjacent once sorted, so a term
     would move base by base: from X to the next base Y while l is at most
     the common prefix length g of X and Y (the empty word too, at g = 0),
-    that is while key < (g + 1) r.  Bases are reduced words, so no letter
-    is byte 0 and the lowest set bit of X ^ Y, read little-endian, lies in
+    that is while l < g + 1.  Bases are reduced words, so no letter is
+    byte 0 and the lowest set bit of X ^ Y, read little-endian, lies in
     byte g, also when X is a prefix of Y.  The term stops at the first base
-    from X on whose threshold (g + 1) r, 0 for the last base, is at most
-    its key.  Walking the bases backwards, a stack keeps the bases that can
-    be that first stop: the current base, then each next base of lower
-    threshold, so the thresholds increase up the stack and a stop is one
-    bisection.  A chain whose terms all stop at one base is handed over
-    whole; otherwise its keys are sorted once and the terms that stop are
-    peeled off the top by bisection, so a split costs the terms it moves.
+    from X on whose threshold g + 1, 0 for the last base, is at most its l.
+    Walking the bases backwards, a stack keeps the bases that can be that
+    first stop: the current base, then each next base of lower threshold,
+    so the thresholds increase up the stack and a stop is one bisection.
+    Every threshold is a whole prefix length, so the bounds decide exactly:
+    all terms of an entry stop at the stop of hi when lo reaches its
+    threshold, and the entry is handed over whole with its bounds.
+    Otherwise its keys are sorted once and the terms that stop are peeled
+    off the top by bisection, so a split costs the terms it moves, and
+    each piece reads its bounds from its end keys.
     """
+    for X in overlaps:
+        entry = _nonzero(acc[X][0], r)
+        if entry:
+            acc[X] = entry
+        else:
+            del acc[X]
     bases = sorted(acc)
-    filed: dict[Word, dict] = {}
+    filed: dict[Word, list] = {}
+    overlaps = set()
     thresholds, stops = [], []
     t, next_base = 0, None
     for X in reversed(bases):
         V = int.from_bytes(X, "little")
         if next_base is not None:
             x = V ^ next_base
-            t = (((x & -x).bit_length() - 1) >> 3) * r + r
+            t = (((x & -x).bit_length() - 1) >> 3) + 1
         next_base = V
         while thresholds and thresholds[-1] >= t:
             thresholds.pop()
             stops.pop()
         thresholds.append(t)
         stops.append(X)
-        terms = acc[X]
-        top = max(terms)
-        p = len(stops) - 1 if top >= t else bisect_right(thresholds, top) - 1
-        if min(terms) >= thresholds[p]:
-            _merge(filed, stops[p], terms)
+        terms, lo, hi = acc[X]
+        p = len(stops) - 1 if hi >= t else bisect_right(thresholds, hi) - 1
+        if lo >= thresholds[p]:
+            _merge(filed, stops[p], terms, lo, hi, overlaps)
             continue
         keys = sorted(terms)
-        hi = len(keys)
-        while hi:
-            p = bisect_right(thresholds, keys[hi - 1], 0, p + 1) - 1
-            lo = bisect_left(keys, thresholds[p], 0, hi)
-            _merge(filed, stops[p], {key: terms[key] for key in keys[lo:hi]})
-            hi = lo
+        top = len(keys)
+        while top:
+            hi = keys[top - 1] // r
+            p = bisect_right(thresholds, hi, 0, p + 1) - 1
+            bottom = bisect_left(keys, thresholds[p] * r, 0, top)
+            _merge(filed, stops[p],
+                   {key: terms[key] for key in keys[bottom:top]},
+                   keys[bottom] // r, hi, overlaps)
+            top = bottom
     out = []
     for X in bases:
-        keys = filed.get(X)
-        if keys and not all(keys.values()):
-            keys = {key: c for key, c in keys.items() if c}
-        if keys:
-            out.append((X, keys))
+        entry = filed.get(X)
+        if entry and X in overlaps:
+            entry = _nonzero(entry[0], r)
+        if entry:
+            keys, lo, hi = entry
+            out.append((X, keys, lo, hi, X[0] if X else 0))
     return out
 
 
-def _merge(acc: dict[Word, dict], base: Word, terms: dict[int, int]):
-    """Add the terms, a key -> coefficient dict that acc may keep, to the
-    chain of base in acc: the smaller dict goes into the larger."""
-    chain = acc.setdefault(base, terms)
-    if chain is terms:
+def _nonzero(keys: dict[int, int], r: int) -> list | None:
+    """The entry [keys, lo, hi] of the nonzero terms of a chain, with exact
+    bounds, or None when every coefficient is 0."""
+    keys = {key: c for key, c in keys.items() if c}
+    if keys:
+        return [keys, min(keys) // r, max(keys) // r]
+    return None
+
+
+def _merge(acc: dict[Word, list], base: Word, terms: dict[int, int],
+           lo: int, hi: int, overlaps: set):
+    """Add the terms, a key -> coefficient dict that acc may keep, with
+    bounds lo <= l <= hi and hi attained, to the entry of base in acc: the
+    smaller dict goes into the larger and the bounds widen to both.  A
+    merge that meets a key twice may leave a zero, and so a bound that is
+    not attained: its base goes into overlaps."""
+    entry = acc.get(base)
+    if entry is None:
+        acc[base] = [terms, lo, hi]
         return
+    chain = entry[0]
     if len(terms) > len(chain):
-        acc[base], chain, terms = terms, terms, chain
+        entry[0], chain, terms = terms, terms, chain
     if chain.keys().isdisjoint(terms):
         chain.update(terms)
     else:
+        overlaps.add(base)
         for key, c in terms.items():
             chain[key] = chain.get(key, 0) + c
+    if lo < entry[1]:
+        entry[1] = lo
+    if hi > entry[2]:
+        entry[2] = hi
 
 
-def _chain_matmul(left, right) -> list[list[tuple[Word, dict]]]:
+def _chain_matmul(left, right) -> list[list[tuple]]:
     """The canonical chains of each row of L R, for L given by its rows of
     entries, each an iterable of (word, coefficient) pairs in which a word
     may repeat, and R as the pair (r, its rows of canonical chains), r its
     number of columns.  Each operand is prepared once for
     ``_add_product``: a left word u as (u, coefficient, the inverse of its
-    last letter or -1, u^-1 as a little-endian integer, |u|), a right
-    chain as (X, its first letter or 0, X as a little-endian integer, keys,
-    smallest key, largest key).  -1 and 0 match no letter."""
+    last letter or -1, u^-1 as a little-endian integer, |u|), a right chain
+    as its canonical tuple and X as a little-endian integer.  -1 and 0
+    match no letter.  The integers live for one product: carried in the
+    chains, they would hold a second copy of every base's letters for as
+    long as the chains live, the last product's included."""
     r, rows = right
-    rows = [[(X, X[0] if X else 0, int.from_bytes(X, "little"), keys,
-              min(keys), max(keys)) for X, keys in y] for y in rows]
+    rows = [[(X, keys, lo, hi, first, int.from_bytes(X, "little"))
+             for X, keys, lo, hi, first in y] for y in rows]
     out = []
     for row in left:
-        acc: dict[Word, dict] = {}
+        acc: dict[Word, list] = {}
+        overlaps: set[Word] = set()
         for x, y in zip(row, rows):
             x = [(u, c, u[-1] ^ 32 if u else -1,
                   int.from_bytes(u.swapcase(), "big"), len(u))
                  for u, c in x]
-            _add_product(acc, x, y, r)
-        out.append(_canonical(acc, r))
+            _add_product(acc, x, y, r, overlaps)
+        out.append(_canonical(acc, r, overlaps))
     return out
 
 
-def _add_product(acc: dict, left: list[tuple], right: list[tuple], r: int):
-    """Add the chains of x * y into the base -> {key: coefficient} dict acc,
+def _add_product(acc: dict, left: list[tuple], right: list[tuple], r: int,
+                 overlaps: set):
+    """Add the chains of x * y into the accumulator acc of ``_canonical``,
     for the words of x and the chains of a row y of r columns prepared by
     ``_chain_matmul``.
 
@@ -321,25 +370,57 @@ def _add_product(acc: dict, left: list[tuple], right: list[tuple], r: int):
     when key >= K r; the first case adds (|u| - 2K) r to the key and the
     second maps it to |u| r - key + 2 j.  A term costs one shift of its
     key, and a word is built once per (u, X) pair, for every column.
+
+    The chain's bounds lo <= l <= hi move by the same shift or reflection,
+    and since K is a whole prefix length they tell which case each term is
+    in: all terms move on when lo >= K, all reflect when hi < K.  When
+    hi = K only the at most r terms at l = K move on, and they are looked
+    up.  A reflected part's upper bound |u| - lo is attained when lo is,
+    which r lookups tell; a loose lo costs a scan of that part.
     """
     for u, c1, last, T, n in left:
-        for X, first, V, keys, low, high in right:
-            k = 0
-            if first == last:
-                x = T ^ V
-                k = ((x & -x).bit_length() - 1) >> 3 if x else n
-            shift = (n - k - k) * r
-            if k and low < k * r:
-                kr, nr = k * r, n * r
-                _merge(acc, u, {nr - key + 2 * (key % r): c1 * c
-                                for key, c in keys.items() if key < kr})
-                if high < kr:
-                    continue
-                terms = {key + shift: c1 * c
-                         for key, c in keys.items() if key >= kr}
+        nr = n * r
+        for X, keys, lo, hi, first, V in right:
+            if first != last:
+                _merge(acc, u + X, {key + nr: c1 * c
+                                    for key, c in keys.items()},
+                       lo + n, hi + n, overlaps)
+                continue
+            x = T ^ V
+            k = ((x & -x).bit_length() - 1) >> 3 if x else n
+            m = n - k - k
+            if lo >= k:
+                shift = m * r
+                _merge(acc, u[:n - k] + X[k:],
+                       {key + shift: c1 * c for key, c in keys.items()},
+                       lo + m, hi + m, overlaps)
+                continue
+            if hi < k:
+                terms = {nr - key + 2 * (key % r): c1 * c
+                         for key, c in keys.items()}
+                bottom = n - hi
             else:
-                terms = {key + shift: c1 * c for key, c in keys.items()}
-            _merge(acc, u[:n - k] + X[k:], terms)
+                kr, shift = k * r, m * r
+                if hi == k:
+                    terms = {}
+                    for key in range(kr, kr + r):
+                        c = keys.get(key)
+                        if c:
+                            terms[key + shift] = c1 * c
+                else:
+                    terms = {key + shift: c1 * c
+                             for key, c in keys.items() if key >= kr}
+                _merge(acc, u[:n - k] + X[k:], terms, n - k, hi + m,
+                       overlaps)
+                terms = {nr - key + 2 * (key % r): c1 * c
+                         for key, c in keys.items() if key < kr}
+                if not terms:
+                    continue
+                bottom = n - k + 1
+            top = n - lo
+            if keys.keys().isdisjoint(range(lo * r, lo * r + r)):
+                top = max(terms) // r
+            _merge(acc, u, terms, bottom, top, overlaps)
 
 
 def ring_norm(x: GroupRingElement) -> int:
@@ -535,15 +616,21 @@ def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
     of the phi(a_j), so it gives the factor and the next images
     phi^n(a_j) = phi^(n-1)(phi(a_j)) at once, and no long word is ever
     pushed through phi letter by letter.  P_n stays in canonical row chains
-    from step to step, and its norm is read from their coefficients.
+    from step to step, and its norm is read from their coefficients.  A
+    word of A with a letter beyond the rank of phi raises ValueError before
+    any product is taken.
     """
     if A.rows != A.cols:
         raise NotSquare("twisted power of a non-square matrix")
     if N < 1:
         raise ValueError("n must be >= 1")
     entries = [[x.terms for x in row] for row in A.entries]
-    words = sorted({w for row in entries for terms in row for w in terms}
-                   | set(phi.images), key=len, reverse=True)
+    words = {w for row in entries for terms in row for w in terms}
+    for w in words:
+        if _outside_rank(w, phi.rank):
+            raise ValueError(f"word {word_to_str(w)!r} of the matrix uses a "
+                             f"generator beyond rank {phi.rank}")
+    words = sorted(words | set(phi.images), key=len, reverse=True)
     product = [_chains(row) for row in entries]
     norms = [matrix_norm(A)]
     images = phi.images
@@ -552,8 +639,8 @@ def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
         twisted = [[[(image[w], c) for w, c in terms.items()]
                     for terms in row] for row in entries]
         product = _chain_matmul(twisted, (A.cols, product))
-        norms.append(sum(sum(map(abs, keys.values())) for row in product
-                         for _, keys in row))
+        norms.append(sum(sum(map(abs, chain[1].values()))
+                         for row in product for chain in row))
         images = [image[w] for w in phi.images]
     return norms
 

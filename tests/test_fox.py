@@ -29,6 +29,7 @@ from twistedzeta import (
     twisted_power_norms,
     word_to_str,
 )
+from twistedzeta import fox
 from twistedzeta.fox import (
     _cancelled_length,
     _canonical,
@@ -250,16 +251,29 @@ class TestProductKernel:
 def assert_canonical(chains, r=1):
     """Sorted distinct bases, no zero coefficient, and every (word, column)
     filed once, under the last base that the word is a prefix of, for a
-    row of chains with keys l r + j."""
-    bases = [X for X, _ in chains]
+    row of chains (X, keys, lo, hi, first) with keys l r + j; each chain
+    carries the first letter of X (0 for the empty base) and bounds
+    lo <= l <= hi on its prefix lengths, hi attained."""
+    bases = [chain[0] for chain in chains]
     assert bases == sorted(set(bases))
-    filed = [(X[:key // r], key % r) for X, keys in chains for key in keys]
+    filed = [(X[:key // r], key % r) for X, keys, *_ in chains for key in keys]
     assert len(filed) == len(set(filed))
-    for i, (X, keys) in enumerate(chains):
+    for i, (X, keys, lo, hi, first) in enumerate(chains):
         assert keys and all(keys.values())
         for key in keys:
             assert 0 <= key < (len(X) + 1) * r
             assert not any(Y.startswith(X[:key // r]) for Y in bases[i + 1:])
+        assert first == (X[0] if X else 0)
+        assert all(lo <= key // r <= hi for key in keys)
+        assert max(keys) // r == hi
+
+
+def accumulator(acc, r):
+    """The accumulator of ``_canonical`` for a base -> {l r + j:
+    coefficient} dict with no zero coefficient: each entry with exact
+    bounds, and no base flagged."""
+    return {X: [dict(keys), min(keys) // r, max(keys) // r]
+            for X, keys in acc.items()}
 
 
 def brute_force_filing(acc, r):
@@ -285,8 +299,8 @@ def extending_letters(w, count):
 
 
 class TestPrefixChains:
-    """Chains (X, {l: c}) stand for sum c X[:l]; products and their
-    operands hold them in canonical form."""
+    """Chains (X, {l: c}, lo, hi, first) stand for sum c X[:l]; products and
+    their operands hold them in canonical form."""
 
     @given(cancelling_elements(1))
     @settings(max_examples=200, deadline=None)
@@ -313,7 +327,7 @@ class TestPrefixChains:
         [x] = elements
         assume(len({w[:1] for w in x.terms if w}) > 1)
         chains = _chains([{**x.terms, b"": c}])
-        assert [X for X, lengths in chains if 0 in lengths] == \
+        assert [X for X, lengths, *_ in chains if 0 in lengths] == \
             [chains[-1][0]]
         assert chains[-1][1][0] == c
 
@@ -329,7 +343,7 @@ class TestPrefixChains:
             for w, c in x.terms.items():
                 for e, sign in zip(extending_letters(w, copies), (1, -1, 1)):
                     acc[w + e] = {len(w): sign * c}
-            return _canonical(acc, 1)
+            return _canonical(accumulator(acc, 1), 1, set())
 
         assert filed(2) == []
         chains = filed(3)
@@ -376,10 +390,76 @@ class TestPrefixChains:
         for g in (100, 500, 900):
             acc[w[:g] + b"c"] = {g * r + 1: 2 - g % 5, 40 * r: 7,
                                  (g + 1) * r + 2: -1}
-        chains = _canonical({X: dict(keys) for X, keys in acc.items()}, r)
+        chains = _canonical(accumulator(acc, r), r, set())
         assert len(chains) == 4
         assert_canonical(chains, r)
-        assert chains == brute_force_filing(acc, r)
+        assert [chain[:2] for chain in chains] == brute_force_filing(acc, r)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_only_the_junction_terms_stay_above(self, r):
+        # u = w s times X = s^-1 cancels the whole base, K = |X| = hi: only
+        # the terms X, at l = K, move on, to w; the shorter prefixes of X
+        # reflect into prefixes of u
+        rng = random.Random(20 + r)
+        v = random_word(rng, 3, 80)
+        while len(v) < 30:
+            v = random_word(rng, 3, 80)
+        k = rng.randint(10, len(v) - 1)
+        u, X = v, word_inverse(v[k:])
+        row = [{X[:rng.randint(0, len(X) - 1)]: j + 1,
+                X[:rng.randint(0, len(X) - 1)]: -2} for j in range(r)]
+        for j in range(0, r, 2):
+            row[j][X] = 3 - j
+        [chain] = _chains(row)
+        assert chain[0] == X and chain[3] == len(X)
+        x = GroupRingElement.from_word(u, -2)
+        [chains] = _chain_matmul([[x.terms.items()]], (r, [[chain]]))
+        assert_canonical(chains, r)
+        columns = _words(chains, r)
+        for j in range(r):
+            assert columns[j] == reference_product(x, GroupRingElement(row[j]))
+
+    def test_zero_left_by_an_overlapping_merge(self):
+        # a bc and ab c are both abc, at key 3 of the base abc: the two
+        # terms cancel and leave ab alone, so the upper bound falls to 2
+        x = GroupRingElement({b"a": 1, b"ab": 1})
+        y = GroupRingElement({b"bc": 1, b"c": -1, b"b": 2})
+        [chains] = _chain_matmul([[x.terms.items()]],
+                                 (1, [_chains([y.terms])]))
+        assert_canonical(chains)
+        assert (b"abc", {2: 2}, 2, 2, ord("a")) in chains
+        assert _words(chains, 1) == [reference_product(x, y)]
+        assert (x * y).terms == reference_product(x, y)
+
+    @pytest.mark.parametrize("u, y, loose", [
+        # dA abc cancels one letter: ab and abc move on to dbc with the
+        # lower bound |u| - K = 1, which no term attains, and 1 reflects to
+        # dA.  CBD = (dbc)^-1 then cancels the whole base dbc: abc goes to
+        # 1 and db reflects to C, at length 1, not at |u| - lo = 2
+        (b"dA", {b"": 1, b"ab": -2, b"abc": 3}, b"dbc"),
+        # eCBA abcd cancels three letters: a reflects to eCB at length 3,
+        # under the lower bound |u| - K + 1 = 2.  abcE = (eCBA)^-1 then
+        # reflects the whole chain, hi = 3 < K = 4: eCB goes to a, at
+        # length 1, not at |u| - lo = 2
+        (b"eCBA", {b"a": 1, b"abcd": 5}, b"eCBA"),
+    ])
+    def test_loose_lower_bound_after_a_partial_cancellation(self, u, y,
+                                                             loose):
+        x = GroupRingElement.from_word(u, 2)
+        y = GroupRingElement(y)
+        z = GroupRingElement.from_word(word_inverse(loose), -1)
+        [chains] = _chain_matmul([[x.terms.items()]],
+                                 (1, [_chains([y.terms])]))
+        assert_canonical(chains)
+        assert _words(chains, 1) == [reference_product(x, y)]
+        [chain] = [chain for chain in chains if chain[0] == loose]
+        assert chain[2] < min(chain[1])
+        # the chain alone is a canonical row: no other base takes its terms
+        [chains] = _chain_matmul([[z.terms.items()]], (1, [[chain]]))
+        assert_canonical(chains)
+        [terms] = _words([chain], 1)
+        assert _words(chains, 1) == \
+            [reference_product(z, GroupRingElement(terms))]
 
 
 class TestFoxDerivative:
@@ -726,6 +806,23 @@ class TestTwistedPowerNorms:
         norms = twisted_power_norms(phi, jacobian(phi), 6)
         assert norms == power_image_lengths(phi, 6)
         assert norms[-1] == 20295
+
+    def test_whole_junction_cancelled_at_every_step(self):
+        # every product has a pair u X with u = X^-1, which cancels the
+        # whole base, K = |X| = hi, and moves on only the terms at l = K
+        phi = FreeGroupEndo.from_strings(2, ["BB", "baa"])
+        norms = twisted_power_norms(phi, jacobian(phi), 8)
+        assert norms == power_image_lengths(phi, 8)
+        assert norms[-1] == 1687
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matrix_words_beyond_the_rank(self, N, monkeypatch):
+        # the letter c has no image under a rank-2 phi: no product is taken
+        monkeypatch.setattr(fox, "_chain_matmul", None)
+        phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
+        A = GroupRingMatrix([[GroupRingElement.from_word(b"c")]])
+        with pytest.raises(ValueError, match="beyond rank 2"):
+            twisted_power_norms(phi, A, N)
 
     def test_word_longer_than_the_recursion_limit(self):
         # the prefix sweep walks the 1500 prefixes of w in a loop

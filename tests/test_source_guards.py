@@ -150,7 +150,8 @@ def test_image_lengths_and_ring_products_stay_apart():
     # words the module reduced itself: they build no FreeGroupEndo, whose
     # construction would validate every long image again at each step.
     ring_words = {"_join", "apply_word", "_prefix_images", "_add_product"}
-    chains = {"_chain_matmul", "_canonical", "_merge", "_chains", "_words"}
+    chains = {"_chain_matmul", "_canonical", "_merge", "_chains", "_words",
+              "_nonzero"}
     image_words = {"_reduced_product", "_cancelled_length"}
     lengths = _reached_names("fox", "power_image_lengths")
     products = _reached_names("fox", "twisted_power_norms")
