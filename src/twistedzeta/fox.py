@@ -15,8 +15,8 @@ column j.  A word u times a chain cancels at one junction, found once per
 then moves by one integer shift (``_add_product``), so a term costs an
 integer, not a new word.  Canonical form files every term once, at the
 last base it is a prefix of (``_canonical``).  A chain also carries what
-the products learn about it: the first letter of X and bounds
-lo <= l <= hi on its prefix lengths, hi attained.  Every branch of a
+the products learn about it: bounds lo <= l <= hi on its prefix lengths,
+hi attained.  Every branch of a
 product compares prefix lengths with a whole length (the junction K, a
 filing threshold g + 1), so the bounds decide it exactly, and they move
 by the same shift or reflection as the keys.  A product step scans a
@@ -208,7 +208,7 @@ def _words(chains: list[tuple], r: int) -> list[dict[Word, int]]:
     """The word -> coefficient dicts of the r entries of a row of canonical
     chains."""
     row = [{} for _ in range(r)]
-    for X, keys, *_ in chains:
+    for X, keys, _, _ in chains:
         for key, c in keys.items():
             l, j = divmod(key, r)
             row[j][X[:l]] = c
@@ -223,8 +223,7 @@ def _canonical(acc: dict[Word, list], r: int, overlaps: set) -> list[tuple]:
     under the last base, in sorted order, that its word X[:l] is a prefix
     of, and no coefficient is 0: a word has one term per column, so the
     norm is the sum of the absolute coefficients.  A canonical chain is the
-    tuple (X, keys, lo, hi, first), first the first letter of X or 0 for
-    the empty base.
+    tuple (X, keys, lo, hi).
 
     The bases that start with a word are adjacent once sorted, so a term
     would move base by base: from X to the next base Y while l is at most
@@ -286,8 +285,7 @@ def _canonical(acc: dict[Word, list], r: int, overlaps: set) -> list[tuple]:
         if entry and X in overlaps:
             entry = _nonzero(entry[0], r)
         if entry:
-            keys, lo, hi = entry
-            out.append((X, keys, lo, hi, X[0] if X else 0))
+            out.append((X, *entry))
     return out
 
 
@@ -333,13 +331,14 @@ def _chain_matmul(left, right) -> list[list[tuple]]:
     number of columns.  Each operand is prepared once for
     ``_add_product``: a left word u as (u, coefficient, the inverse of its
     last letter or -1, u^-1 as a little-endian integer, |u|), a right chain
-    as its canonical tuple and X as a little-endian integer.  -1 and 0
-    match no letter.  The integers live for one product: carried in the
-    chains, they would hold a second copy of every base's letters for as
-    long as the chains live, the last product's included."""
+    as its canonical tuple, the first letter of X or 0, and X as a
+    little-endian integer.  -1 and 0 match no letter.  The integers live
+    for one product: carried in the chains, they would hold a second copy
+    of every base's letters for as long as the chains live, the last
+    product's included."""
     r, rows = right
-    rows = [[(X, keys, lo, hi, first, int.from_bytes(X, "little"))
-             for X, keys, lo, hi, first in y] for y in rows]
+    rows = [[(X, keys, lo, hi, X[0] if X else 0, int.from_bytes(X, "little"))
+             for X, keys, lo, hi in y] for y in rows]
     out = []
     for row in left:
         acc: dict[Word, list] = {}
@@ -373,10 +372,10 @@ def _add_product(acc: dict, left: list[tuple], right: list[tuple], r: int,
 
     The chain's bounds lo <= l <= hi move by the same shift or reflection,
     and since K is a whole prefix length they tell which case each term is
-    in: all terms move on when lo >= K, all reflect when hi < K.  When
-    hi = K only the at most r terms at l = K move on, and they are looked
-    up.  A reflected part's upper bound |u| - lo is attained when lo is,
-    which r lookups tell; a loose lo costs a scan of that part.
+    in: all terms move on when lo >= K, all reflect when hi < K, and
+    otherwise the keys are split at K r.  A reflected part's upper bound
+    |u| - lo is attained when lo is, which r lookups tell; a loose lo costs
+    a scan of that part.
     """
     for u, c1, last, T, n in left:
         nr = n * r
@@ -401,15 +400,8 @@ def _add_product(acc: dict, left: list[tuple], right: list[tuple], r: int,
                 bottom = n - hi
             else:
                 kr, shift = k * r, m * r
-                if hi == k:
-                    terms = {}
-                    for key in range(kr, kr + r):
-                        c = keys.get(key)
-                        if c:
-                            terms[key + shift] = c1 * c
-                else:
-                    terms = {key + shift: c1 * c
-                             for key, c in keys.items() if key >= kr}
+                terms = {key + shift: c1 * c
+                         for key, c in keys.items() if key >= kr}
                 _merge(acc, u[:n - k] + X[k:], terms, n - k, hi + m,
                        overlaps)
                 terms = {nr - key + 2 * (key % r): c1 * c

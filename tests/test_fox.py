@@ -251,19 +251,18 @@ class TestProductKernel:
 def assert_canonical(chains, r=1):
     """Sorted distinct bases, no zero coefficient, and every (word, column)
     filed once, under the last base that the word is a prefix of, for a
-    row of chains (X, keys, lo, hi, first) with keys l r + j; each chain
-    carries the first letter of X (0 for the empty base) and bounds
-    lo <= l <= hi on its prefix lengths, hi attained."""
-    bases = [chain[0] for chain in chains]
+    row of chains (X, keys, lo, hi) with keys l r + j; each chain carries
+    bounds lo <= l <= hi on its prefix lengths, hi attained."""
+    bases = [X for X, _, _, _ in chains]
     assert bases == sorted(set(bases))
-    filed = [(X[:key // r], key % r) for X, keys, *_ in chains for key in keys]
+    filed = [(X[:key // r], key % r)
+             for X, keys, _, _ in chains for key in keys]
     assert len(filed) == len(set(filed))
-    for i, (X, keys, lo, hi, first) in enumerate(chains):
+    for i, (X, keys, lo, hi) in enumerate(chains):
         assert keys and all(keys.values())
         for key in keys:
             assert 0 <= key < (len(X) + 1) * r
             assert not any(Y.startswith(X[:key // r]) for Y in bases[i + 1:])
-        assert first == (X[0] if X else 0)
         assert all(lo <= key // r <= hi for key in keys)
         assert max(keys) // r == hi
 
@@ -299,8 +298,8 @@ def extending_letters(w, count):
 
 
 class TestPrefixChains:
-    """Chains (X, {l: c}, lo, hi, first) stand for sum c X[:l]; products and
-    their operands hold them in canonical form."""
+    """Chains (X, {l: c}, lo, hi) stand for sum c X[:l]; products and their
+    operands hold them in canonical form."""
 
     @given(cancelling_elements(1))
     @settings(max_examples=200, deadline=None)
@@ -327,7 +326,7 @@ class TestPrefixChains:
         [x] = elements
         assume(len({w[:1] for w in x.terms if w}) > 1)
         chains = _chains([{**x.terms, b"": c}])
-        assert [X for X, lengths, *_ in chains if 0 in lengths] == \
+        assert [X for X, lengths, _, _ in chains if 0 in lengths] == \
             [chains[-1][0]]
         assert chains[-1][1][0] == c
 
@@ -427,7 +426,7 @@ class TestPrefixChains:
         [chains] = _chain_matmul([[x.terms.items()]],
                                  (1, [_chains([y.terms])]))
         assert_canonical(chains)
-        assert (b"abc", {2: 2}, 2, 2, ord("a")) in chains
+        assert (b"abc", {2: 2}, 2, 2) in chains
         assert _words(chains, 1) == [reference_product(x, y)]
         assert (x * y).terms == reference_product(x, y)
 
