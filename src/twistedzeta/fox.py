@@ -16,14 +16,14 @@ then moves by one integer shift (``_add_product``), so a term costs an
 integer, not a new word.  Canonical form files every term once, at the
 last base it is a prefix of (``_canonical``).  A chain also carries what
 the products learn about it: bounds lo <= l <= hi on its prefix lengths,
-hi attained.  Every branch of a
-product compares prefix lengths with a whole length (the junction K, a
-filing threshold g + 1), so the bounds decide it exactly, and they move
-by the same shift or reflection as the keys.  A product step scans a
-chain for its ends only where a cancelled coefficient or a loose lower
-bound may have left hi unattained.  Element products, matrix products
-and the twisted power oracle run that one kernel through
-``_chain_matmul``; element products are rows of r = 1 column.
+hi attained.  Every branch of a product compares prefix lengths with a
+whole length (the junction K, a filing threshold g + 1), so the bounds
+decide it exactly, and they move by the same shift or reflection as the
+keys.  A product step scans a chain for its ends only where a cancelled
+coefficient or a loose lower bound may have left hi unattained.  Element
+products, matrix products and the twisted power oracle run that one
+kernel through ``_chain_matmul``; element products are rows of r = 1
+column.
 
 The chain data of a bouquet of r circles is the pair of ring matrices
 (1) and D = (d b_i / d a_j); the two radius bounds are the reciprocals of
