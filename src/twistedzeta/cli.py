@@ -42,7 +42,6 @@ from .fox import (
     FreeGroupEndo,
     chain_matrices,
     chain_radius_bounds,
-    matrix_norm,
     power_image_lengths,
     twisted_power_norms,
 )
@@ -406,14 +405,13 @@ def _torsion(doc, report):
 def _bounds(doc, report):
     # The spectral bound is at least the norm bound when every Perron root
     # is at most the largest chain norm N: root <= N exactly when hi <= N 2^e.
-    chain = doc.objects["chain"]
-    bounds = chain_radius_bounds(chain)
-    norms = [matrix_norm(A) for A in chain]
+    bounds = chain_radius_bounds(doc.objects["chain"])
+    largest = max(bounds.chain_norms)
     return {
         "norm_bound": str(bounds.bound_norm),
         "spectral_bound": bounds.bound_spectral,
-        "chain_norms": norms,
-    }, all(hi <= max(norms) << e for _, hi, e in bounds.spectral_brackets)
+        "chain_norms": list(bounds.chain_norms),
+    }, all(hi <= largest << e for _, hi, e in bounds.spectral_brackets)
 
 
 def _twisted_power_norms(doc, report):

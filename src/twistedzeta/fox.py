@@ -526,9 +526,9 @@ def matrix_norm(A: GroupRingMatrix) -> int:
 
 
 def matrix_of_norms(A: GroupRingMatrix) -> IntMatrix:
-    return IntMatrix(
-        [[ring_norm(x) for x in row] for row in A.entries],
-        rows=A.rows, cols=A.cols)
+    return IntMatrix._trusted(
+        tuple(tuple(ring_norm(x) for x in row) for row in A.entries),
+        A.rows, A.cols)
 
 
 class SpectralRadius(NamedTuple):
@@ -574,21 +574,24 @@ class RadiusBounds(NamedTuple):
     bound_norm: Fraction
     bound_spectral: float
     spectral_brackets: tuple[tuple[int, int, int], ...]
+    chain_norms: tuple[int, ...]
 
 
 def chain_radius_bounds(mats: list[GroupRingMatrix]) -> RadiusBounds:
     """Two lower bounds for the Nielsen-zeta radius of convergence.
 
     1 / max_d ||F_d|| and 1 / max_d s(F_d^norm) over the chain matrices,
-    with the exact bracket of each s(F_d^norm).  Prefixing every basis word
-    with the mapping-torus generator is a bijection on basis elements, so
-    the extra letter never changes a norm.
+    with the exact bracket of each s(F_d^norm) and each norm ||F_d||, the
+    entry sum of F_d^norm.  Prefixing every basis word with the
+    mapping-torus generator is a bijection on basis elements, so the extra
+    letter never changes a norm.
     """
-    max_norm = max(matrix_norm(A) for A in mats)
-    radii = [spectral_radius(matrix_of_norms(A)) for A in mats]
-    return RadiusBounds(Fraction(1, max_norm),
+    norm_matrices = [matrix_of_norms(A) for A in mats]
+    norms = tuple(sum(map(sum, N.entries)) for N in norm_matrices)
+    radii = [spectral_radius(N) for N in norm_matrices]
+    return RadiusBounds(Fraction(1, max(norms)),
                         1.0 / max(r.value for r in radii),
-                        tuple(r.bracket for r in radii))
+                        tuple(r.bracket for r in radii), norms)
 
 
 def nielsen_radius_bounds(phi: FreeGroupEndo) -> RadiusBounds:

@@ -6,8 +6,12 @@ unimodular transforms, exterior powers as compound matrices, and facts
 about eigenvalues read off the characteristic polynomial by integer
 pseudo-division: real-root counts and a bracket of the largest real root by
 Sturm sequences, and root-of-unity eigenvalues by cyclotomic divisors.
-Everything is arbitrary precision; no floating point enters any of these
-computations.
+Sturm counts are taken at finite points only where the polynomial may have
+roots on either side; beyond every root they equal the counts at +-oo,
+which the leading coefficients give.  The largest root's last bits come
+from integer Newton steps that only propose a cell, kept when signs confirm
+it.  Everything is arbitrary precision; no floating point enters any of
+these computations.
 """
 
 from __future__ import annotations
@@ -184,11 +188,7 @@ class IntPolynomial:
     def __call__(self, x, q=1):
         """p(x); with q, q^deg p * p(x/q), which for q > 0 has the sign of
         p(x/q) and is an integer for an integer x."""
-        acc, power = 0, 1
-        for c in reversed(self.coefficients):
-            acc = acc * x + c * power
-            power *= q
-        return acc
+        return _value(self.coefficients, x, q)
 
     def pseudo_divmod(self, divisor: "IntPolynomial"):
         """(q, r) with |lc(b)|^e a = q b + r and deg r < deg b, where a is
@@ -198,20 +198,7 @@ class IntPolynomial:
         true remainder (what Sturm sequences need); for a monic b it is 1
         and this is exact division.
         """
-        b = divisor.coefficients
-        if not b:
-            raise ZeroDivisionError("pseudo-division by the zero polynomial")
-        scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-        r = list(self.coefficients)
-        q = [0] * max(len(r) - len(b) + 1, 0)
-        for i in reversed(range(len(q))):
-            c = sign * r[i + len(b) - 1]
-            if scale != 1:
-                r = [scale * x for x in r]
-                q = [scale * x for x in q]
-            q[i] += c
-            for j, bj in enumerate(b):
-                r[i + j] -= c * bj
+        q, r = _pseudo_divmod(self.coefficients, divisor.coefficients)
         return IntPolynomial(q), IntPolynomial(r)
 
     def __repr__(self):
@@ -449,27 +436,86 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
 
 
 # -- eigenvalues from the characteristic polynomial --------------------------
+#
+# The kernel works on coefficient tuples as IntPolynomial stores them:
+# ascending, with no zero leading coefficient, the zero polynomial empty.
 
-def _sturm_sequence(p: IntPolynomial) -> list[IntPolynomial]:
+def _value(c: tuple[int, ...], x: int, q: int = 1) -> int:
+    """q^deg c * c(x/q) by Horner's rule: the sign of c(x/q) for q > 0."""
+    acc, power = 0, 1
+    for a in reversed(c):
+        acc = acc * x + a * power
+        power *= q
+    return acc
+
+
+def _derivative(c: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(e * a for e, a in enumerate(c))[1:]
+
+
+def _pseudo_divmod(a: tuple[int, ...], b: tuple[int, ...]
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``IntPolynomial.pseudo_divmod`` on coefficient tuples."""
+    if not b:
+        raise ZeroDivisionError("pseudo-division by the zero polynomial")
+    scale, sign, d = abs(b[-1]), (1 if b[-1] > 0 else -1), len(b) - 1
+    r = list(a)
+    q = [0] * max(len(r) - d, 0)
+    for i in reversed(range(len(q))):
+        c = sign * r.pop()  # the coefficient of x^(i + d) it cancels
+        if scale != 1:
+            r = [scale * x for x in r]
+            q = [scale * x for x in q]
+        q[i] += c
+        for j in range(d):
+            r[i + j] -= c * b[j]
+    while q and not q[-1]:
+        q.pop()
+    while r and not r[-1]:
+        r.pop()
+    return tuple(q), tuple(r)
+
+
+def _sturm_sequence(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     """p, p', then each negated pseudo-remainder as its primitive part, up
-    to the last nonzero one, which is gcd(p, p') times a constant.
+    to the last nonzero one, which is gcd(p, p') times a constant.  A
+    constant member is the last: it leaves no remainder.
 
     Every step multiplies the true Sturm remainder by a positive integer, so
     the sign variations are those of the rational Sturm sequence.
     """
-    seq = [p, IntPolynomial([e * c for e, c in enumerate(p.coefficients)][1:])]
-    while True:
-        _, r = seq[-2].pseudo_divmod(seq[-1])
-        if r.is_zero():
-            return seq
-        content = math.gcd(*r.coefficients)
-        seq.append(IntPolynomial([-c // content for c in r.coefficients]))
+    seq = [p, _derivative(p)]
+    while len(seq[-1]) > 1:
+        r = _pseudo_divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        content = math.gcd(*r)
+        seq.append(tuple(-c // content for c in r))
+    return seq
 
 
-def _sign_variations(seq: list[IntPolynomial], a: int, q: int) -> int:
+def _variations(values: list[int]) -> int:
+    """Sign changes along the nonzero values."""
+    count, last = 0, 0
+    for v in values:
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _sign_variations(seq: list[tuple[int, ...]], a: int, q: int = 1) -> int:
     """Sign variations of the sequence at the rational point a/q, q > 0."""
-    signs = [v > 0 for v in (s(a, q) for s in seq) if v]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+    return _variations([_value(s, a, q) for s in seq])
+
+
+def _variations_at_infinity(seq: list[tuple[int, ...]], negative: bool
+                            ) -> int:
+    """Sign variations of the sequence at -oo (negative) or +oo: each
+    member has the sign of its leading term there, times (-1)^deg at -oo."""
+    return _variations([-s[-1] if negative and len(s) % 2 == 0 else s[-1]
+                        for s in seq])
 
 
 def count_eigen_signs(cp: IntPolynomial) -> tuple[int, int]:
@@ -484,20 +530,22 @@ def count_eigen_signs(cp: IntPolynomial) -> tuple[int, int]:
     points that are not roots.  Summed over g_0 = cp and
     g_(i+1) = gcd(g_i, g_i'), the last element of the sequence of g_i, a
     root of multiplicity m is counted once in each of g_0..g_(m-1).  Every
-    g_i divides g_0, so none vanishes at +-1, and none at +-B with
-    B = 2 + max |c_j|, beyond the Cauchy bound of the monic g_0.
+    g_i divides g_0, so none vanishes at +-1.  The count of a Sturm
+    sequence changes only at a root of g, so beyond every root it is its
+    count at +-oo, read from the leading coefficients: each g_i costs two
+    evaluations, at -1 and 1.
     """
-    if cp(1) == 0 or cp(-1) == 0:
+    c = cp.coefficients
+    if _value(c, 1) == 0 or _value(c, -1) == 0:
         raise EigenvalueOnBoundary("matrix has an eigenvalue equal to +1 or -1")
-    bound = 2 + max(map(abs, cp.coefficients))
     below = beyond = 0
-    g = cp
-    while g.degree > 0:
-        seq = _sturm_sequence(g)
-        v = [_sign_variations(seq, x, 1) for x in (-bound, -1, 1, bound)]
-        below += v[0] - v[1]
-        beyond += v[2] - v[3]
-        g = seq[-1]
+    while len(c) > 1:
+        seq = _sturm_sequence(c)
+        below += (_variations_at_infinity(seq, True)
+                  - _sign_variations(seq, -1))
+        beyond += (_sign_variations(seq, 1)
+                   - _variations_at_infinity(seq, False))
+        c = seq[-1]
     return below, below + beyond
 
 
@@ -506,54 +554,95 @@ def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
     largest real root x of a monic p; ValueError if p has no real root.
 
     Sturm counts on the squarefree part s = p / gcd(p, p') (at a multiple
-    root every member of the sequence of p vanishes) find the integer m
-    with x in (m, m + 1], and lo = hi when x = m + 1.  Otherwise x is not
-    rational, as a rational root of a monic p is an integer: (m, m + 1) is
-    halved by Sturm counts until x is the only root above lo, then by the
-    sign of s, to about 2^-53 of x.  As the bracket stays within [m, m + 1],
-    x <= N exactly when hi <= N 2^e, for every integer N.
+    root every member of the sequence of p vanishes) decide every step but
+    the last.  The count beyond every root is the count at +oo, read from
+    the leading coefficients, and p has no real root when it equals the
+    count at -oo.  Counts at 0, +-1, +-2, +-4, ... gallop out to the integer
+    m with x in (m, m + 1], then halve to it; lo = hi when x = m + 1.
+    Otherwise x is not rational, as a rational root of a monic p is an
+    integer: (m, m + 1) is halved by Sturm counts until x is the only root
+    above lo.  Then s changes sign at x alone within the bracket, and
+    Newton steps from its midpoint propose a narrower cell at a finer
+    exponent, kept only when it lies in the bracket and the signs of s at
+    its two ends confirm it; any other step halves the bracket by the sign
+    at the midpoint.  This stops at the first exponent with
+    max(-lo, hi) >= 2^53, about 2^-53 of x, and no step passes that
+    exponent, so the cell is the one halving alone would reach.  As the
+    bracket stays within [m, m + 1], x <= N exactly when hi <= N 2^e, for
+    every integer N.
     """
     if p.degree < 1 or p.coefficients[-1] != 1:
         raise ValueError("largest_real_root needs a monic, non-constant p")
-    s = p
-    seq = _sturm_sequence(p)
-    if seq[-1].degree > 0:  # gcd(p, p'): p has a multiple root
-        s, _ = p.pseudo_divmod(seq[-1])
+    s = p.coefficients
+    seq = _sturm_sequence(s)
+    if len(seq[-1]) > 1:  # gcd(p, p'): p has a multiple root
+        s = _pseudo_divmod(s, seq[-1])[0]
         seq = _sturm_sequence(s)
-    bound = 2 + max(map(abs, p.coefficients))  # beyond every root
-    top = _sign_variations(seq, bound, 1)
+    top = _variations_at_infinity(seq, False)
 
-    def above(a, e):  # the number of roots in (a/2^e, bound)
+    def above(a, e=0):  # the number of roots in (a/2^e, +oo)
         return _sign_variations(seq, a, 1 << e) - top
 
-    if not above(-bound, 0):
+    if _variations_at_infinity(seq, True) == top:
         raise ValueError("polynomial has no real root")
-    lo, hi = -bound, bound
+    if above(0):
+        lo, hi = 0, 1
+        while above(hi):
+            lo, hi = hi, 2 * hi
+    else:
+        lo, hi = -1, 0
+        while not above(lo):
+            lo, hi = 2 * lo, lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if above(mid, 0) else (lo, mid)
-    if s(hi) == 0:
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    if _value(s, hi) == 0:
         return hi, hi, 0
     e = 0
     while above(lo, e) > 1:
         lo, hi, e = 2 * lo, 2 * hi, e + 1
         lo, hi = (lo + 1, hi) if above(lo + 1, e) else (lo, lo + 1)
-    sign_above = s(hi, 1 << e) > 0
+    # Within the bracket x is the one root of s, simple and irrational: s
+    # has the sign of its leading coefficient right of x, the other sign
+    # left of it, and no zero at a dyadic point strictly inside.
+    positive = s[-1] > 0
+    ds = seq[1]  # s', the second member of its Sturm sequence
     while max(-lo, hi) < 1 << 53:
-        lo, hi, e = 2 * lo, 2 * hi, e + 1
-        if (s(lo + 1, 1 << e) > 0) == sign_above:
-            hi = lo + 1
+        mid, f = 2 * lo + 1, e + 1  # the midpoint m = mid / 2^f
+        v = _value(s, mid, 1 << f)
+        # From m, Newton's error is about the square of the cell width, so
+        # a cell at exponent 2e is usually confirmed.  A jump of k halvings
+        # skips only exponents where max(-lo, hi) < 2^53 whatever the cell.
+        k = min(e, 54 - max(hi, -lo).bit_length())
+        if k > 1:
+            d = _value(ds, mid, 1 << f)
+            if d:
+                # floor(y 2^(e + k)) for the Newton point y = m - s(m)/s'(m)
+                a = ((mid * d - v) << (k - 1)) // d
+                low, high, g = lo << k, hi << k, e + k
+                if (low <= a < high
+                        and (a == low
+                             or (_value(s, a, 1 << g) > 0) != positive)
+                        and (a + 1 == high
+                             or (_value(s, a + 1, 1 << g) > 0) == positive)):
+                    lo, hi, e = a, a + 1, g
+                    continue
+        if (v > 0) == positive:
+            lo, hi, e = 2 * lo, mid, f
         else:
-            lo += 1
+            lo, hi, e = mid, 2 * hi, f
     return lo, hi, e
 
 
-# Phi_n for every n some call has needed, and Euler's phi(n) for every n
-# scanned so far (index n).  Both hold exact constants, so one table per
-# process serves every caller, and neither grows past the 2 max_degree^2 of
-# the largest degree asked for.
+# Phi_n for every n some call has needed, Euler's phi(n) for every n
+# scanned so far (index n), and for each degree d that
+# ``first_cyclotomic_factor`` met, the (n, Phi_n coefficients) with
+# phi(n) <= d.  All hold exact constants, so one table per process serves
+# every caller, and none grows past the 2 max_degree^2 of the largest
+# degree asked for.
 _CYCLOTOMIC: dict[int, IntPolynomial] = {}
 _TOTIENTS = [0]
+_CYCLOTOMIC_UP_TO: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
 
 def _totient(n: int) -> int:
@@ -601,5 +690,11 @@ def first_cyclotomic_factor(cp: IntPolynomial) -> int | None:
     order d | n, and then its minimal polynomial Phi_d divides cp.  Only
     Phi_d with phi(d) <= deg cp can.
     """
-    return next((n for n, phi in cyclotomic_polynomials(cp.degree)
-                 if cp.pseudo_divmod(phi)[1].is_zero()), None)
+    table = _CYCLOTOMIC_UP_TO.get(cp.degree)
+    if table is None:
+        table = _CYCLOTOMIC_UP_TO[cp.degree] = tuple(
+            (n, phi.coefficients)
+            for n, phi in cyclotomic_polynomials(cp.degree))
+    c = cp.coefficients
+    return next((n for n, phi in table if not _pseudo_divmod(c, phi)[1]),
+                None)

@@ -625,6 +625,10 @@ class TestRadiusBounds:
             phi = FreeGroupEndo(rank, tuple(images))
             bounds = nielsen_radius_bounds(phi)
             assert bounds.bound_spectral >= float(bounds.bound_norm) - 1e-12
+            # each chain norm is the entry sum of its matrix of norms
+            assert bounds.chain_norms == tuple(
+                matrix_norm(A) for A in chain_matrices(phi))
+            assert bounds.bound_norm == Fraction(1, max(bounds.chain_norms))
 
 
 class TestTwistedPowers:

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistedzeta import (
@@ -30,6 +30,8 @@ from twistedzeta.intlinalg import (
     unimodular_inverse,
 )
 from twistedzeta.zeta import check_all_iterates_finite
+
+import root_reference
 
 
 def random_matrix(rng, k, lo=-5, hi=5):
@@ -424,6 +426,120 @@ class TestLargestRealRoot:
             largest_real_root(IntPolynomial([-2, 0, 2]))
         with pytest.raises(ValueError):
             largest_real_root(IntPolynomial([5]))
+
+
+def outcome(f, p):
+    """The value of f(p), or the type and message of what it raised."""
+    try:
+        return "value", f(p)
+    except (ValueError, EigenvalueOnBoundary) as exc:
+        return type(exc), str(exc)
+
+
+def assert_root_facts_match_reference(p):
+    """The bracket of the largest real root and the eigenvalue sign counts
+    equal those of the reference versions, errors included."""
+    assert (outcome(largest_real_root, p)
+            == outcome(root_reference.largest_real_root, p)), p
+    assert (outcome(count_eigen_signs, p)
+            == outcome(root_reference.count_eigen_signs, p)), p
+
+
+def monic(coefficients):
+    return IntPolynomial([*coefficients, 1])
+
+
+class TestRootFactsMatchReference:
+    """Sturm counts read at +-oo, the galloping integer cell and the
+    checked Newton finish give exactly what counts at +-B, bisection of
+    [-B, B] and one halving per bit give."""
+
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=5),
+           st.lists(st.integers(1, 3), min_size=1, max_size=5),
+           st.lists(st.integers(1, 30), max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_repeated_and_negative_roots(self, roots, copies,
+                                                 no_real):
+        # integer roots with multiplicities, times x^2 + c without a real
+        # root: the largest root is an integer of either sign, and a
+        # multiple root makes s = p / gcd(p, p') the polynomial counted
+        roots = list(zip(roots, copies))
+        p = linear_factors(*[a for a, m in roots for _ in range(m)])
+        for c in no_real:
+            p = p * IntPolynomial([c, 0, 1])
+        x = max(a for a, _ in roots)
+        assert largest_real_root(p) == (x, x, 0)
+        assert_root_facts_match_reference(p)
+
+    @given(st.integers(2, 10 ** 12), st.integers(1, 3), st.integers(-3, 3))
+    @example(63383685, 1, 0)  # roots 6.3e-5 apart
+    @settings(max_examples=150, deadline=None)
+    def test_close_roots_need_isolation(self, d, gap, shift):
+        # sqrt(d) and sqrt(d + gap) (or an integer next to sqrt(d)) lie in
+        # one integer cell, which the Sturm counts halve before the last
+        # stage until the largest root is alone above lo
+        p = (IntPolynomial([-d, 0, 1]) * IntPolynomial([-d - gap, 0, 1])
+             * linear_factors(math.isqrt(d) + shift))
+        assert_root_facts_match_reference(p)
+        assert_root_facts_match_reference(
+            IntPolynomial([-d, 0, 1]) * IntPolynomial([-d - gap, 0, 1]))
+
+    @given(st.integers(2, 60), st.integers(10 ** 6, 10 ** 18),
+           st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_large_coefficients(self, d, n, a):
+        # B = 2 + max |c_i| is far beyond the largest root sqrt(d) or a
+        p = IntPolynomial([-d, 0, 1]) * IntPolynomial([n, 1])
+        assert_root_facts_match_reference(p)
+        assert_root_facts_match_reference(p * linear_factors(a))
+
+    @pytest.mark.parametrize("degree, m, sign", [
+        (3, 1 << 27, 1), (3, 1 << 27, -1), (3, 3 << 26, 1),
+        (4, 1 << 18, 1), (4, 1 << 18, -1), (5, 1 << 14, 1),
+        (5, 5 << 11, -1)])
+    def test_roots_near_a_dyadic_point(self, degree, m, sign):
+        # x^degree - (m^degree +- 1) has the root x = m +- delta with
+        # 0 < delta <= 2^-55: the cell boundary at m is closer to x than
+        # any Newton step resolves, so the last cells come from midpoints
+        p = monic([-(m ** degree + sign)] + [0] * (degree - 1))
+        lo, hi, e = largest_real_root(p)
+        assert (lo if sign > 0 else hi) == m << e
+        assert_root_facts_match_reference(p)
+
+    @pytest.mark.parametrize("coefficients", [
+        # (x^2 - 20)(x - 4)^3: the triple root 4 is the cell's lower end
+        [1280, -960, 176, 28, -12],
+        [9534829730263892189256, 0, -195292905455, 0],
+        [-72, -432, -396, 840, 510, -804, 235, -26],
+        [43, -22, -20, -10, 13, 37],
+        [9, -18, 9, 6, -6, 0],
+        # x^8 + 37449 x^7 - x: the root 0.17.. is isolated in (0, 1/4), and
+        # the derivative vanishes at its midpoint 1/8
+        [0, -1, 0, 0, 0, 0, 0, 37449]])
+    def test_newton_proposals_checked(self, coefficients):
+        # in the first three the Newton point of some step falls outside
+        # the bracket, in the next two a proposed cell has a wrong upper
+        # end, and in the last a Newton step has no slope; each such step
+        # must take the midpoint
+        assert_root_facts_match_reference(monic(coefficients))
+
+    @given(st.lists(st.integers(-50, 50), max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_random_monic(self, coefficients):
+        assert_root_facts_match_reference(monic(coefficients))
+
+    @given(st.lists(st.integers(-9, 9), max_size=9).map(IntPolynomial))
+    @settings(max_examples=200, deadline=None)
+    def test_sign_counts_of_any_polynomial(self, p):
+        # zero and constant polynomials included
+        assert (outcome(count_eigen_signs, p)
+                == outcome(root_reference.count_eigen_signs, p)), p
+
+    @given(square_matrices(1, 4).map(lambda A: IntMatrix(
+        [[abs(a) for a in row] for row in A.entries])))
+    @settings(max_examples=150, deadline=None)
+    def test_char_polys_of_non_negative_matrices(self, A):
+        assert_root_facts_match_reference(char_poly(A))
 
 
 def poly_add(p, q):

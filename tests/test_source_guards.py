@@ -175,6 +175,28 @@ def test_intlinalg_has_no_fraction_helpers():
     assert "fractions" not in modules
 
 
+def test_root_facts_stay_in_integers():
+    # Eigenvalue sign counts, the Perron bracket and the cyclotomic test are
+    # exact decisions.  A float, a Fraction or a true division anywhere in
+    # what they run would let rounding, or a second rational layer, decide
+    # them; Newton steps too propose their cells by floor division.
+    tree = ast.parse((PACKAGE / "intlinalg.py").read_text(encoding="utf-8"))
+    defs = {item.name: item for node in tree.body
+            for item in (node.body if isinstance(node, ast.ClassDef)
+                         else [node])
+            if isinstance(item, ast.FunctionDef)}
+    for root in ("count_eigen_signs", "largest_real_root",
+                 "first_cyclotomic_factor"):
+        reached = _reached_names("intlinalg", root)
+        assert not {"float", "Fraction", "__truediv__"} & reached, root
+        for name in {root} | (reached & set(defs)):
+            for node in _runtime_nodes(defs[name]):
+                assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
+                            and isinstance(node.op, ast.Div)), (root, name)
+                assert not (isinstance(node, ast.Constant)
+                            and isinstance(node.value, float)), (root, name)
+
+
 def test_iterate_check_takes_no_matrix_powers():
     # Root-of-unity eigenvalues are the cyclotomic factors of one
     # characteristic polynomial; powers and determinants of M would be a
