@@ -6,6 +6,9 @@ the routes of every printed section agree.  A quantity that does not exist
 for the document (the torsion of a non-invertible map, the functional
 equation when det M = 0) is recorded as ``skipped`` and agrees.
 
+The ``finite`` (k = 0), ``abelian`` (F = 1) and ``product`` kinds parse to
+one endomorphism of Z^k x F and share one counts section.
+
 Verbs:
   check    validate a document and exit
   compute  every section of the document's kind
@@ -14,8 +17,8 @@ Verbs:
            norms as lengths of reduced images, and their ring-product oracle
   torsion  the torsion section at the requested angles (default 1/2)
 
-Exit codes: 0 success, 2 validation error, 3 infinite class count
-detected, 4 internal oracle disagreement.
+Exit codes: 0 success, 2 a bad or unreadable document, 3 infinite class
+count detected, 4 internal oracle disagreement.
 """
 
 from __future__ import annotations
@@ -57,11 +60,7 @@ from .groups import (
 from .intlinalg import IntMatrix, det
 from .reidemeister import (
     ProductEndomorphism,
-    class_function_matrix,
     r_abelian,
-    r_abelian_smith,
-    r_abelian_trace,
-    r_finite,
     r_product_counts,
     r_product_oracle,
     r_product_traces,
@@ -124,8 +123,10 @@ def _int_matrix(raw, context) -> IntMatrix:
 
 
 def _parse_angle(raw, context) -> Fraction:
-    if isinstance(raw, bool):
-        raise SchemaError(f"{context}: bad rational angle {raw!r}")
+    if isinstance(raw, (bool, float)):
+        # a float is not exact: 0.1 is 3602879701896397/36028797018963968
+        raise SchemaError(f"{context}: bad rational angle {raw!r}; give it "
+                          'as a rational string such as "1/10"')
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError):
@@ -167,7 +168,9 @@ def _build_finite(payload) -> tuple[FiniteGroup, GroupEndomorphism]:
 
 
 def _build_product(payload) -> ProductEndomorphism:
-    M = _int_matrix(payload.get("matrix"), "product")
+    matrix = payload.get("matrix")
+    # k = 0: the document is its finite part
+    M = IntMatrix([]) if matrix == [] else _int_matrix(matrix, "product")
     finite = payload.get("finite")
     _require(isinstance(finite, dict), "product: 'finite' section required")
     F, phiF = _build_finite(finite)
@@ -207,20 +210,7 @@ def parse_problem(text: str) -> ProblemDocument:
 
     doc = ProblemDocument(kind, raw, order, crange, angles)
 
-    if kind == "finite":
-        G, phi = _build_finite(raw)
-        doc.objects = {"group": G, "endo": phi}
-    elif kind in ("abelian", "product"):
-        if kind == "abelian":
-            M = _int_matrix(raw.get("matrix"), "abelian")
-            P = ProductEndomorphism.from_matrix(M)
-        else:
-            P = _build_product(raw)
-        if det(IntMatrix.identity(P.k) - P.M) == 0:
-            raise ValidationError(
-                f"{kind}: det(I - M) = 0, the class count is infinite")
-        doc.objects = {"product": P}
-    else:  # free
+    if kind == "free":
         rank = raw.get("rank")
         _require(_is_int(rank) and 1 <= rank <= 26,
                  "free: 'rank' must be an integer in 1..26")
@@ -233,6 +223,20 @@ def parse_problem(text: str) -> ProblemDocument:
         except ValueError as exc:
             raise ValidationError(f"free: {exc}") from exc
         doc.objects = {"endo": endo, "chain": chain_matrices(endo)}
+        return doc
+
+    if kind == "finite":
+        F, phiF = _build_finite(raw)
+        P = ProductEndomorphism(IntMatrix([]), (), phiF, F)
+    elif kind == "abelian":
+        P = ProductEndomorphism.from_matrix(
+            _int_matrix(raw.get("matrix"), "abelian"))
+    else:
+        P = _build_product(raw)
+    if det(IntMatrix.identity(P.k) - P.M) == 0:
+        raise ValidationError(
+            f"{kind}: det(I - M) = 0, the class count is infinite")
+    doc.objects = {"product": P}
     return doc
 
 
@@ -245,7 +249,7 @@ def serialize_factors(rf) -> list[dict]:
 #
 # A section takes the document and the report so far, and returns its value
 # and whether its routes agree.  Congruences and the eventual image read the
-# formula route of the counts section, which comes first.
+# formula counts, which the counts section builds first.
 
 def _closed_form(doc):
     """The zeta closed form, built once per document: the zeta, torsion and
@@ -257,27 +261,17 @@ def _closed_form(doc):
 
 def _formula_counts(doc) -> list[int]:
     """``r_product_counts(P, order)``, built once per document and order:
-    the counts section and the zeta series check both read it."""
+    the counts, congruences, eventual-image and zeta sections read it."""
     key = ("formula_counts", doc.order)
     if key not in doc.objects:
         doc.objects[key] = r_product_counts(doc.objects["product"], doc.order)
     return doc.objects[key]
 
 
-def _formula(routes: dict) -> list[int]:
-    return next(iter(routes.values()))
-
-
 def _agrees(route: list, formula: list[int]) -> bool:
     """Every entry equals the formula's entry; a None entry is a skipped
     oracle and is not compared."""
     return all(c is None or c == f for c, f in zip(route, formula))
-
-
-def _counts(routes: dict) -> tuple[dict, bool]:
-    """Count routes, the formula route first, compared by ``_agrees``."""
-    formula = _formula(routes)
-    return routes, all(_agrees(counts, formula) for counts in routes.values())
 
 
 def _powers(A: IntMatrix, N: int) -> list[IntMatrix]:
@@ -288,57 +282,58 @@ def _powers(A: IntMatrix, N: int) -> list[IntMatrix]:
     return powers
 
 
-def _finite_counts(doc, report):
-    G, phi = doc.objects["group"], doc.objects["endo"]
-    B = class_function_matrix(G, phi)
-    iterates = [phi]
-    while len(iterates) < doc.order:
-        iterates.append(phi.compose(iterates[-1]))
-    return _counts({
-        "fixed_class_formula": [r_finite(G, phin) for phin in iterates],
-        "class_function_trace": [Bn.trace() for Bn in _powers(B, doc.order)],
-        "twisted_conjugacy_oracle": [
-            phi_conjugacy_classes(G, phin).num_classes for phin in iterates],
-    })
+# Each Z^k x F kind's count route labels, in report order.
+_COUNT_LABELS = {
+    "finite": {"formula": "fixed_class_formula",
+               "trace": "class_function_trace",
+               "oracle": "twisted_conjugacy_oracle"},
+    "abelian": {"formula": "determinant_formula",
+                "oracle": "smith_coset_oracle",
+                "trace": "signed_exterior_trace"},
+    "product": {"formula": "product_formula", "trace": "signed_trace",
+                "oracle": "enumeration_oracle"},
+}
+# The kinds whose oracle keeps the n <= 4 and ORACLE_SIZE_CAP gate.
+_GATED_ORACLE = ("product",)
 
 
-def _abelian_counts(doc, report):
-    M = doc.objects["product"].M
-    check_all_iterates_finite(M)
-    powers = _powers(M, doc.order)
-    return _counts({
-        "determinant_formula": _formula_counts(doc),
-        "smith_coset_oracle": [r_abelian_smith(Mn) for Mn in powers],
-        "signed_exterior_trace": [r_abelian_trace(Mn) for Mn in powers],
-    })
-
-
-def _product_counts(doc, report):
-    P, N = doc.objects["product"], doc.order
-    check_all_iterates_finite(P.M)
-    # The oracle runs for n <= 4 while its cell count fits; it keeps its own
-    # powers of M, apart from the formula's.  Neither limit bounds a cost:
-    # both keep the null pattern of the stored benchmark answers.
+def _oracle_counts(P: ProductEndomorphism, N: int, gated: bool) -> list:
+    """``r_product_oracle`` for n = 1..N, None where the gate skips it; the
+    gate keeps its own powers of M, apart from the formula's."""
+    if not gated:
+        return [r_product_oracle(P, n) for n in range(1, N + 1)]
     oracle = [None] * N
     for n, Mn in enumerate(_powers(P.M, min(N, 4)), start=1):
         if r_abelian(Mn) * P.F.order <= ORACLE_SIZE_CAP:
             oracle[n - 1] = r_product_oracle(P, n)
-    return _counts({
-        "product_formula": _formula_counts(doc),
-        "signed_trace": r_product_traces(P, N),
-        "enumeration_oracle": oracle,
-    })
+    return oracle
+
+
+def _counts(doc, report):
+    """R(phi^n), n = 1..order, by the oracle, the formula and the signed
+    trace, run in that order for every kind and labelled per kind; each
+    entry is compared with the formula's."""
+    P, N = doc.objects["product"], doc.order
+    check_all_iterates_finite(P.M)
+    routes = {"oracle": _oracle_counts(P, N, doc.kind in _GATED_ORACLE),
+              "formula": _formula_counts(doc),
+              "trace": r_product_traces(P, N)}
+    formula = routes["formula"]
+    return ({label: routes[route]
+             for route, label in _COUNT_LABELS[doc.kind].items()},
+            all(_agrees(counts, formula) for counts in routes.values()))
 
 
 def _eventual_image(doc, report):
-    H, phi_H, _ = eventual_image(doc.objects["group"], doc.objects["endo"])
+    P = doc.objects["product"]
+    H, phi_H, _ = eventual_image(P.F, P.phiF)
     count = phi_conjugacy_classes(H, phi_H).num_classes
     return ({"order": H.order, "count": count},
-            count == _formula(report["counts"])[0])
+            count == _formula_counts(doc)[0])
 
 
 def _congruences(doc, report):
-    counts = _formula(report["counts"])[: doc.congruence_range]
+    counts = _formula_counts(doc)[: doc.congruence_range]
     residues = congruence_check(counts)
     all_zero = all(r == 0 for _, r in residues)
     return {"residues": residues, "all_zero": all_zero}, all_zero
@@ -435,13 +430,13 @@ def _power_norm_oracle(doc, report):
 
 # Each kind's sections, in report order; ``compute`` prints them all.
 _SECTIONS = {
-    "finite": {"counts": _finite_counts, "eventual_image": _eventual_image,
+    "finite": {"counts": _counts, "eventual_image": _eventual_image,
                "congruences": _congruences},
-    "abelian": {"counts": _abelian_counts, "zeta": _zeta,
+    "abelian": {"counts": _counts, "zeta": _zeta,
                 "congruences": _congruences,
                 "functional_equation": _functional_equation,
                 "torsion": _torsion},
-    "product": {"counts": _product_counts, "zeta": _zeta,
+    "product": {"counts": _counts, "zeta": _zeta,
                 "congruences": _congruences, "torsion": _torsion},
     "free": {"bounds": _bounds, "twisted_power_norms": _twisted_power_norms,
              "power_norm_oracle": _power_norm_oracle},
@@ -554,7 +549,7 @@ def main(argv=None) -> int:
             report = _report(doc, names)
         _emit(report, args.as_json)
         return 0 if report.get("agreement", True) else 4
-    except (SchemaError, ValidationError, FileNotFoundError) as exc:
+    except (SchemaError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfiniteReidemeister as exc:

@@ -595,7 +595,8 @@ def chain_radius_bounds(mats: list[GroupRingMatrix]) -> RadiusBounds:
 
 
 def nielsen_radius_bounds(phi: FreeGroupEndo) -> RadiusBounds:
-    """``chain_radius_bounds`` of the chain matrices of phi."""
+    """``chain_radius_bounds`` of the chain matrices of phi.  A test
+    reference; the benchmark's per-layer table pins it."""
     return chain_radius_bounds(chain_matrices(phi))
 
 
@@ -668,7 +669,8 @@ def _prefix_images(words, images) -> dict[Word, Word]:
 
 
 def twisted_power_norm(phi: FreeGroupEndo, A: GroupRingMatrix, n: int) -> int:
-    """||(zA)^n||: the last of ``twisted_power_norms(phi, A, n)``."""
+    """||(zA)^n||: the last of ``twisted_power_norms(phi, A, n)``.  A test
+    reference for one n; the benchmark's per-layer table pins it."""
     return twisted_power_norms(phi, A, n)[-1]
 
 

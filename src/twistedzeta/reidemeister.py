@@ -1,14 +1,9 @@
-"""Reidemeister numbers by closed formula and by brute-force oracle.
-
-Three settings, each with two or three independent routes that must agree:
-
-* finite groups: count of ordinary conjugacy classes fixed by the induced
-  class map, equal to the trace of precomposition on class functions, equal
-  to the exhaustive twisted-conjugacy class count;
-* free abelian Z^k: |det(I - M)|, equal to the Smith coset count of
-  (I - M)Z^k, equal to the signed alternating exterior trace;
-* products Z^k x F: the product formula, the signed exterior/class trace,
-  and the Smith coset count times the exhaustive twisted-class count of F.
+"""Reidemeister numbers of endomorphisms of Z^k x F, by three independent
+routes that must agree: the product formula |det(I - M^n)| R(phi_F^n), the
+signed exterior/class trace, and the Smith coset count times the exhaustive
+twisted-class count of F.  A finite group is the case k = 0 and a lattice
+the case F = 1; ``r_finite`` and ``class_function_matrix`` are the F-factors
+of the formula and trace routes.
 """
 
 from __future__ import annotations
@@ -66,7 +61,8 @@ def class_function_matrix(G: FiniteGroup, phi: GroupEndomorphism) -> IntMatrix:
 
 
 def r_abelian(M: IntMatrix) -> int:
-    """|det(I - M)|, the twisted class count on Z^k."""
+    """|det(I - M)|, the twisted class count on Z^k: a test reference, and
+    the coset count of the CLI's product oracle gate."""
     d = det(IntMatrix.identity(M.rows) - M)
     if d == 0:
         raise InfiniteReidemeister("det(I - M) = 0", n=1)
@@ -74,7 +70,8 @@ def r_abelian(M: IntMatrix) -> int:
 
 
 def r_abelian_smith(M: IntMatrix) -> int:
-    """Coset-count oracle: order of Z^k / (I - M)Z^k via the Smith diagonal."""
+    """Coset-count oracle: order of Z^k / (I - M)Z^k via the Smith diagonal;
+    a test reference for one n, pinned by the benchmark's per-layer table."""
     count = math.prod(
         smith_normal_form(IntMatrix.identity(M.rows) - M).diagonal)
     if count == 0:
@@ -85,7 +82,8 @@ def r_abelian_smith(M: IntMatrix) -> int:
 def r_abelian_trace(M: IntMatrix) -> int:
     """Signed alternating exterior trace (-1)^(r+p) sum_i (-1)^i Tr wedge^i M.
 
-    The sign counts (p, r) come from char_poly(M)."""
+    The sign counts (p, r) come from char_poly(M).  A test reference for
+    one n; the benchmark's per-layer table pins it."""
     p, r = count_eigen_signs(char_poly(M))
     k = M.rows
     total = sum(
@@ -101,7 +99,8 @@ def r_abelian_trace(M: IntMatrix) -> int:
 class ProductEndomorphism:
     """Endomorphism of Z^k x F as (v, f) -> (M v, psi(v) * phi_F(f)).
 
-    ``psi`` lists the F-images of the k standard basis vectors.  The
+    ``psi`` lists the F-images of the k standard basis vectors; k = 0 is a
+    finite group and a trivial F (``from_matrix``) a lattice.  The
     constructor checks the homomorphism property on generators: the psi
     images must commute pairwise (psi is a homomorphism) and must commute
     with the image of phi_F (the mixed products must agree).
@@ -140,26 +139,6 @@ class ProductEndomorphism:
         F = trivial_group()
         return cls(M, tuple([F.identity] * M.rows), GroupEndomorphism((0,)), F)
 
-    def psi_value(self, v: tuple[int, ...]) -> int:
-        """psi(v) = product of psi_i^(v_i) in F."""
-        acc = self.F.identity
-        for base, e in zip(self.psi, v):
-            acc = self.F.mult[acc][self.F.power(base, e)]
-        return acc
-
-    def apply(self, v: tuple[int, ...], f: int) -> tuple[tuple[int, ...], int]:
-        return self.M.apply(v), self.F.mult[self.psi_value(v)][self.phiF(f)]
-
-    def apply_iterated(self, v, f, n: int):
-        for _ in range(n):
-            v, f = self.apply(v, f)
-        return v, f
-
-    def lattice_finite_part(self, v: tuple[int, ...], n: int) -> int:
-        """F-component of the n-th iterate applied to (v, identity)."""
-        _, f = self.apply_iterated(v, self.F.identity, n)
-        return f
-
 
 def _lattice_count(A: IntMatrix, n: int) -> int:
     """|det A| for A = I - M^n, which must not vanish."""
@@ -170,7 +149,8 @@ def _lattice_count(A: IntMatrix, n: int) -> int:
 
 
 def r_product(P: ProductEndomorphism, n: int = 1) -> int:
-    """Product formula: |det(I - M^n)| times the finite count for phi_F^n."""
+    """Product formula: |det(I - M^n)| times the finite count for phi_F^n;
+    a test reference for one n, pinned by the benchmark's per-layer table."""
     lattice_count = _lattice_count(
         IntMatrix.identity(P.k) - mat_pow(P.M, n), n)
     return lattice_count * r_finite(P.F, iterate_endo(P.phiF, n))
@@ -214,7 +194,8 @@ def _signed_trace(p: int, r: int, n: int, level_powers: list[IntMatrix],
 
 def r_product_trace(P: ProductEndomorphism, n: int = 1) -> int:
     """Signed trace (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M (x) B)^n,
-    taken as (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M)^n times Tr B^n."""
+    taken as (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M)^n times Tr B^n; a test
+    reference for one n, pinned by the benchmark's per-layer table."""
     _lattice_count(IntMatrix.identity(P.k) - mat_pow(P.M, n), n)
     p, r, levels, B = _trace_blocks(P, char_poly(P.M))
     return _signed_trace(p, r, n, [mat_pow(X, n) for X in levels],

@@ -290,7 +290,8 @@ def series_from_counts(counts: list[int]) -> TruncatedSeries:
 
 def zeta_series_oracle(P: ProductEndomorphism, order: int) -> TruncatedSeries:
     """The defining series exp(sum_n R_n/n z^n) of the product-formula
-    counts, truncated exactly at z^order (see ``series_from_counts``)."""
+    counts, truncated exactly at z^order (see ``series_from_counts``).  A
+    test reference; the benchmark's per-layer table pins it."""
     return series_from_counts(r_product_counts(P, order))
 
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,7 @@ class TestParsing:
         doc = {"kind": "finite", "degree": 4,
                "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]}
         parsed = parse_problem(json.dumps(doc))
-        phi = parsed.objects["endo"]
+        phi = parsed.objects["product"].phiF
         assert phi.image == tuple(range(4))
 
     def test_options_round_trip(self):
@@ -215,6 +216,47 @@ class TestReports:
         assert bounds["spectral_bound"] == pytest.approx(0.6180339887, rel=1e-9)
 
 
+class TestOneCountEngine:
+    """finite is Z^0 x F, abelian is Z^k x 1: all three kinds run one counts
+    section, under their own route labels."""
+
+    def test_route_labels_in_report_order(self):
+        labels = {doc["kind"]: list(run(parse_problem(json.dumps(doc)))[
+            "counts"]) for doc in (KLEIN_SWAP, ABELIAN_MINUS_TWO, PRODUCT_DOC)}
+        assert labels == {
+            "finite": ["fixed_class_formula", "class_function_trace",
+                       "twisted_conjugacy_oracle"],
+            "abelian": ["determinant_formula", "smith_coset_oracle",
+                        "signed_exterior_trace"],
+            "product": ["product_formula", "signed_trace",
+                        "enumeration_oracle"],
+        }
+
+    def test_product_of_rank_zero_is_its_finite_part(self, tmp_path, capsys):
+        finite = {k: v for k, v in KLEIN_SWAP.items() if k != "kind"}
+        for product in ({"kind": "product", "matrix": [], "finite": finite},
+                        {"kind": "product", "matrix": [], "psi": [],
+                         "finite": finite}):
+            code, out = run_verb(capsys, "compute",
+                                 write_doc(tmp_path, product))
+            assert code == 0 and out["agreement"] is True
+            _, alone = run_verb(capsys, "compute",
+                                write_doc(tmp_path, KLEIN_SWAP, "f.json"))
+            formula, trace, oracle = out["counts"].values()
+            expected = alone["counts"]["fixed_class_formula"]
+            assert formula == trace == expected
+            assert alone["counts"]["class_function_trace"] == expected
+            assert oracle == expected[:4] + [None] * 8
+            assert out["congruences"] == alone["congruences"]
+            assert out["zeta"]["series_check"]["agree"] is True
+
+    def test_abelian_of_rank_zero_is_2(self, tmp_path, capsys):
+        # its functional equation has no constant: R(1/z) = -z^c R(z)
+        path = write_doc(tmp_path, {"kind": "abelian", "matrix": []})
+        assert main(["compute", path]) == 2
+        assert "abelian: expected a matrix" in capsys.readouterr().err
+
+
 class TestMainExitCodes:
     def test_check_ok(self, tmp_path, capsys):
         path = write_doc(tmp_path, ABELIAN_MINUS_TWO)
@@ -236,6 +278,32 @@ class TestMainExitCodes:
 
     def test_missing_file_is_2(self, capsys):
         assert main(["compute", "/nonexistent/path.json"]) == 2
+
+    def test_directory_is_2(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_file_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "abelian", "matrix": [[2]], "x": "\xe9"}')
+        assert main(["check", str(path)]) == 2
+        assert "can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angle", [0.1, 0.5, 1.0])
+    def test_float_torsion_angle_is_2(self, tmp_path, capsys, angle):
+        # a float is not the exact angle it was written as: 0.1 would be
+        # 3602879701896397/36028797018963968
+        doc = dict(ABELIAN_MINUS_TWO, options={"torsion_angles": [angle]})
+        with pytest.raises(SchemaError, match="as a rational string"):
+            parse_problem(json.dumps(doc))
+        assert main(["torsion", write_doc(tmp_path, doc)]) == 2
+        assert "as a rational string" in capsys.readouterr().err
+
+    def test_rational_string_angles_stay_exact(self):
+        doc = dict(ABELIAN_MINUS_TWO,
+                   options={"torsion_angles": ["0.1", "1/10", 2]})
+        angles = parse_problem(json.dumps(doc)).torsion_angles
+        assert angles == [Fraction(1, 10), Fraction(1, 10), 2]
 
     @pytest.mark.parametrize("angles", ["12", 0.5])
     def test_torsion_angles_not_a_list_is_2(self, tmp_path, capsys, angles):

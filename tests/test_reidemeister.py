@@ -187,7 +187,7 @@ class TestProduct:
         # here we just check psi actually participates in the F-part.
         C6, phi = cyclic6_doubling()
         P = ProductEndomorphism(IntMatrix([[3]]), (1,), phi, C6)
-        assert P.apply((1,), 0)[1] != P.apply((0,), 0)[1]
+        assert _apply(P, (1,), 0)[1] != _apply(P, (0,), 0)[1]
         assert r_product(P) == r_product_oracle(P) == r_product_trace(P)
 
     def test_oracle_sees_psi_twist(self):
@@ -199,6 +199,27 @@ class TestProduct:
         for psi in (0, 1, 2, 3):
             P = ProductEndomorphism(IntMatrix([[-1]]), (psi,), phi, C4)
             assert r_product_oracle(P) == r_product(P)
+
+
+def _psi_value(P, v):
+    """psi(v) = product of psi_i^(v_i) in F."""
+    acc = P.F.identity
+    for base, e in zip(P.psi, v):
+        acc = P.F.mult[acc][P.F.power(base, e)]
+    return acc
+
+
+def _apply(P, v, f):
+    """The map (v, f) -> (M v, psi(v) * phi_F(f))."""
+    return P.M.apply(v), P.F.mult[_psi_value(P, v)][P.phiF(f)]
+
+
+def _lattice_finite_part(P, v, n):
+    """F-component of the n-th iterate applied to (v, identity)."""
+    f = P.F.identity
+    for _ in range(n):
+        v, f = _apply(P, v, f)
+    return f
 
 
 def _pairwise_oracle(P, n):
@@ -228,7 +249,7 @@ def _pairwise_oracle(P, n):
         w = solve(tuple(a - b for a, b in zip(v2, v1)))
         if w is None:
             return False
-        f2c = F.mult[f2][P.lattice_finite_part(w, n)]
+        f2c = F.mult[f2][_lattice_finite_part(P, w, n)]
         return any(F.mult[h][f1] == F.mult[f2c][phin(h)]
                    for h in F.elements())
 

@@ -225,6 +225,20 @@ def test_product_oracle_counts_without_the_formula():
     assert not formula & _reached_names("reidemeister", "r_product_oracle")
 
 
+def test_one_counts_section_for_every_product_kind():
+    # finite documents are Z^0 x F and abelian ones Z^k x 1, so all three
+    # kinds count by the product routes; a per-kind route next to them
+    # would be a second path that the product guards do not see.
+    from twistedzeta import cli
+    assert {cli._SECTIONS[kind]["counts"]
+            for kind in ("finite", "abelian", "product")} == {cli._counts}
+    counts = _reached_names("cli", "_counts")
+    assert {"r_product_counts", "r_product_traces",
+            "r_product_oracle"} <= counts
+    assert not {"r_abelian_smith", "r_abelian_trace", "r_finite",
+                "class_function_matrix", "phi_conjugacy_classes"} & counts
+
+
 def test_bounds_decide_without_floats():
     # Each Perron root has an exact dyadic bracket, which decides root <= N
     # for the integer chain norm N; a float compared with a tolerance would
