@@ -548,6 +548,8 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     By Perron-Frobenius the spectral radius of a non-negative matrix is one
     of its eigenvalues, and no real eigenvalue exceeds it, so it is the
     largest real root of char_poly(A); ``largest_real_root`` brackets it.
+    A 1 x 1 matrix (a) has the root a, and its bracket (a, a, 0) is the
+    one ``largest_real_root(x - a)`` returns, so it is read off the entry.
     """
     if not A.is_square:
         raise NotSquare("spectral radius of a non-square matrix")
@@ -555,7 +557,10 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
         raise ValueError("matrix must be non-negative")
     if A.rows == 0:
         return SpectralRadius(0.0, 0.0, 0.0, (0, 0, 0))
-    lo, hi, e = largest_real_root(char_poly(A))
+    if A.rows == 1:  # the root of x - a is a, exactly
+        lo, hi, e = A[0, 0], A[0, 0], 0
+    else:
+        lo, hi, e = largest_real_root(char_poly(A))
     scale = 1 << e
     low, high = lo / scale, hi / scale  # each rounded to nearest
     if low * scale > lo:  # exact: a float times 2^e, compared with an int

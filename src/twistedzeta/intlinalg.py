@@ -2,16 +2,17 @@
 
 Determinants by fraction-free (Bareiss) elimination, characteristic
 polynomials by Faddeev-LeVerrier over the integers, Smith normal form with
-unimodular transforms, exterior powers as compound matrices, and facts
-about eigenvalues read off the characteristic polynomial by integer
-pseudo-division: real-root counts and a bracket of the largest real root by
-Sturm sequences, and root-of-unity eigenvalues by cyclotomic divisors.
-Sturm counts are taken at finite points only where the polynomial may have
-roots on either side; beyond every root they equal the counts at +-oo,
-which the leading coefficients give.  The largest root's last bits come
-from integer Newton steps that only propose a cell, kept when signs confirm
-it.  Everything is arbitrary precision; no floating point enters any of
-these computations.
+unimodular transforms, exterior powers as compound matrices, power traces
+tr A^n, and the traces tr wedge^i(M^n) as sums of principal minors of M^n,
+with no compound matrix formed.  Facts about eigenvalues are read off the
+characteristic polynomial by integer pseudo-division: real-root counts and
+a bracket of the largest real root by Sturm sequences, and root-of-unity
+eigenvalues by cyclotomic divisors.  Sturm counts are taken at finite
+points only where the polynomial may have roots on either side; beyond
+every root they equal the counts at +-oo, which the leading coefficients
+give.  The largest root's last bits come from integer Newton steps that
+only propose a cell, kept when signs confirm it.  Everything is arbitrary
+precision; no floating point enters any of these computations.
 """
 
 from __future__ import annotations
@@ -118,16 +119,9 @@ class IntMatrix:
         right factor's ``_nonzero_rows``."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols, nonzero = other.cols, other._nonzero_rows()
-        out = []
-        for row in self.entries:
-            acc = [0] * cols
-            for a, pairs in zip(row, nonzero):
-                if a:
-                    for j, b in pairs:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return IntMatrix._trusted(tuple(out), self.rows, cols)
+        out = _row_products(self.entries, other._nonzero_rows(), other.cols)
+        return IntMatrix._trusted(tuple(map(tuple, out)), self.rows,
+                                  other.cols)
 
     def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -225,14 +219,34 @@ class IntPolynomial:
         return out
 
 
+def _row_products(rows, nonzero, cols: int) -> list[list[int]]:
+    """The rows of R A as lists, for R given by its rows and A by the
+    nonzero (column, entry) pairs of each of its rows: the one product loop
+    of the module, visiting the nonzero entries of both factors only."""
+    out = []
+    for row in rows:
+        acc = [0] * cols
+        for a, pairs in zip(row, nonzero):
+            if a:
+                for j, b in pairs:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
+
+
 def det(A: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     if not A.is_square:
         raise NotSquare("determinant of a non-square matrix")
-    n = A.rows
+    return _det([list(row) for row in A.entries])
+
+
+def _det(M: list[list[int]]) -> int:
+    """``det`` of a square matrix given as a list of row lists, which the
+    elimination overwrites."""
+    n = len(M)
     if n == 0:
         return 1
-    M = [list(row) for row in A.entries]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -269,15 +283,7 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
     for k in range(1, n + 1):
         for i in range(n):
             M[i][i] += coeffs[-1]
-        product = []
-        for row in M:
-            acc = [0] * n
-            for m, pairs in zip(row, nonzero):
-                if m:
-                    for j, a in pairs:
-                        acc[j] += m * a
-            product.append(acc)
-        M = product
+        M = _row_products(M, nonzero, n)
         c, rem = divmod(-sum(M[i][i] for i in range(n)), k)
         if rem:
             raise ArithmeticError(f"trace not divisible by {k} in char_poly")
@@ -433,6 +439,42 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
         base = base @ base if n > 1 else base
         n >>= 1
     return result
+
+
+def _powers(A: IntMatrix, N: int) -> Iterator[list[list[int]]]:
+    """A^n as row lists for n = 1..N: A^n is A^(n-1) A, one product per n
+    and no IntMatrix per step.  A must be square."""
+    nonzero = A._nonzero_rows()
+    power = [list(row) for row in A.entries]
+    for n in range(N):
+        if n:
+            power = _row_products(power, nonzero, A.cols)
+        yield power
+
+
+def power_traces(A: IntMatrix, N: int) -> list[int]:
+    """``[tr A^n for n = 1..N]``."""
+    if not A.is_square:
+        raise NotSquare("power traces of a non-square matrix")
+    return [sum(power[i][i] for i in range(A.rows))
+            for power in _powers(A, N)]
+
+
+def wedge_traces(M: IntMatrix, N: int) -> list[list[int]]:
+    """``[[tr wedge^i(M^n) for i = 0..k] for n = 1..N]`` for a k x k M.
+
+    The trace of the compound matrix wedge^i X is the sum of the principal
+    i-minors of X, and by Cauchy-Binet wedge^i(M^n) = (wedge^i M)^n, so
+    these are also the power traces of every level wedge^i M.  Only the
+    powers of M are formed; no level is.
+    """
+    if not M.is_square:
+        raise NotSquare("wedge traces of a non-square matrix")
+    levels = [list(itertools.combinations(range(M.rows), i))
+              for i in range(M.rows + 1)]
+    return [[sum(_det([[power[a][b] for b in S] for a in S]) for S in level)
+             for level in levels]
+            for power in _powers(M, N)]
 
 
 # -- eigenvalues from the characteristic polynomial --------------------------

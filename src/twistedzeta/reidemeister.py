@@ -1,9 +1,12 @@
 """Reidemeister numbers of endomorphisms of Z^k x F, by three independent
 routes that must agree: the product formula |det(I - M^n)| R(phi_F^n), the
 signed exterior/class trace, and the Smith coset count times the exhaustive
-twisted-class count of F.  A finite group is the case k = 0 and a lattice
-the case F = 1; ``r_finite`` and ``class_function_matrix`` are the F-factors
-of the formula and trace routes.
+twisted-class count of F.  The trace route reads Tr (wedge^i M)^n as the
+sum of the principal i-minors of M^n and Tr B^n from the powers of the
+class matrix B, so it forms no exterior power and no Kronecker block.  A
+finite group is the case k = 0 and a lattice the case F = 1; ``r_finite``
+and ``class_function_matrix`` are the F-factors of the formula and trace
+routes.
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ from .groups import (
 )
 from .intlinalg import (
     IntMatrix,
-    IntPolynomial,
     char_poly,
     count_eigen_signs,
     det,
     exterior_power,
     first_cyclotomic_factor,
     mat_pow,
+    power_traces,
     smith_normal_form,
+    wedge_traces,
 )
 
 
@@ -173,57 +177,47 @@ def r_product_counts(P: ProductEndomorphism, N: int) -> list[int]:
     return counts
 
 
-def _trace_blocks(P: ProductEndomorphism, cp: IntPolynomial):
-    """Sign counts (p, r) of M from cp = char_poly(M), the levels wedge^i M
-    for i = 0..k, and B = class_function_matrix(F, phi_F).
-
-    The blocks of the trace formula are kron(wedge^i M, B), and a trace of
-    a Kronecker product splits, Tr (X (x) Y)^n = Tr X^n Tr Y^n, so the
-    factors are powered apart and no block is formed.
-    """
-    p, r = count_eigen_signs(cp)
-    levels = [exterior_power(P.M, i) for i in range(P.k + 1)]
-    return p, r, levels, class_function_matrix(P.F, P.phiF)
-
-
-def _signed_trace(p: int, r: int, n: int, level_powers: list[IntMatrix],
-                  Bn: IntMatrix) -> int:
-    total = sum((-1) ** i * X.trace() for i, X in enumerate(level_powers))
-    return (-1) ** ((r + p * n) % 2) * total * Bn.trace()
+def _signed_trace(p: int, r: int, n: int, level_traces: list[int],
+                  fixed: int) -> int:
+    """(-1)^(r+p*n) sum_i (-1)^i level_traces[i] times fixed, for the
+    traces Tr (wedge^i M)^n and fixed = Tr B^n."""
+    total = sum((-1) ** i * t for i, t in enumerate(level_traces))
+    return (-1) ** ((r + p * n) % 2) * total * fixed
 
 
 def r_product_trace(P: ProductEndomorphism, n: int = 1) -> int:
     """Signed trace (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M (x) B)^n,
-    taken as (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M)^n times Tr B^n; a test
-    reference for one n, pinned by the benchmark's per-layer table."""
+    taken as (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M)^n times Tr B^n from
+    the powers of the levels wedge^i M themselves: a test reference for one
+    n, pinned by the benchmark's per-layer table."""
     _lattice_count(IntMatrix.identity(P.k) - mat_pow(P.M, n), n)
-    p, r, levels, B = _trace_blocks(P, char_poly(P.M))
-    return _signed_trace(p, r, n, [mat_pow(X, n) for X in levels],
-                         mat_pow(B, n))
+    p, r = count_eigen_signs(char_poly(P.M))
+    levels = [mat_pow(exterior_power(P.M, i), n).trace()
+              for i in range(P.k + 1)]
+    B = class_function_matrix(P.F, P.phiF)
+    return _signed_trace(p, r, n, levels, mat_pow(B, n).trace())
 
 
 def r_product_traces(P: ProductEndomorphism, N: int) -> list[int]:
-    """``[r_product_trace(P, n) for n in 1..N]``, with the factors built once.
+    """``[r_product_trace(P, n) for n in 1..N]`` from power traces.
 
     Every iterate is checked finite first: the first n with
-    det(I - M^n) = 0 is the first cyclotomic factor of char_poly(M).  The
-    n-th powers of the levels wedge^i M and of B are the (n-1)-th times
-    the factors, so an iterate costs sum_i C(k,i)^3 + c^3 for c classes
-    rather than the (C(k,i) c)^3 of each block power.
+    det(I - M^n) = 0 is the first cyclotomic factor of char_poly(M), which
+    also gives the sign counts (p, r).  A trace of a Kronecker product
+    splits, Tr (X (x) Y)^n = Tr X^n Tr Y^n, and Tr (wedge^i M)^n is the sum
+    of the principal i-minors of M^n (``wedge_traces``), so an iterate
+    costs one k x k and one c x c product, for c classes, plus the 2^k
+    principal minors of M^n: no level wedge^i M, block or I - M^n is formed.
     """
     cp = char_poly(P.M)
     n = first_cyclotomic_factor(cp)
     if n is not None and n <= N:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
-    p, r, levels, B = _trace_blocks(P, cp)
-    powers = [IntMatrix.identity(X.rows) for X in levels]
-    Bn = IntMatrix.identity(B.rows)
-    counts = []
-    for n in range(1, N + 1):
-        powers = [Xn @ X for Xn, X in zip(powers, levels)]
-        Bn = Bn @ B
-        counts.append(_signed_trace(p, r, n, powers, Bn))
-    return counts
+    p, r = count_eigen_signs(cp)
+    fixed = power_traces(class_function_matrix(P.F, P.phiF), N)
+    return [_signed_trace(p, r, n, levels, f)
+            for n, (levels, f) in enumerate(zip(wedge_traces(P.M, N), fixed),
+                                            start=1)]
 
 
 def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:

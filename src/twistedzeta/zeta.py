@@ -16,7 +16,10 @@ polynomial gives tr(M^m) by its linear recurrence, Newton's identities give
 e_i(lambda^n) from tr(M^(jn)), j = 1..k, and tr(B^n) counts the classes
 fixed by the n-th power of the class map.  Newton's identities, with exact
 integer division, then turn p_1..p_D into det(I - Xz): O(D^2) integer
-operations for a block of dimension D = C(k, i) * #classes.
+operations for a block of dimension D = C(k, i) * #classes.  The dual
+Lefschetz zeta function, the other side of the torsion identity, is built
+from power sums as well, but from its own: the principal minors of M^m,
+the powers of the class function matrix B, and its own Newton step.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from .intlinalg import (
     count_eigen_signs,
     cyclotomic_polynomials,
     det,
-    exterior_power,
     first_cyclotomic_factor,
-    kron,
+    power_traces,
+    wedge_traces,
 )
 from .reidemeister import (
     ProductEndomorphism,
@@ -248,14 +251,14 @@ def zeta_product(P: ProductEndomorphism) -> FactoredRationalFunction:
     fixed = _fixed_class_counts(P, N)
     traces = _power_sums(cp.coefficients[::-1], k * N)
     # e_i(lambda^n) = (-1)^i [z^i] det(I - M^n z), i = 0..k
-    wedge_traces = [
+    elementary = [
         [(-1) ** i * c for i, c in enumerate(
             _from_power_sums([traces[j * n] for j in range(1, k + 1)]))]
         for n in range(1, N + 1)]
     merged: dict[IntPolynomial, int] = {}
     for i in range(k + 1):
         D = comb(k, i) * classes
-        sums = [sigma ** n * wedge_traces[n - 1][i] * fixed[n - 1]
+        sums = [sigma ** n * elementary[n - 1][i] * fixed[n - 1]
                 for n in range(1, D + 1)]
         poly = IntPolynomial(_from_power_sums(sums))
         if poly.degree < 1:
@@ -297,9 +300,15 @@ def zeta_series_oracle(P: ProductEndomorphism, order: int) -> TruncatedSeries:
 
 def lefschetz_zeta(matrices: list[IntMatrix]) -> FactoredRationalFunction:
     """Alternating product det(I - A_k z)^((-1)^(k+1)) over homology degrees."""
+    return _alternating_product([det_identity_minus_z(A) for A in matrices])
+
+
+def _alternating_product(polys: list[IntPolynomial]
+                         ) -> FactoredRationalFunction:
+    """prod_k polys[k]^((-1)^(k+1)), equal factors merged by exponent in
+    the order of first appearance; constants and zero exponents dropped."""
     merged: dict[IntPolynomial, int] = {}
-    for k, A in enumerate(matrices):
-        poly = det_identity_minus_z(A)
+    for k, poly in enumerate(polys):
         if poly.degree < 1:
             continue
         e = (-1) ** (k + 1)
@@ -438,12 +447,46 @@ def torsion_special_value(
     return abs(value) ** ((-1) ** (sc.r + 1))
 
 
+def _factor_from_traces(traces: list[int]) -> IntPolynomial:
+    """det(I - X z) from tr X^m, m = 1..D, for a D x D integer matrix X.
+
+    Newton's identities m c_m = -sum_{j=1..m} tr X^j c_{m-j}, c_0 = 1, with
+    exact division; a remainder raises ArithmeticError.  This is the step
+    of ``_from_power_sums`` written again on purpose: the closed form is
+    built by that one, the identity that compares the two torsion routes
+    would not see a fault in a step they shared, and a source guard keeps
+    this route away from it.
+    """
+    c = [1]
+    for m in range(1, len(traces) + 1):
+        q, rem = divmod(-sum(t * x for t, x in zip(traces, reversed(c))), m)
+        if rem:
+            raise ArithmeticError(f"traces not divisible by {m}")
+        c.append(q)
+    return IntPolynomial(c)
+
+
 def dual_lefschetz_zeta(P: ProductEndomorphism) -> FactoredRationalFunction:
     """Lefschetz zeta function L(z) of the dual map, which acts on the i-th
-    level by wedge^i M (x) B; each det(I - X z) comes from char_poly(X)."""
+    level by the block X_i = wedge^i M (x) B, B the class function matrix.
+
+    X_i has dimension D_i = C(k, i) c for c classes, and det(I - X_i z) is
+    determined by tr X_i^m, m = 1..D_i.  A trace of a Kronecker product
+    splits and wedge^i(M^m) = (wedge^i M)^m (Cauchy-Binet), so
+    tr X_i^m = tr wedge^i(M^m) tr B^m: the principal i-minors of M^m
+    summed (``wedge_traces``) times the power traces of B.
+    ``_factor_from_traces`` turns them into the factor; no block is formed
+    and no characteristic polynomial of one is taken.  The factors are
+    merged by exponent as ``lefschetz_zeta`` merges those of its matrices.
+    """
     B = class_function_matrix(P.F, P.phiF)
-    return lefschetz_zeta(
-        [kron(exterior_power(P.M, i), B) for i in range(P.k + 1)])
+    D = comb(P.k, P.k // 2) * B.rows  # the largest block dimension
+    products = [[t * f for t in levels]
+                for levels, f in zip(wedge_traces(P.M, D), power_traces(B, D))]
+    return _alternating_product([
+        _factor_from_traces([sums[i] for sums in
+                             products[:comb(P.k, i) * B.rows]])
+        for i in range(P.k + 1)])
 
 
 def torsion_via_lefschetz(

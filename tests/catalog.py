@@ -3,8 +3,12 @@ and a pool of product endomorphisms used across the formula/oracle tests."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from twistedzeta import (
     FiniteGroup,
@@ -16,6 +20,7 @@ from twistedzeta import (
     det,
     endo_from_generator_images,
     group_from_permutations,
+    intlinalg,
     mat_pow,
     trivial_group,
 )
@@ -215,3 +220,78 @@ def random_product_endomorphisms(count, rng: random.Random,
         except NotAHomomorphism:
             continue
     return cases
+
+
+@functools.cache
+def small_finite():
+    """(G, every endomorphism of G) for the catalog groups of order <= 8."""
+    return [(G, all_endomorphisms(G, gens) if gens
+             else [GroupEndomorphism((0,) * G.order)])
+            for _, G, gens in finite_catalog() if G.order <= 8]
+
+
+@st.composite
+def any_products(draw):
+    """(P, N): k <= 3, |F| <= 8, any phi_F and commuting psi, N <= 8; some
+    iterate may be infinite."""
+    k = draw(st.integers(0, 3))
+    M = IntMatrix(draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+        min_size=k, max_size=k)), rows=k, cols=k)
+    G, endos = draw(st.sampled_from(small_finite()))
+    phiF = draw(st.sampled_from(endos))
+    image = set(phiF.image)
+    commuting = [a for a in G.elements()
+                 if all(G.mult[a][f] == G.mult[f][a] for f in image)]
+    psi = tuple(draw(st.sampled_from(commuting)) for _ in range(k))
+    try:
+        P = ProductEndomorphism(M, psi, phiF, G)
+    except NotAHomomorphism:
+        P = None
+    assume(P is not None)
+    return P, draw(st.integers(1, 8))
+
+
+def companion(c):
+    """The companion matrix of x^k + c[k-1] x^(k-1) + ... + c[0]."""
+    k = len(c)
+    return IntMatrix([[int(i == j + 1) for j in range(k - 1)] + [-c[i]]
+                      for i in range(k)])
+
+
+def wide_products():
+    """Maps whose levels wedge^i M are wider than M: the companion matrix
+    of x^k - 3x + 1 (det +-1, no root-of-unity eigenvalue) for k = 3..6 as
+    a lattice, and for k = 3, 4 times S3 with an inner automorphism."""
+    S3, gens = sym3()
+    inner = endo_from_generator_images(
+        S3, gens, [S3.conj(gens[0], g) for g in gens])
+    cases = []
+    for k in range(3, 7):
+        M = companion([1, -3] + [0] * (k - 2))
+        cases.append(ProductEndomorphism.from_matrix(M))
+        if k <= 4:
+            cases.append(ProductEndomorphism(
+                M, (S3.identity,) * k, inner, S3))
+    return cases
+
+
+def record_row_products(monkeypatch) -> list[int]:
+    """The largest dimension of each product through the row-product loop
+    of ``intlinalg``: ``IntMatrix.__matmul__``, ``char_poly`` and the
+    power-trace kernels all run it."""
+    sizes = []
+    row_products = intlinalg._row_products
+
+    def recording(rows, nonzero, cols):
+        sizes.append(max(len(rows), len(nonzero), cols))
+        return row_products(rows, nonzero, cols)
+
+    monkeypatch.setattr(intlinalg, "_row_products", recording)
+    return sizes
+
+
+def largest_factor(P) -> int:
+    """max(k, #classes): the largest matrix a route that forms no level
+    wedge^i M and no block may multiply."""
+    return max(P.k, P.F.conjugacy_classes.num_classes)

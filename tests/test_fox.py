@@ -41,6 +41,7 @@ from twistedzeta.fox import (
     chain_matrices,
     word_inverse,
 )
+from twistedzeta.intlinalg import largest_real_root
 
 
 GENERATORS = b"abcdefghijklmnopqrstuvwxyz"
@@ -587,6 +588,17 @@ class TestExactPerronRoot:
                         ([[1, 1, 2, 0], [1, 1, 0, 3], [0, 0, 1, 1],
                           [0, 0, 1, 1]], 2)):
             assert spectral_radius(IntMatrix(A)).bracket == (root, root, 0)
+
+    def test_one_by_one_from_its_entry(self):
+        # The bracket of (a) is read off the entry; every field must be the
+        # one the root search gives: the search's bracket for x - a, and the
+        # floats of the 2 x 2 matrix diag(a, 0), whose largest root is a
+        # too and which goes through char_poly and largest_real_root.
+        for a in [*range(65), (1 << 61) + 1]:
+            sr = spectral_radius(IntMatrix([[a]]))
+            assert sr.bracket == largest_real_root(IntPolynomial([-a, 1]))
+            assert sr == spectral_radius(IntMatrix([[a, 0], [0, 0]]))
+            assert sr.low <= a <= sr.high
 
     def test_double_root_at_zero(self):
         # char_poly(T) = x^2 (x - 2): a bisection on the polynomial itself,

@@ -302,6 +302,53 @@ class TestExteriorPowers:
         assert kron(A, B).rows == 4
 
 
+def wedge_reference(M, N):
+    """tr wedge^i(M^n) both ways: the compound of the power and the power
+    of the compound, which Cauchy-Binet makes equal."""
+    of_powers = [[exterior_power(mat_pow(M, n), i).trace()
+                  for i in range(M.rows + 1)] for n in range(1, N + 1)]
+    of_levels = [[mat_pow(exterior_power(M, i), n).trace()
+                  for i in range(M.rows + 1)] for n in range(1, N + 1)]
+    assert of_powers == of_levels
+    return of_powers
+
+
+class TestPowerTraces:
+    """Power traces of A and of every level wedge^i M, from M^n alone."""
+
+    @given(square_matrices(0, 5), st.integers(0, 15))
+    @settings(max_examples=40, deadline=None)
+    def test_wedge_traces_are_level_traces(self, M, N):
+        assert intlinalg.wedge_traces(M, N) == wedge_reference(M, N)
+
+    def test_singular_and_negative_determinant(self):
+        for rows in ([[1, 2], [2, 4]],                  # singular, rank 1
+                     [[0, 1, 0], [0, 0, 1], [0, 0, 0]],  # nilpotent
+                     [[0, 1], [1, 0]],                  # det -1
+                     [[2, 1, 0], [1, -1, 3], [0, 1, 1]],  # det -9
+                     [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0],
+                      [0, 0, 1, -2]],                   # singular, k = 4
+                     [[0, 0, 0, 0, 1], [1, 0, 0, 0, 3], [0, 1, 0, 0, 0],
+                      [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]):  # det 1, k = 5
+            M = IntMatrix(rows)
+            traces = intlinalg.wedge_traces(M, 15)
+            assert traces == wedge_reference(M, 15)
+            assert all(t[-1] == det(M) ** n
+                       for n, t in enumerate(traces, start=1))
+
+    @given(square_matrices(0, 6), st.integers(0, 15))
+    @settings(max_examples=40, deadline=None)
+    def test_power_traces(self, A, N):
+        assert intlinalg.power_traces(A, N) == [
+            mat_pow(A, n).trace() for n in range(1, N + 1)]
+
+    def test_non_square(self):
+        A = IntMatrix([[1, 2, 3]])
+        for kernel in (intlinalg.power_traces, intlinalg.wedge_traces):
+            with pytest.raises(NotSquare):
+                kernel(A, 3)
+
+
 class TestEigenSigns:
     def test_known_values(self):
         assert count_eigen_signs(char_poly(IntMatrix([[-2]]))) == (1, 1)

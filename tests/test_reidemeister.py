@@ -1,12 +1,10 @@
 import itertools
-import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistedzeta import (
-    GroupEndomorphism,
     IntMatrix,
     ProductEndomorphism,
     char_poly,
@@ -39,14 +37,17 @@ from twistedzeta.errors import (
 from twistedzeta.intlinalg import det, unimodular_inverse
 
 from catalog import (
-    all_endomorphisms,
+    any_products,
     catalog_with_endos,
     cyclic6_doubling,
     cyclic_group,
-    finite_catalog,
     klein_swap,
+    largest_factor,
     product_catalog,
+    record_row_products,
+    small_finite,
     sym3,
+    wide_products,
 )
 
 
@@ -268,13 +269,6 @@ def _pairwise_oracle(P, n):
     return len({find(i) for i in range(len(elements))})
 
 
-_SMALL_FINITE = [
-    (G, all_endomorphisms(G, gens) if gens
-     else [GroupEndomorphism((0,) * G.order)])
-    for _, G, gens in finite_catalog() if G.order <= 8
-]
-
-
 @st.composite
 def small_products(draw):
     """(P, n): k <= 2, |F| <= 8, any phi_F, any commuting psi, n <= 3."""
@@ -288,7 +282,7 @@ def small_products(draw):
     except InfiniteReidemeister:
         cosets = None
     assume(cosets is not None and cosets <= 16)
-    G, endos = draw(st.sampled_from(_SMALL_FINITE))
+    G, endos = draw(st.sampled_from(small_finite()))
     phiF = draw(st.sampled_from(endos))
     image = set(phiF.image)
     commuting = [a for a in G.elements()
@@ -319,28 +313,6 @@ class TestOrbitOracle:
             for n in (1, 2, 3):
                 assert (r_product_oracle(P, n) == _pairwise_oracle(P, n)
                         == r_product(P, n)), (M, n)
-
-
-@st.composite
-def any_products(draw):
-    """(P, N): k <= 3, |F| <= 8, any phi_F and commuting psi, N <= 8; some
-    iterate may be infinite."""
-    k = draw(st.integers(0, 3))
-    M = IntMatrix(draw(st.lists(
-        st.lists(st.integers(-2, 2), min_size=k, max_size=k),
-        min_size=k, max_size=k)), rows=k, cols=k)
-    G, endos = draw(st.sampled_from(_SMALL_FINITE))
-    phiF = draw(st.sampled_from(endos))
-    image = set(phiF.image)
-    commuting = [a for a in G.elements()
-                 if all(G.mult[a][f] == G.mult[f][a] for f in image)]
-    psi = tuple(draw(st.sampled_from(commuting)) for _ in range(k))
-    try:
-        P = ProductEndomorphism(M, psi, phiF, G)
-    except NotAHomomorphism:
-        P = None
-    assume(P is not None)
-    return P, draw(st.integers(1, 8))
 
 
 def _one_by_one(P, N):
@@ -413,10 +385,11 @@ def block_traces(P, N):
 
 
 class TestTracesWithoutBlocks:
-    """The factors wedge^i M and B powered apart against the block loop."""
+    """The trace route from power traces of M^n and B against the block
+    loop."""
 
     def test_matches_block_powers_on_catalog(self):
-        for P in product_catalog():
+        for P in [*product_catalog(), *wide_products()]:
             assert r_product_traces(P, 12) == block_traces(P, 12)
 
     @given(any_products())
@@ -434,17 +407,10 @@ class TestTracesWithoutBlocks:
             assert info.value.n == infinite
 
     def test_powers_no_matrix_larger_than_a_factor(self, monkeypatch):
-        sizes = []
-        matmul = IntMatrix.__matmul__
-
-        def recording(A, B):
-            sizes.append(max(A.rows, A.cols, B.rows, B.cols))
-            return matmul(A, B)
-
-        monkeypatch.setattr(IntMatrix, "__matmul__", recording)
-        for P in product_catalog():
+        # Only M (k x k) and B (one row per class) are multiplied: no level
+        # wedge^i M, of dimension up to C(k, k//2), and no block.
+        sizes = record_row_products(monkeypatch)
+        for P in [*product_catalog(), *wide_products()]:
             sizes.clear()
             r_product_traces(P, 12)
-            classes = P.F.conjugacy_classes.num_classes
-            assert max(sizes) <= max(math.comb(P.k, P.k // 2), classes)
-
+            assert max(sizes, default=0) <= largest_factor(P)

@@ -125,17 +125,19 @@ def squared(x):
 
 
 def test_closed_form_and_trace_route_stay_apart():
-    # The closed form is built from power sums; the signed trace powers the
-    # factors wedge^i M and B of the blocks kron(wedge^i M, B) apart.  Were
-    # the closed form to reach those factors, or the trace route the
-    # formula's determinants and counts, neither would check the other
-    # independently.
-    factors = {"exterior_power", "class_function_matrix"}
+    # The closed form is built from power sums of one characteristic
+    # polynomial; the signed trace reads the traces of the factors
+    # wedge^i M and B of the blocks kron(wedge^i M, B) off the principal
+    # minors of M^n and the powers of B.  Were the closed form to reach
+    # those kernels, or the trace route the formula's determinants and
+    # counts, neither would check the other independently.
+    factors = {"wedge_traces", "power_traces", "class_function_matrix"}
     traces = _reached_names("reidemeister", "r_product_traces")
     assert factors <= traces
     assert not {"det", "_lattice_count", "r_finite",
                 "r_product_counts"} & traces
-    assert not ({"kron"} | factors) & _reached_names("zeta", "zeta_product")
+    assert not ({"kron", "exterior_power"} | factors) & _reached_names(
+        "zeta", "zeta_product")
 
 
 def test_image_lengths_and_ring_products_stay_apart():
@@ -247,18 +249,22 @@ def test_bounds_decide_without_floats():
 
 
 def test_torsion_routes_stay_apart():
-    # The closed-form route evaluates zeta_product, built from power sums;
-    # the Lefschetz route takes char_poly of the blocks kron(wedge^i M, B).
-    # Were either to reach the other's construction, the identity that
-    # compares them would check a route against itself.
+    # The closed-form route evaluates zeta_product, built from the power
+    # sums of char_poly(M) and the fixed-class counts; the Lefschetz route
+    # builds each det(I - (wedge^i M (x) B) z) by its own Newton step from
+    # the principal minors of M^m and the power traces of B.  Were either
+    # to reach the other's construction, the identity that compares them
+    # would check a route against itself.
     blocks = {"class_function_matrix", "kron", "exterior_power",
-              "lefschetz_zeta"}
+              "lefschetz_zeta", "_alternating_product", "wedge_traces",
+              "power_traces", "_factor_from_traces"}
     power_sums = {"zeta_product", "_power_sums", "_from_power_sums",
                   "_fixed_class_counts"}
+    dual = {"class_function_matrix", "wedge_traces", "power_traces"}
     assert not blocks & _reached_names("zeta", "torsion_special_value")
     assert "zeta_product" in _reached_names("zeta", "torsion_special_value")
     assert not power_sums & _reached_names("zeta", "torsion_via_lefschetz")
-    assert blocks <= _reached_names("zeta", "torsion_via_lefschetz")
+    assert dual <= _reached_names("zeta", "torsion_via_lefschetz")
 
 
 def test_one_product_kernel():

@@ -39,7 +39,7 @@ from twistedzeta.errors import (
     PoleAtEvaluation,
     ZeroDeterminant,
 )
-from twistedzeta import zeta
+from twistedzeta import intlinalg, zeta
 from twistedzeta.zeta import (
     check_all_iterates_finite,
     det_identity_minus_z,
@@ -49,11 +49,15 @@ from twistedzeta.zeta import (
 )
 
 from catalog import (
+    any_products,
     catalog_with_endos,
     klein_swap,
+    largest_factor,
     product_catalog,
     random_product_endomorphisms,
+    record_row_products,
     sym3,
+    wide_products,
 )
 
 
@@ -404,6 +408,53 @@ class TestExactTorsion:
             altered = FactoredRationalFunction(((wrong, e), *rest),
                                                rf.sign_convention)
             assert not lefschetz_identity(altered, dual_lefschetz_zeta(P))
+
+
+def block_dual(P):
+    """L(z) from one characteristic polynomial per block kron(wedge^i M, B),
+    the definition that ``dual_lefschetz_zeta`` reads off power traces."""
+    B = class_function_matrix(P.F, P.phiF)
+    return lefschetz_zeta(
+        [kron(exterior_power(P.M, i), B) for i in range(P.k + 1)])
+
+
+class TestDualFromPowerTraces:
+    """The dual Lefschetz zeta function from tr wedge^i(M^m) tr B^m against
+    the characteristic polynomials of the blocks, factor for factor."""
+
+    def test_matches_blocks_on_catalog(self):
+        for P in [*product_catalog(), *wide_products()]:
+            assert dual_lefschetz_zeta(P).factors == block_dual(P).factors
+
+    @given(any_products())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_blocks(self, case):
+        P, _ = case
+        assume(det(P))
+        assert dual_lefschetz_zeta(P).factors == block_dual(P).factors
+
+    def test_rank_six(self):
+        M = IntMatrix([[1, 2, 0, -1, 0, 1], [0, 1, 1, 0, 2, 0],
+                       [1, 0, -1, 1, 0, 0], [0, -2, 0, 1, 1, 1],
+                       [2, 0, 1, 0, -1, 0], [0, 1, 0, 1, 0, 2]])
+        P = ProductEndomorphism.from_matrix(M)
+        assert det(P)
+        assert dual_lefschetz_zeta(P).factors == block_dual(P).factors
+
+    def test_forms_no_block(self, monkeypatch):
+        # Only M and B are multiplied, and no characteristic polynomial is
+        # taken: a block kron(wedge^i M, B) has dimension C(k, i) * #classes.
+        def refuse(*args):
+            raise AssertionError("a level or a block was formed")
+
+        for module in (intlinalg, zeta):
+            for name in ("kron", "exterior_power", "char_poly"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        sizes = record_row_products(monkeypatch)
+        for P in [*product_catalog(), *wide_products()]:
+            sizes.clear()
+            dual_lefschetz_zeta(P)
+            assert max(sizes, default=0) <= largest_factor(P)
 
 
 def det(P):
