@@ -57,7 +57,7 @@ from .groups import (
     identity_endo,
     phi_conjugacy_classes,
 )
-from .intlinalg import IntMatrix, det
+from .intlinalg import IntMatrix, det, mat_pow
 from .reidemeister import (
     ProductEndomorphism,
     r_abelian,
@@ -274,14 +274,6 @@ def _agrees(route: list, formula: list[int]) -> bool:
     return all(c is None or c == f for c, f in zip(route, formula))
 
 
-def _powers(A: IntMatrix, N: int) -> list[IntMatrix]:
-    """A^1..A^N, one product each."""
-    powers = [A]
-    while len(powers) < N:
-        powers.append(powers[-1] @ A)
-    return powers
-
-
 # Each Z^k x F kind's count route labels, in report order.
 _COUNT_LABELS = {
     "finite": {"formula": "fixed_class_formula",
@@ -303,8 +295,8 @@ def _oracle_counts(P: ProductEndomorphism, N: int, gated: bool) -> list:
     if not gated:
         return [r_product_oracle(P, n) for n in range(1, N + 1)]
     oracle = [None] * N
-    for n, Mn in enumerate(_powers(P.M, min(N, 4)), start=1):
-        if r_abelian(Mn) * P.F.order <= ORACLE_SIZE_CAP:
+    for n in range(1, min(N, 4) + 1):
+        if r_abelian(mat_pow(P.M, n)) * P.F.order <= ORACLE_SIZE_CAP:
             oracle[n - 1] = r_product_oracle(P, n)
     return oracle
 

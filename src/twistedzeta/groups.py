@@ -321,12 +321,18 @@ def phi_conjugacy_classes(
 
 
 def iterate_endo(phi: GroupEndomorphism, n: int) -> GroupEndomorphism:
+    """phi^n, n >= 1, by square and multiply: the powers of phi commute,
+    and phi^n takes bit_length(n) + popcount(n) - 2 compositions."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = phi
-    for _ in range(n - 1):
-        acc = phi.compose(acc)
-    return acc
+    acc, square = None, phi
+    while True:
+        if n & 1:
+            acc = square if acc is None else square.compose(acc)
+        n >>= 1
+        if not n:
+            return acc
+        square = square.compose(square)
 
 
 def eventual_image(

@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
 Determinants by fraction-free (Bareiss) elimination, characteristic
-polynomials by Faddeev-LeVerrier over the integers, Smith normal form with
-unimodular transforms, exterior powers as compound matrices, power traces
-tr A^n, and the traces tr wedge^i(M^n) as sums of principal minors of M^n,
-with no compound matrix formed.  Facts about eigenvalues are read off the
+polynomials by Faddeev-LeVerrier over the integers, the Smith diagonal
+with no unimodular transform formed, exterior powers as compound matrices,
+power traces tr A^n, and the traces tr wedge^i(M^n) as sums of principal
+minors of M^n, with no compound matrix formed.  Facts about eigenvalues are read off the
 characteristic polynomial by integer pseudo-division: real-root counts and
 a bracket of the largest real root by Sturm sequences, and root-of-unity
 eigenvalues by cyclotomic divisors.  Sturm counts are taken at finite
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import BadIndex, EigenvalueOnBoundary, NotSquare
 
@@ -291,48 +290,24 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
     return IntPolynomial(reversed(coeffs))
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """left @ A @ right is diagonal with d1 | d2 | ... (zeros last)."""
-
-    diagonal: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
-
-
-def smith_normal_form(A: IntMatrix) -> SmithForm:
+def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
+    """The Smith diagonal d1 | d2 | ... of A: min(rows, cols) entries, none
+    negative, zeros last.  It is L A R for unimodular L and R, which no
+    route reads, so they are not formed."""
     m, n = A.rows, A.cols
     S = [list(row) for row in A.entries]
-    L = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         for t in range(n):
             S[i][t] -= q * S[j][t]
-        for t in range(m):
-            L[i][t] -= q * L[j][t]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for t in range(m):
             S[t][i] -= q * S[t][j]
-        for t in range(n):
-            R[t][i] -= q * R[t][j]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        L[i], L[j] = L[j], L[i]
 
     def swap_cols(i, j):
         for t in range(m):
             S[t][i], S[t][j] = S[t][j], S[t][i]
-        for t in range(n):
-            R[t][i], R[t][j] = R[t][j], R[t][i]
-
-    def negate_row(i):
-        for t in range(n):
-            S[i][t] = -S[i][t]
-        for t in range(m):
-            L[i][t] = -L[i][t]
 
     t = 0
     while t < min(m, n):
@@ -345,7 +320,7 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
                         pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        S[t], S[pivot[0]] = S[pivot[0]], S[t]
         swap_cols(t, pivot[1])
 
         while True:
@@ -356,7 +331,7 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
                     q = S[i][t] // S[t][t]
                     row_op(i, t, q)
                     if S[i][t] != 0:
-                        swap_rows(t, i)
+                        S[t], S[i] = S[i], S[t]
                         dirty = True
             if dirty:
                 continue
@@ -383,26 +358,26 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
                 break
             row_op(t, offender, -1)  # add offending row to row t, restart
 
-        if S[t][t] < 0:
-            negate_row(t)
+        S[t][t] = abs(S[t][t])  # the rest of row t is zero
         t += 1
 
-    diagonal = tuple(S[i][i] for i in range(min(m, n)))
-    return SmithForm(diagonal, IntMatrix(L, rows=m, cols=m),
-                     IntMatrix(R, rows=n, cols=n))
+    return tuple(S[i][i] for i in range(min(m, n)))
 
 
 def unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1.
-
-    Its Smith form is L U R = I, so the inverse is R L.  No route of the
-    package calls it; the tests invert Smith transforms with it, and
-    ``perfbench/run.py`` reports it among its per-layer functions.
-    """
-    snf = smith_normal_form(U)
-    if any(d != 1 for d in snf.diagonal):
+    """Exact integer inverse det(U) adj(U) of a matrix with determinant
+    +-1; ValueError for any other determinant.  No route of the package
+    calls it; ``perfbench/run.py`` reports it among its per-layer
+    functions."""
+    d = det(U)
+    if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return snf.right @ snf.left
+    rest = [[t for t in range(U.rows) if t != i] for i in range(U.rows)]
+    # entry (i, j) of adj(U) is the (j, i) cofactor
+    return IntMatrix._trusted(tuple(
+        tuple((-1) ** (i + j) * d * det(U.submatrix(rest[j], rest[i]))
+              for j in range(U.rows)) for i in range(U.rows)),
+        U.rows, U.rows)
 
 
 def exterior_power(A: IntMatrix, i: int) -> IntMatrix:
@@ -431,14 +406,16 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
         raise NotSquare("power of a non-square matrix")
     if n < 0:
         raise ValueError("negative power")
-    result = IntMatrix.identity(A.rows)
-    base = A
-    while n:
+    if n == 0:
+        return IntMatrix.identity(A.rows)
+    result, base = None, A
+    while True:  # bit_length(n) + popcount(n) - 2 products
         if n & 1:
-            result = result @ base
-        base = base @ base if n > 1 else base
+            result = base if result is None else result @ base
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = base @ base
 
 
 def _powers(A: IntMatrix, N: int) -> Iterator[list[list[int]]]:

@@ -76,8 +76,7 @@ def r_abelian(M: IntMatrix) -> int:
 def r_abelian_smith(M: IntMatrix) -> int:
     """Coset-count oracle: order of Z^k / (I - M)Z^k via the Smith diagonal;
     a test reference for one n, pinned by the benchmark's per-layer table."""
-    count = math.prod(
-        smith_normal_form(IntMatrix.identity(M.rows) - M).diagonal)
+    count = math.prod(smith_normal_form(IntMatrix.identity(M.rows) - M))
     if count == 0:
         raise InfiniteReidemeister("(I - M) is singular", n=1)
     return count
@@ -232,7 +231,7 @@ def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
     or a class map.
     """
     cosets = math.prod(smith_normal_form(
-        IntMatrix.identity(P.k) - mat_pow(P.M, n)).diagonal)
+        IntMatrix.identity(P.k) - mat_pow(P.M, n)))
     if cosets == 0:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
     twisted = phi_conjugacy_classes(P.F, iterate_endo(P.phiF, n))

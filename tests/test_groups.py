@@ -23,6 +23,7 @@ from twistedzeta.errors import (
 
 from catalog import (
     all_endomorphisms,
+    catalog_with_endos,
     cyclic6_doubling,
     finite_catalog,
     klein_four,
@@ -284,6 +285,31 @@ class TestIterate:
         K, swap = klein_swap()
         with pytest.raises(ValueError):
             iterate_endo(swap, 0)
+
+    def test_matches_repeated_composition_on_the_catalog(self):
+        # square and multiply against phi composed n times, on every
+        # endomorphism of every catalog group, non-bijective ones included
+        non_bijective = 0
+        for name, G, endos in catalog_with_endos():
+            for phi in endos:
+                non_bijective += not phi.is_bijective()
+                power = phi
+                for n in range(1, 13):
+                    assert iterate_endo(phi, n) == power, (name, phi, n)
+                    power = phi.compose(power)
+        assert non_bijective
+
+    def test_square_and_multiply_composition_count(self, monkeypatch):
+        # phi^n takes bit_length(n) + popcount(n) - 2 compositions: 35 over
+        # n = 1..12, where composing phi onto phi^(n-1) takes 66
+        calls = []
+        compose = GroupEndomorphism.compose
+        monkeypatch.setattr(GroupEndomorphism, "compose",
+                            lambda a, b: calls.append(1) or compose(a, b))
+        _, phi = cyclic6_doubling()
+        for n in range(1, 13):
+            iterate_endo(phi, n)
+        assert len(calls) == 35
 
 
 class TestEventualImage:

@@ -32,6 +32,7 @@ from twistedzeta.intlinalg import (
 from twistedzeta.zeta import check_all_iterates_finite
 
 import root_reference
+from catalog import record_row_products
 
 
 def random_matrix(rng, k, lo=-5, hi=5):
@@ -69,6 +70,57 @@ def block_sum(*blocks):
     return IntMatrix(out, rows=k, cols=k)
 
 
+def elementary_product(rng, k, steps=10):
+    """A random k x k integer matrix of determinant +-1, k >= 1: a product
+    of elementary matrices, each adding a multiple of one row to another,
+    swapping two rows or negating one."""
+    U = IntMatrix.identity(k)
+    for _ in range(steps):
+        E = [[int(a == b) for b in range(k)] for a in range(k)]
+        i, j = rng.randrange(k), rng.randrange(k)
+        step = rng.randrange(3)
+        if step == 0 and i != j:
+            E[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        elif step == 1:
+            E[i], E[j] = E[j], E[i]
+        elif step == 2:
+            E[i][i] = -1
+        U = IntMatrix(E) @ U
+    return U
+
+
+def determinantal_divisors(A):
+    """The Smith diagonal by its definition: d_i = Delta_i / Delta_(i-1)
+    for i = 1..min(rows, cols), Delta_i the gcd of the i-minors of A and
+    Delta_0 = 1, and d_i = 0 once Delta_i = 0.  The zero rows or columns
+    that make A square add only zero minors."""
+    k = max(A.rows, A.cols)
+    square = IntMatrix([[A[i, j] if i < A.rows and j < A.cols else 0
+                         for j in range(k)] for i in range(k)], rows=k, cols=k)
+    delta = [1] + [
+        math.gcd(*itertools.chain.from_iterable(
+            exterior_power(square, i).entries))
+        for i in range(1, min(A.rows, A.cols) + 1)]
+    return tuple(d // p if p else 0 for p, d in zip(delta, delta[1:]))
+
+
+@st.composite
+def smith_inputs(draw):
+    """Matrices of every shape up to 4 x 4, and square ones of lower rank
+    as products of a k x r and an r x k factor, r < k."""
+    def entries(rows, cols, bound):
+        return IntMatrix(draw(st.lists(
+            st.lists(st.integers(-bound, bound), min_size=cols,
+                     max_size=cols), min_size=rows, max_size=rows)),
+            rows=rows, cols=cols)
+
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if m > 1 and draw(st.booleans()):
+        r = draw(st.integers(1, m - 1))
+        return entries(m, r, 3) @ entries(r, m, 3)
+    return entries(m, n, 6)
+
+
 class TestIntMatrix:
     def test_empty_matrix(self):
         A = IntMatrix([])
@@ -93,6 +145,20 @@ class TestIntMatrix:
         A = IntMatrix([[2, 1], [1, 1]])
         assert mat_pow(A, 0) == IntMatrix.identity(2)
         assert mat_pow(A, 3) == A @ A @ A
+
+    def test_mat_pow_by_square_and_multiply(self, monkeypatch):
+        # A^n against A multiplied n times, and bit_length(n) + popcount(n)
+        # - 2 products for it: 35 over n = 1..12, where A^(n-1) A takes 66
+        rng = random.Random(12)
+        A = random_matrix(rng, 3, -2, 2)
+        power = IntMatrix.identity(3)
+        for n in range(13):
+            assert mat_pow(A, n) == power, n
+            power = power @ A
+        sizes = record_row_products(monkeypatch)
+        for n in range(1, 13):
+            mat_pow(A, n)
+        assert len(sizes) == 35
 
 
 # Entries: mostly zero (the trace blocks have one nonzero per column of B),
@@ -225,21 +291,17 @@ class TestDetAndCharPoly:
 
 
 class TestSmith:
-    @given(matrices)
-    @settings(max_examples=60, deadline=None)
-    def test_decomposition_and_divisibility(self, A):
-        snf = smith_normal_form(A)
-        L, R = snf.left, snf.right
-        assert abs(det(L)) == 1 and abs(det(R)) == 1
-        D = L @ A @ R
-        k = A.rows
-        for i in range(k):
-            for j in range(k):
-                expected = snf.diagonal[i] if i == j else 0
-                assert D[i, j] == expected
-        for i in range(k - 1):
-            d, e = snf.diagonal[i], snf.diagonal[i + 1]
-            assert d >= 0
+    @given(smith_inputs())
+    @example(IntMatrix([[2, 4], [1, 2]]))
+    @example(IntMatrix([[0, 0, 0], [0, 0, 0]]))
+    @example(IntMatrix([[4, 0], [0, 6], [0, 0]]))
+    @example(IntMatrix([[2, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0]]))
+    @settings(max_examples=100, deadline=None)
+    def test_determinantal_divisors_and_divisibility(self, A):
+        diagonal = smith_normal_form(A)
+        assert diagonal == determinantal_divisors(A)
+        assert all(d >= 0 for d in diagonal)
+        for d, e in zip(diagonal, diagonal[1:]):
             if d != 0:
                 assert e % d == 0
             else:
@@ -248,18 +310,22 @@ class TestSmith:
     @given(matrices)
     @settings(max_examples=40, deadline=None)
     def test_diagonal_product_matches_det(self, A):
-        snf = smith_normal_form(A)
-        prod = 1
-        for d in snf.diagonal:
-            prod *= d
-        assert prod == abs(det(A))
+        assert math.prod(smith_normal_form(A)) == abs(det(A))
 
-    @given(matrices)
+    @given(st.integers(1, 4), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_unimodular_inverse(self, A):
-        snf = smith_normal_form(A)
-        L, Linv = snf.left, unimodular_inverse(snf.left)
-        assert L @ Linv == IntMatrix.identity(A.rows) == Linv @ L
+    def test_unimodular_inverse(self, k, rng):
+        U = elementary_product(rng, k)
+        assert abs(det(U)) == 1
+        V = unimodular_inverse(U)
+        assert U @ V == IntMatrix.identity(k) == V @ U
+
+    @pytest.mark.parametrize("rows", [
+        [[2]], [[0, 0], [0, 0]], [[1, 2], [2, 4]], [[2, 1], [1, 2]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, -3]]])
+    def test_non_unimodular_input_raises(self, rows):
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(IntMatrix(rows))
 
 
 class TestExteriorPowers:
@@ -678,8 +744,8 @@ class TestCyclotomic:
             companion = IntMatrix([[(i == j + 1) - (j == d - 1) * c[i]
                                     for j in range(d)] for i in range(d)])
             block = block_sum(companion, IntMatrix([[2, 1], [1, 1]]))
-            snf = smith_normal_form(random_matrix(rng, d + 2, -3, 3))
-            M = snf.left @ block @ unimodular_inverse(snf.left)
+            U = elementary_product(rng, d + 2)
+            M = U @ block @ unimodular_inverse(U)
             assert char_poly(companion) == phi
             assert char_poly(M) == char_poly(block)
             assert first_cyclotomic_factor(char_poly(M)) == n

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -27,14 +28,13 @@ from twistedzeta import (
     r_product_oracle,
     r_product_trace,
     r_product_traces,
-    smith_normal_form,
 )
 from twistedzeta.errors import (
     EigenvalueOnBoundary,
     InfiniteReidemeister,
     NotAHomomorphism,
 )
-from twistedzeta.intlinalg import det, unimodular_inverse
+from twistedzeta.intlinalg import det
 
 from catalog import (
     any_products,
@@ -223,27 +223,50 @@ def _lattice_finite_part(P, v, n):
     return f
 
 
+def _adjugate(A):
+    """adj A, entry (i, j) the (j, i) cofactor: A adj A = det(A) I."""
+    k = A.rows
+    rest = [[t for t in range(k) if t != i] for i in range(k)]
+    return IntMatrix([[(-1) ** (i + j) * det(A.submatrix(rest[j], rest[i]))
+                       for j in range(k)] for i in range(k)], rows=k, cols=k)
+
+
 def _pairwise_oracle(P, n):
     """Reference enumeration: union-find over every pair of the N =
     #cosets * |F| representatives, each pair tested with the two-condition
-    criterion; O(N^2) pair tests."""
+    criterion; O(N^2) pair tests.
+
+    For A = I - M^n, D = det A and C = adj A, A C = D I, so v lies in
+    A Z^k iff C v = 0 mod D, and then v = A w for w = C v / D.  The
+    residues of C v mod D key the cosets, and a breadth-first walk over
+    +-e_i from 0 takes one representative of each of the |D| keys.
+    """
     A = IntMatrix.identity(P.k) - mat_pow(P.M, n)
     phin = iterate_endo(P.phiF, n)
     F = P.F
-    snf = smith_normal_form(A)
-    left_inverse = unimodular_inverse(snf.left)
-    reps = [left_inverse.apply(x)
-            for x in itertools.product(*(range(d) for d in snf.diagonal))]
-    elements = [(v, f) for v in reps for f in F.elements()]
+    D, C = det(A), _adjugate(A)
+    assert A @ C == IntMatrix.identity(P.k).scale(D) and D != 0
+
+    def key(v):
+        return tuple(x % D for x in C.apply(v))
+
+    origin = (0,) * P.k
+    cosets = {key(origin): origin}
+    queue = collections.deque([origin])
+    while len(cosets) < abs(D):
+        v = queue.popleft()
+        for i, step in itertools.product(range(P.k), (1, -1)):
+            u = v[:i] + (v[i] + step,) + v[i + 1:]
+            if key(u) not in cosets:
+                cosets[key(u)] = u
+                queue.append(u)
+    elements = [(v, f) for v in cosets.values() for f in F.elements()]
 
     def solve(delta):
-        x = snf.left.apply(delta)
-        w = []
-        for xi, d in zip(x, snf.diagonal):
-            if xi % d != 0:
-                return None
-            w.append(xi // d)
-        return snf.right.apply(tuple(w))
+        x = C.apply(delta)
+        if any(xi % D for xi in x):
+            return None
+        return tuple(xi // D for xi in x)
 
     def equivalent(g1, g2):
         (v1, f1), (v2, f2) = g1, g2

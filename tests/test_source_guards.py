@@ -25,7 +25,8 @@ _OPERATOR_METHODS = {ast.Add: "__add__", ast.Sub: "__sub__",
                      ast.USub: "__neg__"}
 
 
-def _reached_names(module: str, function: str) -> set[str]:
+def _reached_names(module: str, function: str,
+                   follow_operators: bool = True) -> set[str]:
     """Names reached from a module-level function of the package.
 
     A function reaches every name it calls or refers to, by itself or as an
@@ -36,17 +37,21 @@ def _reached_names(module: str, function: str) -> set[str]:
     reaches no method: no operator method of the package takes an int.  The
     module's own functions and methods (by name, whatever their class)
     reached that way are followed in turn, so the set over-approximates
-    what the function can run within its module.
+    what the function can run within its module.  With
+    ``follow_operators`` false an operator's method is reached but not
+    followed, for functions whose operators all act on ints.
     """
     path = PACKAGE / f"{module}.py"
-    return _reached_in(path.read_text(encoding="utf-8"), function)
+    return _reached_in(path.read_text(encoding="utf-8"), function,
+                       follow_operators)
 
 
 def _int_literal(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) is int
 
 
-def _reached_in(source: str, function: str) -> set[str]:
+def _reached_in(source: str, function: str,
+                follow_operators: bool = True) -> set[str]:
     """``_reached_names`` of a function of the module source."""
     tree = ast.parse(source)
     defs: dict[str, list[ast.FunctionDef]] = {}
@@ -62,6 +67,7 @@ def _reached_in(source: str, function: str) -> set[str]:
             continue
         seen.add(name)
         for node in (n for d in defs[name] for n in _runtime_nodes(d)):
+            follow = True
             if isinstance(node, ast.Name):
                 reached = node.id
             elif isinstance(node, ast.Attribute):
@@ -70,10 +76,11 @@ def _reached_in(source: str, function: str) -> set[str]:
                   and type(node.op) in _OPERATOR_METHODS
                   and not any(map(_int_literal, ast.iter_child_nodes(node)))):
                 reached = _OPERATOR_METHODS[type(node.op)]
+                follow = follow_operators
             else:
                 continue
             reached_names.add(reached)
-            if reached in defs:
+            if follow and reached in defs:
                 todo.append(reached)
     return reached_names
 
@@ -122,6 +129,27 @@ def squared(x):
     doubled = _reached_in(source, "doubled")
     assert not {"__mul__", "__sub__", "__neg__", "_add_product"} & doubled
     assert {"__mul__", "_add_product"} <= _reached_in(source, "squared")
+
+
+def test_unfollowed_operators_are_still_reached():
+    # q * row[t] on ints names IntPolynomial.__mul__ by method name only;
+    # not following it keeps that method's own names out, and @ still shows.
+    source = """
+class IntPolynomial:
+    def __mul__(self, other):
+        return IntMatrix._trusted(other)
+
+def eliminate(q, row, t):
+    return q * row[t]
+
+def transformed(L, A):
+    return L @ A
+"""
+    assert "_trusted" in _reached_in(source, "eliminate")
+    eliminate = _reached_in(source, "eliminate", follow_operators=False)
+    assert "__mul__" in eliminate and "_trusted" not in eliminate
+    assert "__matmul__" in _reached_in(source, "transformed",
+                                       follow_operators=False)
 
 
 def test_closed_form_and_trace_route_stay_apart():
@@ -216,6 +244,16 @@ def test_formula_counts_advance_their_own_iterates():
                 & _reached_names("reidemeister", "r_product_counts"))
     for route in ("r_product_traces", "r_product_oracle"):
         assert "r_product_counts" not in _reached_names("reidemeister", route)
+
+
+def test_smith_diagonal_forms_no_transform():
+    # The coset oracle reads only the Smith diagonal.  Unimodular L and R
+    # kept next to it would be matrices that no route reads: the
+    # elimination works on lists of ints and builds no IntMatrix.  Its
+    # operators all act on entries, so their methods are not followed.
+    transforms = {"IntMatrix", "identity", "_trusted", "__matmul__"}
+    assert not transforms & _reached_names("intlinalg", "smith_normal_form",
+                                           follow_operators=False)
 
 
 def test_product_oracle_counts_without_the_formula():
