@@ -483,12 +483,17 @@ def _read_document(path: str) -> str:
         return fh.read()
 
 
+# The report encoder, built once: ``json.dumps`` with ``default`` builds a
+# new encoder on every call.
+_ENCODER = json.JSONEncoder(default=str)
+
+
 def _emit(report: dict, as_json: bool) -> None:
     """Print the report.  As JSON, each top-level key starts a line of its
     own and its value follows on that line: the compact encoding goes
     through the C encoder, which ``indent`` would bypass."""
     if as_json:
-        lines = (f"  {json.dumps(key)}: {json.dumps(value, default=str)}"
+        lines = (f"  {_ENCODER.encode(key)}: {_ENCODER.encode(value)}"
                  for key, value in report.items())
         print("{\n" + ",\n".join(lines) + "\n}")
     else:

@@ -237,10 +237,10 @@ def det(A: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     if not A.is_square:
         raise NotSquare("determinant of a non-square matrix")
-    return _det([list(row) for row in A.entries])
+    return det_rows([list(row) for row in A.entries])
 
 
-def _det(M: list[list[int]]) -> int:
+def det_rows(M: list[list[int]]) -> int:
     """``det`` of a square matrix given as a list of row lists, which the
     elimination overwrites."""
     n = len(M)
@@ -418,9 +418,10 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
         base = base @ base
 
 
-def _powers(A: IntMatrix, N: int) -> Iterator[list[list[int]]]:
+def row_powers(A: IntMatrix, N: int) -> Iterator[list[list[int]]]:
     """A^n as row lists for n = 1..N: A^n is A^(n-1) A, one product per n
-    and no IntMatrix per step.  A must be square."""
+    and no IntMatrix per step.  A must be square.  Each yielded list is
+    new, and the next power reads it, so callers must not change it."""
     nonzero = A._nonzero_rows()
     power = [list(row) for row in A.entries]
     for n in range(N):
@@ -434,24 +435,39 @@ def power_traces(A: IntMatrix, N: int) -> list[int]:
     if not A.is_square:
         raise NotSquare("power traces of a non-square matrix")
     return [sum(power[i][i] for i in range(A.rows))
-            for power in _powers(A, N)]
+            for power in row_powers(A, N)]
 
 
-def wedge_traces(M: IntMatrix, N: int) -> list[list[int]]:
+def wedge_traces(M: IntMatrix, N: int,
+                 limits: list[int] | None = None) -> list[list[int | None]]:
     """``[[tr wedge^i(M^n) for i = 0..k] for n = 1..N]`` for a k x k M.
 
     The trace of the compound matrix wedge^i X is the sum of the principal
     i-minors of X, and by Cauchy-Binet wedge^i(M^n) = (wedge^i M)^n, so
     these are also the power traces of every level wedge^i M.  Only the
-    powers of M are formed; no level is.
+    powers of M are formed; no level is.  Level 0 is 1 and level 1 is
+    tr M^n, so minors are taken for i >= 2 only.  With ``limits``, level i
+    is taken for n <= limits[i] only and reads None beyond.
     """
     if not M.is_square:
         raise NotSquare("wedge traces of a non-square matrix")
-    levels = [list(itertools.combinations(range(M.rows), i))
-              for i in range(M.rows + 1)]
-    return [[sum(_det([[power[a][b] for b in S] for a in S]) for S in level)
-             for level in levels]
-            for power in _powers(M, N)]
+    k = M.rows
+    if limits is None:
+        limits = [N] * (k + 1)
+    subsets = [list(itertools.combinations(range(k), i))
+               for i in range(k + 1)]
+
+    def trace(power, i):
+        if i == 0:
+            return 1
+        if i == 1:
+            return sum(power[a][a] for a in range(k))
+        return sum(det_rows([[power[a][b] for b in S] for a in S])
+                   for S in subsets[i])
+
+    return [[trace(power, i) if n <= limits[i] else None
+             for i in range(k + 1)]
+            for n, power in enumerate(row_powers(M, N), start=1)]
 
 
 # -- eigenvalues from the characteristic polynomial --------------------------

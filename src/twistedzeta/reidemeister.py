@@ -30,10 +30,12 @@ from .intlinalg import (
     char_poly,
     count_eigen_signs,
     det,
+    det_rows,
     exterior_power,
     first_cyclotomic_factor,
     mat_pow,
     power_traces,
+    row_powers,
     smith_normal_form,
     wedge_traces,
 )
@@ -143,9 +145,8 @@ class ProductEndomorphism:
         return cls(M, tuple([F.identity] * M.rows), GroupEndomorphism((0,)), F)
 
 
-def _lattice_count(A: IntMatrix, n: int) -> int:
-    """|det A| for A = I - M^n, which must not vanish."""
-    d = det(A)
+def _lattice_count(d: int, n: int) -> int:
+    """|d| for d = det(I - M^n), which must not vanish."""
     if d == 0:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
     return abs(d)
@@ -155,24 +156,28 @@ def r_product(P: ProductEndomorphism, n: int = 1) -> int:
     """Product formula: |det(I - M^n)| times the finite count for phi_F^n;
     a test reference for one n, pinned by the benchmark's per-layer table."""
     lattice_count = _lattice_count(
-        IntMatrix.identity(P.k) - mat_pow(P.M, n), n)
+        det(IntMatrix.identity(P.k) - mat_pow(P.M, n)), n)
     return lattice_count * r_finite(P.F, iterate_endo(P.phiF, n))
 
 
 def r_product_counts(P: ProductEndomorphism, N: int) -> list[int]:
     """``[r_product(P, n) for n in 1..N]`` in one pass of iterates.
 
-    M^n is M^(n-1) M and phi_F^n is phi_F after phi_F^(n-1): one matrix
-    product and one composition per n.  The first n with det(I - M^n) = 0
-    raises, as ``r_product`` does for that n.
+    M^n is M^(n-1) M, as row lists, and phi_F^n is phi_F after
+    phi_F^(n-1): one matrix product and one composition per n.  Each
+    determinant eliminates a fresh row list of I - M^n, so no IntMatrix is
+    formed per n.  The first n with det(I - M^n) = 0 raises, as
+    ``r_product`` does for that n.
     """
-    identity = IntMatrix.identity(P.k)
-    Mn, phin = identity, identity_endo(P.F)
+    phin = identity_endo(P.F)
     counts = []
-    for n in range(1, N + 1):
-        Mn = Mn @ P.M
+    for n, power in enumerate(row_powers(P.M, N), start=1):
         phin = P.phiF.compose(phin)
-        counts.append(_lattice_count(identity - Mn, n) * r_finite(P.F, phin))
+        rows = [[-a for a in row] for row in power]  # I - M^n
+        for i, row in enumerate(rows):
+            row[i] += 1
+        counts.append(_lattice_count(det_rows(rows), n)
+                      * r_finite(P.F, phin))
     return counts
 
 
@@ -189,7 +194,7 @@ def r_product_trace(P: ProductEndomorphism, n: int = 1) -> int:
     taken as (-1)^(r+p*n) sum_i (-1)^i Tr (wedge^i M)^n times Tr B^n from
     the powers of the levels wedge^i M themselves: a test reference for one
     n, pinned by the benchmark's per-layer table."""
-    _lattice_count(IntMatrix.identity(P.k) - mat_pow(P.M, n), n)
+    _lattice_count(det(IntMatrix.identity(P.k) - mat_pow(P.M, n)), n)
     p, r = count_eigen_signs(char_poly(P.M))
     levels = [mat_pow(exterior_power(P.M, i), n).trace()
               for i in range(P.k + 1)]

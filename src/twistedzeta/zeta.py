@@ -474,19 +474,21 @@ def dual_lefschetz_zeta(P: ProductEndomorphism) -> FactoredRationalFunction:
     determined by tr X_i^m, m = 1..D_i.  A trace of a Kronecker product
     splits and wedge^i(M^m) = (wedge^i M)^m (Cauchy-Binet), so
     tr X_i^m = tr wedge^i(M^m) tr B^m: the principal i-minors of M^m
-    summed (``wedge_traces``) times the power traces of B.
-    ``_factor_from_traces`` turns them into the factor; no block is formed
-    and no characteristic polynomial of one is taken.  The factors are
-    merged by exponent as ``lefschetz_zeta`` merges those of its matrices.
+    summed (``wedge_traces``, level i for m <= D_i only) times the power
+    traces of B.  ``_factor_from_traces`` turns them into the factor; no
+    block is formed and no characteristic polynomial of one is taken.  The
+    factors are merged by exponent as ``lefschetz_zeta`` merges those of
+    its matrices.
     """
     B = class_function_matrix(P.F, P.phiF)
-    D = comb(P.k, P.k // 2) * B.rows  # the largest block dimension
-    products = [[t * f for t in levels]
-                for levels, f in zip(wedge_traces(P.M, D), power_traces(B, D))]
+    dims = [comb(P.k, i) * B.rows for i in range(P.k + 1)]
+    D = max(dims)
+    wedges = wedge_traces(P.M, D, dims)
+    fixed = power_traces(B, D)
     return _alternating_product([
-        _factor_from_traces([sums[i] for sums in
-                             products[:comb(P.k, i) * B.rows]])
-        for i in range(P.k + 1)])
+        _factor_from_traces([levels[i] * f for levels, f in
+                             zip(wedges[:dim], fixed)])
+        for i, dim in enumerate(dims)])
 
 
 def torsion_via_lefschetz(

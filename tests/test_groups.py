@@ -4,6 +4,7 @@ import random
 import pytest
 
 from twistedzeta import (
+    FiniteGroup,
     GroupEndomorphism,
     endo_from_generator_images,
     eventual_image,
@@ -29,6 +30,7 @@ from catalog import (
     klein_four,
     klein_swap,
     sym3,
+    sym4,
 )
 
 
@@ -184,21 +186,96 @@ def _first_assignment_table(G, generators, images):
     return GroupEndomorphism(tuple(table[g] for g in G.elements()))
 
 
+def _is_hom_by_full_table(G, phi):
+    """Test-local reference: phi(g*h) = phi(g)*phi(h) over all |G|^2
+    pairs, with no use of generators."""
+    return all(phi(G.mult[g][h]) == G.mult[phi(g)][phi(h)]
+               for g in G.elements() for h in G.elements())
+
+
+def _catalog_with_recorded_generators():
+    """(name, group, generators) for every catalog group with at most two
+    generators, and again as the closure of its regular representation.
+    validate takes the |G|^2 pass on the hand-built tables of the catalog
+    (cyclic groups, Q8) and the Cayley edges on every closure, which
+    records its generators."""
+    out = []
+    for name, G, gens in finite_catalog():
+        if len(gens) > 2:
+            continue
+        out.append((name, G, gens))
+        H = group_from_permutations(G.order, _regular_representation(G, gens))
+        out.append((f"{name} (closed)", H, list(H.generators)))
+    return out
+
+
+class TestValidateOnCayleyEdges:
+    def test_generators_are_recorded_outside_equality(self):
+        G, gens = sym3()
+        assert list(G.generators) == gens
+        bare = FiniteGroup(G.mult, G.inv, G.identity, G.names)
+        assert bare.generators is None
+        assert bare == G and hash(bare) == hash(G)
+        assert G.subgroup([0])[0].generators is None
+        assert trivial_group().generators is None
+
+    def test_matches_full_table_on_every_assignment(self):
+        # validate accepts and rejects exactly what the |G|^2 reference
+        # does, on the first-word table of every generator-image assignment
+        # (a homomorphism or not) and on every single-entry corruption of
+        # the homomorphisms among them.
+        edge_checked = rejected = corrupted = 0
+        for name, G, gens in _catalog_with_recorded_generators():
+            edge_checked += G.generators is not None
+            for images in itertools.product(G.elements(), repeat=len(gens)):
+                table = _first_assignment_table(G, gens, images)
+                tables = [table]
+                if _is_hom_by_full_table(G, table):
+                    tables += [
+                        GroupEndomorphism(table.image[:g] + (v,)
+                                          + table.image[g + 1:])
+                        for g in G.elements() for v in G.elements()
+                        if v != table.image[g]]
+                    corrupted += len(tables) - 1
+                for phi in tables:
+                    expected = _is_hom_by_full_table(G, phi)
+                    try:
+                        phi.validate(G)
+                        accepted = True
+                    except NotAHomomorphism:
+                        accepted = False
+                    assert accepted == expected, (name, images, phi)
+                    rejected += not accepted
+        assert edge_checked and rejected and corrupted
+
+    def test_swap_off_the_generators_is_caught(self):
+        # Exchanging the images of two elements that are neither generators
+        # nor the identity keeps phi a bijection that fixes every generator;
+        # the edge pass still rejects it, as the induction reaches every
+        # product g*h from the edges.
+        G, gens = sym4()
+        a, b = [g for g in G.elements()
+                if g not in gens and g != G.identity][:2]
+        image = list(identity_endo(G).image)
+        image[a], image[b] = image[b], image[a]
+        phi = GroupEndomorphism(tuple(image))
+        assert not _is_hom_by_full_table(G, phi)
+        with pytest.raises(NotAHomomorphism):
+            phi.validate(G)
+
+
 class TestEndoNeedsNoValidate:
     def test_succeeds_exactly_on_homomorphisms(self):
         # The consistency checks of the breadth-first pass prove the table
-        # a homomorphism, so endo_from_generator_images no longer runs
-        # validate; validate is the reference here.
-        for name, G, gens in finite_catalog():
-            if len(gens) > 2:
-                continue
+        # a homomorphism, so endo_from_generator_images runs no validate;
+        # the |G|^2 reference, and not validate's own edge pass, decides
+        # here.
+        for name, G, gens in _catalog_with_recorded_generators():
             for images in itertools.product(G.elements(), repeat=len(gens)):
                 table = _first_assignment_table(G, gens, images)
-                try:
-                    table.validate(G)
-                    is_hom = all(table(s) == t for s, t in zip(gens, images))
-                except NotAHomomorphism:
-                    is_hom = False
+                is_hom = (_is_hom_by_full_table(G, table)
+                          and all(table(s) == t
+                                  for s, t in zip(gens, images)))
                 try:
                     phi = endo_from_generator_images(G, gens, list(images))
                 except NotAHomomorphism:

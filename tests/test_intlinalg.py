@@ -387,6 +387,16 @@ class TestPowerTraces:
     def test_wedge_traces_are_level_traces(self, M, N):
         assert intlinalg.wedge_traces(M, N) == wedge_reference(M, N)
 
+    @given(square_matrices(0, 5), st.integers(0, 15), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_level_limits(self, M, N, data):
+        # Level i reads its trace for n <= limits[i] and None beyond.
+        limits = data.draw(st.lists(st.integers(0, 16), min_size=M.rows + 1,
+                                    max_size=M.rows + 1))
+        assert intlinalg.wedge_traces(M, N, limits) == [
+            [t if n <= limit else None for t, limit in zip(traces, limits)]
+            for n, traces in enumerate(wedge_reference(M, N), start=1)]
+
     def test_singular_and_negative_determinant(self):
         for rows in ([[1, 2], [2, 4]],                  # singular, rank 1
                      [[0, 1, 0], [0, 0, 1], [0, 0, 0]],  # nilpotent

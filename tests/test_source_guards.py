@@ -237,11 +237,15 @@ def test_iterate_check_takes_no_matrix_powers():
 
 def test_formula_counts_advance_their_own_iterates():
     # The formula counts take M^n = M^(n-1) M and phi_F^n = phi_F phi_F^(n-1)
-    # in one pass; a power from scratch for each n costs O(N^2).  The trace
-    # route and the oracle keep their own iterates, so that neither is
-    # handed the formula's M^n.
-    assert not ({"mat_pow", "iterate_endo"}
-                & _reached_names("reidemeister", "r_product_counts"))
+    # in one pass; a power from scratch for each n costs O(N^2).  The powers
+    # are row lists and each I - M^n a fresh one: no IntMatrix product,
+    # identity or difference is formed per n.  The trace route and the
+    # oracle keep their own iterates, so that neither is handed the
+    # formula's M^n.
+    counts = _reached_names("reidemeister", "r_product_counts")
+    assert not {"mat_pow", "iterate_endo"} & counts
+    assert not {"__matmul__", "__sub__", "identity"} & counts
+    assert {"row_powers", "det_rows"} <= counts
     for route in ("r_product_traces", "r_product_oracle"):
         assert "r_product_counts" not in _reached_names("reidemeister", route)
 
@@ -259,9 +263,11 @@ def test_smith_diagonal_forms_no_transform():
 def test_product_oracle_counts_without_the_formula():
     # The oracle multiplies the Smith coset count by an orbit enumeration
     # of F; a determinant, the fixed-class count or the class partition
-    # would be the product formula's own factors.
+    # would be the product formula's own factors, and the row powers and
+    # row-list determinant its kernels.
     formula = {"det", "_lattice_count", "r_finite", "class_function_matrix",
-               "conjugacy_classes", "r_product_counts"}
+               "conjugacy_classes", "r_product_counts", "det_rows",
+               "row_powers"}
     assert not formula & _reached_names("reidemeister", "r_product_oracle")
 
 
