@@ -83,8 +83,6 @@ from .zeta import (
     congruence_check,
     expand_rational,
     functional_equation_check,
-    lefschetz_zeta,
-    log_derivative_counts,
     mobius,
     torsion_special_value,
     torsion_via_lefschetz,

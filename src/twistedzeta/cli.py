@@ -149,19 +149,13 @@ def _build_finite(payload) -> tuple[FiniteGroup, GroupEndomorphism]:
     _require(isinstance(images, list) and len(images) == len(gens)
              and all(_int_list(q) for q in images),
              "finite: 'endo_images' must list one permutation per generator")
-    index = {}
-    for g in G.elements():
-        index[G.names[g]] = g
-    gen_ids, img_ids = [], []
-    for p, q in zip(gens, images):
-        gp, gq = str(tuple(p)), str(tuple(q))
-        if gp not in index or gq not in index:
-            raise ValidationError(
-                "finite: an endomorphism image is not an element of the group")
-        gen_ids.append(index[gp])
-        img_ids.append(index[gq])
+    index = dict(zip(G.names, G.elements()))
+    img_ids = [index.get(str(tuple(q))) for q in images]
+    if None in img_ids:
+        raise ValidationError(
+            "finite: an endomorphism image is not an element of the group")
     try:
-        phi = endo_from_generator_images(G, gen_ids, img_ids)
+        phi = endo_from_generator_images(G, G.generators, img_ids)
     except TwistedZetaError as exc:
         raise ValidationError(f"finite: {exc}") from exc
     return G, phi

@@ -147,13 +147,6 @@ class GroupRingElement:
     def one(cls) -> "GroupRingElement":
         return cls({b"": 1})
 
-    @classmethod
-    def from_word(cls, w: Word, coeff: int = 1) -> "GroupRingElement":
-        return cls({w: coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms
 
@@ -441,25 +434,6 @@ class FreeGroupEndo:
     @classmethod
     def from_strings(cls, rank: int, images: list[str]) -> "FreeGroupEndo":
         return cls(rank, tuple(parse_word(s, rank) for s in images))
-
-    @classmethod
-    def identity(cls, rank: int) -> "FreeGroupEndo":
-        return cls(rank, tuple(_GENERATORS[j:j + 1] for j in range(rank)))
-
-    def apply_word(self, w: Word) -> Word:
-        """Reduced image of w.
-
-        The letter images are joined in pairs, then pairs of pairs, so with
-        L the total length of the letter images a word costs O(L log |w|)
-        letter copies, where joining them one by one costs O(L |w|).
-        """
-        images = self.images  # a..z are the bytes 97..122, A..Z 65..90
-        parts = [images[s - 97] if s > 96 else word_inverse(images[s - 65])
-                 for s in w]
-        while len(parts) > 1:
-            odd = parts[-1:] if len(parts) % 2 else []
-            parts = list(map(_join, parts[::2], parts[1::2])) + odd
-        return parts[0] if parts else b""
 
 
 class GroupRingMatrix:

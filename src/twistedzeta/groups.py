@@ -8,8 +8,8 @@ group: these brute-force enumerations are the oracles against which the
 closed formulas in the other modules are judged.  The homomorphism check
 takes the Cayley edges (g, s) of the recorded generators s, |G| s products
 for s generators, which prove a table a homomorphism (see
-``GroupEndomorphism.validate``); without recorded generators it takes all
-|G|^2 products.
+``GroupEndomorphism.validate``); a group with no recorded generators takes
+every element as one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ class FiniteGroup:
     display labelling only.  ``generators``, when given, are the indices of
     a generating set (``group_from_permutations`` records the one it closed),
     and ``GroupEndomorphism.validate`` then checks O(order * s) products for
-    s generators instead of O(order^2).  The ordinary conjugacy classes are
+    s generators; without them every element is a generator, O(order^2)
+    products.  The ordinary conjugacy classes are
     partitioned on first use and kept with the instance; equality and
     hashing see the first four fields only.
     """
@@ -59,10 +60,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def conj(self, gamma: int, a: int) -> int:
-        """gamma * a * gamma^-1."""
-        return self.mult[self.mult[gamma][a]][self.inv[gamma]]
-
     def power(self, g: int, n: int) -> int:
         if n < 0:
             g, n = self.inv[g], -n
@@ -73,27 +70,6 @@ class FiniteGroup:
             g = self.mult[g][g]
             n >>= 1
         return acc
-
-    def check_axioms(self) -> None:
-        """Full O(order^3) verification of the group axioms.
-
-        Raises ValueError on the first violation.
-        """
-        n = self.order
-        e = self.identity
-        if self.inv[e] != e or any(len(row) != n for row in self.mult):
-            raise ValueError("malformed tables")
-        for g in range(n):
-            if self.mult[e][g] != g or self.mult[g][e] != g:
-                raise ValueError(f"{e} is not a two-sided identity at {g}")
-            if self.mult[g][self.inv[g]] != e or self.mult[self.inv[g]][g] != e:
-                raise ValueError(f"inv[{g}] is not a two-sided inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = self.mult[a][b]
-                for c in range(n):
-                    if self.mult[ab][c] != self.mult[a][self.mult[b][c]]:
-                        raise ValueError(f"associativity fails at ({a},{b},{c})")
 
     def subgroup(self, elems: list[int]) -> tuple["FiniteGroup", tuple[int, ...]]:
         """Re-index a closed subset as a standalone group.
@@ -142,34 +118,27 @@ class GroupEndomorphism:
     def validate(self, G: FiniteGroup) -> None:
         """Raise NotAHomomorphism unless the table is an endomorphism of G.
 
-        With recorded generators the check is phi(g*s) = phi(g)*phi(s) on
-        the order * s Cayley edges (g, s) and phi(e) = e, which is complete
-        by the induction of ``endo_from_generator_images``: every element
-        is a word in the generators, so phi(g*h) = phi(g)*phi(h) for all h.
-        Without them it is the same identity over all order^2 pairs.
+        The check is phi(g*s) = phi(g)*phi(s) on the order * s Cayley
+        edges (g, s) of the recorded generators s, and phi(e) = e, which is
+        complete by the induction of ``endo_from_generator_images``: every
+        element is a word in the generators, so phi(g*h) = phi(g)*phi(h)
+        for all h.  A group with no recorded generators takes every element
+        as one, so its edges are all order^2 pairs.
         """
         if len(self.image) != G.order:
             raise NotAHomomorphism("image table has wrong length")
         if self.image[G.identity] != G.identity:
             raise NotAHomomorphism("identity is not preserved")
         image = self.image
-        if G.generators is not None:
-            for s in G.generators:
-                t = image[s]
-                for g, row in enumerate(G.mult):
-                    if image[row[s]] != G.mult[image[g]][t]:
-                        raise NotAHomomorphism(
-                            f"phi(g*h) != phi(g)*phi(h) at g={g}, h={s}")
-            return
-        for g in G.elements():
-            # row g of phi(g*h), and of phi(g)*phi(h), over all h
-            left = tuple(map(image.__getitem__, G.mult[g]))
-            right = tuple(map(G.mult[image[g]].__getitem__, image))
-            if left != right:
-                h = next(h for h in G.elements() if left[h] != right[h])
-                raise NotAHomomorphism(
-                    f"phi(g*h) != phi(g)*phi(h) at g={g}, h={h}"
-                )
+        generators = G.generators
+        if generators is None:
+            generators = G.elements()
+        for s in generators:
+            t = image[s]
+            for g, row in enumerate(G.mult):
+                if image[row[s]] != G.mult[image[g]][t]:
+                    raise NotAHomomorphism(
+                        f"phi(g*h) != phi(g)*phi(h) at g={g}, h={s}")
 
 
 @dataclass(frozen=True)
@@ -258,40 +227,23 @@ def group_from_permutations(
                        tuple(map(index.__getitem__, gens)))
 
 
-def generated_subgroup(G: FiniteGroup, generators: list[int]) -> set[int]:
-    """Closure of a set of elements inside G."""
-    seen = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in generators:
-                gs = G.mult[g][s]
-                if gs not in seen:
-                    seen.add(gs)
-                    nxt.append(gs)
-        frontier = nxt
-    return seen
-
-
 def endo_from_generator_images(
     G: FiniteGroup, generators: list[int], images: list[int]
 ) -> GroupEndomorphism:
     """Extend generator images to the whole group by word expansion.
 
-    Raises DoesNotGenerate if the generators do not generate G, and
-    NotAHomomorphism if the assignment is inconsistent.
+    One breadth-first pass from the identity sets phi(g*s) = phi(g)*t at
+    the first visit of each Cayley edge (g, s), s a generator with image t,
+    and checks it at every later one.  It raises NotAHomomorphism if two
+    words for an element of the subgroup it reaches receive different
+    images, and only otherwise DoesNotGenerate if that subgroup is not G.
 
-    No ``validate`` is needed: the pass checks phi(g*s) = phi(g)*t on every
-    Cayley edge (g, s), s a generator with image t.  By induction on k,
+    No ``validate`` is needed: by induction on k,
     phi(g*s_1...s_k) = phi(g)*t_1...t_k = phi(g)*phi(s_1...s_k) (g = e),
     and in a finite group every h is such a word, as s^-1 is a power of s.
     """
     if len(generators) != len(images):
         raise NotAHomomorphism("generators and images differ in length")
-    if generated_subgroup(G, generators) != set(G.elements()):
-        raise DoesNotGenerate("the given elements do not generate the group")
-
     table: dict[int, int] = {G.identity: G.identity}
     frontier = [G.identity]
     while frontier:
@@ -309,7 +261,8 @@ def endo_from_generator_images(
                     table[gs] = img
                     nxt.append(gs)
         frontier = nxt
-
+    if len(table) != G.order:
+        raise DoesNotGenerate("the given elements do not generate the group")
     return GroupEndomorphism(tuple(table[g] for g in G.elements()))
 
 
@@ -329,7 +282,7 @@ def _partition_from_orbits(G: FiniteGroup, orbit) -> ConjugacyPartition:
 def ordinary_conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
     mult, inv = G.mult, G.inv
 
-    def orbit(a):  # g * a * g^-1 over all g, as G.conj takes it
+    def orbit(a):  # g * a * g^-1 over all g
         return {mult[mult[g][a]][inv[g]] for g in G.elements()}
 
     return _partition_from_orbits(G, orbit)
@@ -371,7 +324,9 @@ def eventual_image(
     """Stabilized image subgroup H = phi^n(G) and the restriction phi|_H.
 
     The restriction is an automorphism of H.  Returns (H, phi_H, embedding)
-    where embedding maps H indices to G indices.
+    where embedding maps H indices to G indices.  When phi is onto, H is G
+    itself, phi_H is phi and the embedding is the identity: no table is
+    copied.
     """
     current = set(G.elements())
     while True:
@@ -379,6 +334,8 @@ def eventual_image(
         if nxt == current:
             break
         current = nxt
+    if len(current) == G.order:
+        return G, phi, tuple(G.elements())
     H, embedding = G.subgroup(sorted(current))
     back = {g: i for i, g in enumerate(embedding)}
     phi_H = GroupEndomorphism(tuple(back[phi(g)] for g in embedding))

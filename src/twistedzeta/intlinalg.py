@@ -79,29 +79,12 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix._trusted(
-            tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.entries, other.entries)),
-            self.rows, self.cols)
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntMatrix._trusted(
             tuple(tuple(a - b for a, b in zip(ra, rb))
                   for ra, rb in zip(self.entries, other.entries)),
-            self.rows, self.cols)
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "IntMatrix":
-        c = int(c)
-        return IntMatrix._trusted(
-            tuple(tuple(c * a for a in row) for row in self.entries),
             self.rows, self.cols)
 
     def _nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -121,16 +104,6 @@ class IntMatrix:
         out = _row_products(self.entries, other._nonzero_rows(), other.cols)
         return IntMatrix._trusted(tuple(map(tuple, out)), self.rows,
                                   other.cols)
-
-    def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return IntMatrix._trusted(entries, self.cols, self.rows)
 
     def trace(self) -> int:
         if not self.is_square:

@@ -139,26 +139,7 @@ def expand_rational(rf: FactoredRationalFunction, order: int) -> TruncatedSeries
     return TruncatedSeries(order, tuple(a))
 
 
-def log_derivative_counts(rf: FactoredRationalFunction, order: int) -> list[int]:
-    """Coefficients of z d/dz log of the product: the count sequence itself.
-
-    Newton's identity c_n = n a_n - sum_{j<n} c_j a_{n-j}, with a the
-    expansion of the product (a_0 = 1).
-    """
-    a = expand_rational(rf, order).coefficients
-    c = [0]
-    for n in range(1, order + 1):
-        c.append(n * a[n] - sum(c[j] * a[n - j] for j in range(1, n)))
-    return c[1:]
-
-
 # -- closed form ---------------------------------------------------------------
-
-def det_identity_minus_z(X: IntMatrix) -> IntPolynomial:
-    """det(I - X z) as a polynomial in z (reversed characteristic polynomial)."""
-    cp = char_poly(X)
-    return IntPolynomial(list(reversed(cp.coefficients)))
-
 
 def _reject_roots_of_unity(cp: IntPolynomial) -> None:
     n = first_cyclotomic_factor(cp)
@@ -296,11 +277,6 @@ def zeta_series_oracle(P: ProductEndomorphism, order: int) -> TruncatedSeries:
     counts, truncated exactly at z^order (see ``series_from_counts``).  A
     test reference; the benchmark's per-layer table pins it."""
     return series_from_counts(r_product_counts(P, order))
-
-
-def lefschetz_zeta(matrices: list[IntMatrix]) -> FactoredRationalFunction:
-    """Alternating product det(I - A_k z)^((-1)^(k+1)) over homology degrees."""
-    return _alternating_product([det_identity_minus_z(A) for A in matrices])
 
 
 def _alternating_product(polys: list[IntPolynomial]
@@ -477,8 +453,8 @@ def dual_lefschetz_zeta(P: ProductEndomorphism) -> FactoredRationalFunction:
     summed (``wedge_traces``, level i for m <= D_i only) times the power
     traces of B.  ``_factor_from_traces`` turns them into the factor; no
     block is formed and no characteristic polynomial of one is taken.  The
-    factors are merged by exponent as ``lefschetz_zeta`` merges those of
-    its matrices.
+    factors det(I - X_i z)^((-1)^(i+1)) are merged by exponent
+    (``_alternating_product``).
     """
     B = class_function_matrix(P.F, P.phiF)
     dims = [comb(P.k, i) * B.rows for i in range(P.k + 1)]

@@ -157,7 +157,8 @@ def product_catalog():
     C6, doubling = cyclic6_doubling()
     S3, s3gens = sym3()
     s3_inner = endo_from_generator_images(
-        S3, s3gens, [S3.conj(s3gens[0], g) for g in s3gens])
+        S3, s3gens, [S3.mult[S3.mult[s3gens[0]][g]][S3.inv[s3gens[0]]]
+                     for g in s3gens])
     matrices = [
         IntMatrix([]),                 # k = 0
         IntMatrix([[-2]]),
@@ -265,7 +266,8 @@ def wide_products():
     a lattice, and for k = 3, 4 times S3 with an inner automorphism."""
     S3, gens = sym3()
     inner = endo_from_generator_images(
-        S3, gens, [S3.conj(gens[0], g) for g in gens])
+        S3, gens, [S3.mult[S3.mult[gens[0]][g]][S3.inv[gens[0]]]
+                   for g in gens])
     cases = []
     for k in range(3, 7):
         M = companion([1, -3] + [0] * (k - 2))

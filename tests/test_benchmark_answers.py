@@ -1,11 +1,13 @@
-"""The benchmark's stored answers, checked in the tier-1 suite.
+"""The benchmark's stored answers and pinned names, checked in the tier-1
+suite.
 
-Every seed-0 ``product`` and ``free`` document of ``perfbench/workloads.py``
+Every seed-0 document of the four workloads of ``perfbench/workloads.py``
 runs once through ``cli.main(["compute", ...])``, and the benchmark's own
 ``Checker`` compares each report with ``perfbench/expected/*-seed0.json``.
 A change that alters a stored answer then fails here, not only in the
 benchmark.  Frontier documents are left out: they are there to be timed.
-Nothing under ``perfbench/`` is written.
+The package functions that the harness names in its per-layer tables must
+exist, or ``--trace 1`` fails.  Nothing under ``perfbench/`` is written.
 """
 
 import json
@@ -22,6 +24,8 @@ sys.path.insert(0, str(PERFBENCH))
 # Import without leaving a bytecode cache under perfbench/.
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 import checks  # noqa: E402
+import run  # noqa: E402
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 sys.dont_write_bytecode = _write_bytecode
 
@@ -38,7 +42,7 @@ def deadline_handler():
     signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("workload", ["product", "free"])
+@pytest.mark.parametrize("workload", ["product", "free", "lattice", "finite"])
 def test_seed0_reports_match_the_stored_answers(workload, tmp_path,
                                                 deadline_handler):
     expected = json.loads(
@@ -56,3 +60,17 @@ def test_seed0_reports_match_the_stored_answers(workload, tmp_path,
     assert problems == []
     assert (checker.attempted, checker.failed, checker.wrong) == (
         len(docs), 0, 0)
+
+
+def test_every_pinned_name_is_a_traced_package_function():
+    # --trace 1 wraps the public functions of the layer modules and reads
+    # the per-layer table by these names; a deleted or renamed one raises
+    # KeyError there, and a span value is silently no longer recorded.
+    pinned = {*run.FUNCTIONS_REPORTED, *run.TOTALS_REPORTED,
+              *tracing.SPAN_VALUE}
+    tracer = tracing.Tracer()
+    try:
+        traced = set(tracer.install())
+    finally:
+        tracer.remove()
+    assert pinned - traced == set()

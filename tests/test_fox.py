@@ -112,8 +112,9 @@ class TestWords:
 
     def test_endo_accepts_reduced_images_of_its_rank(self):
         phi = FreeGroupEndo(2, (b"abAB", b""))
-        assert phi.apply_word(b"bA") == b"baBA"
-        assert FreeGroupEndo.identity(3).images == (b"a", b"b", b"c")
+        assert phi.images == (b"abAB", b"")
+        assert FreeGroupEndo.from_strings(3, ["a", "b", "c"]).images == (
+            b"a", b"b", b"c")
 
     @given(words)
     @settings(max_examples=100, deadline=None)
@@ -123,16 +124,16 @@ class TestWords:
 
 class TestGroupRing:
     def test_ring_axioms_spot(self):
-        a = GroupRingElement.from_word(b"a")
-        b = GroupRingElement.from_word(b"b")
+        a = GroupRingElement({b"a": 1})
+        b = GroupRingElement({b"b": 1})
         one = GroupRingElement.one()
         assert a * one == a
         assert (a + b) * a == a * a + b * a
         assert a - a == GroupRingElement.zero()
 
     def test_multiplication_reduces_words(self):
-        a = GroupRingElement.from_word(b"a")
-        ainv = GroupRingElement.from_word(b"A")
+        a = GroupRingElement({b"a": 1})
+        ainv = GroupRingElement({b"A": 1})
         assert a * ainv == GroupRingElement.one()
 
     def test_ring_norm_is_coefficient_sum(self):
@@ -142,8 +143,8 @@ class TestGroupRing:
     @given(words, words)
     @settings(max_examples=60, deadline=None)
     def test_norm_submultiplicative(self, u, v):
-        x = GroupRingElement.from_word(u) + GroupRingElement.one()
-        y = GroupRingElement.from_word(v) - GroupRingElement.from_word(u)
+        x = GroupRingElement({u: 1}) + GroupRingElement.one()
+        y = GroupRingElement({v: 1}) - GroupRingElement({u: 1})
         assert ring_norm(x * y) <= ring_norm(x) * ring_norm(y)
 
     @pytest.mark.parametrize("terms, error", [
@@ -158,7 +159,7 @@ class TestGroupRing:
 
     def test_constructor_drops_zero_coefficients(self):
         assert GroupRingElement({b"a": 0, b"bA": -2}).terms == {b"bA": -2}
-        assert not GroupRingElement({b"": 0})
+        assert GroupRingElement({b"": 0}) == GroupRingElement.zero()
 
 
 def reference_product(x, y):
@@ -228,9 +229,9 @@ class TestProductKernel:
             (u[:k], u[k:], u), (b"", u, u), (u, b"", u), (b"", b"", b""),
         ]
         for left, right, product in cases:
-            x = GroupRingElement.from_word(left, 3)
-            y = GroupRingElement.from_word(right, -2)
-            want = GroupRingElement.from_word(product, -6)
+            x = GroupRingElement({left: 3})
+            y = GroupRingElement({right: -2})
+            want = GroupRingElement({product: -6})
             assert x * y == want
             assert (GroupRingMatrix([[x]]) @ GroupRingMatrix([[y]])
                     == GroupRingMatrix([[want]]))
@@ -238,8 +239,8 @@ class TestProductKernel:
     def test_coefficients_summing_to_zero_are_not_stored(self):
         # (1 + u)(u^-1 - 1) = u^-1 - u: the two terms at 1 cancel
         u = random_word(random.Random(4), 2, 600)
-        one, w = GroupRingElement.one(), GroupRingElement.from_word(u)
-        w_inv = GroupRingElement.from_word(word_inverse(u))
+        one, w = GroupRingElement.one(), GroupRingElement({u: 1})
+        w_inv = GroupRingElement({word_inverse(u): 1})
         product = (one + w) * (w_inv - one)
         assert product.terms == {word_inverse(u): 1, u: -1}
         X = GroupRingMatrix([[one, w]])
@@ -412,7 +413,7 @@ class TestPrefixChains:
             row[j][X] = 3 - j
         [chain] = _chains(row)
         assert chain[0] == X and chain[3] == len(X)
-        x = GroupRingElement.from_word(u, -2)
+        x = GroupRingElement({u: -2})
         [chains] = _chain_matmul([[x.terms.items()]], (r, [[chain]]))
         assert_canonical(chains, r)
         columns = _words(chains, r)
@@ -445,9 +446,9 @@ class TestPrefixChains:
     ])
     def test_loose_lower_bound_after_a_partial_cancellation(self, u, y,
                                                              loose):
-        x = GroupRingElement.from_word(u, 2)
+        x = GroupRingElement({u: 2})
         y = GroupRingElement(y)
-        z = GroupRingElement.from_word(word_inverse(loose), -1)
+        z = GroupRingElement({word_inverse(loose): -1})
         [chains] = _chain_matmul([[x.terms.items()]],
                                  (1, [_chains([y.terms])]))
         assert_canonical(chains)
@@ -466,14 +467,14 @@ class TestFoxDerivative:
     def test_generator_rules(self):
         assert fox_derivative(b"a", 1) == GroupRingElement.one()
         assert fox_derivative(b"a", 2) == GroupRingElement.zero()
-        assert fox_derivative(b"A", 1) == -GroupRingElement.from_word(b"A")
+        assert fox_derivative(b"A", 1) == -GroupRingElement({b"A": 1})
 
     def test_conjugate_example(self):
         # d(aba^-1)/da = 1 - aba^-1
         w = parse_word("abA")
         got = fox_derivative(w, 1)
         want = (GroupRingElement.one()
-                - GroupRingElement.from_word(b"abA"))
+                - GroupRingElement({b"abA": 1}))
         assert got == want
 
     @given(words, words)
@@ -484,7 +485,7 @@ class TestFoxDerivative:
         for j in (1, 2, 3, 4):
             lhs = fox_derivative(uv, j)
             rhs = (fox_derivative(u, j)
-                   + GroupRingElement.from_word(u) * fox_derivative(v, j))
+                   + GroupRingElement({u: 1}) * fox_derivative(v, j))
             assert lhs == rhs
 
     @given(words)
@@ -493,9 +494,9 @@ class TestFoxDerivative:
         # sum_j (dw/da_j)(a_j - 1) = w - 1
         total = GroupRingElement.zero()
         for j in (1, 2, 3, 4):
-            aj = GroupRingElement.from_word(GENERATORS[j - 1:j])
+            aj = GroupRingElement({GENERATORS[j - 1:j]: 1})
             total = total + fox_derivative(w, j) * (aj - GroupRingElement.one())
-        want = GroupRingElement.from_word(w) - GroupRingElement.one()
+        want = GroupRingElement({w: 1}) - GroupRingElement.one()
         assert total == want
 
 
@@ -505,9 +506,9 @@ class TestJacobian:
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
         D = jacobian(phi)
         assert D.entries[0][0] == GroupRingElement.one()
-        assert D.entries[0][1] == GroupRingElement.from_word(b"a")
+        assert D.entries[0][1] == GroupRingElement({b"a": 1})
         assert D.entries[1][0] == GroupRingElement.one()
-        assert not D.entries[1][1]
+        assert D.entries[1][1] == GroupRingElement.zero()
 
     def test_norm_matrix(self):
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
@@ -620,7 +621,7 @@ class TestRadiusBounds:
         assert bounds.bound_spectral >= float(bounds.bound_norm)
 
     def test_identity_substitution(self):
-        phi = FreeGroupEndo.identity(2)
+        phi = FreeGroupEndo(2, (b"a", b"b"))
         bounds = nielsen_radius_bounds(phi)
         # Jacobian is the 2x2 identity over the group ring: total norm 2,
         # spectral radius 1
@@ -781,15 +782,6 @@ class TestJunctionCancellation:
     def test_join_of_short_words(self, u, v, uv):
         assert _join(u, v) == uv
 
-    @given(substitutions().flatmap(
-        lambda phi: st.tuples(st.just(phi), reduced_words(phi.rank, 12))))
-    @settings(max_examples=150, deadline=None)
-    def test_apply_word_reduces_the_concatenated_images(self, case):
-        phi, w = case
-        images = [phi.images[s - 97] if s >= 97
-                  else word_inverse(phi.images[s - 65]) for s in w]
-        assert phi.apply_word(w) == free_reduce(b"".join(images))
-
 
 class TestTwistedPowerNorms:
     @given(substitutions(), st.integers(1, 5))
@@ -835,7 +827,7 @@ class TestTwistedPowerNorms:
         # the letter c has no image under a rank-2 phi: no product is taken
         monkeypatch.setattr(fox, "_chain_matmul", None)
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
-        A = GroupRingMatrix([[GroupRingElement.from_word(b"c")]])
+        A = GroupRingMatrix([[GroupRingElement({b"c": 1})]])
         with pytest.raises(ValueError, match="beyond rank 2"):
             twisted_power_norms(phi, A, N)
 
@@ -847,8 +839,8 @@ class TestTwistedPowerNorms:
         phi = FreeGroupEndo.from_strings(2, ["b", "a"])
         one = GroupRingElement.one()
         A = GroupRingMatrix([
-            [GroupRingElement.from_word(w), one],
-            [one, GroupRingElement.from_word(word_inverse(w), -1)]])
+            [GroupRingElement({w: 1}), one],
+            [one, GroupRingElement({word_inverse(w): -1})]])
         assert twisted_power_norms(phi, A, 3) == \
             reference_twisted_power_norms(phi, A, 3)
 
@@ -999,4 +991,4 @@ class TestPowerImageLengths:
 
     def test_n_below_one(self):
         with pytest.raises(ValueError):
-            power_image_lengths(FreeGroupEndo.identity(2), 0)
+            power_image_lengths(FreeGroupEndo(2, (b"a", b"b")), 0)

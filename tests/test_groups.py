@@ -32,6 +32,7 @@ from catalog import (
     sym3,
     sym4,
 )
+from references import check_axioms
 
 
 def _power_by_steps(G, g, n):
@@ -84,7 +85,7 @@ class TestGroupFromPermutations:
 
     def test_axioms_hold_for_whole_catalog(self):
         for name, G, _ in finite_catalog():
-            G.check_axioms()
+            check_axioms(G)
 
 
 def _closure_by_composition(degree, gens):
@@ -118,7 +119,7 @@ class TestClosureByLookups:
             _closure_by_composition(degree, gens)
         assert G.identity == 0
         if axioms:
-            G.check_axioms()
+            check_axioms(G)
         return G
 
     def test_every_catalog_group(self):
@@ -170,6 +171,30 @@ class TestEndoFromGeneratorImages:
         with pytest.raises(DoesNotGenerate):
             endo_from_generator_images(G, [gens[0]], [gens[0]])
 
+    def test_inconsistency_is_reported_before_a_proper_subgroup(self):
+        # s -> t extends to the cyclic group <s> exactly when t^|s| = e.
+        # The one breadth-first pass raises NotAHomomorphism on an
+        # inconsistency in the subgroup it reaches, and only otherwise
+        # DoesNotGenerate when that subgroup is not all of G.
+        outcomes = set()
+        for name, G, _ in finite_catalog():
+            for s in G.elements():
+                reached = {G.power(s, i) for i in range(G.order)}
+                for t in G.elements():
+                    expected = None
+                    if G.power(t, len(reached)) != G.identity:
+                        expected = NotAHomomorphism
+                    elif len(reached) < G.order:
+                        expected = DoesNotGenerate
+                    outcomes.add(expected)
+                    try:
+                        phi = endo_from_generator_images(G, [s], [t])
+                    except (NotAHomomorphism, DoesNotGenerate) as exc:
+                        assert type(exc) is expected, (name, s, t)
+                    else:
+                        assert expected is None and phi(s) == t, (name, s, t)
+        assert outcomes == {NotAHomomorphism, DoesNotGenerate, None}
+
 
 def _first_assignment_table(G, generators, images):
     """phi(g*s) = phi(g)*t at the first visit of g*s, breadth-first from the
@@ -193,12 +218,27 @@ def _is_hom_by_full_table(G, phi):
                for g in G.elements() for h in G.elements())
 
 
+def _validates(G, phi):
+    try:
+        phi.validate(G)
+    except NotAHomomorphism:
+        return False
+    return True
+
+
+def _with_corruptions(G, phi):
+    """phi and every table that differs from it in one entry."""
+    return [phi] + [GroupEndomorphism(phi.image[:g] + (v,) + phi.image[g + 1:])
+                    for g in G.elements() for v in G.elements()
+                    if v != phi.image[g]]
+
+
 def _catalog_with_recorded_generators():
     """(name, group, generators) for every catalog group with at most two
     generators, and again as the closure of its regular representation.
-    validate takes the |G|^2 pass on the hand-built tables of the catalog
-    (cyclic groups, Q8) and the Cayley edges on every closure, which
-    records its generators."""
+    The hand-built tables of the catalog (cyclic groups, Q8) record no
+    generators, so validate takes every element as one there; every closure
+    records the generators it was closed from."""
     out = []
     for name, G, gens in finite_catalog():
         if len(gens) > 2:
@@ -231,20 +271,12 @@ class TestValidateOnCayleyEdges:
                 table = _first_assignment_table(G, gens, images)
                 tables = [table]
                 if _is_hom_by_full_table(G, table):
-                    tables += [
-                        GroupEndomorphism(table.image[:g] + (v,)
-                                          + table.image[g + 1:])
-                        for g in G.elements() for v in G.elements()
-                        if v != table.image[g]]
+                    tables = _with_corruptions(G, table)
                     corrupted += len(tables) - 1
                 for phi in tables:
-                    expected = _is_hom_by_full_table(G, phi)
-                    try:
-                        phi.validate(G)
-                        accepted = True
-                    except NotAHomomorphism:
-                        accepted = False
-                    assert accepted == expected, (name, images, phi)
+                    accepted = _validates(G, phi)
+                    assert accepted == _is_hom_by_full_table(G, phi), (
+                        name, images, phi)
                     rejected += not accepted
         assert edge_checked and rejected and corrupted
 
@@ -262,6 +294,43 @@ class TestValidateOnCayleyEdges:
         assert not _is_hom_by_full_table(G, phi)
         with pytest.raises(NotAHomomorphism):
             phi.validate(G)
+
+
+def _groups_without_generators():
+    """(name, group, endomorphisms) for groups that record no generators:
+    the eventual image of every catalog endomorphism that is not onto, a
+    re-indexed subgroup, with the restriction and its square; the trivial
+    group; and the table of S3 built by hand, with every endomorphism."""
+    out = [("trivial", trivial_group(), [identity_endo(trivial_group())])]
+    for name, G, endos in catalog_with_endos():
+        for phi in endos:
+            H, phi_H, _ = eventual_image(G, phi)
+            if H is not G:
+                out.append((f"image of {phi.image} in {name}", H,
+                            [phi_H, iterate_endo(phi_H, 2)]))
+    S3, gens = sym3()
+    out.append(("sym3 by hand", FiniteGroup(S3.mult, S3.inv, S3.identity),
+                all_endomorphisms(S3, gens)))
+    return out
+
+
+class TestValidateWithoutGenerators:
+    def test_every_element_is_a_generator(self):
+        # With no recorded generators the Cayley edges are all |G|^2 pairs,
+        # so validate decides exactly as the full-table reference on valid
+        # maps and on every single-entry corruption of them.
+        nontrivial = checked = rejected = 0
+        for name, H, endos in _groups_without_generators():
+            assert H.generators is None, name
+            nontrivial += H.order > 1
+            for phi in endos:
+                for table in _with_corruptions(H, phi):
+                    accepted = _validates(H, table)
+                    assert accepted == _is_hom_by_full_table(H, table), (
+                        name, table)
+                    checked += 1
+                    rejected += not accepted
+        assert nontrivial > 2 and rejected and checked > rejected
 
 
 class TestEndoNeedsNoValidate:
@@ -320,7 +389,8 @@ class TestConjugacy:
             base = phi_conjugacy_classes(G, phi).num_classes
             for gamma in G.elements():
                 inner = endo_from_generator_images(
-                    G, gens, [G.conj(gamma, s) for s in gens])
+                    G, gens, [G.mult[G.mult[gamma][s]][G.inv[gamma]]
+                              for s in gens])
                 left = phi.compose(inner)
                 right = inner.compose(phi)
                 assert phi_conjugacy_classes(G, left).num_classes == base
@@ -391,10 +461,17 @@ class TestIterate:
 
 class TestEventualImage:
     def test_automorphism_gives_whole_group(self):
-        K, swap = klein_swap()
-        H, phi_H, embedding = eventual_image(K, swap)
-        assert H.order == K.order
-        assert embedding == tuple(K.elements())
+        # Every automorphism of the catalog, the Klein swap among them: G
+        # and phi come back as they are, with the identity embedding, and
+        # no table is re-indexed.
+        automorphisms = 0
+        for name, G, endos in catalog_with_endos():
+            for phi in filter(GroupEndomorphism.is_bijective, endos):
+                H, phi_H, embedding = eventual_image(G, phi)
+                assert H is G and phi_H is phi, (name, phi)
+                assert embedding == tuple(G.elements())
+                automorphisms += 1
+        assert automorphisms > len(finite_catalog())
 
     def test_doubling_on_cyclic6(self):
         C6, phi = cyclic6_doubling()

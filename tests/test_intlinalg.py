@@ -45,7 +45,9 @@ def assert_char_poly_is_det_x_minus_a(A):
     p = char_poly(A)
     assert p.degree == n
     for x in range(-(n // 2), n - n // 2 + 1):
-        assert p(x) == det(IntMatrix.identity(n).scale(x) - A), x
+        xI = IntMatrix([[x * (i == j) for j in range(n)] for i in range(n)],
+                       rows=n, cols=n)
+        assert p(x) == det(xI - A), x
 
 
 def square_matrices(min_k, max_k):
@@ -133,10 +135,6 @@ class TestIntMatrix:
         assert A @ I == A
         assert I @ A == A
 
-    def test_apply(self):
-        A = IntMatrix([[2, 1], [1, 1]])
-        assert A.apply((1, 0)) == (2, 1)
-
     def test_non_square_det_rejected(self):
         with pytest.raises(NotSquare):
             det(IntMatrix([[1, 2]]))
@@ -205,32 +203,25 @@ def assert_same_matrix(result, raw, rows, cols):
 
 
 class TestTrustedResults:
-    """Products, sums, differences, Kronecker products, transposes and
-    scalings against test-local loops over the entries."""
+    """Products, differences and Kronecker products against test-local
+    loops over the entries."""
 
     @given(operands)
     @settings(max_examples=300, deadline=None)
     def test_against_naive_loops(self, ops):
         A, B, C, D = ops
         assert_same_matrix(A @ B, naive_matmul(A, B), A.rows, B.cols)
-        assert_same_matrix(A + C, [[A[i, j] + C[i, j] for j in range(A.cols)]
-                                   for i in range(A.rows)], A.rows, A.cols)
         assert_same_matrix(A - C, [[A[i, j] - C[i, j] for j in range(A.cols)]
                                    for i in range(A.rows)], A.rows, A.cols)
         assert_same_matrix(kron(A, D), naive_kron(A, D),
                            A.rows * D.rows, A.cols * D.cols)
-        assert_same_matrix(A.transpose(), [[A[i, j] for i in range(A.rows)]
-                                           for j in range(A.cols)],
-                           A.cols, A.rows)
-        assert_same_matrix(-A, [[-A[i, j] for j in range(A.cols)]
-                                for i in range(A.rows)], A.rows, A.cols)
 
     def test_shape_mismatch(self):
         A, B = IntMatrix([[1, 2]]), IntMatrix([[1, 2]])
         with pytest.raises(ValueError):
             A @ B
         with pytest.raises(ValueError):
-            A + IntMatrix([[1], [2]])
+            A - IntMatrix([[1], [2]])
 
     @given(square_matrices(0, 4))
     @settings(max_examples=50, deadline=None)

@@ -210,9 +210,14 @@ def _psi_value(P, v):
     return acc
 
 
+def _times(A, v):
+    """The matrix A times the column vector v."""
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in A.entries)
+
+
 def _apply(P, v, f):
     """The map (v, f) -> (M v, psi(v) * phi_F(f))."""
-    return P.M.apply(v), P.F.mult[_psi_value(P, v)][P.phiF(f)]
+    return _times(P.M, v), P.F.mult[_psi_value(P, v)][P.phiF(f)]
 
 
 def _lattice_finite_part(P, v, n):
@@ -245,10 +250,11 @@ def _pairwise_oracle(P, n):
     phin = iterate_endo(P.phiF, n)
     F = P.F
     D, C = det(A), _adjugate(A)
-    assert A @ C == IntMatrix.identity(P.k).scale(D) and D != 0
+    assert (A @ C).entries == tuple(tuple(D * (i == j) for j in range(P.k))
+                                    for i in range(P.k)) and D != 0
 
     def key(v):
-        return tuple(x % D for x in C.apply(v))
+        return tuple(x % D for x in _times(C, v))
 
     origin = (0,) * P.k
     cosets = {key(origin): origin}
@@ -263,7 +269,7 @@ def _pairwise_oracle(P, n):
     elements = [(v, f) for v in cosets.values() for f in F.elements()]
 
     def solve(delta):
-        x = C.apply(delta)
+        x = _times(C, delta)
         if any(xi % D for xi in x):
             return None
         return tuple(xi // D for xi in x)

@@ -30,7 +30,7 @@ def _reached_names(module: str, function: str,
     """Names reached from a module-level function of the package.
 
     A function reaches every name it calls or refers to, by itself or as an
-    attribute (``x.apply_word(w)``, ``map(pieces.__getitem__, w)``), and the
+    attribute (``phi.compose(psi)``, ``map(pieces.__getitem__, w)``), and the
     method of every operator it applies (``A @ B`` reaches ``__matmul__``).
     Annotations name types and run nothing, so they reach nothing.  An
     operator with an int literal operand (``2 * hi``, ``n - 1``, ``-1``)

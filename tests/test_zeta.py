@@ -21,8 +21,6 @@ from twistedzeta import (
     expand_rational,
     exterior_power,
     kron,
-    lefschetz_zeta,
-    log_derivative_counts,
     mobius,
     ordinary_conjugacy_classes,
     r_product,
@@ -42,7 +40,6 @@ from twistedzeta.errors import (
 from twistedzeta import intlinalg, zeta
 from twistedzeta.zeta import (
     check_all_iterates_finite,
-    det_identity_minus_z,
     dual_lefschetz_zeta,
     functional_equation_check,
     lefschetz_identity,
@@ -58,6 +55,11 @@ from catalog import (
     record_row_products,
     sym3,
     wide_products,
+)
+from references import (
+    det_identity_minus_z,
+    lefschetz_zeta,
+    log_derivative_counts,
 )
 
 
@@ -115,8 +117,9 @@ def reference_closed_form(P):
     B = class_function_matrix(P.F, P.phiF)
     merged = {}
     for i in range(P.k + 1):
-        X = kron(exterior_power(P.M, i), B).scale((-1) ** p)
-        poly = det_identity_minus_z(X)
+        X = kron(exterior_power(P.M, i), B)
+        poly = det_identity_minus_z(
+            IntMatrix([[(-1) ** p * a for a in row] for row in X.entries]))
         if poly.degree >= 1:
             merged[poly] = merged.get(poly, 0) + (-1) ** (i + 1 + r)
     return tuple((poly, e) for poly, e in merged.items() if e != 0), (p, r)
