@@ -5,7 +5,6 @@ paired with an independent brute-force oracle."""
 from .errors import (
     BadIndex,
     ClosureTooLarge,
-    DoesNotGenerate,
     EigenvalueOnBoundary,
     InfiniteReidemeister,
     NonInvertible,

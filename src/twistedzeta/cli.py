@@ -149,13 +149,12 @@ def _build_finite(payload) -> tuple[FiniteGroup, GroupEndomorphism]:
     _require(isinstance(images, list) and len(images) == len(gens)
              and all(_int_list(q) for q in images),
              "finite: 'endo_images' must list one permutation per generator")
-    index = dict(zip(G.names, G.elements()))
-    img_ids = [index.get(str(tuple(q))) for q in images]
+    img_ids = [G.index.get(tuple(q)) for q in images]
     if None in img_ids:
         raise ValidationError(
             "finite: an endomorphism image is not an element of the group")
     try:
-        phi = endo_from_generator_images(G, G.generators, img_ids)
+        phi = endo_from_generator_images(G, img_ids)
     except TwistedZetaError as exc:
         raise ValidationError(f"finite: {exc}") from exc
     return G, phi
@@ -433,12 +432,12 @@ _VERB_SECTIONS = {"zeta": ("zeta",), "bounds": tuple(_SECTIONS["free"]),
                   "torsion": ("torsion",)}
 
 
-def _report(doc: ProblemDocument, names) -> dict:
+def _report(doc: ProblemDocument, wanted) -> dict:
     """The named sections of the document, and whether every one agrees."""
     sections = _SECTIONS[doc.kind]
     report = {"kind": doc.kind}
     agree = []
-    for name in names:
+    for name in wanted:
         report[name], ok = sections[name](doc, report)
         agree.append(ok)
     report["agreement"] = all(agree)
@@ -531,13 +530,13 @@ def main(argv=None) -> int:
         elif args.verb == "compute":
             report = run(doc)
         else:
-            names = _VERB_SECTIONS[args.verb]
+            wanted = _VERB_SECTIONS[args.verb]
             kinds = [kind for kind, sections in _SECTIONS.items()
-                     if set(names) <= set(sections)]
+                     if set(wanted) <= set(sections)]
             if doc.kind not in kinds:
                 raise ValidationError(f"{args.verb} requires a document of "
                                       f"kind {' or '.join(kinds)}")
-            report = _report(doc, names)
+            report = _report(doc, wanted)
         _emit(report, args.as_json)
         return 0 if report.get("agreement", True) else 4
     except (SchemaError, ValidationError, OSError, UnicodeDecodeError) as exc:

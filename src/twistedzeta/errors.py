@@ -19,10 +19,6 @@ class NotAHomomorphism(TwistedZetaError):
     pass
 
 
-class DoesNotGenerate(TwistedZetaError):
-    pass
-
-
 # -- integer linear algebra --------------------------------------------------
 
 class NotSquare(TwistedZetaError):

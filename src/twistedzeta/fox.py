@@ -32,7 +32,6 @@ the max matrix norm and of the max spectral radius of the entrywise norms.
 
 from __future__ import annotations
 
-import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -211,7 +210,7 @@ def _words(chains: list[tuple], r: int) -> list[dict[Word, int]]:
 def _canonical(acc: dict[Word, list], r: int, overlaps: set) -> list[tuple]:
     """The canonical chains of an accumulator: acc maps a base X to its
     entry [{l r + j: coefficient}, lo, hi], lo <= l <= hi for every key and
-    hi attained, and overlaps names the bases whose entries an overlapping
+    hi attained, and overlaps holds the bases whose entries an overlapping
     ``_merge`` may have left with a zero coefficient.  Each term is filed
     under the last base, in sorted order, that its word X[:l] is a prefix
     of, and no coefficient is 0: a word has one term per column, so the
@@ -507,12 +506,9 @@ def matrix_of_norms(A: GroupRingMatrix) -> IntMatrix:
 
 class SpectralRadius(NamedTuple):
     """``bracket`` = (lo, hi, e) is exact: lo/2^e <= root <= hi/2^e.
-    ``value`` is the float nearest its midpoint, and ``low`` and ``high``
-    are its ends rounded outward, so low <= root <= high as well."""
+    ``value`` is the float nearest its midpoint."""
 
     value: float
-    low: float
-    high: float
     bracket: tuple[int, int, int]
 
 
@@ -530,18 +526,12 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     if any(a < 0 for row in A.entries for a in row):
         raise ValueError("matrix must be non-negative")
     if A.rows == 0:
-        return SpectralRadius(0.0, 0.0, 0.0, (0, 0, 0))
+        return SpectralRadius(0.0, (0, 0, 0))
     if A.rows == 1:  # the root of x - a is a, exactly
         lo, hi, e = A[0, 0], A[0, 0], 0
     else:
         lo, hi, e = largest_real_root(char_poly(A))
-    scale = 1 << e
-    low, high = lo / scale, hi / scale  # each rounded to nearest
-    if low * scale > lo:  # exact: a float times 2^e, compared with an int
-        low = math.nextafter(low, -math.inf)
-    if high * scale < hi:
-        high = math.nextafter(high, math.inf)
-    return SpectralRadius((lo + hi) / (2 * scale), low, high, (lo, hi, e))
+    return SpectralRadius((lo + hi) / (2 << e), (lo, hi, e))
 
 
 def chain_matrices(phi: FreeGroupEndo) -> list[GroupRingMatrix]:

@@ -1,15 +1,15 @@
-"""Finite groups as explicit multiplication tables.
+"""Finite groups as permutation groups with their multiplication tables.
 
-Everything here is index-based: a group of order n has elements 0..n-1 and is
-stored as its full n x n multiplication table.  A group closed from
-permutations also records the indices of the generators it was closed from.
-Conjugacy searches stay exhaustive and exact, as every orbit visits the whole
-group: these brute-force enumerations are the oracles against which the
-closed formulas in the other modules are judged.  The homomorphism check
-takes the Cayley edges (g, s) of the recorded generators s, |G| s products
+Every group is closed from generating permutations by
+``group_from_permutations``.  Element i is ``perms[i]``, the i-th of its
+permutations in increasing order, so the identity is element 0, and the
+full n x n multiplication table is kept with the indices of the generators.
+Conjugacy searches stay exhaustive and exact, as every orbit visits the
+whole group: these brute-force enumerations are the oracles against which
+the closed formulas in the other modules are judged.  The homomorphism
+check takes the Cayley edges (g, s) of the generators s, |G| s products
 for s generators, which prove a table a homomorphism (see
-``GroupEndomorphism.validate``); a group with no recorded generators takes
-every element as one.
+``GroupEndomorphism.validate``).
 """
 
 from __future__ import annotations
@@ -17,40 +17,39 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import (
-    ClosureTooLarge,
-    DoesNotGenerate,
-    NotAHomomorphism,
-    NotAPermutation,
-)
+from .errors import ClosureTooLarge, NotAHomomorphism, NotAPermutation
 
 DEFAULT_ORDER_CAP = 20000
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group given by its multiplication table.
+    """A permutation group with its multiplication table.
 
-    ``mult[g][h]`` is the product g*h, ``inv[g]`` the inverse of g and
-    ``identity`` the index of the neutral element.  ``names`` is optional
-    display labelling only.  ``generators``, when given, are the indices of
-    a generating set (``group_from_permutations`` records the one it closed),
-    and ``GroupEndomorphism.validate`` then checks O(order * s) products for
-    s generators; without them every element is a generator, O(order^2)
-    products.  The ordinary conjugacy classes are
-    partitioned on first use and kept with the instance; equality and
-    hashing see the first four fields only.
+    ``perms`` are the elements' permutations in increasing order, so
+    ``identity``, the identity permutation, is always 0; ``index`` maps a
+    permutation back to its element.  ``mult[g][h]`` is the product g*h,
+    ``inv[g]`` the inverse of g and ``generators`` the elements the group
+    was closed from.  The tables are a function of ``perms``, so equality
+    and hashing read ``perms`` only.  The ordinary conjugacy classes are
+    partitioned on first use and kept with the instance.
     """
 
-    mult: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    identity: int = 0
-    names: tuple[str, ...] | None = None
-    generators: tuple[int, ...] | None = field(default=None, compare=False)
+    mult: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    inv: tuple[int, ...] = field(compare=False, repr=False)
+    perms: tuple[tuple[int, ...], ...]
+    generators: tuple[int, ...] = field(compare=False)
+
+    identity = 0
 
     @property
     def order(self) -> int:
         return len(self.mult)
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Element of each permutation, built once per group."""
+        return {p: i for i, p in enumerate(self.perms)}
 
     @functools.cached_property
     def conjugacy_classes(self) -> "ConjugacyPartition":
@@ -70,32 +69,6 @@ class FiniteGroup:
             g = self.mult[g][g]
             n >>= 1
         return acc
-
-    def subgroup(self, elems: list[int]) -> tuple["FiniteGroup", tuple[int, ...]]:
-        """Re-index a closed subset as a standalone group.
-
-        Returns the subgroup and the embedding (new index -> old index).
-        Raises ValueError if ``elems`` is not closed under the group law.
-        """
-        embedding = tuple(sorted(set(elems)))
-        back = {g: i for i, g in enumerate(embedding)}
-        if self.identity not in back:
-            raise ValueError("subset does not contain the identity")
-        mult = []
-        for a in embedding:
-            row = []
-            for b in embedding:
-                ab = self.mult[a][b]
-                if ab not in back:
-                    raise ValueError("subset is not closed under multiplication")
-                row.append(back[ab])
-            mult.append(tuple(row))
-        inv = tuple(back[self.inv[g]] for g in embedding)
-        names = None
-        if self.names is not None:
-            names = tuple(self.names[g] for g in embedding)
-        sub = FiniteGroup(tuple(mult), inv, back[self.identity], names)
-        return sub, embedding
 
 
 @dataclass(frozen=True)
@@ -119,24 +92,19 @@ class GroupEndomorphism:
         """Raise NotAHomomorphism unless the table is an endomorphism of G.
 
         The check is phi(g*s) = phi(g)*phi(s) on the order * s Cayley
-        edges (g, s) of the recorded generators s, and phi(e) = e, which is
-        complete by the induction of ``endo_from_generator_images``: every
-        element is a word in the generators, so phi(g*h) = phi(g)*phi(h)
-        for all h.  A group with no recorded generators takes every element
-        as one, so its edges are all order^2 pairs.
+        edges (g, s) of the generators s, and phi(e) = e, which is complete
+        by the induction of ``endo_from_generator_images``: every element
+        is a word in the generators, so phi(g*h) = phi(g)*phi(h) for all h.
         """
         if len(self.image) != G.order:
             raise NotAHomomorphism("image table has wrong length")
         if self.image[G.identity] != G.identity:
             raise NotAHomomorphism("identity is not preserved")
-        image = self.image
-        generators = G.generators
-        if generators is None:
-            generators = G.elements()
-        for s in generators:
+        image, mult = self.image, G.mult
+        for s in G.generators:
             t = image[s]
-            for g, row in enumerate(G.mult):
-                if image[row[s]] != G.mult[image[g]][t]:
+            for g, row in enumerate(mult):
+                if image[row[s]] != mult[image[g]][t]:
                     raise NotAHomomorphism(
                         f"phi(g*h) != phi(g)*phi(h) at g={g}, h={s}")
 
@@ -158,7 +126,7 @@ def identity_endo(G: FiniteGroup) -> GroupEndomorphism:
 
 
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup(((0,),), (0,), 0, ("e",))
+    return group_from_permutations(1, [])
 
 
 def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -173,14 +141,13 @@ def group_from_permutations(
 ) -> FiniteGroup:
     """Close a set of permutations of {0..degree-1} under composition.
 
-    Elements are canonically ordered by their image tuples, which puts the
-    identity at index 0.  The closure composes each element with each
-    generator once, which gives the table R of right multiplication by the
-    generators and a breadth-first tree in which every element but the
-    identity is h*s for an earlier h.  The multiplication table then takes
-    integer lookups only: the column of h*s is R[., s] applied to the
-    column of h, as p*(h*s) = (p*h)*s.  The group records the indices of
-    the generators.
+    Elements are ordered by their image tuples, which puts the identity at
+    index 0.  The closure composes each element with each generator once,
+    which gives the table R of right multiplication by the generators and
+    a breadth-first tree in which every element but the identity is h*s
+    for an earlier h.  The multiplication table then takes integer lookups
+    only: the column of h*s is R[., s] applied to the column of h, as
+    p*(h*s) = (p*h)*s.
     """
     if degree < 1:
         raise NotAPermutation("degree must be positive")
@@ -215,43 +182,42 @@ def group_from_permutations(
     by_generator = list(zip(*(map(index.__getitem__, right[p])
                               for p in perms)))
     columns = [None] * len(perms)
-    columns[index[ident]] = range(len(perms))
+    columns[0] = range(len(perms))
     for child, parent, s in tree:
         columns[index[child]] = list(
             map(by_generator[s].__getitem__, columns[index[parent]]))
     mult = tuple(zip(*columns))
-    e = index[ident]
-    inv = tuple(row.index(e) for row in mult)
-    names = tuple(str(p) for p in perms)
-    return FiniteGroup(mult, inv, e, names,
+    inv = tuple(row.index(0) for row in mult)
+    return FiniteGroup(mult, inv, tuple(perms),
                        tuple(map(index.__getitem__, gens)))
 
 
 def endo_from_generator_images(
-    G: FiniteGroup, generators: list[int], images: list[int]
+    G: FiniteGroup, images: list[int]
 ) -> GroupEndomorphism:
-    """Extend generator images to the whole group by word expansion.
+    """Extend the images of ``G.generators`` to the whole group.
 
     One breadth-first pass from the identity sets phi(g*s) = phi(g)*t at
     the first visit of each Cayley edge (g, s), s a generator with image t,
-    and checks it at every later one.  It raises NotAHomomorphism if two
-    words for an element of the subgroup it reaches receive different
-    images, and only otherwise DoesNotGenerate if that subgroup is not G.
+    and checks it at every later one; it raises NotAHomomorphism if two
+    words for an element receive different images.
 
     No ``validate`` is needed: by induction on k,
     phi(g*s_1...s_k) = phi(g)*t_1...t_k = phi(g)*phi(s_1...s_k) (g = e),
     and in a finite group every h is such a word, as s^-1 is a power of s.
     """
+    generators = G.generators
     if len(generators) != len(images):
         raise NotAHomomorphism("generators and images differ in length")
+    mult = G.mult
     table: dict[int, int] = {G.identity: G.identity}
     frontier = [G.identity]
     while frontier:
         nxt = []
         for g in frontier:
             for s, t in zip(generators, images):
-                gs = G.mult[g][s]
-                img = G.mult[table[g]][t]
+                gs = mult[g][s]
+                img = mult[table[g]][t]
                 if gs in table:
                     if table[gs] != img:
                         raise NotAHomomorphism(
@@ -261,9 +227,7 @@ def endo_from_generator_images(
                     table[gs] = img
                     nxt.append(gs)
         frontier = nxt
-    if len(table) != G.order:
-        raise DoesNotGenerate("the given elements do not generate the group")
-    return GroupEndomorphism(tuple(table[g] for g in G.elements()))
+    return GroupEndomorphism(tuple(map(table.__getitem__, G.elements())))
 
 
 def _partition_from_orbits(G: FiniteGroup, orbit) -> ConjugacyPartition:
@@ -296,9 +260,10 @@ def phi_conjugacy_classes(
     The class count is the Reidemeister number of phi; this is the
     brute-force oracle for every finite-group formula in the package.
     """
+    mult, inv, image = G.mult, G.inv, phi.image
 
     def orbit(a):
-        return {G.mult[G.mult[g][a]][G.inv[phi(g)]] for g in G.elements()}
+        return {mult[mult[g][a]][inv[image[g]]] for g in G.elements()}
 
     return _partition_from_orbits(G, orbit)
 
@@ -321,23 +286,29 @@ def iterate_endo(phi: GroupEndomorphism, n: int) -> GroupEndomorphism:
 def eventual_image(
     G: FiniteGroup, phi: GroupEndomorphism
 ) -> tuple[FiniteGroup, GroupEndomorphism, tuple[int, ...]]:
-    """Stabilized image subgroup H = phi^n(G) and the restriction phi|_H.
+    """The stable image H = phi^m(G) and the restriction phi|_H.
 
     The restriction is an automorphism of H.  Returns (H, phi_H, embedding)
-    where embedding maps H indices to G indices.  When phi is onto, H is G
-    itself, phi_H is phi and the embedding is the identity: no table is
-    copied.
+    where embedding maps H indices to G indices.  m is the number of steps
+    until the image stops shrinking, and H is closed from the permutations
+    of phi^m(s) for the generators s of G, so H's elements keep G's order.
+    When phi is onto, H is G itself, phi_H is phi and the embedding is the
+    identity.
     """
-    current = set(G.elements())
+    image, m = G.elements(), 0
     while True:
-        nxt = {phi(g) for g in current}
-        if nxt == current:
+        nxt = set(map(phi.image.__getitem__, image))
+        if len(nxt) == len(image):
             break
-        current = nxt
-    if len(current) == G.order:
+        image, m = nxt, m + 1
+    if m == 0:
         return G, phi, tuple(G.elements())
-    H, embedding = G.subgroup(sorted(current))
+    generators = G.generators
+    for _ in range(m):
+        generators = [phi(s) for s in generators]
+    H = group_from_permutations(len(G.perms[0]),
+                                [G.perms[s] for s in generators])
+    embedding = tuple(map(G.index.__getitem__, H.perms))
     back = {g: i for i, g in enumerate(embedding)}
     phi_H = GroupEndomorphism(tuple(back[phi(g)] for g in embedding))
     return H, phi_H, embedding
-

@@ -108,7 +108,8 @@ class ProductEndomorphism:
     finite group and a trivial F (``from_matrix``) a lattice.  The
     constructor checks the homomorphism property on generators: the psi
     images must commute pairwise (psi is a homomorphism) and must commute
-    with the image of phi_F (the mixed products must agree).
+    with the image of phi_F (the mixed products must agree), which is
+    generated by the images phi_F(s) of the generators s of F.
     """
 
     M: IntMatrix
@@ -126,9 +127,9 @@ class ProductEndomorphism:
         for a, b in itertools.combinations(self.psi, 2):
             if F.mult[a][b] != F.mult[b][a]:
                 raise NotAHomomorphism("psi images do not commute pairwise")
-        image_of_phiF = set(self.phiF.image)
+        generator_images = [self.phiF(s) for s in F.generators]
         for a in self.psi:
-            for f in image_of_phiF:
+            for f in generator_images:
                 if F.mult[a][f] != F.mult[f][a]:
                     raise NotAHomomorphism(
                         "a psi image does not commute with the image of phi_F"

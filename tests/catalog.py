@@ -27,15 +27,13 @@ from twistedzeta import (
 from twistedzeta.errors import EigenvalueOnBoundary, NotAHomomorphism
 
 
-def all_endomorphisms(
-    G: FiniteGroup, generators: list[int]
-) -> list[GroupEndomorphism]:
+def all_endomorphisms(G: FiniteGroup) -> list[GroupEndomorphism]:
     """Every endomorphism found by searching over generator images."""
     found = []
     seen_tables = set()
-    for images in itertools.product(G.elements(), repeat=len(generators)):
+    for images in itertools.product(G.elements(), repeat=len(G.generators)):
         try:
-            phi = endo_from_generator_images(G, generators, list(images))
+            phi = endo_from_generator_images(G, list(images))
         except NotAHomomorphism:
             continue
         if phi.image not in seen_tables:
@@ -45,17 +43,15 @@ def all_endomorphisms(
 
 
 def perm_group(degree, gens):
-    """Build a permutation group and locate the generators' element indices."""
+    """A permutation group and the element indices of its generators."""
     G = group_from_permutations(degree, gens)
-    index = {G.names[g]: g for g in G.elements()}
-    return G, [index[str(tuple(p))] for p in gens]
+    return G, list(G.generators)
 
 
 def cyclic_group(n: int):
-    mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    inv = tuple((n - i) % n for i in range(n))
-    G = FiniteGroup(mult, inv, 0, tuple(f"g^{i}" for i in range(n)))
-    return G, ([] if n == 1 else [1])
+    """C_n closed from the n-cycle r: i -> i + 1; element k is r^k, whose
+    image tuple is the only one that starts with k."""
+    return perm_group(n, [tuple((i + 1) % n for i in range(n))])
 
 
 def klein_four():
@@ -83,7 +79,9 @@ _UNIT_MUL = {
 
 
 def quaternion8():
-    """Q8 with elements (sign, unit): index = 2*unit + (0 if + else 1)."""
+    """Q8 closed from the rows of its table, which form its left-regular
+    representation; the table is in the units (sign, unit) at index
+    2*unit + (0 if + else 1), and i and j generate."""
 
     def mul(a, b):
         ua, sa = divmod(a, 2)
@@ -92,14 +90,8 @@ def quaternion8():
         negative = (sa + sb + (1 if sign < 0 else 0)) % 2
         return 2 * unit + negative
 
-    order = 8
-    mult = tuple(tuple(mul(a, b) for b in range(order)) for a in range(order))
-    inv = []
-    for a in range(order):
-        inv.append(next(b for b in range(order) if mul(a, b) == 0))
-    names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    G = FiniteGroup(mult, tuple(inv), 0, names)
-    return G, [2, 4]  # i and j
+    rows = [tuple(mul(a, b) for b in range(8)) for a in range(8)]
+    return perm_group(8, [rows[2], rows[4]])
 
 
 def finite_catalog():
@@ -117,24 +109,18 @@ def finite_catalog():
 
 def catalog_with_endos():
     """Every catalog group with every endomorphism found by image search."""
-    out = []
-    for name, G, gens in finite_catalog():
-        if not gens:
-            endos = [GroupEndomorphism((0,) * G.order)]
-        else:
-            endos = all_endomorphisms(G, gens)
-        out.append((name, G, endos))
-    return out
+    return [(name, G, all_endomorphisms(G))
+            for name, G, _ in finite_catalog()]
 
 
 def klein_swap():
     K, (e1, e2) = klein_four()
-    return K, endo_from_generator_images(K, [e1, e2], [e2, e1])
+    return K, endo_from_generator_images(K, [e2, e1])
 
 
 def cyclic6_doubling():
     C6, _ = cyclic_group(6)
-    return C6, endo_from_generator_images(C6, [1], [2])
+    return C6, endo_from_generator_images(C6, [2])
 
 
 def _matrix_ok_for_iterates(M, max_n=12, det_cap=None):
@@ -157,8 +143,8 @@ def product_catalog():
     C6, doubling = cyclic6_doubling()
     S3, s3gens = sym3()
     s3_inner = endo_from_generator_images(
-        S3, s3gens, [S3.mult[S3.mult[s3gens[0]][g]][S3.inv[s3gens[0]]]
-                     for g in s3gens])
+        S3, [S3.mult[S3.mult[s3gens[0]][g]][S3.inv[s3gens[0]]]
+             for g in s3gens])
     matrices = [
         IntMatrix([]),                 # k = 0
         IntMatrix([[-2]]),
@@ -196,11 +182,9 @@ def random_product_endomorphisms(count, rng: random.Random,
                                  coset_cap=30):
     """Random product endomorphisms small enough for the enumeration oracle."""
     finite_pool = []
-    for name, G, gens in finite_catalog():
+    for _, G, _ in finite_catalog():
         if G.order <= max_order:
-            endos = (all_endomorphisms(G, gens) if gens
-                     else [GroupEndomorphism((0,) * G.order)])
-            finite_pool.append((G, endos))
+            finite_pool.append((G, all_endomorphisms(G)))
     cases = []
     while len(cases) < count:
         k = rng.randint(0, max_k)
@@ -226,9 +210,8 @@ def random_product_endomorphisms(count, rng: random.Random,
 @functools.cache
 def small_finite():
     """(G, every endomorphism of G) for the catalog groups of order <= 8."""
-    return [(G, all_endomorphisms(G, gens) if gens
-             else [GroupEndomorphism((0,) * G.order)])
-            for _, G, gens in finite_catalog() if G.order <= 8]
+    return [(G, all_endomorphisms(G))
+            for _, G, _ in finite_catalog() if G.order <= 8]
 
 
 @st.composite
@@ -266,8 +249,7 @@ def wide_products():
     a lattice, and for k = 3, 4 times S3 with an inner automorphism."""
     S3, gens = sym3()
     inner = endo_from_generator_images(
-        S3, gens, [S3.mult[S3.mult[gens[0]][g]][S3.inv[gens[0]]]
-                   for g in gens])
+        S3, [S3.mult[S3.mult[gens[0]][g]][S3.inv[gens[0]]] for g in gens])
     cases = []
     for k in range(3, 7):
         M = companion([1, -3] + [0] * (k - 2))

@@ -74,3 +74,33 @@ def test_every_pinned_name_is_a_traced_package_function():
     finally:
         tracer.remove()
     assert pinned - traced == set()
+
+
+def test_span_values_are_read_on_every_kind(tmp_path, deadline_handler):
+    # The wrapper reads SPAN_VALUE from a function's arguments or result
+    # (the rows of char_poly's matrix, the order of a group built), so a
+    # reader that no longer fits what the function takes or returns would
+    # fail --trace 1 inside the wrapper.  One product, one abelian, one
+    # finite document with a map that is not onto, and one free document.
+    docs = {d.ident: d for w in ("product", "lattice", "finite", "free")
+            for d in workloads.make(w, 0) if not d.frontier}
+    picks = [next(d for ident, d in docs.items() if ident.startswith(prefix))
+             for prefix in ("product-s3_inner-k2-", "lattice-",
+                            "finite-S4-sign-", "free-")]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for doc in picks:
+            path = tmp_path / f"{doc.ident}.json"
+            path.write_text(json.dumps(doc.body))
+            tracer.doc_id = doc.ident
+            outcome = checks.compute(cli.main, str(path), DEADLINE_S)
+            assert outcome.ok, (doc.ident, outcome.status, outcome.detail)
+    finally:
+        tracer.remove()
+    assert not [span for span in tracer.spans if span[5]]
+    valued = [span for span in tracer.spans if span[0] in tracing.SPAN_VALUE]
+    assert all(span[6] is not None for span in valued)
+    assert {"intlinalg.char_poly", "groups.group_from_permutations",
+            "groups.trivial_group", "groups.eventual_image"} <= {
+        span[0] for span in valued}

@@ -516,12 +516,20 @@ class TestJacobian:
         assert N == IntMatrix([[1, 1], [1, 0]])
 
 
+def _bracket_ends(sr):
+    """The exact ends lo/2^e and hi/2^e of a spectral-radius bracket."""
+    lo, hi, e = sr.bracket
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+
+
 class TestSpectralRadius:
     def test_fibonacci_matrix(self):
         sr = spectral_radius(IntMatrix([[1, 1], [1, 0]]))
         golden = (1 + math.sqrt(5)) / 2
         assert sr.value == pytest.approx(golden, rel=1e-10)
-        assert sr.low <= golden <= sr.high
+        # the exact ends bracket the positive root of x^2 - x - 1
+        low, high = _bracket_ends(sr)
+        assert 1 <= low and low * low - low - 1 <= 0 <= high * high - high - 1
 
     def test_permutation_matrix(self):
         sr = spectral_radius(IntMatrix([[0, 1], [1, 0]]))
@@ -563,24 +571,24 @@ class TestExactPerronRoot:
         import numpy as np
         sr = spectral_radius(A)
         lo, hi, e = sr.bracket
-        assert sr.low <= lo / (1 << e) and hi / (1 << e) <= sr.high
         assert (hi - lo) << 50 <= hi
         want = max(abs(mu) for mu in
                    np.linalg.eigvals(np.array(A.entries, dtype=float)))
         # numpy's eigenvalues carry their own rounding error
-        slack = 1e-9 * max(sr.high, 1.0)
-        assert sr.low - slack <= want <= sr.high + slack
+        low, high = _bracket_ends(sr)
+        slack = Fraction(1, 10 ** 9) * max(high, 1)
+        assert low - slack <= Fraction(float(want)) <= high + slack
 
     def test_integer_roots_are_exact(self):
         for n in range(6):
             assert spectral_radius(IntMatrix([[n]])).bracket == (n, n, 0)
         for k in range(1, 5):
             assert spectral_radius(IntMatrix([[0] * k] * k)) == (
-                0.0, 0.0, 0.0, (0, 0, 0))
+                0.0, (0, 0, 0))
         for perm in itertools.permutations(range(4)):
             P = IntMatrix([[int(perm[i] == j) for j in range(4)]
                            for i in range(4)])
-            assert spectral_radius(P) == (1.0, 1.0, 1.0, (1, 1, 0))
+            assert spectral_radius(P) == (1.0, (1, 1, 0))
         # block triangular, the root in a later block or shared by two
         for A, root in (([[2, 1, 0], [0, 3, 0], [0, 0, 5]], 5),
                         ([[1, 4, 1], [0, 2, 2], [0, 2, 2]], 4),
@@ -599,7 +607,8 @@ class TestExactPerronRoot:
             sr = spectral_radius(IntMatrix([[a]]))
             assert sr.bracket == largest_real_root(IntPolynomial([-a, 1]))
             assert sr == spectral_radius(IntMatrix([[a, 0], [0, 0]]))
-            assert sr.low <= a <= sr.high
+            low, high = _bracket_ends(sr)
+            assert low <= a <= high
 
     def test_double_root_at_zero(self):
         # char_poly(T) = x^2 (x - 2): a bisection on the polynomial itself,
@@ -607,7 +616,7 @@ class TestExactPerronRoot:
         phi = FreeGroupEndo.from_strings(3, ["bA", "ca", "CA"])
         T = matrix_of_norms(jacobian(phi))
         assert char_poly(T) == IntPolynomial([0, 0, -2, 1])
-        assert spectral_radius(T) == (2.0, 2.0, 2.0, (2, 2, 0))
+        assert spectral_radius(T) == (2.0, (2, 2, 0))
         assert nielsen_radius_bounds(phi).bound_spectral == 0.5
 
 

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from twistedzeta import (
-    FiniteGroup,
     GroupEndomorphism,
     endo_from_generator_images,
     eventual_image,
@@ -17,7 +16,6 @@ from twistedzeta import (
 )
 from twistedzeta.errors import (
     ClosureTooLarge,
-    DoesNotGenerate,
     NotAHomomorphism,
     NotAPermutation,
 )
@@ -102,9 +100,10 @@ def _closure_by_composition(degree, gens):
     index = {p: i for i, p in enumerate(perms)}
     mult = tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)
     identity = index[tuple(range(degree))]
+    assert identity == 0
     inv = tuple(next(q for q in range(len(perms))
                      if mult[p][q] == identity) for p in range(len(perms)))
-    return mult, inv, identity, tuple(str(p) for p in perms)
+    return mult, inv, tuple(perms)
 
 
 def _regular_representation(G, gens):
@@ -115,9 +114,10 @@ def _regular_representation(G, gens):
 class TestClosureByLookups:
     def assert_matches_reference(self, degree, gens, axioms=True):
         G = group_from_permutations(degree, gens)
-        assert (G.mult, G.inv, G.identity, G.names) == \
+        assert (G.mult, G.inv, G.perms) == \
             _closure_by_composition(degree, gens)
         assert G.identity == 0
+        assert all(G.index[p] == g for g, p in enumerate(G.perms))
         if axioms:
             check_axioms(G)
         return G
@@ -147,7 +147,7 @@ class TestClosureByLookups:
 class TestEndoFromGeneratorImages:
     def test_identity_on_sym3(self):
         G, gens = sym3()
-        phi = endo_from_generator_images(G, gens, gens)
+        phi = endo_from_generator_images(G, gens)
         assert phi.image == identity_endo(G).image
 
     def test_klein_swap_has_order_two(self):
@@ -164,36 +164,7 @@ class TestEndoFromGeneratorImages:
         G, gens = sym3()
         # send the 3-cycle to a transposition: orders are incompatible
         with pytest.raises(NotAHomomorphism):
-            endo_from_generator_images(G, gens, [gens[1], gens[1]])
-
-    def test_rejects_non_generating_set(self):
-        G, gens = sym3()
-        with pytest.raises(DoesNotGenerate):
-            endo_from_generator_images(G, [gens[0]], [gens[0]])
-
-    def test_inconsistency_is_reported_before_a_proper_subgroup(self):
-        # s -> t extends to the cyclic group <s> exactly when t^|s| = e.
-        # The one breadth-first pass raises NotAHomomorphism on an
-        # inconsistency in the subgroup it reaches, and only otherwise
-        # DoesNotGenerate when that subgroup is not all of G.
-        outcomes = set()
-        for name, G, _ in finite_catalog():
-            for s in G.elements():
-                reached = {G.power(s, i) for i in range(G.order)}
-                for t in G.elements():
-                    expected = None
-                    if G.power(t, len(reached)) != G.identity:
-                        expected = NotAHomomorphism
-                    elif len(reached) < G.order:
-                        expected = DoesNotGenerate
-                    outcomes.add(expected)
-                    try:
-                        phi = endo_from_generator_images(G, [s], [t])
-                    except (NotAHomomorphism, DoesNotGenerate) as exc:
-                        assert type(exc) is expected, (name, s, t)
-                    else:
-                        assert expected is None and phi(s) == t, (name, s, t)
-        assert outcomes == {NotAHomomorphism, DoesNotGenerate, None}
+            endo_from_generator_images(G, [gens[1], gens[1]])
 
 
 def _first_assignment_table(G, generators, images):
@@ -235,10 +206,7 @@ def _with_corruptions(G, phi):
 
 def _catalog_with_recorded_generators():
     """(name, group, generators) for every catalog group with at most two
-    generators, and again as the closure of its regular representation.
-    The hand-built tables of the catalog (cyclic groups, Q8) record no
-    generators, so validate takes every element as one there; every closure
-    records the generators it was closed from."""
+    generators, and again as the closure of its regular representation."""
     out = []
     for name, G, gens in finite_catalog():
         if len(gens) > 2:
@@ -251,22 +219,25 @@ def _catalog_with_recorded_generators():
 
 class TestValidateOnCayleyEdges:
     def test_generators_are_recorded_outside_equality(self):
+        # Equality and hashing read the permutations only: the same group
+        # closed from another generating set is equal, with its own
+        # generators recorded.
         G, gens = sym3()
-        assert list(G.generators) == gens
-        bare = FiniteGroup(G.mult, G.inv, G.identity, G.names)
-        assert bare.generators is None
-        assert bare == G and hash(bare) == hash(G)
-        assert G.subgroup([0])[0].generators is None
-        assert trivial_group().generators is None
+        H = group_from_permutations(3, [(1, 0, 2), (1, 2, 0), (0, 2, 1)])
+        assert [G.perms[s] for s in gens] == [(1, 2, 0), (1, 0, 2)]
+        assert [H.perms[s] for s in H.generators] == [
+            (1, 0, 2), (1, 2, 0), (0, 2, 1)]
+        assert H == G and hash(H) == hash(G)
+        assert trivial_group().generators == ()
+        assert trivial_group().perms == ((0,),)
 
     def test_matches_full_table_on_every_assignment(self):
         # validate accepts and rejects exactly what the |G|^2 reference
         # does, on the first-word table of every generator-image assignment
         # (a homomorphism or not) and on every single-entry corruption of
         # the homomorphisms among them.
-        edge_checked = rejected = corrupted = 0
+        rejected = corrupted = 0
         for name, G, gens in _catalog_with_recorded_generators():
-            edge_checked += G.generators is not None
             for images in itertools.product(G.elements(), repeat=len(gens)):
                 table = _first_assignment_table(G, gens, images)
                 tables = [table]
@@ -278,7 +249,28 @@ class TestValidateOnCayleyEdges:
                     assert accepted == _is_hom_by_full_table(G, phi), (
                         name, images, phi)
                     rejected += not accepted
-        assert edge_checked and rejected and corrupted
+        assert rejected and corrupted
+
+    def test_matches_full_table_on_eventual_images(self):
+        # The eventual image of a map that is not onto is closed from the
+        # images of the generators: validate decides on its edges exactly
+        # as the full-table reference, on the restriction and its square
+        # and on every single-entry corruption of them.
+        images = checked = rejected = 0
+        for name, G, endos in catalog_with_endos():
+            for phi in endos:
+                H, phi_H, _ = eventual_image(G, phi)
+                if H is G or H.order == 1:
+                    continue
+                images += 1
+                for psi in (phi_H, iterate_endo(phi_H, 2)):
+                    for table in _with_corruptions(H, psi):
+                        accepted = _validates(H, table)
+                        assert accepted == _is_hom_by_full_table(H, table), (
+                            name, phi, table)
+                        checked += 1
+                        rejected += not accepted
+        assert images > 2 and rejected and checked > rejected
 
     def test_swap_off_the_generators_is_caught(self):
         # Exchanging the images of two elements that are neither generators
@@ -296,43 +288,6 @@ class TestValidateOnCayleyEdges:
             phi.validate(G)
 
 
-def _groups_without_generators():
-    """(name, group, endomorphisms) for groups that record no generators:
-    the eventual image of every catalog endomorphism that is not onto, a
-    re-indexed subgroup, with the restriction and its square; the trivial
-    group; and the table of S3 built by hand, with every endomorphism."""
-    out = [("trivial", trivial_group(), [identity_endo(trivial_group())])]
-    for name, G, endos in catalog_with_endos():
-        for phi in endos:
-            H, phi_H, _ = eventual_image(G, phi)
-            if H is not G:
-                out.append((f"image of {phi.image} in {name}", H,
-                            [phi_H, iterate_endo(phi_H, 2)]))
-    S3, gens = sym3()
-    out.append(("sym3 by hand", FiniteGroup(S3.mult, S3.inv, S3.identity),
-                all_endomorphisms(S3, gens)))
-    return out
-
-
-class TestValidateWithoutGenerators:
-    def test_every_element_is_a_generator(self):
-        # With no recorded generators the Cayley edges are all |G|^2 pairs,
-        # so validate decides exactly as the full-table reference on valid
-        # maps and on every single-entry corruption of them.
-        nontrivial = checked = rejected = 0
-        for name, H, endos in _groups_without_generators():
-            assert H.generators is None, name
-            nontrivial += H.order > 1
-            for phi in endos:
-                for table in _with_corruptions(H, phi):
-                    accepted = _validates(H, table)
-                    assert accepted == _is_hom_by_full_table(H, table), (
-                        name, table)
-                    checked += 1
-                    rejected += not accepted
-        assert nontrivial > 2 and rejected and checked > rejected
-
-
 class TestEndoNeedsNoValidate:
     def test_succeeds_exactly_on_homomorphisms(self):
         # The consistency checks of the breadth-first pass prove the table
@@ -346,7 +301,7 @@ class TestEndoNeedsNoValidate:
                           and all(table(s) == t
                                   for s, t in zip(gens, images)))
                 try:
-                    phi = endo_from_generator_images(G, gens, list(images))
+                    phi = endo_from_generator_images(G, list(images))
                 except NotAHomomorphism:
                     phi = None
                 assert (phi is not None) == is_hom, (name, images)
@@ -385,12 +340,11 @@ class TestConjugacy:
     def test_inner_invariance(self):
         # R(phi o psi) = R(psi o phi) = R(phi) for inner psi
         G, gens = sym3()
-        for phi in all_endomorphisms(G, gens):
+        for phi in all_endomorphisms(G):
             base = phi_conjugacy_classes(G, phi).num_classes
             for gamma in G.elements():
                 inner = endo_from_generator_images(
-                    G, gens, [G.mult[G.mult[gamma][s]][G.inv[gamma]]
-                              for s in gens])
+                    G, [G.mult[G.mult[gamma][s]][G.inv[gamma]] for s in gens])
                 left = phi.compose(inner)
                 right = inner.compose(phi)
                 assert phi_conjugacy_classes(G, left).num_classes == base
@@ -492,3 +446,30 @@ class TestEventualImage:
         H, phi_H, _ = eventual_image(C6, phi)
         assert (phi_conjugacy_classes(C6, phi).num_classes
                 == phi_conjugacy_classes(H, phi_H).num_classes)
+
+    def test_closed_image_matches_the_brute_force_image_set(self):
+        # For every catalog map that is not onto, the image closed from the
+        # generators' images is the set phi^m(G) found by applying phi to
+        # sets until they stop shrinking; its elements keep G's order, its
+        # table is G's restricted, and phi_H is phi restricted.
+        shrinking = 0
+        for name, G, endos in catalog_with_endos():
+            for phi in endos:
+                if phi.is_bijective():
+                    continue
+                shrinking += 1
+                image = set(G.elements())
+                while {phi(g) for g in image} != image:
+                    image = {phi(g) for g in image}
+                H, phi_H, embedding = eventual_image(G, phi)
+                assert embedding == tuple(sorted(image)), (name, phi)
+                assert H.perms == tuple(G.perms[g] for g in embedding)
+                for a in H.elements():
+                    assert embedding[H.inv[a]] == G.inv[embedding[a]]
+                    assert embedding[phi_H(a)] == phi(embedding[a])
+                    for b in H.elements():
+                        assert (embedding[H.mult[a][b]]
+                                == G.mult[embedding[a]][embedding[b]])
+                assert phi_H.is_bijective(), (name, phi)
+                phi_H.validate(H)
+        assert shrinking > len(finite_catalog())

@@ -196,10 +196,30 @@ class TestProduct:
         # in different twisted classes or merge, and the oracle must agree
         # with the product formula either way
         C4, _ = cyclic_group(4)
-        phi = endo_from_generator_images(C4, [1], [3])  # inversion
+        phi = endo_from_generator_images(C4, [3])  # inversion
         for psi in (0, 1, 2, 3):
             P = ProductEndomorphism(IntMatrix([[-1]]), (psi,), phi, C4)
             assert r_product_oracle(P) == r_product(P)
+
+    def test_commutation_is_checked_on_generator_images(self):
+        # A psi image must commute with phi_F(s) for each generator s of F;
+        # the phi_F(s) generate the image, so the constructor accepts
+        # exactly the psi that commute with every element of the image.
+        accepted = rejected = 0
+        for G, endos in small_finite():
+            for phi in endos:
+                image = set(phi.image)
+                for a in G.elements():
+                    central = all(G.mult[a][f] == G.mult[f][a] for f in image)
+                    try:
+                        ProductEndomorphism(IntMatrix([[2]]), (a,), phi, G)
+                    except NotAHomomorphism:
+                        assert not central, (phi, a)
+                        rejected += 1
+                    else:
+                        assert central, (phi, a)
+                        accepted += 1
+        assert accepted and rejected
 
 
 def _psi_value(P, v):

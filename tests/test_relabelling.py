@@ -1,0 +1,105 @@
+"""Relabelling relation: a finite part written in other permutations is the
+same group and the same map, so every report section must be unchanged.
+
+Each seed-0 ``product`` document and each seed-0 ``finite`` document up to
+S5, C2^5 and the dihedral groups (the sign maps among them are not
+bijective) is rewritten three ways at once:
+
+- every permutation (generator and generator image) is conjugated by a
+  seeded random relabelling sigma of the points, p -> sigma p sigma^-1;
+- a redundant generator is appended: the product of the first two, with
+  the product of their images as its image;
+- psi, which names elements by their index among the sorted
+  permutations, is moved to the index of the conjugated permutation.
+
+``compute`` must then give the same exit code, stderr and report, apart
+from ``timing_seconds`` and the echoed ``inputs``.  Nothing under
+``perfbench/`` is written.
+"""
+
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from twistedzeta import cli, group_from_permutations
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+import workloads  # noqa: E402
+sys.dont_write_bytecode = _write_bytecode
+
+# The larger seed-0 finite groups, left out to keep the module near 1 s.
+LARGE_FINITE = ("finite-S6-", "finite-C2^6-", "finite-C2^7-")
+
+
+def _compose(p, q):
+    """(p o q)(x) = p[q[x]], the package's product of permutations."""
+    return tuple(p[x] for x in q)
+
+
+def _conjugate(p, sigma):
+    """sigma p sigma^-1: the permutation p with every point x renamed
+    sigma[x]."""
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[sigma[x]] = sigma[y]
+    return tuple(out)
+
+
+def relabelled(body: dict, rng: random.Random) -> dict:
+    """The document with its finite part relabelled as described above."""
+    body = json.loads(json.dumps(body))
+    finite = body if body["kind"] == "finite" else body["finite"]
+    degree, gens = finite["degree"], [tuple(p) for p in finite["generators"]]
+    images = [tuple(q) for q in finite.get("endo_images", gens)]
+    sigma = rng.sample(range(degree), degree)
+    if len(gens) >= 2:
+        gens.append(_compose(gens[0], gens[1]))
+        images.append(_compose(images[0], images[1]))
+    finite["generators"] = [list(_conjugate(p, sigma)) for p in gens]
+    finite["endo_images"] = [list(_conjugate(q, sigma)) for q in images]
+    if body.get("psi"):
+        old = group_from_permutations(degree, gens)
+        new = group_from_permutations(degree, finite["generators"])
+        body["psi"] = [new.index[_conjugate(old.perms[a], sigma)]
+                       for a in body["psi"]]
+    return body
+
+
+def _compute(body: dict, path: Path):
+    path.write_text(json.dumps(body))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["compute", str(path)])
+    report = json.loads(out.getvalue()) if code in (0, 4) else None
+    if report is not None:
+        del report["timing_seconds"], report["inputs"]
+    return code, report, err.getvalue()
+
+
+def _documents(workload):
+    return [d for d in workloads.make(workload, 0) if not d.frontier
+            and not d.ident.startswith(LARGE_FINITE)]
+
+
+@pytest.mark.parametrize("workload", ["product", "finite"])
+def test_relabelled_finite_part_gives_the_same_report(workload, tmp_path):
+    rng = random.Random(f"relabel:{workload}")
+    docs = _documents(workload)
+    moved_psi = non_bijective = 0
+    for doc in docs:
+        body = relabelled(doc.body, rng)
+        before = _compute(doc.body, tmp_path / "before.json")
+        after = _compute(body, tmp_path / "after.json")
+        assert before[0] == 0, (doc.ident, before[2])
+        assert after == before, doc.ident
+        moved_psi += body.get("psi", []) != doc.body.get("psi", [])
+        non_bijective += "-sign-" in doc.ident or "s4_sign" in doc.ident
+    assert non_bijective
+    assert workload == "finite" or moved_psi
