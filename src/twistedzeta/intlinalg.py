@@ -1,10 +1,15 @@
 """Exact integer linear algebra.
 
 Determinants by fraction-free (Bareiss) elimination, characteristic
-polynomials by Faddeev-LeVerrier over the integers, the Smith diagonal
-with no unimodular transform formed, exterior powers as compound matrices,
-power traces tr A^n, and the traces tr wedge^i(M^n) as sums of principal
-minors of M^n, with no compound matrix formed.  Facts about eigenvalues are read off the
+polynomials by Faddeev-LeVerrier over the integers, exterior powers as
+compound matrices, power traces tr A^n, and the traces tr wedge^i(M^n) as
+sums of principal minors of M^n, with no compound matrix formed.  The
+Smith diagonal comes from Euclid's algorithm on row pairs, transposing
+while the pivot's row is not clear (each refill makes the pivot a proper
+divisor of itself, so this ends), and one gcd-lcm pass over the pivots:
+diag(a, b) and diag(gcd, lcm) are equivalent, and after its pairs each
+entry divides every later one.  It forms no transform and takes no
+determinant or modulus.  Facts about eigenvalues are read off the
 characteristic polynomial by integer pseudo-division: real-root counts and
 a bracket of the largest real root by Sturm sequences, and root-of-unity
 eigenvalues by cyclotomic divisors.  Sturm counts are taken at finite
@@ -263,78 +268,59 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
     return IntPolynomial(reversed(coeffs))
 
 
+def _gcd_rows(top: list[int], row: list[int]) -> tuple[list[int], list[int]]:
+    """Euclid's algorithm on the leading entries of two rows: subtract
+    (row[0] // top[0]) top from row, swap them while row[0] is not zero.
+    Each remainder is smaller than the last, so the loop ends, with top[0]
+    a gcd of the two leading entries.  When top[0] divides row[0], top
+    comes back unchanged."""
+    while True:
+        q = row[0] // top[0]
+        row = [b - q * a for a, b in zip(top, row)]
+        if not row[0]:
+            return top, row
+        top, row = row, top
+
+
 def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal d1 | d2 | ... of A: min(rows, cols) entries, none
-    negative, zeros last.  It is L A R for unimodular L and R, which no
-    route reads, so they are not formed."""
-    m, n = A.rows, A.cols
+    negative, zeros last, with no transform, determinant or modulus formed.
+
+    A nonzero entry is brought to (0, 0) if none is there, and column 0
+    cleared by Euclid's algorithm on row pairs; while row 0 is not clear,
+    the matrix is transposed (that keeps the diagonal) and column 0 cleared
+    again.  This ends, as the top row, and so a cleared column, changes
+    only when the pivot becomes a proper divisor of itself.  Then |pivot|
+    is recorded and its row and column dropped.  The pivots need not divide
+    each other, so one pass sets (d_i, d_j) to (gcd, lcm) over the pairs
+    i < j, which keeps the determinantal divisors.  After its pairs d_i
+    divides every later entry, and gcds and lcms of its multiples keep
+    that; lcm(a, 0) = 0 moves the zeros last."""
     S = [list(row) for row in A.entries]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        for t in range(n):
-            S[i][t] -= q * S[j][t]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for t in range(m):
-            S[t][i] -= q * S[t][j]
-
-    def swap_cols(i, j):
-        for t in range(m):
-            S[t][i], S[t][j] = S[t][j], S[t][i]
-
-    t = 0
-    while t < min(m, n):
-        # find a pivot in the remaining block
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] != 0:
-                    if pivot is None or abs(S[i][j]) < abs(S[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        S[t], S[pivot[0]] = S[pivot[0]], S[t]
-        swap_cols(t, pivot[1])
-
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    row_op(i, t, q)
-                    if S[i][t] != 0:
-                        S[t], S[i] = S[i], S[t]
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    col_op(j, t, q)
-                    if S[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # enforce divisibility of the rest of the block
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % S[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+    d = []
+    while S and S[0]:
+        if not S[0][0]:
+            pivot = next(((i, j) for i, row in enumerate(S)
+                          for j, a in enumerate(row) if a), None)
+            if pivot is None:
                 break
-            row_op(t, offender, -1)  # add offending row to row t, restart
-
-        S[t][t] = abs(S[t][t])  # the rest of row t is zero
-        t += 1
-
-    return tuple(S[i][i] for i in range(min(m, n)))
+            i, j = pivot
+            S[0], S[i] = S[i], S[0]
+            for row in S:
+                row[0], row[j] = row[j], row[0]
+        while True:
+            for i in range(1, len(S)):
+                if S[i][0]:
+                    S[0], S[i] = _gcd_rows(S[0], S[i])
+            if not any(S[0][1:]):
+                break
+            S = [list(col) for col in zip(*S)]
+        d.append(abs(S[0][0]))
+        S = [row[1:] for row in S[1:]]
+    d += [0] * (min(A.rows, A.cols) - len(d))
+    for i, j in itertools.combinations(range(len(d)), 2):
+        d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return tuple(d)
 
 
 def unimodular_inverse(U: IntMatrix) -> IntMatrix:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import InfiniteReidemeister, NotAHomomorphism
 from .groups import (
-    ConjugacyPartition,
     FiniteGroup,
     GroupEndomorphism,
     identity_endo,

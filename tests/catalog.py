@@ -123,6 +123,25 @@ def cyclic6_doubling():
     return C6, endo_from_generator_images(C6, [2])
 
 
+def elementary_product(rng, k, steps=10):
+    """A random k x k integer matrix of determinant +-1, k >= 1: a product
+    of elementary matrices, each adding a multiple of one row to another,
+    swapping two rows or negating one."""
+    U = IntMatrix.identity(k)
+    for _ in range(steps):
+        E = [[int(a == b) for b in range(k)] for a in range(k)]
+        i, j = rng.randrange(k), rng.randrange(k)
+        step = rng.randrange(3)
+        if step == 0 and i != j:
+            E[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        elif step == 1:
+            E[i], E[j] = E[j], E[i]
+        elif step == 2:
+            E[i][i] = -1
+        U = IntMatrix(E) @ U
+    return U
+
+
 def _matrix_ok_for_iterates(M, max_n=12, det_cap=None):
     try:
         count_eigen_signs(char_poly(M))

@@ -32,7 +32,7 @@ from twistedzeta.intlinalg import (
 from twistedzeta.zeta import check_all_iterates_finite
 
 import root_reference
-from catalog import record_row_products
+from catalog import elementary_product, record_row_products
 
 
 def random_matrix(rng, k, lo=-5, hi=5):
@@ -72,25 +72,6 @@ def block_sum(*blocks):
     return IntMatrix(out, rows=k, cols=k)
 
 
-def elementary_product(rng, k, steps=10):
-    """A random k x k integer matrix of determinant +-1, k >= 1: a product
-    of elementary matrices, each adding a multiple of one row to another,
-    swapping two rows or negating one."""
-    U = IntMatrix.identity(k)
-    for _ in range(steps):
-        E = [[int(a == b) for b in range(k)] for a in range(k)]
-        i, j = rng.randrange(k), rng.randrange(k)
-        step = rng.randrange(3)
-        if step == 0 and i != j:
-            E[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
-        elif step == 1:
-            E[i], E[j] = E[j], E[i]
-        elif step == 2:
-            E[i][i] = -1
-        U = IntMatrix(E) @ U
-    return U
-
-
 def determinantal_divisors(A):
     """The Smith diagonal by its definition: d_i = Delta_i / Delta_(i-1)
     for i = 1..min(rows, cols), Delta_i the gcd of the i-minors of A and
@@ -104,6 +85,21 @@ def determinantal_divisors(A):
             exterior_power(square, i).entries))
         for i in range(1, min(A.rows, A.cols) + 1)]
     return tuple(d // p if p else 0 for p, d in zip(delta, delta[1:]))
+
+
+def transpose(A):
+    return IntMatrix([list(col) for col in zip(*A.entries)],
+                     rows=A.cols, cols=A.rows)
+
+
+def assert_smith_diagonal(diagonal):
+    """No entry negative, each dividing the next, zeros last."""
+    assert all(d >= 0 for d in diagonal)
+    for d, e in zip(diagonal, diagonal[1:]):
+        if d != 0:
+            assert e % d == 0
+        else:
+            assert e == 0
 
 
 @st.composite
@@ -287,16 +283,51 @@ class TestSmith:
     @example(IntMatrix([[0, 0, 0], [0, 0, 0]]))
     @example(IntMatrix([[4, 0], [0, 6], [0, 0]]))
     @example(IntMatrix([[2, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0]]))
+    # Euclid's step with a pivot that divides an entry of opposite sign
+    @example(IntMatrix([[2, 1], [-4, 3]]))
+    # no pivot in column 0
+    @example(IntMatrix([[0, 3], [0, 5]]))
+    # a wide and a tall matrix whose zero rows come first
+    @example(IntMatrix([[0, 0, 0, 0], [4, 0, 6, 2], [0, 3, 9, -6]]))
+    @example(IntMatrix([[0, 0], [0, 0], [6, 4], [-3, 9]]))
+    # pivots 4, 6, 1: ordering them takes the gcd-lcm pass over every pair
+    @example(IntMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 1]]))
     @settings(max_examples=100, deadline=None)
     def test_determinantal_divisors_and_divisibility(self, A):
         diagonal = smith_normal_form(A)
         assert diagonal == determinantal_divisors(A)
-        assert all(d >= 0 for d in diagonal)
-        for d, e in zip(diagonal, diagonal[1:]):
-            if d != 0:
-                assert e % d == 0
-            else:
-                assert e == 0
+        assert_smith_diagonal(diagonal)
+
+    @given(smith_inputs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_transpose_and_unimodular_factors_keep_the_diagonal(self, A, rng):
+        U = elementary_product(rng, A.rows)
+        V = elementary_product(rng, A.cols)
+        diagonal = smith_normal_form(A)
+        assert smith_normal_form(transpose(A)) == diagonal
+        assert smith_normal_form(U @ A @ V) == diagonal
+
+    def test_rank_eight_iterates(self):
+        # I - M^n for n = 1..12 at rank 8, entries of M in -2..2, det M != 0
+        # and no root-of-unity eigenvalue: the lattice oracle's largest
+        # inputs.  I - M^12 has entries of 25 bits and a last Smith entry
+        # of 116 bits.
+        M = IntMatrix([[1, 2, -1, 0, -2, -2, 1, -2],
+                       [1, -1, -1, -1, -2, -2, -2, 2],
+                       [2, 2, -2, 0, -1, -1, -1, -1],
+                       [2, 0, -1, 1, -1, 1, -1, 2],
+                       [-1, 0, 0, 2, -1, 2, 0, 2],
+                       [0, -2, 0, -2, 1, 2, 0, 1],
+                       [-2, -2, -2, -2, -1, -2, 1, 1],
+                       [1, 2, 0, 2, -1, -2, 0, 2]])
+        assert det(M) != 0 and first_cyclotomic_factor(char_poly(M)) is None
+        I = IntMatrix.identity(8)
+        for n in range(1, 13):
+            X = I - mat_pow(M, n)
+            diagonal = smith_normal_form(X)
+            assert math.prod(diagonal) == abs(det(X)), n
+            assert_smith_diagonal(diagonal)
+            assert smith_normal_form(transpose(X)) == diagonal, n
 
     @given(matrices)
     @settings(max_examples=40, deadline=None)

@@ -1,9 +1,10 @@
-"""Relabelling relation: a finite part written in other permutations is the
-same group and the same map, so every report section must be unchanged.
+"""Relations between documents: two documents that describe the same
+endomorphism in other terms must get the same report.
 
-Each seed-0 ``product`` document and each seed-0 ``finite`` document up to
-S5, C2^5 and the dihedral groups (the sign maps among them are not
-bijective) is rewritten three ways at once:
+*Relabelling.*  A finite part written in other permutations is the same
+group and the same map.  Each seed-0 ``product`` document and each seed-0
+``finite`` document up to S5, C2^5 and the dihedral groups (the sign maps
+among them are not bijective) is rewritten three ways at once:
 
 - every permutation (generator and generator image) is conjugated by a
   seeded random relabelling sigma of the points, p -> sigma p sigma^-1;
@@ -11,6 +12,12 @@ bijective) is rewritten three ways at once:
   the product of their images as its image;
 - psi, which names elements by their index among the sorted
   permutations, is moved to the index of the conjugated permutation.
+
+*Change of basis.*  M and U M U^-1, for a seeded unimodular U, are the same
+map of Z^k in two bases, and psi never enters a count, so it is set to the
+identity element throughout.  Each seed-0 ``lattice`` and ``product``
+document is rewritten so.  The Smith oracle then meets I - (U M U^-1)^n,
+whose entries are mixed by U, rather than the documents' own layout.
 
 ``compute`` must then give the same exit code, stderr and report, apart
 from ``timing_seconds`` and the echoed ``inputs``.  Nothing under
@@ -27,6 +34,9 @@ from pathlib import Path
 import pytest
 
 from twistedzeta import cli, group_from_permutations
+from twistedzeta.intlinalg import IntMatrix, unimodular_inverse
+
+from catalog import elementary_product
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -103,3 +113,29 @@ def test_relabelled_finite_part_gives_the_same_report(workload, tmp_path):
         non_bijective += "-sign-" in doc.ident or "s4_sign" in doc.ident
     assert non_bijective
     assert workload == "finite" or moved_psi
+
+
+def rebased(body: dict, rng: random.Random) -> dict:
+    """The document with M replaced by U M U^-1 and psi by the identity."""
+    body = json.loads(json.dumps(body))
+    M = IntMatrix(body["matrix"])
+    U = elementary_product(rng, M.rows)
+    body["matrix"] = [list(row) for row in
+                      (U @ M @ unimodular_inverse(U)).entries]
+    if "psi" in body:
+        body["psi"] = [0] * M.rows
+    return body
+
+
+@pytest.mark.parametrize("workload", ["lattice", "product"])
+def test_change_of_basis_gives_the_same_report(workload, tmp_path):
+    rng = random.Random(f"rebase:{workload}")
+    moved = 0
+    for doc in _documents(workload):
+        body = rebased(doc.body, rng)
+        before = _compute(doc.body, tmp_path / "before.json")
+        after = _compute(body, tmp_path / "after.json")
+        assert before[0] == 0, (doc.ident, before[2])
+        assert after == before, doc.ident
+        moved += body["matrix"] != doc.body["matrix"]
+    assert moved

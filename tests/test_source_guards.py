@@ -255,7 +255,11 @@ def test_smith_diagonal_forms_no_transform():
     # kept next to it would be matrices that no route reads: the
     # elimination works on lists of ints and builds no IntMatrix.  Its
     # operators all act on entries, so their methods are not followed.
-    transforms = {"IntMatrix", "identity", "_trusted", "__matmul__"}
+    # Nor does it take a determinant or the formula's lattice count, as a
+    # modulus or otherwise: the diagonal's product is the oracle's check
+    # of |det(I - M^n)|.
+    transforms = {"IntMatrix", "identity", "_trusted", "__matmul__",
+                  "det", "det_rows", "_lattice_count"}
     assert not transforms & _reached_names("intlinalg", "smith_normal_form",
                                            follow_operators=False)
 
