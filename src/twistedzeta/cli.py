@@ -139,8 +139,11 @@ def _build_finite(payload) -> tuple[FiniteGroup, GroupEndomorphism]:
     gens = payload.get("generators")
     _require(isinstance(gens, list) and all(_int_list(p) for p in gens),
              "finite: 'generators' must be a list of integer lists")
+    # No generators give the trivial group whatever the degree: its one
+    # element is closed on one point, not as a tuple of length degree.
+    degree = payload["degree"] if gens else 1
     try:
-        G = group_from_permutations(payload["degree"], [tuple(p) for p in gens])
+        G = group_from_permutations(degree, [tuple(p) for p in gens])
     except TwistedZetaError as exc:
         raise ValidationError(f"finite: {exc}") from exc
     images = payload.get("endo_images")
@@ -183,6 +186,10 @@ def parse_problem(text: str) -> ProblemDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the recursion limit, or an integer literal
+        # longer than Python's digit guard allows
+        raise SchemaError(f"unloadable JSON: {exc}") from exc
     _require(isinstance(raw, dict), "document must be a JSON object")
     kind = raw.get("kind")
     _require(kind in KINDS, f"'kind' must be one of {KINDS}")
@@ -515,9 +522,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
+    digits = sys.get_int_max_str_digits()
     try:
         doc = parse_problem(_read_document(args.document))
+        # Python's digit guard stays on for the document's integer literals;
+        # exact results are printed at any length.
+        sys.set_int_max_str_digits(0)
         if args.order is not None:
             _require(args.order >= 1, "'--order' must be >= 1")
             doc.order = args.order
@@ -549,6 +559,8 @@ def main(argv=None) -> int:
         print(f"error: oracle disagreement at n = {exc.n}, counts "
               f"R_1..R_{exc.n} = {list(exc.counts)}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -15,13 +15,14 @@ a bracket of the largest real root by Sturm sequences, and root-of-unity
 eigenvalues by cyclotomic divisors.  Sturm counts are taken at finite
 points only where the polynomial may have roots on either side; beyond
 every root they equal the counts at +-oo, which the leading coefficients
-give.  The largest root's last bits come from integer Newton steps that
-only propose a cell, kept when signs confirm it.  Everything is arbitrary
-precision; no floating point enters any of these computations.
+give.  The largest root's last bits come from halving by the sign at the
+midpoint.  Everything is arbitrary precision; no floating point enters any
+of these computations.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -555,15 +556,10 @@ def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
     m with x in (m, m + 1], then halve to it; lo = hi when x = m + 1.
     Otherwise x is not rational, as a rational root of a monic p is an
     integer: (m, m + 1) is halved by Sturm counts until x is the only root
-    above lo.  Then s changes sign at x alone within the bracket, and
-    Newton steps from its midpoint propose a narrower cell at a finer
-    exponent, kept only when it lies in the bracket and the signs of s at
-    its two ends confirm it; any other step halves the bracket by the sign
-    at the midpoint.  This stops at the first exponent with
-    max(-lo, hi) >= 2^53, about 2^-53 of x, and no step passes that
-    exponent, so the cell is the one halving alone would reach.  As the
-    bracket stays within [m, m + 1], x <= N exactly when hi <= N 2^e, for
-    every integer N.
+    above lo.  Then s changes sign at x alone within the bracket, which is
+    halved by the sign of s at its midpoint up to the first exponent with
+    max(-lo, hi) >= 2^53, about 2^-53 of x.  As the bracket stays within
+    [m, m + 1], x <= N exactly when hi <= N 2^e, for every integer N.
     """
     if p.degree < 1 or p.coefficients[-1] != 1:
         raise ValueError("largest_real_root needs a monic, non-constant p")
@@ -600,46 +596,14 @@ def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
     # has the sign of its leading coefficient right of x, the other sign
     # left of it, and no zero at a dyadic point strictly inside.
     positive = s[-1] > 0
-    ds = seq[1]  # s', the second member of its Sturm sequence
     while max(-lo, hi) < 1 << 53:
-        mid, f = 2 * lo + 1, e + 1  # the midpoint m = mid / 2^f
-        v = _value(s, mid, 1 << f)
-        # From m, Newton's error is about the square of the cell width, so
-        # a cell at exponent 2e is usually confirmed.  A jump of k halvings
-        # skips only exponents where max(-lo, hi) < 2^53 whatever the cell.
-        k = min(e, 54 - max(hi, -lo).bit_length())
-        if k > 1:
-            d = _value(ds, mid, 1 << f)
-            if d:
-                # floor(y 2^(e + k)) for the Newton point y = m - s(m)/s'(m)
-                a = ((mid * d - v) << (k - 1)) // d
-                low, high, g = lo << k, hi << k, e + k
-                if (low <= a < high
-                        and (a == low
-                             or (_value(s, a, 1 << g) > 0) != positive)
-                        and (a + 1 == high
-                             or (_value(s, a + 1, 1 << g) > 0) == positive)):
-                    lo, hi, e = a, a + 1, g
-                    continue
-        if (v > 0) == positive:
-            lo, hi, e = 2 * lo, mid, f
-        else:
-            lo, hi, e = mid, 2 * hi, f
+        mid, e = 2 * lo + 1, e + 1
+        past = (_value(s, mid, 1 << e) > 0) == positive  # x < mid / 2^e
+        lo, hi = (2 * lo, mid) if past else (mid, 2 * hi)
     return lo, hi, e
 
 
-# Phi_n for every n some call has needed, Euler's phi(n) for every n
-# scanned so far (index n), and for each degree d that
-# ``first_cyclotomic_factor`` met, the (n, Phi_n coefficients) with
-# phi(n) <= d.  All hold exact constants, so one table per process serves
-# every caller, and none grows past the 2 max_degree^2 of the largest
-# degree asked for.
-_CYCLOTOMIC: dict[int, IntPolynomial] = {}
-_TOTIENTS = [0]
-_CYCLOTOMIC_UP_TO: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
-
-
-def _totient(n: int) -> int:
+def totient(n: int) -> int:
     """Euler's phi(n), by trial division."""
     result, rest, p = n, n, 2
     while p * p <= rest:
@@ -651,29 +615,23 @@ def _totient(n: int) -> int:
     return result - result // rest if rest > 1 else result
 
 
-def cyclotomic_polynomials(
-        max_degree: int) -> Iterator[tuple[int, IntPolynomial]]:
-    """(n, Phi_n) for every n with phi(n) <= max_degree, n increasing.
+@functools.cache
+def cyclotomic(n: int) -> IntPolynomial:
+    """Phi_n: x^n - 1 divided exactly by Phi_d for each proper divisor d."""
+    phi_n = IntPolynomial([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            phi_n = phi_n.pseudo_divmod(cyclotomic(d))[0]
+    return phi_n
 
-    phi(n) >= sqrt(n/2), so such n are at most 2 max_degree^2.  Phi_n is
-    x^n - 1 divided exactly by the Phi_d of the proper divisors d of n,
-    each of which has phi(d) <= phi(n) and so was yielded first.  A Phi_n
-    is built once per process and kept in a module table; whatever degrees
-    earlier calls asked for, a call yields the same pairs.
-    """
-    for n in range(1, 2 * max_degree * max_degree + 1):
-        while len(_TOTIENTS) <= n:
-            _TOTIENTS.append(_totient(len(_TOTIENTS)))
-        if _TOTIENTS[n] > max_degree:
-            continue
-        phi_n = _CYCLOTOMIC.get(n)
-        if phi_n is None:
-            phi_n = IntPolynomial([-1] + [0] * (n - 1) + [1])
-            for d, phi in _CYCLOTOMIC.items():
-                if n % d == 0:
-                    phi_n, _ = phi_n.pseudo_divmod(phi)
-            _CYCLOTOMIC[n] = phi_n
-        yield n, phi_n
+
+@functools.cache
+def _cyclotomic_up_to(degree: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(n, Phi_n coefficients) for every n with phi(n) <= degree, n
+    increasing; phi(n) >= sqrt(n/2), so such n are at most 2 degree^2."""
+    return tuple((n, cyclotomic(n).coefficients)
+                 for n in range(1, 2 * degree * degree + 1)
+                 if totient(n) <= degree)
 
 
 def first_cyclotomic_factor(cp: IntPolynomial) -> int | None:
@@ -684,11 +642,6 @@ def first_cyclotomic_factor(cp: IntPolynomial) -> int | None:
     order d | n, and then its minimal polynomial Phi_d divides cp.  Only
     Phi_d with phi(d) <= deg cp can.
     """
-    table = _CYCLOTOMIC_UP_TO.get(cp.degree)
-    if table is None:
-        table = _CYCLOTOMIC_UP_TO[cp.degree] = tuple(
-            (n, phi.coefficients)
-            for n, phi in cyclotomic_polynomials(cp.degree))
     c = cp.coefficients
-    return next((n for n, phi in table if not _pseudo_divmod(c, phi)[1]),
-                None)
+    return next((n for n, phi in _cyclotomic_up_to(cp.degree)
+                 if not _pseudo_divmod(c, phi)[1]), None)

@@ -42,10 +42,11 @@ from .intlinalg import (
     IntPolynomial,
     char_poly,
     count_eigen_signs,
-    cyclotomic_polynomials,
+    cyclotomic,
     det,
     first_cyclotomic_factor,
     power_traces,
+    totient,
     wedge_traces,
 )
 from .reidemeister import (
@@ -390,18 +391,14 @@ def _value_at_angle(rf: FactoredRationalFunction, s: Fraction) -> complex:
     """rf at z = e^(2 pi i s) in floats, after an exact pole test: z is a
     primitive m-th root of unity, m the denominator of s, so a factor
     vanishes at z exactly when Phi_m divides it.  That needs phi(m) <= deg,
-    so an m above 2 deg^2 builds nothing."""
+    so Phi_m is built only then, and an m above 2 deg^2 builds nothing."""
     m = s.denominator
     degree = max((poly.degree for poly, _ in rf.factors), default=0)
-    if m <= 2 * degree * degree:
-        for n, phi in cyclotomic_polynomials(degree):
-            if n >= m:
-                break
-        if n == m:
-            for poly, _ in rf.factors:
-                if poly.pseudo_divmod(phi)[1].is_zero():
-                    raise PoleAtEvaluation(
-                        f"factor {poly} vanishes at z = exp(2 pi i {s % 1})")
+    if m <= 2 * degree * degree and totient(m) <= degree:
+        for poly, _ in rf.factors:
+            if poly.pseudo_divmod(cyclotomic(m))[1].is_zero():
+                raise PoleAtEvaluation(
+                    f"factor {poly} vanishes at z = exp(2 pi i {s % 1})")
     return rf.evaluate(cmath.exp(2j * cmath.pi * (s % 1)))
 
 

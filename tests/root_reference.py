@@ -1,9 +1,10 @@
 """Reference versions of the root facts of ``intlinalg``, kept as they were
-before the Sturm counts were read at +-oo and the Perron bracket was
-narrowed by checked Newton steps: every count is taken at the explicit
-bound B = 2 + max |c_i|, the integer cell is bisected within [-B, B], and
-the last stage halves the cell one bit per step.  Tests compare the
-package with them on exact outputs and raised errors.
+before the Sturm counts were read at +-oo and the integer cell was found by
+galloping: every count is taken at the explicit bound B = 2 + max |c_i|,
+the integer cell is bisected within [-B, B], and the last stage halves the
+cell one bit per step, comparing the sign at its midpoint with that at its
+upper end.  Tests compare the package with them on exact outputs and raised
+errors.
 """
 
 import math

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,6 +70,12 @@ class TestParsing:
         doc["endo_images"] = [[1, 2, 3, 0], [2, 3, 0, 1]]
         with pytest.raises(ValidationError):
             parse_problem(json.dumps(doc))
+
+    def test_no_generators_close_on_one_point(self):
+        # the declared degree allocates nothing: the group is trivial
+        doc = {"kind": "finite", "degree": 10 ** 6, "generators": []}
+        assert parse_problem(json.dumps(doc)).objects["product"].F.perms == (
+            (0,),)
 
     def test_default_endo_is_identity(self):
         doc = {"kind": "finite", "degree": 4,
@@ -288,6 +295,39 @@ class TestMainExitCodes:
         path.write_bytes(b'{"kind": "abelian", "matrix": [[2]], "x": "\xe9"}')
         assert main(["check", str(path)]) == 2
         assert "can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,  # deeper than the recursion limit
+        '{"kind": "abelian", "matrix": [[' + "9" * 4301 + "]]}"],
+        ids=["deep", "long_integer"])
+    def test_unloadable_json_is_2(self, tmp_path, capsys, text):
+        with pytest.raises(SchemaError, match="unloadable JSON"):
+            parse_problem(text)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert "error: unloadable JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["--json", "--text"])
+    def test_long_exact_results_print(self, tmp_path, capsys, fmt):
+        # R_12 = 10^4560 - 1, past Python's 4300-digit guard, which the
+        # document parse keeps and main restores
+        doc = {"kind": "product", "matrix": [[10 ** 380]],
+               "finite": {"degree": 1, "generators": []}}
+        digits = sys.get_int_max_str_digits()
+        assert main(["compute", write_doc(tmp_path, doc), fmt]) == 0
+        assert "9" * 4560 in capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == digits
+        with pytest.raises(SchemaError, match="unloadable JSON"):
+            parse_problem('{"kind": "abelian", "matrix": [['
+                          + "9" * (digits + 1) + "]]}")
+
+    def test_long_disagreeing_counts_print(self, capsys, monkeypatch):
+        monkeypatch.setattr("twistedzeta.cli.r_product_counts",
+                            lambda P, N: [10 ** 5000 + 1] + [0] * (N - 1))
+        assert main(["compute", str(SAMPLES / "doubling_flip.json")]) == 4
+        err = capsys.readouterr().err
+        assert f"R_1..R_2 = [1{'0' * 4999}1, 0]:" in err
 
     @pytest.mark.parametrize("angle", [0.1, 0.5, 1.0])
     def test_float_torsion_angle_is_2(self, tmp_path, capsys, angle):

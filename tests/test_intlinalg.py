@@ -24,7 +24,7 @@ from twistedzeta.errors import (
 )
 from twistedzeta.intlinalg import (
     IntPolynomial,
-    cyclotomic_polynomials,
+    cyclotomic,
     first_cyclotomic_factor,
     largest_real_root,
     unimodular_inverse,
@@ -595,9 +595,9 @@ def monic(coefficients):
 
 
 class TestRootFactsMatchReference:
-    """Sturm counts read at +-oo, the galloping integer cell and the
-    checked Newton finish give exactly what counts at +-B, bisection of
-    [-B, B] and one halving per bit give."""
+    """Sturm counts read at +-oo and the galloping integer cell give
+    exactly what counts at +-B and bisection of [-B, B] give, and the last
+    stage the cells of the reference's halving."""
 
     @given(st.lists(st.integers(-40, 40), min_size=1, max_size=5),
            st.lists(st.integers(1, 3), min_size=1, max_size=5),
@@ -645,7 +645,7 @@ class TestRootFactsMatchReference:
     def test_roots_near_a_dyadic_point(self, degree, m, sign):
         # x^degree - (m^degree +- 1) has the root x = m +- delta with
         # 0 < delta <= 2^-55: the cell boundary at m is closer to x than
-        # any Newton step resolves, so the last cells come from midpoints
+        # the last cell's width, so m stays its end
         p = monic([-(m ** degree + sign)] + [0] * (degree - 1))
         lo, hi, e = largest_real_root(p)
         assert (lo if sign > 0 else hi) == m << e
@@ -662,10 +662,11 @@ class TestRootFactsMatchReference:
         # the derivative vanishes at its midpoint 1/8
         [0, -1, 0, 0, 0, 0, 0, 37449]])
     def test_newton_proposals_checked(self, coefficients):
-        # in the first three the Newton point of some step falls outside
-        # the bracket, in the next two a proposed cell has a wrong upper
-        # end, and in the last a Newton step has no slope; each such step
-        # must take the midpoint
+        # The hard cases of the Newton finish the last stage once had: in
+        # the first three a Newton point fell outside the bracket, in the
+        # next two a proposed cell had a wrong upper end, and in the last
+        # the slope vanished at a midpoint.  Halving must reach the same
+        # cells as the reference on them.
         assert_root_facts_match_reference(monic(coefficients))
 
     @given(st.lists(st.integers(-50, 50), max_size=7))
@@ -721,43 +722,78 @@ def first_singular_iterate(M):
                  if det(I - mat_pow(M, n)) == 0), None)
 
 
+def mobius(n):
+    """The Moebius function, by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def mobius_cyclotomic(n):
+    """Phi_n as the product of (x^d - 1)^mu(n/d) over d | n, from the
+    factors with mu = 1 divided by those with mu = -1: a reference that
+    divides nothing by a cyclotomic polynomial."""
+    numerator, denominator = IntPolynomial([1]), IntPolynomial([1])
+    for d in range(1, n + 1):
+        mu = mobius(n // d) if n % d == 0 else 0
+        factor = IntPolynomial([-1, *[0] * (d - 1), 1])
+        if mu == 1:
+            numerator = numerator * factor
+        elif mu == -1:
+            denominator = denominator * factor
+    quotient, remainder = numerator.pseudo_divmod(denominator)
+    assert remainder.is_zero()
+    return quotient
+
+
+MOBIUS_CYCLOTOMIC = {n: mobius_cyclotomic(n) for n in range(1, 201)}
+
+
 class TestCyclotomic:
     def test_divisor_products_are_x_n_minus_1(self):
-        phi = dict(cyclotomic_polynomials(60))
-        assert all(p.degree <= 60 for p in phi.values())
         for n in range(1, 61):
             product = IntPolynomial([1])
             for d in range(1, n + 1):
                 if n % d == 0:
-                    product = product * phi[d]
+                    product = product * cyclotomic(d)
             assert product == IntPolynomial([-1, *[0] * (n - 1), 1]), n
 
+    def test_moebius_products_and_degrees(self):
+        for n, phi in MOBIUS_CYCLOTOMIC.items():
+            assert cyclotomic(n) == phi, n
+            assert phi.degree == intlinalg.totient(n) == sum(
+                math.gcd(k, n) == 1 for k in range(1, n + 1)), n
+
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-    def test_table_yields_a_fresh_build_in_any_call_order(
-            self, monkeypatch, order):
-        # Reference: every Phi_n with n <= 200 = 2 * 10^2, each x^n - 1
-        # divided by the Phi_d of its proper divisors, no degree skipped.
-        reference = {}
-        for n in range(1, 201):
-            phi_n = IntPolynomial([-1, *[0] * (n - 1), 1])
-            for d in range(1, n):
-                if n % d == 0:
-                    phi_n, remainder = phi_n.pseudo_divmod(reference[d])
-                    assert remainder.is_zero()
-            reference[n] = phi_n
-        degrees = list(range(1, 11))
+    def test_table_yields_a_fresh_build_in_any_call_order(self, order):
+        # Every Phi_n with n <= 200 = 2 * 10^2 and every per-degree table up
+        # to degree 10, built from empty caches in the given order, equal
+        # the Moebius products; no degree is skipped.
+        ns, degrees = list(range(1, 201)), list(range(1, 11))
         if order == "descending":
+            ns.reverse()
             degrees.reverse()
         elif order == "shuffled":
+            random.Random(4).shuffle(ns)
             random.Random(4).shuffle(degrees)
-        monkeypatch.setattr(intlinalg, "_CYCLOTOMIC", {})
-        monkeypatch.setattr(intlinalg, "_TOTIENTS", [0])
+        cyclotomic.cache_clear()
+        for n in ns:
+            assert cyclotomic(n) == MOBIUS_CYCLOTOMIC[n], n
+        cyclotomic.cache_clear()
+        intlinalg._cyclotomic_up_to.cache_clear()
         for max_degree in degrees:
-            assert list(cyclotomic_polynomials(max_degree)) == [
-                (n, phi) for n, phi in reference.items()
-                if phi.degree <= max_degree], max_degree
-        assert set(intlinalg._CYCLOTOMIC) == {
-            n for n, phi in reference.items() if phi.degree <= 10}
+            assert intlinalg._cyclotomic_up_to(max_degree) == tuple(
+                (n, phi.coefficients) for n, phi in MOBIUS_CYCLOTOMIC.items()
+                if phi.degree <= max_degree), max_degree
+        # the tables built Phi_n for those n alone, divisors included
+        assert cyclotomic.cache_info().currsize == sum(
+            phi.degree <= 10 for phi in MOBIUS_CYCLOTOMIC.values())
 
     @given(st.one_of(square_matrices(0, 4), square_matrices(1, 4).map(
         lambda A: IntMatrix([[a % 3 - 1 for a in row] for row in A.entries]))))
@@ -770,7 +806,8 @@ class TestCyclotomic:
         # C(Phi_n) + [[2, 1], [1, 1]], conjugated by a unimodular matrix:
         # the primitive n-th roots of unity are the only such eigenvalues
         rng = random.Random(9)
-        for n, phi in cyclotomic_polynomials(6):
+        for n, phi in intlinalg._cyclotomic_up_to(6):
+            phi = IntPolynomial(phi)
             c = phi.coefficients
             d = phi.degree
             companion = IntMatrix([[(i == j + 1) - (j == d - 1) * c[i]

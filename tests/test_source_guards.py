@@ -209,7 +209,7 @@ def test_root_facts_stay_in_integers():
     # Eigenvalue sign counts, the Perron bracket and the cyclotomic test are
     # exact decisions.  A float, a Fraction or a true division anywhere in
     # what they run would let rounding, or a second rational layer, decide
-    # them; Newton steps too propose their cells by floor division.
+    # them.
     tree = ast.parse((PACKAGE / "intlinalg.py").read_text(encoding="utf-8"))
     defs = {item.name: item for node in tree.body
             for item in (node.body if isinstance(node, ast.ClassDef)
