@@ -72,6 +72,7 @@ from .reidemeister import (
     r_product,
     r_product_counts,
     r_product_oracle,
+    r_product_oracles,
     r_product_trace,
     r_product_traces,
 )

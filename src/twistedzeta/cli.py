@@ -57,12 +57,12 @@ from .groups import (
     identity_endo,
     phi_conjugacy_classes,
 )
-from .intlinalg import IntMatrix, det, mat_pow
+from .intlinalg import IntMatrix, det
 from .reidemeister import (
     ProductEndomorphism,
     r_abelian,
     r_product_counts,
-    r_product_oracle,
+    r_product_oracles,
     r_product_traces,
 )
 from .zeta import (
@@ -290,15 +290,14 @@ _GATED_ORACLE = ("product",)
 
 
 def _oracle_counts(P: ProductEndomorphism, N: int, gated: bool) -> list:
-    """``r_product_oracle`` for n = 1..N, None where the gate skips it; the
-    gate keeps its own powers of M, apart from the formula's."""
+    """The oracle counts for n = 1..N, None where the gate skips them; the
+    gate reads the oracle's own powers of M, apart from the formula's."""
     if not gated:
-        return [r_product_oracle(P, n) for n in range(1, N + 1)]
-    oracle = [None] * N
-    for n in range(1, min(N, 4) + 1):
-        if r_abelian(mat_pow(P.M, n)) * P.F.order <= ORACLE_SIZE_CAP:
-            oracle[n - 1] = r_product_oracle(P, n)
-    return oracle
+        return r_product_oracles(P, N)
+    head = min(N, 4)
+    return r_product_oracles(
+        P, head, lambda power: r_abelian(power) * P.F.order <= ORACLE_SIZE_CAP
+    ) + [None] * (N - head)
 
 
 def _counts(doc, report):
@@ -365,7 +364,8 @@ def _functional_equation(doc, report):
 def _torsion(doc, report):
     # A non-invertible map has no torsion, so its closed form is not built:
     # it need not exist.  One identity in Z[z] decides every angle; at a
-    # pole neither route has a value.
+    # pole neither route has a value, and past the float range neither
+    # route's float is one.
     if not doc.torsion_angles:
         return [], True
     P = doc.objects["product"]
@@ -384,6 +384,8 @@ def _torsion(doc, report):
                           "lefschetz_route": torsion_via_lefschetz(P, t, dual)})
         except PoleAtEvaluation as exc:
             entry["pole"] = str(exc)
+        except OverflowError as exc:
+            entry["skipped"] = f"the value is past the float range: {exc}"
         entry["agree"] = agree
         entries.append(entry)
     return entries, agree

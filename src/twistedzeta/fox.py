@@ -8,19 +8,19 @@ combinations of words; the norm of an element is the sum of the absolute
 coefficients and matrix norms are total entry norms.
 
 Products hold the right factor and the result as prefix chains, one list
-of chains per matrix row: a chain is a base word X with a map {key: c},
-key = l r + j for a row of r columns, and stands for sum c X[:l] in
-column j.  A word u times a chain cancels at one junction, found once per
-(u, X) pair by one XOR, and every term of the chain, whatever its column,
-then moves by one integer shift (``_add_product``), so a term costs an
-integer, not a new word.  Canonical form files every term once, at the
-last base it is a prefix of (``_canonical``).  A chain also carries what
-the products learn about it: bounds lo <= l <= hi on its prefix lengths,
-hi attained.  Every branch of a product compares prefix lengths with a
-whole length (the junction K, a filing threshold g + 1), so the bounds
-decide it exactly, and they move by the same shift or reflection as the
-keys.  A product step scans a chain for its ends only where a cancelled
-coefficient or a loose lower bound may have left hi unattained.  Element
+of chains per matrix row: a chain is a base word X with a list of keys
+l r + j, for a row of r columns, ordered by the prefix length l, and the
+list of their nonzero coefficients c; it stands for sum c X[:l] in
+column j.  The bounds on l are read from the end keys, so they are always
+exact, and no list changes once it is in a chain, so chains share them.
+A word u times a chain cancels at one junction, found once per (u, X)
+pair by one XOR, and every term of the chain, whatever its column, then
+moves by one integer shift or reflection (``_add_product``), so a term
+costs an integer, not a new word.  Every branch of a product compares
+prefix lengths with a whole length (the junction K, a filing threshold
+g + 1), so one bisection of the keys splits a chain between branches.
+Canonical form files every term once, at the last base it is a prefix of
+(``_canonical``), and joins the pieces that reach a base once.  Element
 products, matrix products and the twisted power oracle run that one
 kernel through ``_chain_matmul``; element products are rows of r = 1
 column.
@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import NamedTuple
 
 from .errors import NotSquare
@@ -189,33 +191,34 @@ class GroupRingElement:
 def _chains(row: list[dict[Word, int]]) -> list[tuple]:
     """The canonical chains of a matrix row, given as the word -> coefficient
     dicts of its r entries: word w of entry j is the key |w| r + j."""
-    r, acc, overlaps = len(row), {}, set()
+    r, acc = len(row), {}
     for j, terms in enumerate(row):
         for w, c in terms.items():
-            _merge(acc, w, {len(w) * r + j: c}, len(w), len(w), overlaps)
-    return _canonical(acc, r, overlaps)
+            keys, coefs = acc.setdefault(w, ([], []))
+            keys.append(len(w) * r + j)
+            coefs.append(c)
+    return _canonical({X: [piece] for X, piece in acc.items()}, r)
 
 
 def _words(chains: list[tuple], r: int) -> list[dict[Word, int]]:
     """The word -> coefficient dicts of the r entries of a row of canonical
     chains."""
     row = [{} for _ in range(r)]
-    for X, keys, _, _ in chains:
-        for key, c in keys.items():
+    for X, keys, coefs in chains:
+        for key, c in zip(keys, coefs):
             l, j = divmod(key, r)
             row[j][X[:l]] = c
     return row
 
 
-def _canonical(acc: dict[Word, list], r: int, overlaps: set) -> list[tuple]:
-    """The canonical chains of an accumulator: acc maps a base X to its
-    entry [{l r + j: coefficient}, lo, hi], lo <= l <= hi for every key and
-    hi attained, and overlaps holds the bases whose entries an overlapping
-    ``_merge`` may have left with a zero coefficient.  Each term is filed
-    under the last base, in sorted order, that its word X[:l] is a prefix
-    of, and no coefficient is 0: a word has one term per column, so the
-    norm is the sum of the absolute coefficients.  A canonical chain is the
-    tuple (X, keys, lo, hi).
+def _canonical(acc: dict[Word, list], r: int) -> list[tuple]:
+    """The canonical chains of an accumulator, which maps a base X to a list
+    of pieces (keys, coefs): keys l r + j ordered by l, and their nonzero
+    coefficients.  Each term is filed under the last base, in sorted order,
+    that its word X[:l] is a prefix of, and no coefficient is 0: a word has
+    one term per column, so the norm is the sum of the absolute
+    coefficients.  A canonical chain is one piece with its base, the tuple
+    (X, keys, coefs).
 
     The bases that start with a word are adjacent once sorted, so a term
     would move base by base: from X to the next base Y while l is at most
@@ -227,22 +230,14 @@ def _canonical(acc: dict[Word, list], r: int, overlaps: set) -> list[tuple]:
     Walking the bases backwards, a stack keeps the bases that can be that
     first stop: the current base, then each next base of lower threshold,
     so the thresholds increase up the stack and a stop is one bisection.
-    Every threshold is a whole prefix length, so the bounds decide exactly:
-    all terms of an entry stop at the stop of hi when lo reaches its
-    threshold, and the entry is handed over whole with its bounds.
-    Otherwise its keys are sorted once and the terms that stop are peeled
-    off the top by bisection, so a split costs the terms it moves, and
-    each piece reads its bounds from its end keys.
+    Every threshold is a whole prefix length, and a piece's bounds on l are
+    its end keys, so a piece goes whole to the stop of its last key when
+    its first key reaches that stop's threshold.  Otherwise the terms that
+    stop are cut off the top by bisection, so a split costs the terms it
+    moves.  Each base then joins its pieces once (``_joined``).
     """
-    for X in overlaps:
-        entry = _nonzero(acc[X][0], r)
-        if entry:
-            acc[X] = entry
-        else:
-            del acc[X]
     bases = sorted(acc)
-    filed: dict[Word, list] = {}
-    overlaps = set()
+    filed: dict[Word, list] = defaultdict(list)
     thresholds, stops = [], []
     t, next_base = 0, None
     for X in reversed(bases):
@@ -256,64 +251,52 @@ def _canonical(acc: dict[Word, list], r: int, overlaps: set) -> list[tuple]:
             stops.pop()
         thresholds.append(t)
         stops.append(X)
-        terms, lo, hi = acc[X]
-        p = len(stops) - 1 if hi >= t else bisect_right(thresholds, hi) - 1
-        if lo >= thresholds[p]:
-            _merge(filed, stops[p], terms, lo, hi, overlaps)
-            continue
-        keys = sorted(terms)
-        top = len(keys)
-        while top:
-            hi = keys[top - 1] // r
-            p = bisect_right(thresholds, hi, 0, p + 1) - 1
-            bottom = bisect_left(keys, thresholds[p] * r, 0, top)
-            _merge(filed, stops[p],
-                   {key: terms[key] for key in keys[bottom:top]},
-                   keys[bottom] // r, hi, overlaps)
-            top = bottom
+        for piece in acc[X]:
+            keys, coefs = piece
+            p = bisect_right(thresholds, keys[-1] // r) - 1
+            if keys[0] >= thresholds[p] * r:
+                filed[stops[p]].append(piece)
+                continue
+            top = len(keys)
+            while top:
+                p = bisect_right(thresholds, keys[top - 1] // r, 0, p + 1) - 1
+                bottom = bisect_left(keys, thresholds[p] * r, 0, top)
+                filed[stops[p]].append((keys[bottom:top], coefs[bottom:top]))
+                top = bottom
     out = []
     for X in bases:
-        entry = filed.get(X)
-        if entry and X in overlaps:
-            entry = _nonzero(entry[0], r)
-        if entry:
-            out.append((X, *entry))
+        pieces = filed.get(X)
+        if pieces:
+            keys, coefs = pieces[0] if len(pieces) == 1 else _joined(pieces, r)
+            if keys:
+                out.append((X, keys, coefs))
     return out
 
 
-def _nonzero(keys: dict[int, int], r: int) -> list | None:
-    """The entry [keys, lo, hi] of the nonzero terms of a chain, with exact
-    bounds, or None when every coefficient is 0."""
-    keys = {key: c for key, c in keys.items() if c}
-    if keys:
-        return [keys, min(keys) // r, max(keys) // r]
-    return None
-
-
-def _merge(acc: dict[Word, list], base: Word, terms: dict[int, int],
-           lo: int, hi: int, overlaps: set):
-    """Add the terms, a key -> coefficient dict that acc may keep, with
-    bounds lo <= l <= hi and hi attained, to the entry of base in acc: the
-    smaller dict goes into the larger and the bounds widen to both.  A
-    merge that meets a key twice may leave a zero, and so a bound that is
-    not attained: its base goes into overlaps."""
-    entry = acc.get(base)
-    if entry is None:
-        acc[base] = [terms, lo, hi]
-        return
-    chain = entry[0]
-    if len(terms) > len(chain):
-        entry[0], chain, terms = terms, terms, chain
-    if chain.keys().isdisjoint(terms):
-        chain.update(terms)
-    else:
-        overlaps.add(base)
-        for key, c in terms.items():
-            chain[key] = chain.get(key, 0) + c
-    if lo < entry[1]:
-        entry[1] = lo
-    if hi > entry[2]:
-        entry[2] = hi
+def _joined(pieces: list[tuple], r: int) -> tuple[list, list]:
+    """The keys and coefficients of the sum of the pieces of one base,
+    ordered by l, with no zero coefficient.  Sorted, the pieces come in the
+    order of their first keys, so of their first l, and are joined by
+    concatenation; only the terms whose l a piece shares with those joined
+    before it are summed, in a dict."""
+    pieces.sort()
+    keys, coefs = [], []
+    for piece_keys, piece_coefs in pieces:
+        first = piece_keys[0] // r * r  # the least key of the first l
+        if not keys or keys[-1] < first:
+            keys += piece_keys
+            coefs += piece_coefs
+            continue
+        i = bisect_left(keys, first)
+        summed = dict(zip(keys[i:], coefs[i:]))
+        for key, c in zip(piece_keys, piece_coefs):
+            summed[key] = summed.get(key, 0) + c
+        del keys[i:], coefs[i:]
+        for key in sorted(summed):
+            if summed[key]:
+                keys.append(key)
+                coefs.append(summed[key])
+    return keys, coefs
 
 
 def _chain_matmul(left, right) -> list[list[tuple]]:
@@ -329,24 +312,22 @@ def _chain_matmul(left, right) -> list[list[tuple]]:
     of every base's letters for as long as the chains live, the last
     product's included."""
     r, rows = right
-    rows = [[(X, keys, lo, hi, X[0] if X else 0, int.from_bytes(X, "little"))
-             for X, keys, lo, hi in y] for y in rows]
+    rows = [[(X, keys, coefs, X[0] if X else 0, int.from_bytes(X, "little"))
+             for X, keys, coefs in y] for y in rows]
     out = []
     for row in left:
-        acc: dict[Word, list] = {}
-        overlaps: set[Word] = set()
+        acc: dict[Word, list] = defaultdict(list)
         for x, y in zip(row, rows):
             x = [(u, c, u[-1] ^ 32 if u else -1,
                   int.from_bytes(u.swapcase(), "big"), len(u))
                  for u, c in x]
-            _add_product(acc, x, y, r, overlaps)
-        out.append(_canonical(acc, r, overlaps))
+            _add_product(acc, x, y, r)
+        out.append(_canonical(acc, r))
     return out
 
 
-def _add_product(acc: dict, left: list[tuple], right: list[tuple], r: int,
-                 overlaps: set):
-    """Add the chains of x * y into the accumulator acc of ``_canonical``,
+def _add_product(acc: dict, left: list[tuple], right: list[tuple], r: int):
+    """Add the pieces of x * y to the accumulator acc of ``_canonical``,
     for the words of x and the chains of a row y of r columns prepared by
     ``_chain_matmul``.
 
@@ -358,53 +339,34 @@ def _add_product(acc: dict, left: list[tuple], right: list[tuple], r: int,
     lies in byte K, and T = V means u X = 1.  Then u X[:l] is the prefix of
     length l + |u| - 2K of u[:|u|-K] X[K:] for l >= K, and the prefix of
     length |u| - l of u for l < K.  On keys l r + j, l >= K holds exactly
-    when key >= K r; the first case adds (|u| - 2K) r to the key and the
-    second maps it to |u| r - key + 2 j.  A term costs one shift of its
-    key, and a word is built once per (u, X) pair, for every column.
-
-    The chain's bounds lo <= l <= hi move by the same shift or reflection,
-    and since K is a whole prefix length they tell which case each term is
-    in: all terms move on when lo >= K, all reflect when hi < K, and
-    otherwise the keys are split at K r.  A reflected part's upper bound
-    |u| - lo is attained when lo is, which r lookups tell; a loose lo costs
-    a scan of that part.
+    when key >= K r, so one bisection splits the chain; the first part
+    adds (|u| - 2K) r to each key, and the second maps a key to
+    |u| r - key + 2 j, taken over the reversed part so that l still
+    increases.  A term costs one shift of its key, a word is built once
+    per (u, X) pair, for every column, and a coefficient list is shared
+    when the coefficient of u is 1.
     """
     for u, c1, last, T, n in left:
         nr = n * r
-        for X, keys, lo, hi, first, V in right:
+        for X, keys, coefs, first, V in right:
+            if c1 != 1:
+                coefs = (list(map(neg, coefs)) if c1 == -1
+                         else [c1 * c for c in coefs])
             if first != last:
-                _merge(acc, u + X, {key + nr: c1 * c
-                                    for key, c in keys.items()},
-                       lo + n, hi + n, overlaps)
+                acc[u + X].append(([key + nr for key in keys], coefs))
                 continue
             x = T ^ V
             k = ((x & -x).bit_length() - 1) >> 3 if x else n
-            m = n - k - k
-            if lo >= k:
-                shift = m * r
-                _merge(acc, u[:n - k] + X[k:],
-                       {key + shift: c1 * c for key, c in keys.items()},
-                       lo + m, hi + m, overlaps)
-                continue
-            if hi < k:
-                terms = {nr - key + 2 * (key % r): c1 * c
-                         for key, c in keys.items()}
-                bottom = n - hi
-            else:
-                kr, shift = k * r, m * r
-                terms = {key + shift: c1 * c
-                         for key, c in keys.items() if key >= kr}
-                _merge(acc, u[:n - k] + X[k:], terms, n - k, hi + m,
-                       overlaps)
-                terms = {nr - key + 2 * (key % r): c1 * c
-                         for key, c in keys.items() if key < kr}
-                if not terms:
-                    continue
-                bottom = n - k + 1
-            top = n - lo
-            if keys.keys().isdisjoint(range(lo * r, lo * r + r)):
-                top = max(terms) // r
-            _merge(acc, u, terms, bottom, top, overlaps)
+            i = bisect_left(keys, k * r)
+            if i < len(keys):
+                shift = (n - k - k) * r
+                acc[u[:n - k] + X[k:]].append(
+                    ([key + shift for key in keys[i:]], coefs[i:])
+                    if i else ([key + shift for key in keys], coefs))
+            if i:
+                acc[u].append(([nr - key + 2 * (key % r)
+                                for key in keys[i - 1::-1]],
+                               coefs[i - 1::-1]))
 
 
 def ring_norm(x: GroupRingElement) -> int:
@@ -604,8 +566,8 @@ def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
         twisted = [[[(image[w], c) for w, c in terms.items()]
                     for terms in row] for row in entries]
         product = _chain_matmul(twisted, (A.cols, product))
-        norms.append(sum(sum(map(abs, chain[1].values()))
-                         for row in product for chain in row))
+        norms.append(sum(sum(map(abs, coefs))
+                         for row in product for _, _, coefs in row))
         images = [image[w] for w in phi.images]
     return norms
 

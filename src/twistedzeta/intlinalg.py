@@ -33,7 +33,7 @@ from .errors import BadIndex, EigenvalueOnBoundary, NotSquare
 class IntMatrix:
     """Immutable integer matrix.  The 0x0 matrix is allowed (rank-0 lattice)."""
 
-    __slots__ = ("rows", "cols", "entries", "_nonzero")
+    __slots__ = ("rows", "cols", "entries", "_sparse")
 
     def __init__(self, entries, rows=None, cols=None):
         entries = [list(map(int, row)) for row in entries]
@@ -46,7 +46,7 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = tuple(tuple(row) for row in entries)
-        self._nonzero = None
+        self._sparse = None
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, ...], ...], rows: int,
@@ -54,7 +54,7 @@ class IntMatrix:
         """A matrix from rows that are already tuples of ints of the right
         shape, for the results the class builds itself: no validation."""
         A = object.__new__(cls)
-        A.rows, A.cols, A.entries, A._nonzero = rows, cols, entries, None
+        A.rows, A.cols, A.entries, A._sparse = rows, cols, entries, None
         return A
 
     @classmethod
@@ -93,21 +93,21 @@ class IntMatrix:
                   for ra, rb in zip(self.entries, other.entries)),
             self.rows, self.cols)
 
-    def _nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero (column, entry) pairs of each row, listed on first
         use and kept: the matrix is immutable."""
-        if self._nonzero is None:
-            self._nonzero = tuple(
+        if self._sparse is None:
+            self._sparse = tuple(
                 tuple((j, b) for j, b in enumerate(row) if b)
                 for row in self.entries)
-        return self._nonzero
+        return self._sparse
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Visits the nonzero entries of both factors only, through the
-        right factor's ``_nonzero_rows``."""
+        right factor's ``_sparse_rows``."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = _row_products(self.entries, other._nonzero_rows(), other.cols)
+        out = _row_products(self.entries, other._sparse_rows(), other.cols)
         return IntMatrix._trusted(tuple(map(tuple, out)), self.rows,
                                   other.cols)
 
@@ -255,7 +255,7 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
     if not A.is_square:
         raise NotSquare("characteristic polynomial of a non-square matrix")
     n = A.rows
-    nonzero = A._nonzero_rows()
+    nonzero = A._sparse_rows()
     coeffs = [1]  # of x^n, then x^{n-1}, ...
     M = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
@@ -382,7 +382,7 @@ def row_powers(A: IntMatrix, N: int) -> Iterator[list[list[int]]]:
     """A^n as row lists for n = 1..N: A^n is A^(n-1) A, one product per n
     and no IntMatrix per step.  A must be square.  Each yielded list is
     new, and the next power reads it, so callers must not change it."""
-    nonzero = A._nonzero_rows()
+    nonzero = A._sparse_rows()
     power = [list(row) for row in A.entries]
     for n in range(N):
         if n:

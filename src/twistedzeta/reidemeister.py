@@ -233,11 +233,37 @@ def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
     count.  The coset count is the product of the Smith diagonal of
     I - M^n, from this route's own power of M; the F-count is the orbit
     enumeration of f -> g f phi_F^n(g)^-1.  Neither reads a determinant
-    or a class map.
+    or a class map.  A test reference for one n: ``r_product_oracles``
+    walks n = 1..N.
     """
-    cosets = math.prod(smith_normal_form(
-        IntMatrix.identity(P.k) - mat_pow(P.M, n)))
+    return _oracle_count(P, n, mat_pow(P.M, n), iterate_endo(P.phiF, n), {})
+
+
+def r_product_oracles(P: ProductEndomorphism, N: int,
+                      gate=None) -> list[int | None]:
+    """``[r_product_oracle(P, n) for n in 1..N]`` on one ladder of the
+    oracle's own iterates, M^n = M^(n-1) M and phi_F^n = phi_F phi_F^(n-1),
+    apart from the formula's row powers.  A gate, when given, reads the
+    same ladder: the entry is None where ``gate(M^n)`` is false.  phi_F^n
+    is eventually periodic, so the twisted classes of each distinct
+    phi_F^n are enumerated once."""
+    power, phin, classes, counts = P.M, P.phiF, {}, []
+    for n in range(1, N + 1):
+        if n > 1:
+            power, phin = power @ P.M, P.phiF.compose(phin)
+        counts.append(_oracle_count(P, n, power, phin, classes)
+                      if gate is None or gate(power) else None)
+    return counts
+
+
+def _oracle_count(P: ProductEndomorphism, n: int, power: IntMatrix,
+                  phin: GroupEndomorphism, classes: dict) -> int:
+    """The oracle's count for the n-th iterate from M^n and phi_F^n;
+    classes maps each phi_F^n table enumerated so far to its class
+    count."""
+    cosets = math.prod(smith_normal_form(IntMatrix.identity(P.k) - power))
     if cosets == 0:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
-    twisted = phi_conjugacy_classes(P.F, iterate_endo(P.phiF, n))
-    return cosets * twisted.num_classes
+    if phin.image not in classes:
+        classes[phin.image] = phi_conjugacy_classes(P.F, phin).num_classes
+    return cosets * classes[phin.image]

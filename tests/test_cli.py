@@ -11,6 +11,7 @@ from twistedzeta import (
     cli,
     fox,
     groups,
+    reidemeister,
     zeta,
 )
 from twistedzeta.cli import main, parse_problem, run
@@ -24,6 +25,12 @@ KLEIN_SWAP = {
 }
 
 ABELIAN_MINUS_TWO = {"kind": "abelian", "matrix": [[-2]]}
+
+S6_IDENTITY = {
+    "kind": "finite",
+    "degree": 6,
+    "generators": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]],
+}
 
 PRODUCT_DOC = {
     "kind": "product",
@@ -182,6 +189,34 @@ class TestComputeOnce:
                       [(groups, "ordinary_conjugacy_classes")])
         self.compute(tmp_path, capsys)
         assert len(calls) == 1
+
+    def test_one_enumeration_per_distinct_iterate(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # phi_F^n is the identity of S6 for every n: the oracle enumerates
+        # its twisted classes once and the eventual image once more.  The
+        # report is the one the single-n reference oracle gives, which
+        # enumerates once per n.
+        calls = []
+        self.counting(monkeypatch, calls,
+                      [(cli, "phi_conjugacy_classes"),
+                       (reidemeister, "phi_conjugacy_classes")])
+        path = write_doc(tmp_path, S6_IDENTITY)
+
+        def report():
+            assert main(["compute", path]) == 0
+            out = json.loads(capsys.readouterr().out)
+            del out["timing_seconds"]
+            return out
+
+        ladder = report()
+        assert len(calls) == 2
+        monkeypatch.setattr(
+            cli, "r_product_oracles",
+            lambda P, N: [reidemeister.r_product_oracle(P, n)
+                          for n in range(1, N + 1)])
+        assert report() == ladder
+        assert len(calls) == 2 + 12 + 1
+        assert ladder["counts"]["twisted_conjugacy_oracle"] == [11] * 12
 
 
 class TestReports:
@@ -544,6 +579,26 @@ class TestSkippedAndBooleans:
         code, out = run_verb(capsys, "torsion", path)
         assert code == 0
         assert out["torsion"][0]["skipped"] == "lattice part is singular"
+
+    @pytest.mark.parametrize("verb, doc", [
+        ("compute", {"kind": "abelian", "matrix": [[10**380]]}),
+        ("torsion", {"kind": "product", "matrix": [[10**380]],
+                     "finite": {"degree": 1, "generators": []}}),
+    ])
+    def test_torsion_past_the_float_range_is_skipped(self, tmp_path, capsys,
+                                                      verb, doc):
+        # 1 - 10^380 z at z = -1 is past the float range: neither route has
+        # a float value, and the exact identity still decides agree.  Order
+        # 2 keeps the counts under the digit guard of json.loads.
+        code, out = run_verb(capsys, verb, write_doc(tmp_path, doc),
+                             "--order", "2")
+        assert code == 0
+        [entry] = out["torsion"]
+        assert entry == {"angle": "1/2",
+                         "skipped": "the value is past the float range: "
+                                    "int too large to convert to float",
+                         "agree": True}
+        assert out["agreement"] is True
 
     def test_torsion_of_a_singular_map_with_infinite_counts(self, tmp_path,
                                                             capsys):

@@ -36,6 +36,7 @@ from twistedzeta.fox import (
     _chain_matmul,
     _chains,
     _join,
+    _joined,
     _reduced_product,
     _words,
     chain_matrices,
@@ -253,28 +254,40 @@ class TestProductKernel:
 def assert_canonical(chains, r=1):
     """Sorted distinct bases, no zero coefficient, and every (word, column)
     filed once, under the last base that the word is a prefix of, for a
-    row of chains (X, keys, lo, hi) with keys l r + j; each chain carries
-    bounds lo <= l <= hi on its prefix lengths, hi attained."""
-    bases = [X for X, _, _, _ in chains]
+    row of chains (X, keys, coefs) with keys l r + j in lists ordered by
+    l, so that both bounds on a chain's prefix lengths are read exactly
+    from its end keys."""
+    bases = [X for X, _, _ in chains]
     assert bases == sorted(set(bases))
     filed = [(X[:key // r], key % r)
-             for X, keys, _, _ in chains for key in keys]
+             for X, keys, _ in chains for key in keys]
     assert len(filed) == len(set(filed))
-    for i, (X, keys, lo, hi) in enumerate(chains):
-        assert keys and all(keys.values())
+    for i, (X, keys, coefs) in enumerate(chains):
+        assert isinstance(keys, list) and isinstance(coefs, list)
+        assert keys and len(keys) == len(coefs) and all(coefs)
+        lengths = [key // r for key in keys]
+        assert lengths == sorted(lengths)
+        assert keys[0] // r == min(lengths)
+        assert keys[-1] // r == max(lengths)
         for key in keys:
             assert 0 <= key < (len(X) + 1) * r
             assert not any(Y.startswith(X[:key // r]) for Y in bases[i + 1:])
-        assert all(lo <= key // r <= hi for key in keys)
-        assert max(keys) // r == hi
+
+
+def as_dicts(chains):
+    """The chains (X, keys, coefs) as pairs (X, {key: coefficient})."""
+    return [(X, dict(zip(keys, coefs))) for X, keys, coefs in chains]
 
 
 def accumulator(acc, r):
     """The accumulator of ``_canonical`` for a base -> {l r + j:
-    coefficient} dict with no zero coefficient: each entry with exact
-    bounds, and no base flagged."""
-    return {X: [dict(keys), min(keys) // r, max(keys) // r]
-            for X, keys in acc.items()}
+    coefficient} dict with no zero coefficient: each base with one piece,
+    its keys ordered by l and their coefficients."""
+    out = {}
+    for X, terms in acc.items():
+        keys = sorted(terms, key=lambda key: key // r)
+        out[X] = [(keys, [terms[key] for key in keys])]
+    return out
 
 
 def brute_force_filing(acc, r):
@@ -300,8 +313,9 @@ def extending_letters(w, count):
 
 
 class TestPrefixChains:
-    """Chains (X, {l: c}, lo, hi) stand for sum c X[:l]; products and their
-    operands hold them in canonical form."""
+    """Chains (X, keys, coefs) stand for sum c X[:l], over the keys l and
+    coefficients c; products and their operands hold them in canonical
+    form."""
 
     @given(cancelling_elements(1))
     @settings(max_examples=200, deadline=None)
@@ -328,9 +342,10 @@ class TestPrefixChains:
         [x] = elements
         assume(len({w[:1] for w in x.terms if w}) > 1)
         chains = _chains([{**x.terms, b"": c}])
-        assert [X for X, lengths, _, _ in chains if 0 in lengths] == \
+        assert [X for X, lengths, _ in chains if 0 in lengths] == \
             [chains[-1][0]]
-        assert chains[-1][1][0] == c
+        # l = 0 is the least length, so it heads the key list
+        assert chains[-1][1][0] == 0 and chains[-1][2][0] == c
 
     @given(cancelling_elements(1))
     @settings(max_examples=200, deadline=None)
@@ -344,7 +359,7 @@ class TestPrefixChains:
             for w, c in x.terms.items():
                 for e, sign in zip(extending_letters(w, copies), (1, -1, 1)):
                     acc[w + e] = {len(w): sign * c}
-            return _canonical(accumulator(acc, 1), 1, set())
+            return _canonical(accumulator(acc, 1), 1)
 
         assert filed(2) == []
         chains = filed(3)
@@ -391,10 +406,30 @@ class TestPrefixChains:
         for g in (100, 500, 900):
             acc[w[:g] + b"c"] = {g * r + 1: 2 - g % 5, 40 * r: 7,
                                  (g + 1) * r + 2: -1}
-        chains = _canonical(accumulator(acc, r), r, set())
+        chains = _canonical(accumulator(acc, r), r)
         assert len(chains) == 4
         assert_canonical(chains, r)
-        assert [chain[:2] for chain in chains] == brute_force_filing(acc, r)
+        assert as_dicts(chains) == brute_force_filing(acc, r)
+
+    @given(st.integers(1, 3), st.lists(
+        st.dictionaries(st.integers(0, 30), st.sampled_from([-2, -1, 1, 2]),
+                        min_size=1, max_size=8), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_pieces_of_one_base_join_to_their_sum(self, r, pieces):
+        # pieces whose lengths overlap are summed there, zeros dropped, and
+        # the rest is concatenated; keys of one length come in any order
+        lists = []
+        for piece in pieces:
+            keys = sorted(piece, key=lambda key: key // r)
+            lists.append((keys, [piece[key] for key in keys]))
+        want = {}
+        for piece in pieces:
+            for key, c in piece.items():
+                want[key] = want.get(key, 0) + c
+        keys, coefs = _joined(lists, r)
+        lengths = [key // r for key in keys]
+        assert lengths == sorted(lengths) and len(set(keys)) == len(keys)
+        assert dict(zip(keys, coefs)) == {k: c for k, c in want.items() if c}
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_only_the_junction_terms_stay_above(self, r):
@@ -412,7 +447,7 @@ class TestPrefixChains:
         for j in range(0, r, 2):
             row[j][X] = 3 - j
         [chain] = _chains(row)
-        assert chain[0] == X and chain[3] == len(X)
+        assert chain[0] == X and chain[1][-1] // r == len(X)
         x = GroupRingElement({u: -2})
         [chains] = _chain_matmul([[x.terms.items()]], (r, [[chain]]))
         assert_canonical(chains, r)
@@ -428,20 +463,20 @@ class TestPrefixChains:
         [chains] = _chain_matmul([[x.terms.items()]],
                                  (1, [_chains([y.terms])]))
         assert_canonical(chains)
-        assert (b"abc", {2: 2}, 2, 2) in chains
+        assert (b"abc", [2], [2]) in chains
         assert _words(chains, 1) == [reference_product(x, y)]
         assert (x * y).terms == reference_product(x, y)
 
     @pytest.mark.parametrize("u, y, loose", [
-        # dA abc cancels one letter: ab and abc move on to dbc with the
-        # lower bound |u| - K = 1, which no term attains, and 1 reflects to
-        # dA.  CBD = (dbc)^-1 then cancels the whole base dbc: abc goes to
-        # 1 and db reflects to C, at length 1, not at |u| - lo = 2
+        # dA abc cancels one letter: ab and abc move on to dbc at lengths
+        # 2 and 3, above |u| - K = 1, where no term lands, and 1 reflects
+        # to dA.  CBD = (dbc)^-1 then cancels the whole base dbc: abc goes
+        # to 1 and db reflects to C, at length 1, not at |u| - 1 = 2
         (b"dA", {b"": 1, b"ab": -2, b"abc": 3}, b"dbc"),
         # eCBA abcd cancels three letters: a reflects to eCB at length 3,
-        # under the lower bound |u| - K + 1 = 2.  abcE = (eCBA)^-1 then
-        # reflects the whole chain, hi = 3 < K = 4: eCB goes to a, at
-        # length 1, not at |u| - lo = 2
+        # above |u| - K + 1 = 2.  abcE = (eCBA)^-1 then reflects the whole
+        # chain, its top l = 3 < K = 4: eCB goes to a, at length 1, not at
+        # |u| - 2 = 2
         (b"eCBA", {b"a": 1, b"abcd": 5}, b"eCBA"),
     ])
     def test_loose_lower_bound_after_a_partial_cancellation(self, u, y,
@@ -454,7 +489,9 @@ class TestPrefixChains:
         assert_canonical(chains)
         assert _words(chains, 1) == [reference_product(x, y)]
         [chain] = [chain for chain in chains if chain[0] == loose]
-        assert chain[2] < min(chain[1])
+        # the lower bound read from the first key is the shortest term,
+        # not the bound that |u| and K give: db under dbc, eCB under eCBA
+        assert chain[1][0] == {b"dbc": 2, b"eCBA": 3}[loose]
         # the chain alone is a canonical row: no other base takes its terms
         [chains] = _chain_matmul([[z.terms.items()]], (1, [[chain]]))
         assert_canonical(chains)

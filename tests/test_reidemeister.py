@@ -26,6 +26,7 @@ from twistedzeta import (
     r_product,
     r_product_counts,
     r_product_oracle,
+    r_product_oracles,
     r_product_trace,
     r_product_traces,
 )
@@ -402,6 +403,71 @@ class TestCountSequence:
         with pytest.raises(InfiniteReidemeister) as info:
             r_product_counts(P, 6)
         assert (info.value.n, str(info.value)) == error
+
+
+def _oracle_one_by_one(P, N):
+    """r_product_oracle for n = 1..N, and (n, message) of the first that
+    raises."""
+    counts = []
+    for n in range(1, N + 1):
+        try:
+            counts.append(r_product_oracle(P, n))
+        except InfiniteReidemeister as exc:
+            return counts, (exc.n, str(exc))
+    return counts, None
+
+
+class TestOracleSequence:
+    def test_matches_single_iterates_on_catalog(self):
+        for P in product_catalog():
+            assert r_product_oracles(P, 8) == [
+                r_product_oracle(P, n) for n in range(1, 9)]
+
+    @given(any_products())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_single_iterates(self, case):
+        P, N = case
+        counts, error = _oracle_one_by_one(P, N)
+        if error is None:
+            assert r_product_oracles(P, N) == counts
+        else:
+            with pytest.raises(InfiniteReidemeister) as info:
+                r_product_oracles(P, N)
+            assert (info.value.n, str(info.value)) == error
+
+    def test_gate_reads_the_ladder(self):
+        # the gate sees M^n for n = 1..N in turn, and a closed gate leaves
+        # None where the count would be
+        C6, doubling = cyclic6_doubling()
+        M = IntMatrix([[0, 2], [1, 0]])
+        P = ProductEndomorphism(M, (1, 1), doubling, C6)
+        seen = []
+
+        def gate(power):
+            seen.append(power)
+            return len(seen) % 2 == 1
+
+        counts = r_product_oracles(P, 5, gate)
+        assert seen == [mat_pow(M, n) for n in range(1, 6)]
+        assert counts == [r_product_oracle(P, n) if n % 2 else None
+                          for n in range(1, 6)]
+
+    def test_each_distinct_iterate_is_enumerated_once(self, monkeypatch):
+        # doubling on C6 has period 2, phi^3 = 8x = phi, so twelve
+        # iterates are two distinct maps
+        from twistedzeta import reidemeister
+        calls = []
+        real = reidemeister.phi_conjugacy_classes
+        monkeypatch.setattr(reidemeister, "phi_conjugacy_classes",
+                            lambda G, phi: calls.append(phi.image)
+                            or real(G, phi))
+        C6, doubling = cyclic6_doubling()
+        P = ProductEndomorphism(IntMatrix([[-2]]), (1,), doubling, C6)
+        counts = r_product_oracles(P, 12)
+        assert len(calls) == len(set(calls)) == len(
+            {iterate_endo(doubling, n).image for n in range(1, 13)})
+        monkeypatch.undo()
+        assert counts == [r_product_oracle(P, n) for n in range(1, 13)]
 
 
 class TestTraceSequence:

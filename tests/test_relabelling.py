@@ -20,8 +20,14 @@ document is rewritten so.  The Smith oracle then meets I - (U M U^-1)^n,
 whose entries are mixed by U, rather than the documents' own layout.
 
 ``compute`` must then give the same exit code, stderr and report, apart
-from ``timing_seconds`` and the echoed ``inputs``.  Nothing under
-``perfbench/`` is written.
+from ``timing_seconds`` and the echoed ``inputs``.
+
+*Powers.*  The twisted power norms of a free substitution phi are the norms
+of the Jacobians J(phi^n), so those of phi^2 are every second one of
+phi's.  Each seed-0 ``free`` document outside the frontier is squared, its
+images reduced by this module's own reducer, and both reports must agree.
+
+Nothing under ``perfbench/`` is written.
 """
 
 import contextlib
@@ -139,3 +145,44 @@ def test_change_of_basis_gives_the_same_report(workload, tmp_path):
         assert after == before, doc.ident
         moved += body["matrix"] != doc.body["matrix"]
     assert moved
+
+
+def _reduced(word: str) -> str:
+    """The freely reduced form of a word in the document letters."""
+    stack = []
+    for letter in word:
+        if stack and stack[-1] == letter.swapcase():
+            stack.pop()
+        else:
+            stack.append(letter)
+    return "".join(stack)
+
+
+def squared(body: dict) -> dict:
+    """The document of phi^2: each letter of phi(a_i) replaced by its image
+    under phi, an inverse letter by the inverse image, then reduced."""
+    images = body["images"]
+    image = {}
+    for i, w in enumerate(images):
+        image[chr(ord("a") + i)] = w
+        image[chr(ord("A") + i)] = w[::-1].swapcase()
+    return dict(body, images=[_reduced("".join(map(image.get, w)))
+                              for w in images])
+
+
+def test_square_has_every_second_power_norm(tmp_path):
+    ring_entries = 0
+    for doc in _documents("free"):
+        code, phi, err = _compute(doc.body, tmp_path / "phi.json")
+        assert code == 0, (doc.ident, err)
+        code, square, err = _compute(squared(doc.body),
+                                     tmp_path / "square.json")
+        assert code == 0, (doc.ident, err)
+        assert phi["agreement"] and square["agreement"], doc.ident
+        assert (square["twisted_power_norms"][:4]
+                == phi["twisted_power_norms"][1::2]), doc.ident
+        ring = square["power_norm_oracle"]["ring_product"]
+        for norm, entry in zip(phi["twisted_power_norms"][1::2], ring):
+            assert entry in (None, norm), doc.ident
+        ring_entries += sum(entry is not None for entry in ring)
+    assert ring_entries
