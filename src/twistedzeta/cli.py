@@ -34,6 +34,7 @@ from fractions import Fraction
 from .errors import (
     InfiniteReidemeister,
     NonInvertible,
+    NotConstant,
     OracleDisagreement,
     PoleAtEvaluation,
     SchemaError,
@@ -354,6 +355,8 @@ def _functional_equation(doc, report):
                                         _closed_form(doc))
     except ZeroDeterminant as exc:
         return {"skipped": str(exc)}, True
+    except NotConstant as exc:
+        return {"is_constant": False, "reason": str(exc)}, False
     return {
         "constant": str(feq.epsilon),
         "exponent": feq.exponent,

@@ -3,11 +3,12 @@
 The zeta function of a twisted class-count sequence is exp(sum_n R_n/n z^n).
 For endomorphisms of Z^k x F it collapses to a finite product of integer
 polynomials det(I - (wedge^i M (x) B) sigma z) raised to +-1 exponents; this
-module builds that product, expands it back to an exact integer power
-series to compare against the defining series, checks the Dold-style
-divisibility of the count sequence, verifies the functional equation under
+module builds that product, expands it to an exact truncated power series
+to compare against the defining series, checks the Dold-style divisibility
+of the count sequence, verifies the functional equation under
 z -> 1/(det(M) z), and proves the two routes to the torsion special value
-equal by an identity in Z[z].
+equal by an identity in Z[z].  Both identities are decided factor by
+factor; no product of factors is multiplied out.
 
 The product is built from power sums, never from the blocks themselves.
 The block wedge^i M (x) B has the eigenvalues lambda_S mu, so its n-th power
@@ -28,6 +29,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .errors import (
     InfiniteReidemeister,
@@ -113,31 +115,31 @@ class TruncatedSeries:
 # product, its logarithmic derivative and the defining exponential series all
 # have integer coefficients and are computed by integer recurrences.
 
-def _multiply_out(factors) -> tuple[IntPolynomial, IntPolynomial]:
-    """Numerator and denominator of prod poly^e over (poly, e) pairs."""
-    num = den = IntPolynomial([1])
-    for poly, e in factors:
-        for _ in range(abs(e)):
-            if e > 0:
-                num = num * poly
-            else:
-                den = den * poly
-    return num, den
-
-
 def expand_rational(rf: FactoredRationalFunction, order: int) -> TruncatedSeries:
-    """Exact truncated expansion of the factored product: num * den^-1."""
-    num, den = _multiply_out(rf.factors)
-    b, d = num.coefficients, den.coefficients
-    if d[0] != 1:
-        raise ValueError("denominator must have constant term 1")
-    a = []
-    for n in range(order + 1):
-        s = b[n] if n < len(b) else 0
-        for i in range(1, min(n, len(d) - 1) + 1):
-            s -= d[i] * a[n - i]
-        a.append(s)
+    """Exact expansion of the factored product to z^order: 1 multiplied by
+    each factor e times, or divided by it -e times, exact for a constant
+    term 1 (ValueError otherwise).  No coefficient past z^order is formed."""
+    a = [1] + [0] * order
+    for poly, e in rf.factors:
+        c = poly.coefficients
+        if e < 0 and c[0] != 1:
+            raise ValueError("a dividing factor must have constant term 1")
+        for _ in range(abs(e)):
+            if e > 0:  # a_n <- sum_j c_j a_(n-j)
+                a = [sum(map(mul, c, a[n::-1])) for n in range(order + 1)]
+            else:  # a_n <- a_n - sum_(j>0) c_j a_(n-j), from the bottom up
+                for n in range(1, order + 1):
+                    a[n] -= sum(map(mul, c[1:], a[n - 1::-1]))
     return TruncatedSeries(order, tuple(a))
+
+
+def _exponents(factors) -> dict[IntPolynomial, int]:
+    """{poly: summed exponent} over (poly, e) pairs, zero sums dropped.  No
+    route merges with it, so a fault here cannot reach both compared sides."""
+    merged: dict[IntPolynomial, int] = {}
+    for poly, e in factors:
+        merged[poly] = merged.get(poly, 0) + e
+    return {poly: e for poly, e in merged.items() if e}
 
 
 # -- closed form ---------------------------------------------------------------
@@ -338,13 +340,15 @@ def functional_equation_check(
         M: IntMatrix,
         closed_form: FactoredRationalFunction | None = None,
 ) -> FunctionalEquation:
-    """Verify R(1/(d z)) = eps * R(z)^((-1)^k) symbolically, d = det M.
+    """Verify R(1/(d z)) = eps * R(z)^((-1)^k) on the factors, d = det M.
 
-    Substitutes z -> 1/(dz) into the factored closed form, clears powers of
-    z, and checks that the ratio against R(z)^((-1)^k) is a constant
-    rational function.  Returns the constant.  ``closed_form`` is
-    ``zeta_product`` of M when the caller has built it already.
-    """
+    A factor P = sum_t a_t z^t of degree m has P(1/(dz)) = (dz)^-m Q(z),
+    Q(z) = sum_t a_(m-t) d^t z^t.  The eigenvalues of wedge^(k-i) M are
+    d/lambda_S, so for factor i, Q is a_m times factor k - i, whose exponent
+    is (-1)^k times that of factor i.  So {Q/a_m: e} = {P: (-1)^k e} with
+    sum m e = 0 gives R(1/(dz)) = prod a_m^e * R(z)^((-1)^k): eps is
+    prod a_m^e.  A remainder of Q/a_m or a mismatch raises NotConstant.
+    ``closed_form`` is ``zeta_product`` of M when built already."""
     d = det(M)
     if d == 0:
         raise ZeroDeterminant("det M = 0")
@@ -352,27 +356,22 @@ def functional_equation_check(
     rf = closed_form
     if rf is None:
         rf = zeta_product(ProductEndomorphism.from_matrix(M))
-
-    shift = 0  # the ratio carries (d z)^shift
-    ratio = []
+    epsilon, shift, reflected = Fraction(1), 0, []
     for poly, e in rf.factors:
-        m = poly.degree
-        # P(1/(dz)) = d^-m z^-m Q(z) with Q(z) = sum_t a_{m-t} d^t z^t
-        Q = IntPolynomial([poly.coefficients[m - t] * d ** t
-                           for t in range(m + 1)])
-        shift -= m * e
-        # times Q(z)^e, divided by P(z)^((-1)^k e)
-        ratio += [(Q, e), (poly, -((-1) ** k) * e)]
-    ratio.append((IntPolynomial([0, 1]), shift))
-    num, den = _multiply_out(ratio)
-    if num.is_zero():
-        raise NotConstant("ratio is identically zero")
-    a, b = num.coefficients, den.coefficients
-    if len(a) != len(b) or any(x * b[-1] != y * a[-1] for x, y in zip(a, b)):
-        raise NotConstant(
-            "the substituted zeta ratio is not constant in z"
-        )
-    epsilon = Fraction(d) ** shift * Fraction(a[-1], b[-1])
+        lead = poly.coefficients[-1]
+        Q = [a * d ** t for t, a in enumerate(reversed(poly.coefficients))]
+        if any(q % lead for q in Q):
+            raise NotConstant(f"{lead} does not divide (dz)^m P(1/(dz)) "
+                              f"for the factor P = {poly}")
+        reflected.append((IntPolynomial([q // lead for q in Q]), e))
+        epsilon *= Fraction(lead) ** e
+        shift += poly.degree * e
+    if shift:
+        raise NotConstant(f"the substituted zeta ratio carries (dz)^{-shift}")
+    if _exponents(reflected) != _exponents(
+            (poly, (-1) ** k * e) for poly, e in rf.factors):
+        raise NotConstant("the substituted factors are not those of "
+                          f"R(z)^{(-1) ** k}")
     return FunctionalEquation(True, epsilon, (-1) ** k)
 
 
@@ -480,15 +479,16 @@ def torsion_via_lefschetz(
 
 def lefschetz_identity(closed_form: FactoredRationalFunction,
                        dual: FactoredRationalFunction) -> bool:
-    """Whether R(sigma z)^((-1)^r) = L(z) in Z[z], cross-multiplied, for R
-    the closed form and L the dual Lefschetz zeta function: then the two
-    torsion routes agree at every angle."""
+    """Whether R(sigma z)^((-1)^r) = L(z) in Z[z], for R the closed form and
+    L the dual Lefschetz zeta function: then the two torsion routes agree
+    at every angle.  z -> sigma z and the exponent times (-1)^r turn factor
+    i of R into factor i of L, so the maps {poly: summed exponent} of both
+    sides are compared: equal maps give equal products, and one wrong
+    factor disagrees even where others make up for it in the product."""
     sc = closed_form.sign_convention
     substituted = [
         (IntPolynomial([c * sc.sigma ** j
                         for j, c in enumerate(poly.coefficients)]),
          (-1) ** sc.r * e)
         for poly, e in closed_form.factors]
-    num, den = _multiply_out(substituted
-                             + [(poly, -e) for poly, e in dual.factors])
-    return num == den
+    return _exponents(substituted) == _exponents(dual.factors)

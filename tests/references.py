@@ -6,14 +6,19 @@ that read them, with the bodies they had in the package.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from twistedzeta import (
     FactoredRationalFunction,
     FiniteGroup,
     IntMatrix,
     IntPolynomial,
+    TruncatedSeries,
     char_poly,
+    det,
     expand_rational,
 )
+from twistedzeta.errors import NotConstant
 from twistedzeta.zeta import _alternating_product
 
 
@@ -61,3 +66,76 @@ def det_identity_minus_z(X: IntMatrix) -> IntPolynomial:
 def lefschetz_zeta(matrices: list[IntMatrix]) -> FactoredRationalFunction:
     """Alternating product det(I - A_k z)^((-1)^(k+1)) over homology degrees."""
     return _alternating_product([det_identity_minus_z(A) for A in matrices])
+
+
+# -- the zeta identities by multiplying the product out ------------------------
+
+def multiply_out(factors) -> tuple[IntPolynomial, IntPolynomial]:
+    """Numerator and denominator of prod poly^e over (poly, e) pairs."""
+    num = den = IntPolynomial([1])
+    for poly, e in factors:
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * poly
+            else:
+                den = den * poly
+    return num, den
+
+
+def expand_multiplied_out(rf: FactoredRationalFunction,
+                          order: int) -> TruncatedSeries:
+    """Exact truncated expansion of the factored product: num * den^-1."""
+    num, den = multiply_out(rf.factors)
+    b, d = num.coefficients, den.coefficients
+    if d[0] != 1:
+        raise ValueError("denominator must have constant term 1")
+    a = []
+    for n in range(order + 1):
+        s = b[n] if n < len(b) else 0
+        for i in range(1, min(n, len(d) - 1) + 1):
+            s -= d[i] * a[n - i]
+        a.append(s)
+    return TruncatedSeries(order, tuple(a))
+
+
+def cross_multiplied_identity(closed_form: FactoredRationalFunction,
+                              dual: FactoredRationalFunction) -> bool:
+    """Whether R(sigma z)^((-1)^r) = L(z) in Z[z], cross-multiplied."""
+    sc = closed_form.sign_convention
+    substituted = [
+        (IntPolynomial([c * sc.sigma ** j
+                        for j, c in enumerate(poly.coefficients)]),
+         (-1) ** sc.r * e)
+        for poly, e in closed_form.factors]
+    num, den = multiply_out(substituted
+                            + [(poly, -e) for poly, e in dual.factors])
+    return num == den
+
+
+def constant_ratio(M: IntMatrix, rf: FactoredRationalFunction
+                   ) -> tuple[Fraction, int]:
+    """(eps, (-1)^k) with R(1/(d z)) = eps * R(z)^((-1)^k), d = det M != 0.
+
+    Substitutes z -> 1/(dz) into the factored closed form, clears powers of
+    z, multiplies the ratio against R(z)^((-1)^k) out, and raises
+    NotConstant unless it is a constant rational function.
+    """
+    d, k = det(M), M.rows
+    shift = 0  # the ratio carries (d z)^shift
+    ratio = []
+    for poly, e in rf.factors:
+        m = poly.degree
+        # P(1/(dz)) = d^-m z^-m Q(z) with Q(z) = sum_t a_{m-t} d^t z^t
+        Q = IntPolynomial([poly.coefficients[m - t] * d ** t
+                           for t in range(m + 1)])
+        shift -= m * e
+        # times Q(z)^e, divided by P(z)^((-1)^k e)
+        ratio += [(Q, e), (poly, -((-1) ** k) * e)]
+    ratio.append((IntPolynomial([0, 1]), shift))
+    num, den = multiply_out(ratio)
+    if num.is_zero():
+        raise NotConstant("ratio is identically zero")
+    a, b = num.coefficients, den.coefficients
+    if len(a) != len(b) or any(x * b[-1] != y * a[-1] for x, y in zip(a, b)):
+        raise NotConstant("the substituted zeta ratio is not constant in z")
+    return Fraction(d) ** shift * Fraction(a[-1], b[-1]), (-1) ** k

@@ -50,6 +50,12 @@ FRONTIER_DOC = {"kind": "free", "rank": 3,
                 "images": ["abcAB", "bcaBC", "cabCA"]}
 FRONTIER_NORMS = [15, 63, 267, 1131, 4791, 20295, 85971, 364179]
 
+# Rank 6, det M = 75, no root-of-unity eigenvalue: factors up to degree 20.
+RANK_SIX_DOC = {"kind": "abelian",
+                "matrix": [[1, 2, 0, -1, 0, 1], [0, 1, 1, 0, 2, 0],
+                           [1, 0, -1, 1, 0, 0], [0, -2, 0, 1, 1, 1],
+                           [2, 0, 1, 0, -1, 0], [0, 1, 0, 1, 0, 2]]}
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
@@ -626,8 +632,9 @@ class TestSkippedAndBooleans:
         assert entry["lefschetz_route"] == pytest.approx(entry["value"],
                                                          rel=1e-12)
 
-    def test_wrong_closed_form_factor_disagrees(self, tmp_path, capsys,
-                                                monkeypatch):
+    @staticmethod
+    def extend_first_factor(monkeypatch):
+        """Make the closed form's first factor one coefficient longer."""
         real = cli.zeta_product
 
         def wrong_factor(P):
@@ -638,11 +645,65 @@ class TestSkippedAndBooleans:
                                             rf.sign_convention)
 
         monkeypatch.setattr(cli, "zeta_product", wrong_factor)
+
+    def test_wrong_closed_form_factor_disagrees(self, tmp_path, capsys,
+                                                monkeypatch):
+        self.extend_first_factor(monkeypatch)
         doc = dict(PRODUCT_DOC, options={"torsion_angles": ["1/3", "1/5"]})
         assert main(["torsion", write_doc(tmp_path, doc)]) == 4
         out = json.loads(capsys.readouterr().out)
         assert [entry["agree"] for entry in out["torsion"]] == [False, False]
         assert out["agreement"] is False
+
+    def test_functional_equation_mismatch_prints_the_report(
+            self, tmp_path, capsys, monkeypatch):
+        # (1 - z)^2 (1 - 3z + z^2)^-1 becomes (1 - z + z^2)^2 (...)^-1,
+        # whose substituted ratio keeps a power of dz: every section is
+        # still printed, and the run exits 4.
+        self.extend_first_factor(monkeypatch)
+        path = write_doc(tmp_path, {"kind": "abelian",
+                                    "matrix": [[2, 1], [1, 1]]})
+        assert main(["compute", path]) == 4
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert captured.err == ""
+        assert out["functional_equation"] == {
+            "is_constant": False,
+            "reason": "the substituted zeta ratio carries (dz)^-2"}
+        assert out["zeta"]["series_check"]["agree"] is False
+        assert out["agreement"] is False
+        assert list(out) == ["kind", "counts", "zeta", "congruences",
+                             "functional_equation", "torsion", "agreement",
+                             "inputs", "timing_seconds"]
+
+    @pytest.mark.parametrize("doc", [
+        RANK_SIX_DOC,
+        dict(PRODUCT_DOC, options={"torsion_angles": ["1/3", "1/5", "1/2"]}),
+    ], ids=["abelian-rank-6", "product-with-angles"])
+    def test_the_identities_form_no_polynomial_product(
+            self, tmp_path, capsys, monkeypatch, doc):
+        # The series, the functional equation and the torsion identity are
+        # decided on the factors: no IntPolynomial is multiplied, and the
+        # reports are those of an unpatched run.
+        path = write_doc(tmp_path, doc)
+
+        def reports():
+            out = {}
+            for verb in ("compute", "zeta", "torsion"):
+                code = main([verb, path])
+                report = json.loads(capsys.readouterr().out)
+                report.pop("timing_seconds", None)
+                out[verb] = code, report
+            return out
+
+        def refuse(self, other):
+            raise AssertionError("an IntPolynomial product was formed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(IntPolynomial, "__mul__", refuse)
+            patched = reports()
+        assert patched == reports()
+        assert all(code == 0 for code, _ in patched.values())
 
     @pytest.mark.parametrize("order", ["0", "-3"])
     @pytest.mark.parametrize("sample", ["doubling_flip", "klein_swap"])

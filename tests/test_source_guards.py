@@ -319,6 +319,18 @@ def test_torsion_routes_stay_apart():
     assert dual <= _reached_names("zeta", "torsion_via_lefschetz")
 
 
+def test_only_the_identities_merge_by_exponents():
+    # The functional equation and the torsion identity compare maps
+    # {factor: summed exponent} built by _exponents.  The closed form and
+    # the dual merge their factors by their own loops: a fault in a merge
+    # they shared would reach both sides of the identity unseen.
+    for route in ("zeta_product", "dual_lefschetz_zeta", "expand_rational",
+                  "torsion_special_value", "torsion_via_lefschetz"):
+        assert "_exponents" not in _reached_names("zeta", route), route
+    for identity in ("lefschetz_identity", "functional_equation_check"):
+        assert "_exponents" in _reached_names("zeta", identity)
+
+
 def test_one_product_kernel():
     # Element and matrix products run the one prepared-operand kernel, so
     # the entry-level tests of `*` check the words of the ring-product

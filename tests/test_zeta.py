@@ -33,6 +33,7 @@ from twistedzeta.errors import (
     EigenvalueOnBoundary,
     InfiniteReidemeister,
     NonInvertible,
+    NotConstant,
     OracleDisagreement,
     PoleAtEvaluation,
     ZeroDeterminant,
@@ -48,6 +49,7 @@ from twistedzeta.zeta import (
 from catalog import (
     any_products,
     catalog_with_endos,
+    companion,
     klein_swap,
     largest_factor,
     product_catalog,
@@ -57,7 +59,10 @@ from catalog import (
     wide_products,
 )
 from references import (
+    constant_ratio,
+    cross_multiplied_identity,
     det_identity_minus_z,
+    expand_multiplied_out,
     lefschetz_zeta,
     log_derivative_counts,
 )
@@ -220,6 +225,33 @@ class TestIntegerSeries:
                                              for n in range(11)]
         assert all(type(c) is int for c in series.coefficients)
 
+    def test_matches_the_multiplied_out_expansion(self):
+        # Factors of degree 1..20 with exponents +-1..+-3, to order 0..25;
+        # a multiplying factor may have any constant term.
+        rng = random.Random(31)
+        for _ in range(400):
+            factors = []
+            for _ in range(rng.randint(0, 4)):
+                e = rng.choice((-3, -2, -1, 1, 2, 3))
+                degree = rng.randint(1, 20)
+                poly = IntPolynomial(
+                    [1 if e < 0 else rng.choice((1, 1, -1, 2))]
+                    + [rng.randint(-3, 3) for _ in range(degree - 1)]
+                    + [rng.choice((-2, -1, 1, 2))])
+                factors.append((poly, e))
+            rf = FactoredRationalFunction(tuple(factors))
+            order = rng.randint(0, 25)
+            assert expand_rational(rf, order) == expand_multiplied_out(
+                rf, order), (str(rf), order)
+
+    def test_dividing_factor_needs_constant_term_one(self):
+        rf = FactoredRationalFunction(((IntPolynomial([1, 1]), 1),
+                                       (IntPolynomial([2, 1]), -1)))
+        with pytest.raises(ValueError):
+            expand_rational(rf, 4)
+        times_two = FactoredRationalFunction(((IntPolynomial([2, 1]), 2),))
+        assert expand_rational(times_two, 3).coefficients == (4, 4, 1, 0)
+
     def test_log_derivative_of_inverse_square(self):
         counts = log_derivative_counts(self.INVERSE_SQUARE, 10)
         assert counts == [2 * 2 ** n for n in range(1, 11)]
@@ -316,6 +348,47 @@ class TestFunctionalEquation:
         with pytest.raises(ZeroDeterminant):
             functional_equation_check(IntMatrix([[0]]))
 
+    def test_matches_the_multiplied_out_ratio(self):
+        # Random matrices with k <= 5, and det M = +-1 companions whose
+        # factors 0 and k are both 1 - z or 1 + z and are merged.
+        rng = random.Random(41)
+        cases = [IntMatrix([[2, 1], [1, 1]]), companion([1, -3, 0]),
+                 companion([1, -3, 0, 0]), companion([-1, 3, 0, 0])]
+        while len(cases) < 300:
+            k = rng.randint(1, 5)
+            cases.append(IntMatrix([[rng.randint(-2, 2) for _ in range(k)]
+                                    for _ in range(k)]))
+        done = merged = 0
+        for M in cases:
+            try:
+                rf = zeta_product(ProductEndomorphism.from_matrix(M))
+                fe = functional_equation_check(M, rf)
+            except (ZeroDeterminant, InfiniteReidemeister,
+                    EigenvalueOnBoundary):
+                continue
+            assert (fe.epsilon, fe.exponent) == constant_ratio(M, rf), M
+            done += 1
+            merged += len(rf.factors) < M.rows + 1
+        assert done >= 150 and merged >= 3
+
+    def test_a_wrong_factor_is_not_constant(self):
+        # R = (1 - z)^2 (1 - 3z + z^2)^-1 for this M, det M = 1, with one
+        # factor changed: its leading coefficient does not divide it
+        # reversed, the powers of dz do not cancel, or the reversed factors
+        # are not the factors.
+        M = IntMatrix([[2, 1], [1, 1]])
+        wrong = {"does not divide": [([1, -1, 2], 2), ([1, -3, 1], -1)],
+                 "carries": [([1, -1, 1], 2), ([1, -3, 1], -1)],
+                 "not those": [([1, -1], 2), ([1, 2, -1], -1)]}
+        for reason, factors in wrong.items():
+            altered = FactoredRationalFunction(
+                tuple((IntPolynomial(c), e) for c, e in factors),
+                zeta.SignConvention(0, 1))
+            with pytest.raises(NotConstant, match=reason):
+                functional_equation_check(M, altered)
+            with pytest.raises(NotConstant):
+                constant_ratio(M, altered)
+
 
 class TestTorsion:
     def test_doubling_minus_at_half(self):
@@ -400,8 +473,32 @@ class TestExactTorsion:
         assert time.perf_counter() - start < 1.0
 
     def test_identity_holds_on_catalog(self):
-        for P in self.invertible_catalog():
-            assert lefschetz_identity(zeta_product(P), dual_lefschetz_zeta(P))
+        for P in [*self.invertible_catalog(), *wide_products()]:
+            rf, dual = zeta_product(P), dual_lefschetz_zeta(P)
+            assert lefschetz_identity(rf, dual)
+            assert cross_multiplied_identity(rf, dual)
+
+    @given(any_products())
+    @settings(max_examples=100, deadline=None)
+    def test_identity_matches_the_cross_multiplied_one(self, case):
+        P, _ = case
+        assume(det(P))
+        try:
+            rf = zeta_product(P)
+        except (InfiniteReidemeister, EigenvalueOnBoundary):
+            assume(False)
+        dual = dual_lefschetz_zeta(P)
+        assert lefschetz_identity(rf, dual)
+        assert cross_multiplied_identity(rf, dual)
+
+    def test_one_wrong_factor_is_not_made_up_for(self):
+        # (1 - z^2) = (1 - z)(1 + z): equal products, different factors
+        split = FactoredRationalFunction(((IntPolynomial([1, -1]), 1),
+                                          (IntPolynomial([1, 1]), 1)))
+        whole = FactoredRationalFunction(((IntPolynomial([1, 0, -1]), 1),),
+                                         zeta.SignConvention(0, 0))
+        assert cross_multiplied_identity(whole, split)
+        assert not lefschetz_identity(whole, split)
 
     def test_identity_fails_for_a_wrong_factor(self):
         for P in self.invertible_catalog():
@@ -410,7 +507,9 @@ class TestExactTorsion:
             wrong = IntPolynomial([*poly.coefficients, 1])
             altered = FactoredRationalFunction(((wrong, e), *rest),
                                                rf.sign_convention)
-            assert not lefschetz_identity(altered, dual_lefschetz_zeta(P))
+            dual = dual_lefschetz_zeta(P)
+            assert not lefschetz_identity(altered, dual)
+            assert not cross_multiplied_identity(altered, dual)
 
 
 def block_dual(P):
