@@ -3,7 +3,8 @@
 Determinants by fraction-free (Bareiss) elimination, characteristic
 polynomials by Faddeev-LeVerrier over the integers, exterior powers as
 compound matrices, power traces tr A^n, and the traces tr wedge^i(M^n) as
-sums of principal minors of M^n, with no compound matrix formed.  The
+the coefficients of one characteristic polynomial of M^n by Berkowitz's
+division-free recursion, with no minor or compound matrix formed.  The
 Smith diagonal comes from Euclid's algorithm on row pairs, transposing
 while the pivot's row is not clear (each refill makes the pivot a proper
 divisor of itself, so this ends), and one gcd-lcm pass over the pivots:
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 
 from .errors import BadIndex, EigenvalueOnBoundary, NotSquare
@@ -398,36 +400,38 @@ def power_traces(A: IntMatrix, N: int) -> list[int]:
             for power in row_powers(A, N)]
 
 
-def wedge_traces(M: IntMatrix, N: int,
-                 limits: list[int] | None = None) -> list[list[int | None]]:
+def _berkowitz(rows: list[list[int]]) -> list[int]:
+    """The coefficients of det(xI - A), x^k first, for a k x k row list A,
+    by Berkowitz's division-free recursion: with B the leading r x r block,
+    R and C the rest of row and column r and a = A[r][r], the polynomial of
+    the leading (r+1)-block is B's convolved with 1, -a, -R C, -R B C, ...,
+    -R B^(r-1) C, cut after x^0.  The row list is not changed."""
+    poly = [1]
+    for r, row in enumerate(rows):
+        column, step = [rows[i][r] for i in range(r)], [1, -row[r]]
+        for t in range(r):  # -R B^t C; B^t C from B^(t-1) C
+            if t:
+                column = [sum(map(operator.mul, rows[i], column))
+                          for i in range(r)]
+            step.append(-sum(map(operator.mul, row, column)))
+        poly = [sum(map(operator.mul, step[i::-1], poly))
+                for i in range(r + 2)]
+    return poly
+
+
+def wedge_traces(M: IntMatrix, N: int) -> list[list[int]]:
     """``[[tr wedge^i(M^n) for i = 0..k] for n = 1..N]`` for a k x k M.
 
-    The trace of the compound matrix wedge^i X is the sum of the principal
-    i-minors of X, and by Cauchy-Binet wedge^i(M^n) = (wedge^i M)^n, so
-    these are also the power traces of every level wedge^i M.  Only the
-    powers of M are formed; no level is.  Level 0 is 1 and level 1 is
-    tr M^n, so minors are taken for i >= 2 only.  With ``limits``, level i
-    is taken for n <= limits[i] only and reads None beyond.
+    tr wedge^i X is e_i of the eigenvalues of X, (-1)^i times coefficient i
+    of det(xI - X), and by Cauchy-Binet wedge^i(M^n) = (wedge^i M)^n, so
+    these are also the power traces of every level wedge^i M.  One
+    ``_berkowitz`` polynomial of M^n gives every level of n; no minor and
+    no level is formed.
     """
     if not M.is_square:
         raise NotSquare("wedge traces of a non-square matrix")
-    k = M.rows
-    if limits is None:
-        limits = [N] * (k + 1)
-    subsets = [list(itertools.combinations(range(k), i))
-               for i in range(k + 1)]
-
-    def trace(power, i):
-        if i == 0:
-            return 1
-        if i == 1:
-            return sum(power[a][a] for a in range(k))
-        return sum(det_rows([[power[a][b] for b in S] for a in S])
-                   for S in subsets[i])
-
-    return [[trace(power, i) if n <= limits[i] else None
-             for i in range(k + 1)]
-            for n, power in enumerate(row_powers(M, N), start=1)]
+    return [[(-1) ** i * c for i, c in enumerate(_berkowitz(power))]
+            for power in row_powers(M, N)]
 
 
 # -- eigenvalues from the characteristic polynomial --------------------------

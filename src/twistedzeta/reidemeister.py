@@ -1,12 +1,12 @@
 """Reidemeister numbers of endomorphisms of Z^k x F, by three independent
 routes that must agree: the product formula |det(I - M^n)| R(phi_F^n), the
 signed exterior/class trace, and the Smith coset count times the exhaustive
-twisted-class count of F.  The trace route reads Tr (wedge^i M)^n as the
-sum of the principal i-minors of M^n and Tr B^n from the powers of the
-class matrix B, so it forms no exterior power and no Kronecker block.  A
-finite group is the case k = 0 and a lattice the case F = 1; ``r_finite``
-and ``class_function_matrix`` are the F-factors of the formula and trace
-routes.
+twisted-class count of F.  The trace route reads Tr (wedge^i M)^n off one
+division-free characteristic polynomial of M^n and Tr B^n from the powers
+of the class matrix B, so it forms no exterior power and no Kronecker
+block, and takes no determinant.  A finite group is the case k = 0 and a
+lattice the case F = 1; ``r_finite`` and ``class_function_matrix`` are the
+F-factors of the formula and trace routes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .groups import (
 )
 from .intlinalg import (
     IntMatrix,
+    IntPolynomial,
     char_poly,
     count_eigen_signs,
     det,
@@ -205,23 +206,26 @@ def r_product_trace(P: ProductEndomorphism, n: int = 1) -> int:
 def r_product_traces(P: ProductEndomorphism, N: int) -> list[int]:
     """``[r_product_trace(P, n) for n in 1..N]`` from power traces.
 
-    Every iterate is checked finite first: the first n with
-    det(I - M^n) = 0 is the first cyclotomic factor of char_poly(M), which
-    also gives the sign counts (p, r).  A trace of a Kronecker product
-    splits, Tr (X (x) Y)^n = Tr X^n Tr Y^n, and Tr (wedge^i M)^n is the sum
-    of the principal i-minors of M^n (``wedge_traces``), so an iterate
-    costs one k x k and one c x c product, for c classes, plus the 2^k
-    principal minors of M^n: no level wedge^i M, block or I - M^n is formed.
+    A trace of a Kronecker product splits, Tr (X (x) Y)^n = Tr X^n Tr Y^n,
+    and ``wedge_traces`` reads every Tr (wedge^i M)^n off one characteristic
+    polynomial of M^n, so an iterate costs one k x k and one c x c product,
+    for c classes, and that polynomial: no level, block or I - M^n is
+    formed.  Every iterate is checked finite first: the first cyclotomic
+    factor of cp = det(xI - M) = sum_i (-1)^i e_i x^(k-i), from the levels
+    of n = 1, is the first n with det(I - M^n) = 0; cp also gives the sign
+    counts (p, r).
     """
-    cp = char_poly(P.M)
+    if N < 1:
+        return []
+    wedges = wedge_traces(P.M, N)
+    cp = IntPolynomial([(-1) ** i * e for i, e in enumerate(wedges[0])][::-1])
     n = first_cyclotomic_factor(cp)
     if n is not None and n <= N:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
     p, r = count_eigen_signs(cp)
     fixed = power_traces(class_function_matrix(P.F, P.phiF), N)
     return [_signed_trace(p, r, n, levels, f)
-            for n, (levels, f) in enumerate(zip(wedge_traces(P.M, N), fixed),
-                                            start=1)]
+            for n, (levels, f) in enumerate(zip(wedges, fixed), start=1)]
 
 
 def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:

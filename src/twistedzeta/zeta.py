@@ -19,8 +19,9 @@ fixed by the n-th power of the class map.  Newton's identities, with exact
 integer division, then turn p_1..p_D into det(I - Xz): O(D^2) integer
 operations for a block of dimension D = C(k, i) * #classes.  The dual
 Lefschetz zeta function, the other side of the torsion identity, is built
-from power sums as well, but from its own: the principal minors of M^m,
-the powers of the class function matrix B, and its own Newton step.
+from power sums as well, but from its own: the levels of M^m read off one
+division-free characteristic polynomial of M^m, the powers of the class
+function matrix B, and its own Newton step.
 """
 
 from __future__ import annotations
@@ -445,17 +446,18 @@ def dual_lefschetz_zeta(P: ProductEndomorphism) -> FactoredRationalFunction:
     X_i has dimension D_i = C(k, i) c for c classes, and det(I - X_i z) is
     determined by tr X_i^m, m = 1..D_i.  A trace of a Kronecker product
     splits and wedge^i(M^m) = (wedge^i M)^m (Cauchy-Binet), so
-    tr X_i^m = tr wedge^i(M^m) tr B^m: the principal i-minors of M^m
-    summed (``wedge_traces``, level i for m <= D_i only) times the power
-    traces of B.  ``_factor_from_traces`` turns them into the factor; no
-    block is formed and no characteristic polynomial of one is taken.  The
-    factors det(I - X_i z)^((-1)^(i+1)) are merged by exponent
+    tr X_i^m = tr wedge^i(M^m) tr B^m: every level of M^m from one
+    division-free characteristic polynomial of M^m (``wedge_traces``, for
+    m up to the largest D_i) times the power traces of B.
+    ``_factor_from_traces`` turns them into the factor; no block is formed
+    and no characteristic polynomial of a block is taken.  The factors
+    det(I - X_i z)^((-1)^(i+1)) are merged by exponent
     (``_alternating_product``).
     """
     B = class_function_matrix(P.F, P.phiF)
     dims = [comb(P.k, i) * B.rows for i in range(P.k + 1)]
     D = max(dims)
-    wedges = wedge_traces(P.M, D, dims)
+    wedges = wedge_traces(P.M, D)
     fixed = power_traces(B, D)
     return _alternating_product([
         _factor_from_traces([levels[i] * f for levels, f in

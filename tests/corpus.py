@@ -12,14 +12,19 @@ of the package can be compared report for report:
         for verb in corpus.VERBS:
             for fmt in corpus.FORMATS:
                 corpus.run(path, verb, fmt)
+
+``compute_all`` runs ``compute --json`` on every document once, for the
+tests that read the same reports.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import re
+import signal
 import sys
 from pathlib import Path
 
@@ -29,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 # Import without leaving a bytecode cache under perfbench/.
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+import checks  # noqa: E402
 import workloads  # noqa: E402
 sys.dont_write_bytecode = _write_bytecode
 
@@ -42,14 +48,20 @@ INFINITE_AT = {2: [[-1]], 3: [[0, -1], [1, -1]], 4: [[0, -1], [1, 0]],
                6: [[0, -1], [1, 1]]}
 
 
+@functools.cache
+def seed0(workload: str) -> tuple:
+    """The non-frontier seed-0 documents of a benchmark workload, as
+    ``workloads.make`` gives them, made once per process."""
+    return tuple(doc for doc in workloads.make(workload, 0)
+                 if not doc.frontier)
+
+
 def documents() -> dict[str, dict]:
     """Every corpus document by name, in a fixed order."""
     docs = {f"sample-{path.stem}": json.loads(path.read_text())
             for path in sorted((ROOT / "samples").glob("*.json"))}
     for workload in workloads.WORKLOADS:
-        docs.update((doc.ident, doc.body)
-                    for doc in workloads.make(workload, 0)
-                    if not doc.frontier)
+        docs.update((doc.ident, doc.body) for doc in seed0(workload))
     docs.update((f"infinite-at-{n}", {"kind": "abelian", "matrix": matrix})
                 for n, matrix in INFINITE_AT.items())
     return docs
@@ -77,3 +89,23 @@ def run(path: Path, verb: str = "compute",
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([verb, str(path), fmt])
     return code, err.getvalue(), _TIMING.sub("", out.getvalue())
+
+
+def compute_all(directory: Path, deadline: float
+                ) -> dict[str, tuple[int, str, str]]:
+    """``run(path)`` for every corpus document written to ``directory``, by
+    name, each cut off after ``deadline`` seconds of wall time by the
+    benchmark's own timer (``checks.DeadlineExceeded`` propagates)."""
+    previous = signal.getsignal(signal.SIGALRM)
+    checks.arm_deadline_handler()
+    reports = {}
+    try:
+        for name, path in write(directory).items():
+            signal.setitimer(signal.ITIMER_REAL, deadline)
+            try:
+                reports[name] = run(path)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    return reports

@@ -2,8 +2,9 @@
 suite.
 
 Every seed-0 document of the four workloads of ``perfbench/workloads.py``
-runs once through ``cli.main(["compute", ...])``, and the benchmark's own
-``Checker`` compares each report with ``perfbench/expected/*-seed0.json``.
+runs once through ``cli.main(["compute", ...])``, in the corpus pass that
+``test_corpus`` reads as well, and the benchmark's own ``Checker``
+compares each report with ``perfbench/expected/*-seed0.json``.
 A change that alters a stored answer then fails here, not only in the
 benchmark.  Frontier documents are left out: they are there to be timed.
 The package functions that the harness names in its per-layer tables must
@@ -19,6 +20,8 @@ import pytest
 
 from twistedzeta import cli
 
+import corpus
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 # Import without leaving a bytecode cache under perfbench/.
@@ -26,7 +29,6 @@ _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 import checks  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
-import workloads  # noqa: E402
 sys.dont_write_bytecode = _write_bytecode
 
 # Far above any regular document (each takes a few milliseconds); the
@@ -43,19 +45,19 @@ def deadline_handler():
 
 
 @pytest.mark.parametrize("workload", ["product", "free", "lattice", "finite"])
-def test_seed0_reports_match_the_stored_answers(workload, tmp_path,
-                                                deadline_handler):
+def test_seed0_reports_match_the_stored_answers(workload, corpus_reports):
     expected = json.loads(
         (PERFBENCH / "expected" / f"{workload}-seed0.json").read_text())
-    docs = [d for d in workloads.make(workload, 0) if not d.frontier]
+    docs = corpus.seed0(workload)
     assert docs and {d.ident for d in docs} <= set(expected["documents"])
     problems = []
     checker = checks.Checker(expected["documents"], problems.append)
     for doc in docs:
-        path = tmp_path / f"{doc.ident}.json"
-        path.write_text(json.dumps(doc.body))
-        outcome = checker.check(
-            doc, checks.compute(cli.main, str(path), DEADLINE_S))
+        code, err, report = corpus_reports[doc.ident]
+        assert (code, err) == (0, ""), doc.ident
+        report = json.loads(report)
+        assert report["agreement"] is True, doc.ident
+        outcome = checker.check(doc, checks.Outcome(checks.OK, 0.0, report))
         assert outcome.ok, (doc.ident, outcome.status, outcome.detail)
     assert problems == []
     assert (checker.attempted, checker.failed, checker.wrong) == (
@@ -83,7 +85,7 @@ def test_span_values_are_read_on_every_kind(tmp_path, deadline_handler):
     # fail --trace 1 inside the wrapper.  One product, one abelian, one
     # finite document with a map that is not onto, and one free document.
     docs = {d.ident: d for w in ("product", "lattice", "finite", "free")
-            for d in workloads.make(w, 0) if not d.frontier}
+            for d in corpus.seed0(w)}
     picks = [next(d for ident, d in docs.items() if ident.startswith(prefix))
              for prefix in ("product-s3_inner-k2-", "lattice-",
                             "finite-S4-sign-", "free-")]

@@ -56,6 +56,20 @@ RANK_SIX_DOC = {"kind": "abelian",
                            [1, 0, -1, 1, 0, 0], [0, -2, 0, 1, 1, 1],
                            [2, 0, 1, 0, -1, 0], [0, 1, 0, 1, 0, 2]]}
 
+# Rank 9, entries -2..2 from random.Random(0), det M != 0 and no
+# root-of-unity eigenvalue: the dual route reads the levels of M^m for
+# m <= C(9, 4) = 126.
+RANK_NINE_DOC = {"kind": "abelian",
+                 "matrix": [[1, 1, -2, 0, 2, 1, 1, 0, 1],
+                            [0, 2, -1, 2, -1, 0, -1, -2, 2],
+                            [0, 2, 2, -1, 0, -2, -2, 0, 1],
+                            [2, -2, 0, 1, 0, 2, -1, 2, 1],
+                            [1, 2, 0, -2, 2, -2, -2, 1, -2],
+                            [2, 1, 0, -1, 0, -2, -1, 2, -1],
+                            [-1, -1, 2, 1, -2, -2, 0, 2, 1],
+                            [-2, 0, 2, 0, -2, 2, 0, 2, -1],
+                            [2, 2, 2, 0, 1, -2, 2, 1, 0]]}
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
@@ -248,6 +262,13 @@ class TestReports:
         assert report["torsion"][0]["agree"]
         assert report["torsion"][0]["value"] == pytest.approx(2.0)
         assert report["agreement"]
+
+    def test_rank_nine_abelian_report(self, tmp_path, capsys):
+        code, out = run_verb(capsys, "compute",
+                             write_doc(tmp_path, RANK_NINE_DOC))
+        assert code == 0 and out["agreement"] is True
+        counts = out["counts"]["determinant_formula"]
+        assert counts == lattice_counts(RANK_NINE_DOC["matrix"], len(counts))
 
     def test_product_report(self):
         doc = parse_problem(json.dumps(PRODUCT_DOC))
@@ -484,6 +505,32 @@ VERB_SECTIONS = {"zeta": ["zeta"], "torsion": ["torsion"],
                  "bounds": ["bounds", "twisted_power_norms",
                             "power_norm_oracle"]}
 SAMPLE_PATHS = sorted(SAMPLES.glob("*.json"))
+
+
+def lattice_counts(matrix, N):
+    """|det(I - M^n)| for n = 1..N: powers by row-times-column sums, each
+    determinant by Gaussian elimination over Fraction."""
+    k = len(matrix)
+    power, counts = [[int(i == j) for j in range(k)] for i in range(k)], []
+    for _ in range(N):
+        power = [[sum(a * matrix[t][j] for t, a in enumerate(row))
+                  for j in range(k)] for row in power]
+        A = [[Fraction(int(i == j) - power[i][j]) for j in range(k)]
+             for i in range(k)]
+        d = Fraction(1)
+        for c in range(k):
+            pivot = next((r for r in range(c, k) if A[r][c]), None)
+            if pivot is None:
+                d = Fraction(0)
+                break
+            if pivot != c:
+                A[c], A[pivot], d = A[pivot], A[c], -d
+            d *= A[c][c]
+            for r in range(c + 1, k):
+                f = A[r][c] / A[c][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+        counts.append(abs(int(d)))
+    return counts
 
 
 def run_verb(capsys, verb, path, *extra):

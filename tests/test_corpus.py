@@ -1,18 +1,15 @@
 """Every corpus document through ``compute``: the samples and the seed-0
 benchmark documents agree, and the maps with a root-of-unity eigenvalue
-exit 3 at their first infinite iterate."""
+exit 3 at their first infinite iterate.  The reports come from the one
+corpus pass (``corpus_reports``) that the stored-answer test reads too."""
 
 import json
 import re
 
-import corpus
 
-
-def test_every_document_agrees_or_names_its_infinite_iterate(tmp_path):
-    paths = corpus.write(tmp_path)
-    assert len(paths) > 400
-    for name, path in paths.items():
-        code, err, report = corpus.run(path)
+def test_every_document_agrees_or_names_its_infinite_iterate(corpus_reports):
+    assert len(corpus_reports) > 400
+    for name, (code, err, report) in corpus_reports.items():
         infinite = re.fullmatch(r"infinite-at-(\d+)", name)
         if infinite:
             assert (code, report) == (3, ""), name

@@ -401,6 +401,18 @@ def wedge_reference(M, N):
     return of_powers
 
 
+class TestBerkowitz:
+    @given(square_matrices(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_char_poly(self, A):
+        # The division-free polynomial lists Faddeev-LeVerrier's
+        # coefficients from x^k down, and leaves its row list as it was.
+        rows = [list(row) for row in A.entries]
+        assert intlinalg._berkowitz(rows) == list(
+            reversed(char_poly(A).coefficients))
+        assert rows == [list(row) for row in A.entries]
+
+
 class TestPowerTraces:
     """Power traces of A and of every level wedge^i M, from M^n alone."""
 
@@ -408,16 +420,6 @@ class TestPowerTraces:
     @settings(max_examples=40, deadline=None)
     def test_wedge_traces_are_level_traces(self, M, N):
         assert intlinalg.wedge_traces(M, N) == wedge_reference(M, N)
-
-    @given(square_matrices(0, 5), st.integers(0, 15), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_level_limits(self, M, N, data):
-        # Level i reads its trace for n <= limits[i] and None beyond.
-        limits = data.draw(st.lists(st.integers(0, 16), min_size=M.rows + 1,
-                                    max_size=M.rows + 1))
-        assert intlinalg.wedge_traces(M, N, limits) == [
-            [t if n <= limit else None for t, limit in zip(traces, limits)]
-            for n, traces in enumerate(wedge_reference(M, N), start=1)]
 
     def test_singular_and_negative_determinant(self):
         for rows in ([[1, 2], [2, 4]],                  # singular, rank 1
@@ -429,6 +431,8 @@ class TestPowerTraces:
                      [[0, 0, 0, 0, 1], [1, 0, 0, 0, 3], [0, 1, 0, 0, 0],
                       [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]):  # det 1, k = 5
             M = IntMatrix(rows)
+            assert intlinalg._berkowitz(rows) == list(
+                reversed(char_poly(M).coefficients))
             traces = intlinalg.wedge_traces(M, 15)
             assert traces == wedge_reference(M, 15)
             assert all(t[-1] == det(M) ** n

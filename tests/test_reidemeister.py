@@ -472,9 +472,11 @@ class TestOracleSequence:
 
 class TestTraceSequence:
     def test_matches_single_iterates_on_catalog(self):
+        # N = 0 asks for no iterate, so there are no levels of M^1 to read.
         for P in product_catalog():
-            assert r_product_traces(P, 12) == [
-                r_product_trace(P, n) for n in range(1, 13)]
+            for N in (0, 12):
+                assert r_product_traces(P, N) == [
+                    r_product_trace(P, n) for n in range(1, N + 1)]
 
     def test_first_infinite_iterate_raises(self):
         # M = -1: det(I - M) = 2 but det(I - M^2) = 0

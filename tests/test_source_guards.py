@@ -152,20 +152,51 @@ def transformed(L, A):
                                        follow_operators=False)
 
 
+def _intlinalg_functions() -> set[str]:
+    """The names of the module-level functions of ``intlinalg``."""
+    tree = ast.parse((PACKAGE / "intlinalg.py").read_text(encoding="utf-8"))
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _reached_through_intlinalg(module: str, function: str) -> set[str]:
+    """``_reached_names`` of the function, together with the names reached
+    within ``intlinalg`` from each module-level function of it that the
+    function names: the kernels a route calls, followed one module down."""
+    reached = _reached_names(module, function)
+    for name in reached & _intlinalg_functions():
+        reached |= _reached_names("intlinalg", name)
+    return reached
+
+
 def test_closed_form_and_trace_route_stay_apart():
-    # The closed form is built from power sums of one characteristic
-    # polynomial; the signed trace reads the traces of the factors
-    # wedge^i M and B of the blocks kron(wedge^i M, B) off the principal
-    # minors of M^n and the powers of B.  Were the closed form to reach
-    # those kernels, or the trace route the formula's determinants and
-    # counts, neither would check the other independently.
+    # The closed form is built from power sums of one Faddeev-LeVerrier
+    # characteristic polynomial of M; the signed trace reads the traces of
+    # the factors wedge^i M and B of the blocks kron(wedge^i M, B) off a
+    # division-free characteristic polynomial of each M^n and the powers of
+    # B, and its cyclotomic test and sign counts off that of M^1.  Were the
+    # closed form to reach those kernels, or the trace route the closed
+    # form's polynomial or the formula's determinants and counts, neither
+    # would check the other independently.
     factors = {"wedge_traces", "power_traces", "class_function_matrix"}
-    traces = _reached_names("reidemeister", "r_product_traces")
-    assert factors <= traces
-    assert not {"det", "_lattice_count", "r_finite",
-                "r_product_counts"} & traces
-    assert not ({"kron", "exterior_power"} | factors) & _reached_names(
-        "zeta", "zeta_product")
+    traces = _reached_through_intlinalg("reidemeister", "r_product_traces")
+    assert factors | {"_berkowitz"} <= traces
+    assert not {"det", "det_rows", "_lattice_count", "r_finite",
+                "r_product_counts", "char_poly"} & traces
+    closed = _reached_through_intlinalg("zeta", "zeta_product")
+    assert "char_poly" in closed
+    assert not ({"kron", "exterior_power", "_berkowitz"} | factors) & closed
+
+
+def test_level_kernel_reads_no_other_polynomial():
+    # The levels come from Berkowitz's recursion alone: Faddeev-LeVerrier,
+    # the closed form's Newton steps or an elimination inside it would
+    # hand the trace and dual routes a kernel of another route.
+    for function in ("_berkowitz", "wedge_traces"):
+        reached = _reached_names("intlinalg", function)
+        assert not {"char_poly", "_power_sums", "_from_power_sums",
+                    "det", "det_rows"} & reached, function
+    assert "_berkowitz" in _reached_names("intlinalg", "wedge_traces")
 
 
 def test_image_lengths_and_ring_products_stay_apart():
@@ -304,9 +335,9 @@ def test_torsion_routes_stay_apart():
     # The closed-form route evaluates zeta_product, built from the power
     # sums of char_poly(M) and the fixed-class counts; the Lefschetz route
     # builds each det(I - (wedge^i M (x) B) z) by its own Newton step from
-    # the principal minors of M^m and the power traces of B.  Were either
-    # to reach the other's construction, the identity that compares them
-    # would check a route against itself.
+    # the levels of M^m, read off Berkowitz polynomials, and the power
+    # traces of B.  Were either to reach the other's construction, the
+    # identity that compares them would check a route against itself.
     blocks = {"class_function_matrix", "kron", "exterior_power",
               "lefschetz_zeta", "_alternating_product", "wedge_traces",
               "power_traces", "_factor_from_traces"}
@@ -317,6 +348,9 @@ def test_torsion_routes_stay_apart():
     assert "zeta_product" in _reached_names("zeta", "torsion_special_value")
     assert not power_sums & _reached_names("zeta", "torsion_via_lefschetz")
     assert dual <= _reached_names("zeta", "torsion_via_lefschetz")
+    lefschetz = _reached_through_intlinalg("zeta", "dual_lefschetz_zeta")
+    assert "_berkowitz" in lefschetz
+    assert not {"char_poly", "det", "det_rows"} & lefschetz
 
 
 def test_only_the_identities_merge_by_exponents():

@@ -38,7 +38,7 @@ from twistedzeta.errors import (
     PoleAtEvaluation,
     ZeroDeterminant,
 )
-from twistedzeta import intlinalg, zeta
+from twistedzeta import intlinalg, reidemeister, zeta
 from twistedzeta.zeta import (
     check_all_iterates_finite,
     dual_lefschetz_zeta,
@@ -543,23 +543,25 @@ class TestDualFromPowerTraces:
         assert det(P)
         assert dual_lefschetz_zeta(P).factors == block_dual(P).factors
 
-    def test_minors_only_up_to_each_level_dimension(self, monkeypatch):
-        # Level i needs tr wedge^i(M^m) for m <= C(k, i) c only: C(k, i)
-        # principal minors for each of C(k, i) c powers, and none for the
-        # levels 0 and 1, which are 1 and tr M^m.  At k = 8, c = 1 that is
-        # 12,870 minors counting the empty and the 1 x 1 ones (12,805 by
-        # elimination), where every level to the largest dimension took
-        # 17,920.
-        calls = []
-        det_rows = intlinalg.det_rows
-        monkeypatch.setattr(intlinalg, "det_rows",
-                            lambda rows: calls.append(1) or det_rows(rows))
-        for P in [*product_catalog(), *wide_products()]:
-            calls.clear()
+    def test_one_polynomial_per_power_and_no_minor(self, monkeypatch):
+        # One characteristic polynomial of M^m gives every level of m, and
+        # m runs to the largest level dimension D = max_i C(k, i) c: D
+        # polynomials and no determinant.
+        products = [*product_catalog(), *wide_products()]
+        calls, dets = [], []
+        berkowitz = intlinalg._berkowitz
+        monkeypatch.setattr(intlinalg, "_berkowitz",
+                            lambda rows: calls.append(1) or berkowitz(rows))
+        for module in (intlinalg, reidemeister):
+            monkeypatch.setattr(module, "det_rows",
+                                lambda rows: dets.append(1))
+        for P in products:
             c = P.F.conjugacy_classes.num_classes
+            calls.clear()
             dual_lefschetz_zeta(P)
-            assert len(calls) == sum(comb(P.k, i) ** 2 * c
-                                     for i in range(2, P.k + 1)), P
+            assert len(calls) == max(comb(P.k, i) * c
+                                     for i in range(P.k + 1)), P
+            assert dets == [], P
 
     def test_forms_no_block(self, monkeypatch):
         # Only M and B are multiplied, and no characteristic polynomial is
