@@ -4,7 +4,8 @@ signed exterior/class trace, and the Smith coset count times the exhaustive
 twisted-class count of F.  The trace route reads Tr (wedge^i M)^n off one
 division-free characteristic polynomial of M^n and Tr B^n from the powers
 of the class matrix B, so it forms no exterior power and no Kronecker
-block, and takes no determinant.  A finite group is the case k = 0 and a
+block, and takes no determinant.  Each route decides from its own numbers
+where an iterate is infinite.  A finite group is the case k = 0 and a
 lattice the case F = 1; ``r_finite`` and ``class_function_matrix`` are the
 F-factors of the formula and trace routes.
 """
@@ -26,13 +27,11 @@ from .groups import (
 )
 from .intlinalg import (
     IntMatrix,
-    IntPolynomial,
     char_poly,
     count_eigen_signs,
     det,
     det_rows,
     exterior_power,
-    first_cyclotomic_factor,
     mat_pow,
     power_traces,
     row_powers,
@@ -67,8 +66,8 @@ def class_function_matrix(G: FiniteGroup, phi: GroupEndomorphism) -> IntMatrix:
 
 
 def r_abelian(M: IntMatrix) -> int:
-    """|det(I - M)|, the twisted class count on Z^k: a test reference, and
-    the coset count of the CLI's product oracle gate."""
+    """|det(I - M)|, the twisted class count on Z^k: a test reference with
+    no CLI caller, pinned by the benchmark's per-layer table."""
     d = det(IntMatrix.identity(M.rows) - M)
     if d == 0:
         raise InfiniteReidemeister("det(I - M) = 0", n=1)
@@ -185,8 +184,11 @@ def r_product_counts(P: ProductEndomorphism, N: int) -> list[int]:
 def _signed_trace(p: int, r: int, n: int, level_traces: list[int],
                   fixed: int) -> int:
     """(-1)^(r+p*n) sum_i (-1)^i level_traces[i] times fixed, for the
-    traces Tr (wedge^i M)^n and fixed = Tr B^n."""
+    traces Tr (wedge^i M)^n and fixed = Tr B^n; the level sum is
+    det(I - M^n), and where it is 0 the iterate is infinite."""
     total = sum((-1) ** i * t for i, t in enumerate(level_traces))
+    if total == 0:
+        raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
     return (-1) ** ((r + p * n) % 2) * total * fixed
 
 
@@ -207,22 +209,20 @@ def r_product_traces(P: ProductEndomorphism, N: int) -> list[int]:
     """``[r_product_trace(P, n) for n in 1..N]`` from power traces.
 
     A trace of a Kronecker product splits, Tr (X (x) Y)^n = Tr X^n Tr Y^n,
-    and ``wedge_traces`` reads every Tr (wedge^i M)^n off one characteristic
-    polynomial of M^n, so an iterate costs one k x k and one c x c product,
-    for c classes, and that polynomial: no level, block or I - M^n is
-    formed.  Every iterate is checked finite first: the first cyclotomic
-    factor of cp = det(xI - M) = sum_i (-1)^i e_i x^(k-i), from the levels
-    of n = 1, is the first n with det(I - M^n) = 0; cp also gives the sign
-    counts (p, r).
+    and ``wedge_traces`` reads every Tr (wedge^i M)^n = e_i(M^n) off one
+    characteristic polynomial of M^n, so an iterate costs one k x k and one
+    c x c product, for c classes, and that polynomial: no level, block or
+    I - M^n is formed; the first n whose level sum det(I - M^n) is 0
+    raises.  The sign needs only the parities of (p, r): from the levels of
+    n = 1, det(I + M) = sum_i e_i(M) < 0 exactly when p is odd and
+    det(I - M) < 0 exactly when r - p is.  p signs even n only, and an
+    eigenvalue -1, which leaves it undecided, makes det(I - M^2) = 0.
     """
     if N < 1:
         return []
     wedges = wedge_traces(P.M, N)
-    cp = IntPolynomial([(-1) ** i * e for i, e in enumerate(wedges[0])][::-1])
-    n = first_cyclotomic_factor(cp)
-    if n is not None and n <= N:
-        raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
-    p, r = count_eigen_signs(cp)
+    p = int(sum(wedges[0]) < 0)
+    r = p + (sum((-1) ** i * e for i, e in enumerate(wedges[0])) < 0)
     fixed = power_traces(class_function_matrix(P.F, P.phiF), N)
     return [_signed_trace(p, r, n, levels, f)
             for n, (levels, f) in enumerate(zip(wedges, fixed), start=1)]
@@ -244,30 +244,32 @@ def r_product_oracle(P: ProductEndomorphism, n: int = 1) -> int:
 
 
 def r_product_oracles(P: ProductEndomorphism, N: int,
-                      gate=None) -> list[int | None]:
+                      cap: int | None = None) -> list[int | None]:
     """``[r_product_oracle(P, n) for n in 1..N]`` on one ladder of the
     oracle's own iterates, M^n = M^(n-1) M and phi_F^n = phi_F phi_F^(n-1),
-    apart from the formula's row powers.  A gate, when given, reads the
-    same ladder: the entry is None where ``gate(M^n)`` is false.  phi_F^n
-    is eventually periodic, so the twisted classes of each distinct
-    phi_F^n are enumerated once."""
+    apart from the formula's row powers.  Given a cap, the entry is None
+    where the oracle's own coset count times |F| exceeds it.  phi_F^n is
+    eventually periodic, so the twisted classes of each distinct phi_F^n
+    are enumerated once."""
     power, phin, classes, counts = P.M, P.phiF, {}, []
     for n in range(1, N + 1):
         if n > 1:
             power, phin = power @ P.M, P.phiF.compose(phin)
-        counts.append(_oracle_count(P, n, power, phin, classes)
-                      if gate is None or gate(power) else None)
+        counts.append(_oracle_count(P, n, power, phin, classes, cap))
     return counts
 
 
 def _oracle_count(P: ProductEndomorphism, n: int, power: IntMatrix,
-                  phin: GroupEndomorphism, classes: dict) -> int:
-    """The oracle's count for the n-th iterate from M^n and phi_F^n;
-    classes maps each phi_F^n table enumerated so far to its class
-    count."""
+                  phin: GroupEndomorphism, classes: dict,
+                  cap: int | None = None) -> int | None:
+    """The oracle's count for the n-th iterate from M^n and phi_F^n, or
+    None where the coset count times |F| exceeds the cap; classes maps
+    each phi_F^n table enumerated so far to its class count."""
     cosets = math.prod(smith_normal_form(IntMatrix.identity(P.k) - power))
     if cosets == 0:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
+    if cap is not None and cosets * P.F.order > cap:
+        return None
     if phin.image not in classes:
         classes[phin.image] = phi_conjugacy_classes(P.F, phin).num_classes
     return cosets * classes[phin.image]

@@ -152,13 +152,14 @@ def _reject_roots_of_unity(cp: IntPolynomial) -> None:
 
 
 def check_all_iterates_finite(M: IntMatrix) -> None:
-    """Reject matrices with a root-of-unity eigenvalue.
+    """Reject matrices with a root-of-unity eigenvalue: a test reference
+    with no CLI caller, pinned by the benchmark's per-layer table.
 
-    Such an eigenvalue makes det(I - M^n) = 0 for some n, i.e. an infinite
-    class count, and the zeta function does not exist.  A degree-k integer
-    matrix can only have roots of unity of order n with phi(n) <= k, so
-    testing char_poly(M) against those cyclotomic polynomials is finite and
-    exact; the error carries the first such n.
+    Such an eigenvalue makes det(I - M^n) = 0 for some n, an infinite class
+    count, and the zeta function does not exist.  A degree-k integer matrix
+    can only have roots of unity of order n with phi(n) <= k, so testing
+    char_poly(M) against those cyclotomic polynomials is finite and exact;
+    the error carries the first such n.
     """
     _reject_roots_of_unity(char_poly(M))
 
@@ -332,7 +333,6 @@ def congruence_check(counts: list[int]) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class FunctionalEquation:
-    is_constant: bool
     epsilon: Fraction
     exponent: int
 
@@ -373,7 +373,7 @@ def functional_equation_check(
             (poly, (-1) ** k * e) for poly, e in rf.factors):
         raise NotConstant("the substituted factors are not those of "
                           f"R(z)^{(-1) ** k}")
-    return FunctionalEquation(True, epsilon, (-1) ** k)
+    return FunctionalEquation(epsilon, (-1) ** k)
 
 
 # -- torsion special value -----------------------------------------------------

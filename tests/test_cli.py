@@ -444,6 +444,16 @@ class TestMainExitCodes:
             assert main([verb, path]) == 3, verb
         assert "det(I - M^2) = 0" in capsys.readouterr().err
 
+    def test_infinite_iterate_past_the_order_is_3(self, tmp_path, capsys):
+        # At order 1 every count route is finite; the zeta section's closed
+        # form still rejects n = 2
+        path = write_doc(tmp_path, {"kind": "abelian", "matrix": [[-1]]})
+        assert main(["compute", path, "--order", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: infinite class count: "
+                                "det(I - M^2) = 0\n")
+
     def test_oracle_disagreement_is_4(self, capsys, monkeypatch):
         # counts R_1 = 1, R_2 = 0 make exp(sum R_n/n z^n) non-integral
         monkeypatch.setattr("twistedzeta.cli.r_product_counts",

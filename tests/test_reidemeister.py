@@ -435,21 +435,17 @@ class TestOracleSequence:
                 r_product_oracles(P, N)
             assert (info.value.n, str(info.value)) == error
 
-    def test_gate_reads_the_ladder(self):
-        # the gate sees M^n for n = 1..N in turn, and a closed gate leaves
-        # None where the count would be
+    def test_cap_reads_the_oracle_coset_counts(self):
+        # |det(I - M^n)| = 1, 1, 7, 9, 31 for n = 1..5 and |F| = 6: a cap
+        # of 42 admits n = 1..3, the last at the cap itself, and leaves
+        # None where the count would be for n = 4, 5
         C6, doubling = cyclic6_doubling()
         M = IntMatrix([[0, 2], [1, 0]])
         P = ProductEndomorphism(M, (1, 1), doubling, C6)
-        seen = []
-
-        def gate(power):
-            seen.append(power)
-            return len(seen) % 2 == 1
-
-        counts = r_product_oracles(P, 5, gate)
-        assert seen == [mat_pow(M, n) for n in range(1, 6)]
-        assert counts == [r_product_oracle(P, n) if n % 2 else None
+        assert [abs(det(IntMatrix.identity(2) - mat_pow(M, n)))
+                for n in range(1, 6)] == [1, 1, 7, 9, 31]
+        counts = r_product_oracles(P, 5, 42)
+        assert counts == [r_product_oracle(P, n) if n <= 3 else None
                           for n in range(1, 6)]
 
     def test_each_distinct_iterate_is_enumerated_once(self, monkeypatch):
@@ -484,6 +480,12 @@ class TestTraceSequence:
         with pytest.raises(InfiniteReidemeister) as info:
             r_product_traces(P, 2)
         assert info.value.n == 2
+
+    def test_an_eigenvalue_minus_one_signs_the_first_iterate(self):
+        # The sign of n = 1 is that of det(I - M) alone; det(I + M) = 0
+        # would sign only the even n, which are infinite.
+        P = ProductEndomorphism.from_matrix(IntMatrix([[-1]]))
+        assert r_product_traces(P, 1) == r_product_counts(P, 1) == [2]
 
 
 def block_traces(P, N):

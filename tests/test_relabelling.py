@@ -26,6 +26,9 @@ from ``timing_seconds`` and the echoed ``inputs``.
 of the Jacobians J(phi^n), so those of phi^2 are every second one of
 phi's.  Each seed-0 ``free`` document outside the frontier is squared, its
 images reduced by this module's own reducer, and both reports must agree.
+On Z^k x F, phi^2 is (v, f) -> (M^2 v, psi(M v) phi_F(psi(v)) phi_F^2(f)),
+so R_n(phi^2) = R_2n(phi): each seed-0 ``product`` document is squared
+and its counts must be every second count of the document's.
 
 Nothing under ``perfbench/`` is written.
 """
@@ -39,7 +42,11 @@ from pathlib import Path
 
 import pytest
 
-from twistedzeta import cli, group_from_permutations
+from twistedzeta import (
+    cli,
+    endo_from_generator_images,
+    group_from_permutations,
+)
 from twistedzeta.intlinalg import IntMatrix, unimodular_inverse
 
 from catalog import elementary_product
@@ -88,11 +95,11 @@ def relabelled(body: dict, rng: random.Random) -> dict:
     return body
 
 
-def _compute(body: dict, path: Path):
+def _compute(body: dict, path: Path, *options: str):
     path.write_text(json.dumps(body))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["compute", str(path)])
+        code = cli.main(["compute", str(path), *options])
     report = json.loads(out.getvalue()) if code in (0, 4) else None
     if report is not None:
         del report["timing_seconds"], report["inputs"]
@@ -186,3 +193,43 @@ def test_square_has_every_second_power_norm(tmp_path):
             assert entry in (None, norm), doc.ident
         ring_entries += sum(entry is not None for entry in ring)
     assert ring_entries
+
+
+def product_squared(body: dict) -> dict:
+    """The document of phi^2 for a product document: the matrix M^2, the
+    images phi_F^2(s) of the generators s, and psi_2(e_j) =
+    psi(M e_j) phi_F(psi(e_j)), where psi(M e_j) = prod_i psi(e_i)^M_ij."""
+    M = IntMatrix(body["matrix"])
+    finite = body["finite"]
+    gens = [tuple(p) for p in finite["generators"]]
+    F = group_from_permutations(finite["degree"], gens)
+    phi = endo_from_generator_images(
+        F, [F.index[tuple(q)] for q in finite.get("endo_images", gens)])
+    psi = body.get("psi", [F.identity] * M.rows)
+    psi2 = []
+    for j in range(M.rows):
+        image = phi(psi[j])
+        for i in range(M.rows):
+            image = F.mult[F.power(psi[i], M.entries[i][j])][image]
+        psi2.append(image)
+    return dict(body, matrix=[list(row) for row in (M @ M).entries],
+                psi=psi2,
+                finite=dict(finite, endo_images=[
+                    list(F.perms[phi(phi(F.index[s]))]) for s in gens]))
+
+
+def test_square_has_every_second_count(tmp_path):
+    moved_psi = 0
+    for doc in _documents("product"):
+        body = product_squared(doc.body)
+        code, phi, err = _compute(doc.body, tmp_path / "phi.json",
+                                  "--order", "24")
+        assert code == 0, (doc.ident, err)
+        code, square, err = _compute(body, tmp_path / "square.json",
+                                     "--order", "12")
+        assert code == 0, (doc.ident, err)
+        for label in ("product_formula", "signed_trace"):
+            assert (square["counts"][label]
+                    == phi["counts"][label][1::2]), doc.ident
+        moved_psi += body["psi"] != doc.body["psi"]
+    assert moved_psi

@@ -8,6 +8,41 @@ import twistedzeta
 PACKAGE = Path(twistedzeta.__file__).resolve().parent
 
 
+def _unread_imports(source: str) -> set[str]:
+    """The names a module's imports bind that the module never reads;
+    ``from __future__`` imports bind no name."""
+    tree = ast.parse(source)
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+
+
+def test_unread_imports_are_found():
+    source = """
+from __future__ import annotations
+import os.path
+from .m import a, b as c, d
+
+def f(x: a) -> None:
+    return os.path.join(c, x)
+"""
+    assert _unread_imports(source) == {"d"}
+
+
+def test_every_import_is_read():
+    # A name imported and never read is a dependency no code has: it makes
+    # a module look as if it leant on a kernel it no longer calls.  The
+    # package's __init__ imports its exports, which it reads nowhere.
+    unread = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              and (names := _unread_imports(path.read_text(encoding="utf-8")))}
+    assert unread == {}
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so a check written as one
     # silently stops running; every check must raise explicitly.
@@ -159,30 +194,40 @@ def _intlinalg_functions() -> set[str]:
             if isinstance(node, ast.FunctionDef)}
 
 
-def _reached_through_intlinalg(module: str, function: str) -> set[str]:
+def _reached_through_intlinalg(module: str, function: str,
+                               follow_operators: bool = True) -> set[str]:
     """``_reached_names`` of the function, together with the names reached
     within ``intlinalg`` from each module-level function of it that the
-    function names: the kernels a route calls, followed one module down."""
+    function names: the kernels a route calls, followed one module down,
+    their operators followed as ``follow_operators`` says."""
     reached = _reached_names(module, function)
     for name in reached & _intlinalg_functions():
-        reached |= _reached_names("intlinalg", name)
+        reached |= _reached_names("intlinalg", name, follow_operators)
     return reached
 
 
 def test_closed_form_and_trace_route_stay_apart():
     # The closed form is built from power sums of one Faddeev-LeVerrier
-    # characteristic polynomial of M; the signed trace reads the traces of
-    # the factors wedge^i M and B of the blocks kron(wedge^i M, B) off a
+    # characteristic polynomial of M, and its cyclotomic test and Sturm
+    # sign counts run on that polynomial; the signed trace reads the traces
+    # of the factors wedge^i M and B of the blocks kron(wedge^i M, B) off a
     # division-free characteristic polynomial of each M^n and the powers of
-    # B, and its cyclotomic test and sign counts off that of M^1.  Were the
-    # closed form to reach those kernels, or the trace route the closed
-    # form's polynomial or the formula's determinants and counts, neither
-    # would check the other independently.
+    # B, and its infinite iterates and sign parities off its own level
+    # sums.  Were the closed form to reach those kernels, or the trace
+    # route the closed form's polynomial, root facts or the formula's
+    # determinants and counts, neither would check the other independently.
     factors = {"wedge_traces", "power_traces", "class_function_matrix"}
     traces = _reached_through_intlinalg("reidemeister", "r_product_traces")
     assert factors | {"_berkowitz"} <= traces
+    root_facts = {"char_poly", "count_eigen_signs",
+                  "first_cyclotomic_factor", "cyclotomic", "_sturm_sequence"}
     assert not {"det", "det_rows", "_lattice_count", "r_finite",
-                "r_product_counts", "char_poly"} & traces
+                "r_product_counts"} & traces
+    assert not root_facts & traces
+    # The level kernels' operators act on ints: followed, they would name
+    # the polynomial type through its own operator methods.
+    assert not (root_facts | {"IntPolynomial"}) & _reached_through_intlinalg(
+        "reidemeister", "r_product_traces", follow_operators=False)
     closed = _reached_through_intlinalg("zeta", "zeta_product")
     assert "char_poly" in closed
     assert not ({"kron", "exterior_power", "_berkowitz"} | factors) & closed
@@ -301,19 +346,23 @@ def test_product_oracle_counts_without_the_formula():
     # of F; a determinant, the fixed-class count or the class partition
     # would be the product formula's own factors, and the row powers and
     # row-list determinant its kernels.  The ladder for n = 1..N keeps to
-    # the same: the CLI's size gate, which takes a determinant, is handed
-    # in from outside the module.
+    # the same: its size cap reads the Smith coset count it multiplies.
     formula = {"det", "_lattice_count", "r_finite", "class_function_matrix",
                "conjugacy_classes", "r_product_counts", "det_rows",
                "row_powers"}
     for route in ("r_product_oracle", "r_product_oracles"):
-        assert not formula & _reached_names("reidemeister", route), route
+        reached = _reached_names("reidemeister", route)
+        assert "smith_normal_form" in reached, route
+        assert not formula & reached, route
 
 
 def test_one_counts_section_for_every_product_kind():
     # finite documents are Z^0 x F and abelian ones Z^k x 1, so all three
     # kinds count by the product routes; a per-kind route next to them
-    # would be a second path that the product guards do not see.
+    # would be a second path that the product guards do not see.  Each
+    # route decides its infinite iterates and the oracle's cap from its
+    # own numbers: a shared pre-check or a determinant here would decide
+    # for all three.
     from twistedzeta import cli
     assert {cli._SECTIONS[kind]["counts"]
             for kind in ("finite", "abelian", "product")} == {cli._counts}
@@ -321,7 +370,9 @@ def test_one_counts_section_for_every_product_kind():
     assert {"r_product_counts", "r_product_traces",
             "r_product_oracles"} <= counts
     assert not {"r_abelian_smith", "r_abelian_trace", "r_finite",
-                "class_function_matrix", "phi_conjugacy_classes"} & counts
+                "class_function_matrix", "phi_conjugacy_classes",
+                "check_all_iterates_finite", "r_abelian", "det",
+                "det_rows"} & counts
 
 
 def test_bounds_decide_without_floats():

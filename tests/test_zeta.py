@@ -311,7 +311,6 @@ class TestMobiusAndCongruences:
 class TestFunctionalEquation:
     def test_doubling_minus(self):
         fe = functional_equation_check(IntMatrix([[-2]]))
-        assert fe.is_constant
         assert fe.epsilon == Fraction(-1, 2)
         assert fe.exponent == -1
 
@@ -327,7 +326,6 @@ class TestFunctionalEquation:
             except (ZeroDeterminant, InfiniteReidemeister,
                     EigenvalueOnBoundary):
                 continue
-            assert fe.is_constant
             assert fe.exponent == (-1) ** k
             done += 1
 
