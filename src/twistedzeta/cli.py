@@ -88,13 +88,36 @@ NORM_ORACLE_TERM_CAP = 4096  # max terms of P_n for the ring-product oracle
 
 @dataclass
 class ProblemDocument:
+    """A validated document.  ``product`` is the map of Z^k x F of every
+    kind but ``free``, and ``endo`` the free-group map; an unset
+    ``congruence_range`` (None) follows ``order``.  What several sections
+    read is a cached property, built on first use from the fields as they
+    then stand, so ``order`` must be final before any section runs:
+    ``main`` applies ``--order`` first.
+    """
     kind: str
     payload: dict
     order: int = DEFAULT_ORDER
-    congruence_range: int = DEFAULT_ORDER
+    congruence_range: int | None = None
     torsion_angles: list[Fraction] = field(default_factory=list)
-    # validated domain objects, filled by parse_problem
-    objects: dict = field(default_factory=dict)
+    product: ProductEndomorphism | None = None
+    endo: FreeGroupEndo | None = None
+
+    @functools.cached_property
+    def formula_counts(self) -> list[int]:
+        return r_product_counts(self.product, self.order)
+
+    @functools.cached_property
+    def closed_form(self):
+        return zeta_product(self.product)
+
+    @functools.cached_property
+    def chain(self) -> list:
+        return chain_matrices(self.endo)
+
+    @functools.cached_property
+    def image_lengths(self) -> list[int]:  # the formula norms ||(zJ)^n||
+        return power_image_lengths(self.endo, 8)
 
 
 def _require(cond, message):
@@ -207,7 +230,8 @@ def parse_problem(text: str) -> ProblemDocument:
     if kind == "abelian" and not angles:
         angles = [Fraction(1, 2)]
 
-    doc = ProblemDocument(kind, raw, order, crange, angles)
+    doc = ProblemDocument(kind, raw, order,
+                          options.get("congruence_range"), angles)
 
     if kind == "free":
         rank = raw.get("rank")
@@ -221,12 +245,11 @@ def parse_problem(text: str) -> ProblemDocument:
             endo = FreeGroupEndo.from_strings(rank, images)
         except ValueError as exc:
             raise ValidationError(f"free: {exc}") from exc
-        doc.objects = {"endo": endo, "chain": chain_matrices(endo)}
+        doc.endo = endo
         return doc
 
     if kind == "finite":
-        F, phiF = _build_finite(raw)
-        P = ProductEndomorphism(IntMatrix([]), (), phiF, F)
+        P = _build_product({"matrix": [], "finite": raw})
     elif kind == "abelian":
         P = ProductEndomorphism.from_matrix(
             _int_matrix(raw.get("matrix"), "abelian"))
@@ -235,7 +258,7 @@ def parse_problem(text: str) -> ProblemDocument:
     if det(IntMatrix.identity(P.k) - P.M) == 0:
         raise ValidationError(
             f"{kind}: det(I - M) = 0, the class count is infinite")
-    doc.objects = {"product": P}
+    doc.product = P
     return doc
 
 
@@ -246,26 +269,9 @@ def serialize_factors(rf) -> list[dict]:
 
 # -- report sections -----------------------------------------------------------
 #
-# A section takes the document and the report so far, and returns its value
-# and whether its routes agree.  Congruences and the eventual image read the
-# formula counts, which the counts section builds first.
-
-def _closed_form(doc):
-    """The zeta closed form, built once per document: the zeta, torsion and
-    functional-equation sections all read it."""
-    if "closed_form" not in doc.objects:
-        doc.objects["closed_form"] = zeta_product(doc.objects["product"])
-    return doc.objects["closed_form"]
-
-
-def _formula_counts(doc) -> list[int]:
-    """``r_product_counts(P, order)``, built once per document and order:
-    the counts, congruences, eventual-image and zeta sections read it."""
-    key = ("formula_counts", doc.order)
-    if key not in doc.objects:
-        doc.objects[key] = r_product_counts(doc.objects["product"], doc.order)
-    return doc.objects[key]
-
+# A section takes the document alone and returns its value and whether its
+# routes agree; what several sections read is a cached property of the
+# document, so the sections run in any order.
 
 def _agrees(route: list, formula: list[int]) -> bool:
     """Every entry equals the formula's entry; a None entry is a skipped
@@ -284,53 +290,46 @@ _COUNT_LABELS = {
     "product": {"formula": "product_formula", "trace": "signed_trace",
                 "oracle": "enumeration_oracle"},
 }
-# The kinds whose oracle keeps the n <= 4 and ORACLE_SIZE_CAP gate.
-_GATED_ORACLE = ("product",)
 
 
-def _oracle_counts(P: ProductEndomorphism, N: int, gated: bool) -> list:
-    """The oracle counts for n = 1..N, None where the gate skips them; the
-    gate reads the oracle's own coset counts, apart from the formula's."""
-    if not gated:
-        return r_product_oracles(P, N)
-    head = min(N, 4)
-    return (r_product_oracles(P, head, ORACLE_SIZE_CAP)
-            + [None] * (N - head))
-
-
-def _counts(doc, report):
+def _counts(doc):
     """R(phi^n), n = 1..order, by the oracle, the formula and the signed
     trace, run in that order for every kind and labelled per kind; each
     entry is compared with the formula's.  Each route raises at the first
     n with det(I - M^n) = 0, from its own numbers."""
-    P, N = doc.objects["product"], doc.order
-    routes = {"oracle": _oracle_counts(P, N, doc.kind in _GATED_ORACLE),
-              "formula": _formula_counts(doc),
+    P, N = doc.product, doc.order
+    if doc.kind == "product":  # n <= 4, and None past ORACLE_SIZE_CAP
+        head = min(N, 4)
+        oracle = (r_product_oracles(P, head, ORACLE_SIZE_CAP)
+                  + [None] * (N - head))
+    else:
+        oracle = r_product_oracles(P, N)
+    routes = {"oracle": oracle, "formula": doc.formula_counts,
               "trace": r_product_traces(P, N)}
-    formula = routes["formula"]
     return ({label: routes[route]
              for route, label in _COUNT_LABELS[doc.kind].items()},
-            all(_agrees(counts, formula) for counts in routes.values()))
+            all(_agrees(counts, doc.formula_counts)
+                for counts in routes.values()))
 
 
-def _eventual_image(doc, report):
-    P = doc.objects["product"]
+def _eventual_image(doc):
+    P = doc.product
     H, phi_H, _ = eventual_image(P.F, P.phiF)
     count = phi_conjugacy_classes(H, phi_H).num_classes
     return ({"order": H.order, "count": count},
-            count == _formula_counts(doc)[0])
+            count == doc.formula_counts[0])
 
 
-def _congruences(doc, report):
-    counts = _formula_counts(doc)[: doc.congruence_range]
-    residues = congruence_check(counts)
+def _congruences(doc):
+    # an unset range, or one above a lowered --order, is the order
+    residues = congruence_check(doc.formula_counts[: doc.congruence_range])
     all_zero = all(r == 0 for _, r in residues)
     return {"residues": residues, "all_zero": all_zero}, all_zero
 
 
-def _zeta(doc, report):
-    rf = _closed_form(doc)
-    series = series_from_counts(_formula_counts(doc))
+def _zeta(doc):
+    rf = doc.closed_form
+    series = series_from_counts(doc.formula_counts)
     agree = expand_rational(rf, doc.order).coefficients == series.coefficients
     return {
         "factors": serialize_factors(rf),
@@ -346,10 +345,9 @@ def _zeta(doc, report):
     }, agree
 
 
-def _functional_equation(doc, report):
+def _functional_equation(doc):
     try:
-        feq = functional_equation_check(doc.objects["product"].M,
-                                        _closed_form(doc))
+        feq = functional_equation_check(doc.product.M, doc.closed_form)
     except ZeroDeterminant as exc:
         return {"skipped": str(exc)}, True
     except NotConstant as exc:
@@ -361,20 +359,20 @@ def _functional_equation(doc, report):
     }, True
 
 
-def _torsion(doc, report):
+def _torsion(doc):
     # A non-invertible map has no torsion, so its closed form is not built:
     # it need not exist.  One identity in Z[z] decides every angle; at a
     # pole neither route has a value, and past the float range neither
     # route's float is one.
     if not doc.torsion_angles:
         return [], True
-    P = doc.objects["product"]
+    P = doc.product
     try:
         check_invertible(P)
     except NonInvertible as exc:
         return [{"angle": str(t), "skipped": str(exc), "agree": True}
                 for t in doc.torsion_angles], True
-    rf, dual = _closed_form(doc), dual_lefschetz_zeta(P)
+    rf, dual = doc.closed_form, dual_lefschetz_zeta(P)
     agree = lefschetz_identity(rf, dual)
     entries = []
     for t in doc.torsion_angles:
@@ -391,10 +389,10 @@ def _torsion(doc, report):
     return entries, agree
 
 
-def _bounds(doc, report):
+def _bounds(doc):
     # The spectral bound is at least the norm bound when every Perron root
     # is at most the largest chain norm N: root <= N exactly when hi <= N 2^e.
-    bounds = chain_radius_bounds(doc.objects["chain"])
+    bounds = chain_radius_bounds(doc.chain)
     largest = max(bounds.chain_norms)
     return {
         "norm_bound": str(bounds.bound_norm),
@@ -403,20 +401,19 @@ def _bounds(doc, report):
     }, all(hi <= largest << e for _, hi, e in bounds.spectral_brackets)
 
 
-def _twisted_power_norms(doc, report):
-    # The formula route; the power_norm_oracle section that follows checks it.
-    return power_image_lengths(doc.objects["endo"], 8), True
+def _twisted_power_norms(doc):
+    # The formula route; the power_norm_oracle section checks it.
+    return doc.image_lengths, True
 
 
-def _power_norm_oracle(doc, report):
+def _power_norm_oracle(doc):
     """||(zJ)^n|| from the ring products P_n = J(phi^n), null from the first
     n whose formula norm exceeds the cap: that norm is the term count of P_n.
     """
-    formula = report["twisted_power_norms"]
+    formula = doc.image_lengths
     fits = next((i for i, norm in enumerate(formula)
                  if norm > NORM_ORACLE_TERM_CAP), len(formula))
-    ring = (twisted_power_norms(doc.objects["endo"], doc.objects["chain"][1],
-                                fits) if fits else [])
+    ring = twisted_power_norms(doc.endo, doc.chain[1], fits) if fits else []
     ring += [None] * (len(formula) - fits)
     return ({"ring_product": ring, "term_cap": NORM_ORACLE_TERM_CAP},
             _agrees(ring, formula))
@@ -447,7 +444,7 @@ def _report(doc: ProblemDocument, wanted) -> dict:
     report = {"kind": doc.kind}
     agree = []
     for name in wanted:
-        report[name], ok = sections[name](doc, report)
+        report[name], ok = sections[name](doc)
         agree.append(ok)
     report["agreement"] = all(agree)
     return report
@@ -533,7 +530,6 @@ def main(argv=None) -> int:
         if args.order is not None:
             _require(args.order >= 1, "'--order' must be >= 1")
             doc.order = args.order
-            doc.congruence_range = min(doc.congruence_range, args.order)
         if args.verb == "torsion" and not doc.torsion_angles:
             doc.torsion_angles = [Fraction(1, 2)]
 

@@ -16,6 +16,7 @@ from twistedzeta import (
     GroupRingElement,
     IntMatrix,
     ProductEndomorphism,
+    chain_radius_bounds,
     class_function_matrix,
     congruence_check,
     det,
@@ -25,23 +26,20 @@ from twistedzeta import (
     free_reduce,
     functional_equation_check,
     iterate_endo,
-    nielsen_radius_bounds,
-    r_abelian,
     phi_conjugacy_classes,
-    r_abelian_smith,
-    r_abelian_trace,
     r_finite,
-    r_product,
-    r_product_oracle,
-    r_product_trace,
+    r_product_counts,
+    r_product_oracles,
+    r_product_traces,
     zeta_product,
-    zeta_series_oracle,
 )
 from twistedzeta.errors import (
     EigenvalueOnBoundary,
     InfiniteReidemeister,
     PoleAtEvaluation,
 )
+from twistedzeta.fox import chain_matrices
+from twistedzeta.zeta import series_from_counts
 
 from catalog import (
     catalog_with_endos,
@@ -98,12 +96,13 @@ def test_abelian_three_way():
         k = rng.randint(1, 4)
         M = IntMatrix([[rng.randint(-5, 5) for _ in range(k)]
                        for _ in range(k)])
+        P = ProductEndomorphism.from_matrix(M)
         try:
-            a = r_abelian(M)
-            c = r_abelian_trace(M)
-        except (InfiniteReidemeister, EigenvalueOnBoundary):
+            a = r_product_counts(P, 1)
+        except InfiniteReidemeister:
             continue
-        b = r_abelian_smith(M)
+        b = r_product_oracles(P, 1)
+        c = r_product_traces(P, 1)
         assert a == b == c, M
         done += 1
 
@@ -114,19 +113,19 @@ def test_product_three_way():
     cases = random_product_endomorphisms(50, rng)
     assert len(cases) == 50
     for P in cases:
-        for n in range(1, 5):
-            a = r_product(P, n)
-            b = r_product_oracle(P, n)
-            c = r_product_trace(P, n)
-            assert a == b == c, (P.M, P.psi, n)
+        a = r_product_counts(P, 4)
+        b = r_product_oracles(P, 4)
+        c = r_product_traces(P, 4)
+        assert a == b == c, (P.M, P.psi)
 
 
 @criterion(4, "zeta closed form equals series definition to order 12", 30)
 def test_zeta_rationality():
     for P in product_catalog():
         rf = zeta_product(P)
+        series = series_from_counts(r_product_counts(P, 12))
         assert (expand_rational(rf, 12).coefficients
-                == zeta_series_oracle(P, 12).coefficients), str(rf)
+                == series.coefficients), str(rf)
     # the doubled-and-flipped circle map: (1 + z) / (1 - 2z)
     rf = zeta_product(ProductEndomorphism.from_matrix(IntMatrix([[-2]])))
     factors = {tuple(p.coefficients): e for p, e in rf.factors}
@@ -140,7 +139,7 @@ def test_congruences():
             counts = [r_finite(G, iterate_endo(phi, n)) for n in range(1, 13)]
             assert all(res == 0 for _, res in congruence_check(counts)), name
     for P in product_catalog():
-        counts = [r_product(P, n) for n in range(1, 13)]
+        counts = r_product_counts(P, 12)
         assert all(res == 0 for _, res in congruence_check(counts))
 
 
@@ -212,7 +211,7 @@ def test_fox_suite():
         assert total == GroupRingElement({w: 1}) - GroupRingElement.one()
 
     phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
-    bounds = nielsen_radius_bounds(phi)
+    bounds = chain_radius_bounds(chain_matrices(phi))
     assert bounds.bound_norm == Fraction(1, 3)
     golden = (1 + math.sqrt(5)) / 2
     assert abs(bounds.bound_spectral - 1 / golden) < 1e-9
@@ -225,7 +224,8 @@ def test_fox_suite():
             letters = [rng.choice([1, -1]) * rng.randint(1, rank)
                        for _ in range(rng.randint(0, 6))]
             images.append(free_reduce(as_word(letters)))
-        b = nielsen_radius_bounds(FreeGroupEndo(rank, tuple(images)))
+        b = chain_radius_bounds(chain_matrices(
+            FreeGroupEndo(rank, tuple(images))))
         assert b.bound_spectral >= float(b.bound_norm) - 1e-12
 
 

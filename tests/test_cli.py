@@ -101,14 +101,14 @@ class TestParsing:
     def test_no_generators_close_on_one_point(self):
         # the declared degree allocates nothing: the group is trivial
         doc = {"kind": "finite", "degree": 10 ** 6, "generators": []}
-        assert parse_problem(json.dumps(doc)).objects["product"].F.perms == (
+        assert parse_problem(json.dumps(doc)).product.F.perms == (
             (0,),)
 
     def test_default_endo_is_identity(self):
         doc = {"kind": "finite", "degree": 4,
                "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]}
         parsed = parse_problem(json.dumps(doc))
-        phi = parsed.objects["product"].phiF
+        phi = parsed.product.phiF
         assert phi.image == tuple(range(4))
 
     def test_options_round_trip(self):
@@ -284,6 +284,21 @@ class TestReports:
         assert bounds["norm_bound"] == "1/3"
         assert bounds["spectral_bound"] == pytest.approx(0.6180339887, rel=1e-9)
 
+    @pytest.mark.parametrize("body", [KLEIN_SWAP, ABELIAN_MINUS_TWO,
+                                      PRODUCT_DOC, FREE_DOC],
+                             ids=lambda body: body["kind"])
+    def test_sections_run_in_any_order(self, body):
+        # Each section reads the parsed document alone, so the sections run
+        # backwards on a fresh parse give what ``run`` gives.
+        full = run(parse_problem(json.dumps(body)))
+        sections = list(cli._SECTIONS[body["kind"]])
+        backwards = cli._report(parse_problem(json.dumps(body)),
+                                reversed(sections))
+        assert list(backwards) == ["kind", *reversed(sections), "agreement"]
+        for name in sections:
+            assert backwards[name] == full[name], name
+        assert backwards["agreement"] is full["agreement"] is True
+
 
 class TestOneCountEngine:
     """finite is Z^0 x F, abelian is Z^k x 1: all three kinds run one counts
@@ -430,6 +445,18 @@ class TestMainExitCodes:
         residues = json.loads(capsys.readouterr().out)["congruences"][
             "residues"]
         assert [n for n, _ in residues] == [1, 2, 3]
+
+    @pytest.mark.parametrize("options, residues",
+                             [({}, 16), ({"congruence_range": 10}, 10)])
+    def test_unset_congruence_range_follows_order_flag(
+            self, tmp_path, capsys, options, residues):
+        # README: congruence_range defaults to order, and so to --order
+        doc = {"kind": "abelian", "matrix": [[2, 1], [1, 1]],
+               "options": options}
+        assert main(["compute", write_doc(tmp_path, doc), "--order", "16"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["counts"]["determinant_formula"]) == 16
+        assert len(out["congruences"]["residues"]) == residues
 
     def test_infinite_count_is_3(self, tmp_path, capsys):
         # det(I - M) is nonzero but det(I - M^2) vanishes

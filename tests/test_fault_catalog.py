@@ -27,10 +27,37 @@ def _det_times_1000(det):
     return faulty
 
 
+def _row_powers_ahead(row_powers):
+    """A^(n+1) yielded in place of A^n, for every n."""
+    def faulty(A, N):
+        powers = row_powers(A, N + 1)
+        next(powers)
+        return powers
+    return faulty
+
+
+def _root_hi_plus_one(largest_real_root):
+    """Every largest-root bracket with its upper end one step too high."""
+    def faulty(p):
+        lo, hi, e = largest_real_root(p)
+        return lo, hi + 1, e
+    return faulty
+
+
 # name: (wrapper of the real function, prefixes of the corpus documents
-# that reach it)
+# that reach it).  Entries are never removed.
 FAULTS = {
     "det": (_det_times_1000, ("sample-", "lattice-", "product-")),
+    "row_powers": (_row_powers_ahead,
+                   ("sample-", "lattice-", "product-", "finite-")),
+    "largest_real_root": (_root_hi_plus_one, ("sample-", "free-")),
+}
+# The faults known to change reports silently, each with the ROADMAP item
+# that closes it.  The list may only shrink: once the item lands, the
+# strict mark fails the test until the entry goes.
+SILENT = {
+    "largest_real_root": "item 6: a second route for the free spectral "
+                         "bounds",
 }
 
 
@@ -46,7 +73,10 @@ def _patch(monkeypatch, name, wrap):
             monkeypatch.setattr(module, name, faulty)
 
 
-@pytest.mark.parametrize("name", FAULTS)
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True,
+                                               reason=SILENT[name]))
+    if name in SILENT else name for name in FAULTS])
 def test_every_changed_report_is_detected(name, corpus_reports, monkeypatch,
                                           tmp_path):
     wrap, prefixes = FAULTS[name]

@@ -375,6 +375,19 @@ def test_one_counts_section_for_every_product_kind():
                 "det_rows"} & counts
 
 
+def test_sections_read_the_document_alone():
+    # A section that read the report so far would depend on the sections
+    # run before it; what several of them share is a cached property of
+    # the parsed document.
+    import inspect
+    from twistedzeta import cli
+    sections = {section for table in cli._SECTIONS.values()
+                for section in table.values()}
+    for section in sections:
+        assert len(inspect.signature(section).parameters) == 1, section
+        assert "report" not in _reached_names("cli", section.__name__), section
+
+
 def test_bounds_decide_without_floats():
     # Each Perron root has an exact dyadic bracket, which decides root <= N
     # for the integer chain norm N; a float compared with a tolerance would
