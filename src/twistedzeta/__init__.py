@@ -17,7 +17,6 @@ from .errors import (
     SchemaError,
     TwistedZetaError,
     ValidationError,
-    ZeroDeterminant,
 )
 from .fox import (
     FreeGroupEndo,
@@ -81,6 +80,7 @@ from .zeta import (
     SignConvention,
     TruncatedSeries,
     congruence_check,
+    dual_lefschetz_zeta,
     expand_rational,
     functional_equation_check,
     mobius,

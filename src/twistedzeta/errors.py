@@ -53,10 +53,6 @@ class NotConstant(TwistedZetaError):
     pass
 
 
-class ZeroDeterminant(TwistedZetaError):
-    pass
-
-
 class PoleAtEvaluation(TwistedZetaError):
     pass
 

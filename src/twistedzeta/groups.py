@@ -134,11 +134,8 @@ def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(p.__getitem__, q))
 
 
-def group_from_permutations(
-    degree: int,
-    generators: list[tuple[int, ...]],
-    cap: int = DEFAULT_ORDER_CAP,
-) -> FiniteGroup:
+def group_from_permutations(degree: int, generators: list[tuple[int, ...]]
+                            ) -> FiniteGroup:
     """Close a set of permutations of {0..degree-1} under composition.
 
     Elements are ordered by their image tuples, which puts the identity at
@@ -158,6 +155,7 @@ def group_from_permutations(
             raise NotAPermutation(f"not a permutation of 0..{degree - 1}: {p}")
         gens.append(p)
 
+    cap = DEFAULT_ORDER_CAP
     ident = tuple(range(degree))
     right = {ident: None}  # element -> its products with the generators
     tree = []  # (h*s, h, s) in breadth-first order

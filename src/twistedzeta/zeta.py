@@ -38,7 +38,6 @@ from .errors import (
     NotConstant,
     OracleDisagreement,
     PoleAtEvaluation,
-    ZeroDeterminant,
 )
 from .intlinalg import (
     IntMatrix,
@@ -337,10 +336,9 @@ class FunctionalEquation:
     exponent: int
 
 
-def functional_equation_check(
-        M: IntMatrix,
-        closed_form: FactoredRationalFunction | None = None,
-) -> FunctionalEquation:
+def functional_equation_check(M: IntMatrix,
+                              closed_form: FactoredRationalFunction
+                              ) -> FunctionalEquation:
     """Verify R(1/(d z)) = eps * R(z)^((-1)^k) on the factors, d = det M.
 
     A factor P = sum_t a_t z^t of degree m has P(1/(dz)) = (dz)^-m Q(z),
@@ -348,17 +346,14 @@ def functional_equation_check(
     d/lambda_S, so for factor i, Q is a_m times factor k - i, whose exponent
     is (-1)^k times that of factor i.  So {Q/a_m: e} = {P: (-1)^k e} with
     sum m e = 0 gives R(1/(dz)) = prod a_m^e * R(z)^((-1)^k): eps is
-    prod a_m^e.  A remainder of Q/a_m or a mismatch raises NotConstant.
-    ``closed_form`` is ``zeta_product`` of M when built already."""
+    prod a_m^e.  ``closed_form`` is ``zeta_product`` of M.  A remainder of
+    Q/a_m or a mismatch raises NotConstant, and d = 0 NonInvertible."""
     d = det(M)
     if d == 0:
-        raise ZeroDeterminant("det M = 0")
+        raise NonInvertible("det M = 0")
     k = M.rows
-    rf = closed_form
-    if rf is None:
-        rf = zeta_product(ProductEndomorphism.from_matrix(M))
     epsilon, shift, reflected = Fraction(1), 0, []
-    for poly, e in rf.factors:
+    for poly, e in closed_form.factors:
         lead = poly.coefficients[-1]
         Q = [a * d ** t for t, a in enumerate(reversed(poly.coefficients))]
         if any(q % lead for q in Q):
@@ -370,7 +365,7 @@ def functional_equation_check(
     if shift:
         raise NotConstant(f"the substituted zeta ratio carries (dz)^{-shift}")
     if _exponents(reflected) != _exponents(
-            (poly, (-1) ** k * e) for poly, e in rf.factors):
+            (poly, (-1) ** k * e) for poly, e in closed_form.factors):
         raise NotConstant("the substituted factors are not those of "
                           f"R(z)^{(-1) ** k}")
     return FunctionalEquation(epsilon, (-1) ** k)
@@ -402,21 +397,15 @@ def _value_at_angle(rf: FactoredRationalFunction, s: Fraction) -> complex:
     return rf.evaluate(cmath.exp(2j * cmath.pi * (s % 1)))
 
 
-def torsion_special_value(
-        P: ProductEndomorphism, t: Fraction,
-        closed_form: FactoredRationalFunction | None = None,
-) -> float:
+def torsion_special_value(P: ProductEndomorphism, t: Fraction,
+                          closed_form: FactoredRationalFunction) -> float:
     """Mapping-torus torsion |R(sigma lambda)|^((-1)^(r+1)), lambda = e^(2 pi i t).
 
-    sigma lambda = e^(2 pi i (t + p/2)).  ``closed_form`` is
-    ``zeta_product(P)`` when the caller has built it already.
+    sigma lambda = e^(2 pi i (t + p/2)); ``closed_form`` is ``zeta_product(P)``.
     """
     check_invertible(P)
-    rf = closed_form
-    if rf is None:
-        rf = zeta_product(P)
-    sc = rf.sign_convention
-    value = _value_at_angle(rf, t + Fraction(sc.p, 2))
+    sc = closed_form.sign_convention
+    value = _value_at_angle(closed_form, t + Fraction(sc.p, 2))
     return abs(value) ** ((-1) ** (sc.r + 1))
 
 
@@ -465,18 +454,12 @@ def dual_lefschetz_zeta(P: ProductEndomorphism) -> FactoredRationalFunction:
         for i, dim in enumerate(dims)])
 
 
-def torsion_via_lefschetz(
-        P: ProductEndomorphism, t: Fraction,
-        dual: FactoredRationalFunction | None = None,
-) -> float:
+def torsion_via_lefschetz(P: ProductEndomorphism, t: Fraction,
+                          dual: FactoredRationalFunction) -> float:
     """Independent route: |L(lambda)|^-1 with L the Lefschetz zeta function
-    of the dual map; ``dual`` is ``dual_lefschetz_zeta(P)`` when the caller
-    has built it already."""
+    of the dual map; ``dual`` is ``dual_lefschetz_zeta(P)``."""
     check_invertible(P)
-    L = dual
-    if L is None:
-        L = dual_lefschetz_zeta(P)
-    return 1.0 / abs(_value_at_angle(L, t))
+    return 1.0 / abs(_value_at_angle(dual, t))
 
 
 def lefschetz_identity(closed_form: FactoredRationalFunction,

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 # Far above any corpus document (each takes a few milliseconds); the
@@ -14,12 +16,15 @@ def corpus_reports(tmp_path_factory):
     return corpus.compute_all(tmp_path_factory.mktemp("corpus"), DEADLINE_S)
 
 
+# The test modules that record one line per check, and their section titles.
+SUMMARIES = {"test_acceptance": "acceptance criteria",
+             "test_fault_catalog": "fault catalogue"}
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    try:
-        import test_acceptance
-    except ImportError:
-        return
-    if test_acceptance.RESULT_LINES:
-        terminalreporter.section("acceptance criteria")
-        for line in test_acceptance.RESULT_LINES:
-            terminalreporter.write_line(line)
+    for name, title in SUMMARIES.items():
+        lines = getattr(sys.modules.get(name), "RESULT_LINES", None)
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)

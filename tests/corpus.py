@@ -2,8 +2,8 @@
 
 The documents are the files in ``samples/``, every seed-0 document of the
 benchmark workloads except the frontier ones (read from
-``perfbench/workloads.py``, which nothing here writes to), and four lattice
-maps whose first infinite iterate is n = 2, 3, 4 and 6.  ``run`` gives the
+``perfbench/workloads.py``, which nothing here writes to), and five lattice
+maps whose first infinite iterate is n = 1, 2, 3, 4 and 6.  ``run`` gives the
 exit code, the standard error and the printed report of one verb on one
 document, with the ``timing_seconds`` line taken out, so that two versions
 of the package can be compared report for report:
@@ -42,10 +42,10 @@ VERBS = ("check", "compute", "zeta", "bounds", "torsion")
 FORMATS = ("--json", "--text")
 
 # An eigenvalue that is a primitive n-th root of unity makes det(I - M^n)
-# vanish first at that n: [[-1]] and the companion matrices of Phi_3, Phi_4
-# and Phi_6.
-INFINITE_AT = {2: [[-1]], 3: [[0, -1], [1, -1]], 4: [[0, -1], [1, 0]],
-               6: [[0, -1], [1, 1]]}
+# vanish first at that n: [[1]], [[-1]] and the companion matrices of Phi_3,
+# Phi_4 and Phi_6.
+INFINITE_AT = {1: [[1]], 2: [[-1]], 3: [[0, -1], [1, -1]],
+               4: [[0, -1], [1, 0]], 6: [[0, -1], [1, 1]]}
 
 
 @functools.cache

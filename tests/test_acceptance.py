@@ -145,7 +145,9 @@ def test_congruences():
 
 @criterion(6, "functional equation constant on 50 random matrices", 60)
 def test_functional_equation():
-    fe = functional_equation_check(IntMatrix([[-2]]))
+    M = IntMatrix([[-2]])
+    fe = functional_equation_check(
+        M, zeta_product(ProductEndomorphism.from_matrix(M)))
     assert fe.epsilon == Fraction(-1, 2)
     rng = random.Random(606)
     done = 0
@@ -156,7 +158,8 @@ def test_functional_equation():
         if det(M) == 0:
             continue
         try:
-            fe = functional_equation_check(M)
+            fe = functional_equation_check(
+                M, zeta_product(ProductEndomorphism.from_matrix(M)))
         except (InfiniteReidemeister, EigenvalueOnBoundary):
             continue
         assert fe.exponent == (-1) ** k, M
@@ -165,23 +168,26 @@ def test_functional_equation():
 
 @criterion(7, "torsion value agrees between both routes to 1e-9", 60)
 def test_torsion_special_values():
-    from twistedzeta import torsion_special_value, torsion_via_lefschetz
+    from twistedzeta import (
+        dual_lefschetz_zeta, torsion_special_value, torsion_via_lefschetz)
 
     P = ProductEndomorphism.from_matrix(IntMatrix([[-2]]))
     half = Fraction(1, 2)  # unit-circle point -1
-    assert abs(torsion_special_value(P, half) - 2.0) < 1e-9
-    assert abs(torsion_via_lefschetz(P, half) - 2.0) < 1e-9
+    assert abs(torsion_special_value(P, half, zeta_product(P)) - 2.0) < 1e-9
+    assert abs(torsion_via_lefschetz(P, half, dual_lefschetz_zeta(P))
+               - 2.0) < 1e-9
 
     rng = random.Random(707)
     for P in product_catalog():
         if det(P.M) == 0 or not P.phiF.is_bijective():
             continue
+        rf, dual = zeta_product(P), dual_lefschetz_zeta(P)
         checked = 0
         while checked < 20:
             t = Fraction(rng.randint(1, 999), 1000)
             try:
-                a = torsion_special_value(P, t)
-                b = torsion_via_lefschetz(P, t)
+                a = torsion_special_value(P, t, rf)
+                b = torsion_via_lefschetz(P, t, dual)
             except PoleAtEvaluation:
                 continue
             assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (P.M, t)

@@ -88,9 +88,28 @@ class TestParsing:
         with pytest.raises(SchemaError):
             parse_problem(json.dumps({"kind": "mystery"}))
 
-    def test_rejects_singular_abelian(self):
-        with pytest.raises(ValidationError):
-            parse_problem(json.dumps({"kind": "abelian", "matrix": [[1]]}))
+    def test_infinite_at_one_parses_and_counts_exit_3(self, tmp_path,
+                                                        capsys):
+        # det(I - M) = 0 is decided by the routes, as for any n: the
+        # document is valid, and every verb that counts exits 3 at n = 1.
+        doc = {"kind": "abelian", "matrix": [[1]]}
+        assert parse_problem(json.dumps(doc)).product.k == 1
+        path = write_doc(tmp_path, doc)
+        assert main(["check", path]) == 0
+        capsys.readouterr()
+        for verb in ("compute", "zeta", "torsion"):
+            assert main([verb, path]) == 3, verb
+            assert capsys.readouterr().err == (
+                "error: infinite class count: det(I - M^1) = 0\n"), verb
+        # a singular M has no torsion, whatever its counts
+        singular = {"kind": "product", "matrix": [[1, 0], [0, 0]],
+                    "finite": {"degree": 1, "generators": []}}
+        code, out = run_verb(capsys, "torsion",
+                             write_doc(tmp_path, singular, "singular.json"))
+        assert code == 0
+        assert out["torsion"] == [{"angle": "1/2",
+                                   "skipped": "lattice part is singular",
+                                   "agree": True}]
 
     def test_rejects_non_element_image(self):
         doc = dict(KLEIN_SWAP)

@@ -14,6 +14,7 @@ from twistedzeta import (
     phi_conjugacy_classes,
     trivial_group,
 )
+from twistedzeta import groups
 from twistedzeta.errors import (
     ClosureTooLarge,
     NotAHomomorphism,
@@ -77,9 +78,10 @@ class TestGroupFromPermutations:
         with pytest.raises(NotAPermutation):
             group_from_permutations(3, [(0, 0, 1)])
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
         with pytest.raises(ClosureTooLarge):
-            group_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)], cap=10)
+            group_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
 
     def test_axioms_hold_for_whole_catalog(self):
         for name, G, _ in finite_catalog():
