@@ -78,7 +78,6 @@ from .reidemeister import (
 from .zeta import (
     FactoredRationalFunction,
     SignConvention,
-    TruncatedSeries,
     congruence_check,
     dual_lefschetz_zeta,
     expand_rational,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -83,21 +84,21 @@ DEFAULT_ORDER = 12
 # are part of the stored benchmark answers.
 ORACLE_SIZE_CAP = 300
 NORM_ORACLE_TERM_CAP = 4096  # max terms of P_n for the ring-product oracle
+# A torsion angle: an integer, a decimal or p/q, with no exponent.
+_ANGLE = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
 @dataclass
 class ProblemDocument:
     """A validated document.  ``product`` is the map of Z^k x F of every
-    kind but ``free``, and ``endo`` the free-group map; an unset
-    ``congruence_range`` (None) follows ``order``.  What several sections
-    read is a cached property, built on first use from the fields as they
-    then stand, so ``order`` must be final before any section runs:
+    kind but ``free``, and ``endo`` the free-group map.  What several
+    sections read is a cached property, built on first use from the fields
+    as they then stand, so ``order`` must be final before any section runs:
     ``main`` applies ``--order`` first.
     """
     kind: str
     payload: dict
     order: int = DEFAULT_ORDER
-    congruence_range: int | None = None
     torsion_angles: list[Fraction] = field(default_factory=list)
     product: ProductEndomorphism | None = None
     endo: FreeGroupEndo | None = None
@@ -144,13 +145,14 @@ def _int_matrix(raw, context) -> IntMatrix:
 
 
 def _parse_angle(raw, context) -> Fraction:
-    if isinstance(raw, (bool, float)):
-        # a float is not exact: 0.1 is 3602879701896397/36028797018963968
+    # A float is not exact (0.1 is 3602879701896397/36028797018963968), and
+    # Fraction computes 10 ** exponent before any digit guard applies.
+    if not (_is_int(raw) or isinstance(raw, str) and _ANGLE.fullmatch(raw)):
         raise SchemaError(f"{context}: bad rational angle {raw!r}; give it "
                           'as a rational string such as "1/10"')
     try:
         return Fraction(raw)
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError):
         raise SchemaError(f"{context}: bad rational angle {raw!r}")
 
 
@@ -217,20 +219,17 @@ def parse_problem(text: str) -> ProblemDocument:
 
     options = raw.get("options", {})
     _require(isinstance(options, dict), "'options' must be an object")
+    for key in options:
+        _require(key in ("order", "torsion_angles"), f"unknown option {key!r}")
     order = options.get("order", DEFAULT_ORDER)
-    crange = options.get("congruence_range", order)
     _require(_is_int(order) and order >= 1, "'order' must be >= 1")
-    _require(_is_int(crange) and crange >= 1,
-             "'congruence_range' must be >= 1")
-    _require(crange <= order, "'congruence_range' must be <= 'order'")
     angles = options.get("torsion_angles", [])
     _require(isinstance(angles, list), "'torsion_angles' must be a list")
     angles = [_parse_angle(a, "torsion_angles") for a in angles]
     if kind == "abelian" and not angles:
         angles = [Fraction(1, 2)]
 
-    doc = ProblemDocument(kind, raw, order,
-                          options.get("congruence_range"), angles)
+    doc = ProblemDocument(kind, raw, order, angles)
 
     if kind == "free":
         rank = raw.get("rank")
@@ -316,16 +315,15 @@ def _eventual_image(doc):
 
 
 def _congruences(doc):
-    # an unset range, or one above a lowered --order, is the order
-    residues = congruence_check(doc.formula_counts[: doc.congruence_range])
+    residues = congruence_check(doc.formula_counts)
     all_zero = all(r == 0 for _, r in residues)
     return {"residues": residues, "all_zero": all_zero}, all_zero
 
 
 def _zeta(doc):
     rf = doc.closed_form
-    series = series_from_counts(doc.formula_counts)
-    agree = expand_rational(rf, doc.order).coefficients == series.coefficients
+    agree = (expand_rational(rf, doc.order)
+             == series_from_counts(doc.formula_counts))
     return {
         "factors": serialize_factors(rf),
         "display": str(rf),
@@ -385,15 +383,15 @@ def _torsion(doc):
 
 
 def _bounds(doc):
-    # The spectral bound is at least the norm bound when every Perron root
-    # is at most the largest chain norm N: root <= N exactly when hi <= N 2^e.
+    # The spectral bound is at least the norm bound 1/N when every Perron
+    # root is at most the largest chain norm N: when its lower end is.
     bounds = chain_radius_bounds(doc.chain)
-    largest = max(bounds.chain_norms)
+    lower, upper = bounds.bound_spectral
     return {
         "norm_bound": str(bounds.bound_norm),
-        "spectral_bound": bounds.bound_spectral,
+        "spectral_bound": [str(lower), str(upper)],
         "chain_norms": list(bounds.chain_norms),
-    }, all(hi <= largest << e for _, hi, e in bounds.spectral_brackets)
+    }, lower >= bounds.bound_norm
 
 
 def _twisted_power_norms(doc):

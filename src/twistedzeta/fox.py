@@ -466,16 +466,9 @@ def matrix_of_norms(A: GroupRingMatrix) -> IntMatrix:
         A.rows, A.cols)
 
 
-class SpectralRadius(NamedTuple):
-    """``bracket`` = (lo, hi, e) is exact: lo/2^e <= root <= hi/2^e.
-    ``value`` is the float nearest its midpoint."""
-
-    value: float
-    bracket: tuple[int, int, int]
-
-
-def spectral_radius(A: IntMatrix) -> SpectralRadius:
-    """Perron root of a non-negative integer matrix with a certified bracket.
+def spectral_radius(A: IntMatrix) -> tuple[int, int, int]:
+    """Perron root of a non-negative integer matrix as an exact dyadic
+    bracket (lo, hi, e): lo/2^e <= root <= hi/2^e.
 
     By Perron-Frobenius the spectral radius of a non-negative matrix is one
     of its eigenvalues, and no real eigenvalue exceeds it, so it is the
@@ -488,12 +481,10 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     if any(a < 0 for row in A.entries for a in row):
         raise ValueError("matrix must be non-negative")
     if A.rows == 0:
-        return SpectralRadius(0.0, (0, 0, 0))
+        return 0, 0, 0
     if A.rows == 1:  # the root of x - a is a, exactly
-        lo, hi, e = A[0, 0], A[0, 0], 0
-    else:
-        lo, hi, e = largest_real_root(char_poly(A))
-    return SpectralRadius((lo + hi) / (2 << e), (lo, hi, e))
+        return A[0, 0], A[0, 0], 0
+    return largest_real_root(char_poly(A))
 
 
 def chain_matrices(phi: FreeGroupEndo) -> list[GroupRingMatrix]:
@@ -503,8 +494,7 @@ def chain_matrices(phi: FreeGroupEndo) -> list[GroupRingMatrix]:
 
 class RadiusBounds(NamedTuple):
     bound_norm: Fraction
-    bound_spectral: float
-    spectral_brackets: tuple[tuple[int, int, int], ...]
+    bound_spectral: tuple[Fraction, Fraction]
     chain_norms: tuple[int, ...]
 
 
@@ -512,17 +502,18 @@ def chain_radius_bounds(mats: list[GroupRingMatrix]) -> RadiusBounds:
     """Two lower bounds for the Nielsen-zeta radius of convergence.
 
     1 / max_d ||F_d|| and 1 / max_d s(F_d^norm) over the chain matrices,
-    with the exact bracket of each s(F_d^norm) and each norm ||F_d||, the
-    entry sum of F_d^norm.  Prefixing every basis word with the
-    mapping-torus generator is a bijection on basis elements, so the extra
-    letter never changes a norm.
+    with each norm ||F_d||, the entry sum of F_d^norm.  The second is
+    given by the pair (1 / max hi/2^e, 1 / max lo/2^e) of Fractions that
+    brackets it, read off the Perron brackets (lo, hi, e) of the F_d^norm.
+    Prefixing every basis word with the mapping-torus generator is a
+    bijection on basis elements, so the extra letter never changes a norm.
     """
     norm_matrices = [matrix_of_norms(A) for A in mats]
     norms = tuple(sum(map(sum, N.entries)) for N in norm_matrices)
-    radii = [spectral_radius(N) for N in norm_matrices]
-    return RadiusBounds(Fraction(1, max(norms)),
-                        1.0 / max(r.value for r in radii),
-                        tuple(r.bracket for r in radii), norms)
+    brackets = [spectral_radius(N) for N in norm_matrices]
+    lower = 1 / max(Fraction(hi, 1 << e) for _, hi, e in brackets)
+    upper = 1 / max(Fraction(lo, 1 << e) for lo, _, e in brackets)
+    return RadiusBounds(Fraction(1, max(norms)), (lower, upper), norms)
 
 
 def nielsen_radius_bounds(phi: FreeGroupEndo) -> RadiusBounds:

@@ -97,25 +97,15 @@ class FactoredRationalFunction:
         return " * ".join(f"({poly})^{e}" for poly, e in self.factors)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Exact integer power series truncated at z^order (constant included)."""
-
-    order: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("series length does not match its order")
-
-
 # -- exact integer series ------------------------------------------------------
 #
 # Every factor det(I - X z) has constant term 1, so the expansion of the
 # product, its logarithmic derivative and the defining exponential series all
-# have integer coefficients and are computed by integer recurrences.
+# have integer coefficients and are computed by integer recurrences.  A series
+# truncated at z^N is the tuple of its N + 1 coefficients, the constant first.
 
-def expand_rational(rf: FactoredRationalFunction, order: int) -> TruncatedSeries:
+def expand_rational(rf: FactoredRationalFunction,
+                    order: int) -> tuple[int, ...]:
     """Exact expansion of the factored product to z^order: 1 multiplied by
     each factor e times, or divided by it -e times, exact for a constant
     term 1 (ValueError otherwise).  No coefficient past z^order is formed."""
@@ -130,7 +120,7 @@ def expand_rational(rf: FactoredRationalFunction, order: int) -> TruncatedSeries
             else:  # a_n <- a_n - sum_(j>0) c_j a_(n-j), from the bottom up
                 for n in range(1, order + 1):
                     a[n] -= sum(map(mul, c[1:], a[n - 1::-1]))
-    return TruncatedSeries(order, tuple(a))
+    return tuple(a)
 
 
 def _exponents(factors) -> dict[IntPolynomial, int]:
@@ -256,7 +246,7 @@ def zeta_product(P: ProductEndomorphism) -> FactoredRationalFunction:
     return FactoredRationalFunction(factors, SignConvention(p, r))
 
 
-def series_from_counts(counts: list[int]) -> TruncatedSeries:
+def series_from_counts(counts: list[int]) -> tuple[int, ...]:
     """The series exp(sum_n R_n/n z^n) from R_1..R_N, truncated at z^N.
 
     The coefficients follow from n a_n = sum_{j=1..n} R_j a_{n-j}.  That sum
@@ -273,10 +263,11 @@ def series_from_counts(counts: list[int]) -> TruncatedSeries:
                 f"exp(sum R_n/n z^n) has a non-integral coefficient at z^{n}",
                 n=n, counts=R[1:n + 1])
         a.append(q)
-    return TruncatedSeries(len(counts), tuple(a))
+    return tuple(a)
 
 
-def zeta_series_oracle(P: ProductEndomorphism, order: int) -> TruncatedSeries:
+def zeta_series_oracle(P: ProductEndomorphism,
+                       order: int) -> tuple[int, ...]:
     """The defining series exp(sum_n R_n/n z^n) of the product-formula
     counts, truncated exactly at z^order (see ``series_from_counts``).  A
     test reference; the benchmark's per-layer table pins it."""

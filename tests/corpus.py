@@ -15,6 +15,12 @@ of the package can be compared report for report:
 
 ``compute_all`` runs ``compute --json`` on every document once, for the
 tests that read the same reports.
+
+Run as a script, it writes every (document, verb, format) result of the
+package in this checkout to a directory, one file each, so that
+``diff -r`` of the directories of two checkouts is the corpus comparison:
+
+    python tests/corpus.py OUT
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ import json
 import re
 import signal
 import sys
+import tempfile
 from pathlib import Path
 
-from twistedzeta import cli
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from twistedzeta import cli  # noqa: E402
+
 sys.path.insert(0, str(ROOT / "perfbench"))
 # Import without leaving a bytecode cache under perfbench/.
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -109,3 +117,26 @@ def compute_all(directory: Path, deadline: float
     finally:
         signal.signal(signal.SIGALRM, previous)
     return reports
+
+
+def write_results(out: Path) -> int:
+    """Every verb in every format on every corpus document, each run as
+    ``out/<document>/<verb><format>``: its exit code, standard error and
+    report.  Returns the number of runs."""
+    runs = 0
+    with tempfile.TemporaryDirectory() as directory:
+        for name, path in write(Path(directory)).items():
+            (out / name).mkdir(parents=True, exist_ok=True)
+            for verb in VERBS:
+                for fmt in FORMATS:
+                    code, err, report = run(path, verb, fmt)
+                    (out / name / f"{verb}{fmt}").write_text(
+                        f"exit {code}\n--- stderr\n{err}--- report\n{report}")
+                    runs += 1
+    return runs
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/corpus.py OUT")
+    print(f"{write_results(Path(sys.argv[1]))} runs written to {sys.argv[1]}")

@@ -13,7 +13,6 @@ from twistedzeta import (
     FiniteGroup,
     IntMatrix,
     IntPolynomial,
-    TruncatedSeries,
     char_poly,
     det,
     expand_rational,
@@ -50,7 +49,7 @@ def log_derivative_counts(rf: FactoredRationalFunction, order: int) -> list[int]
     Newton's identity c_n = n a_n - sum_{j<n} c_j a_{n-j}, with a the
     expansion of the product (a_0 = 1).
     """
-    a = expand_rational(rf, order).coefficients
+    a = expand_rational(rf, order)
     c = [0]
     for n in range(1, order + 1):
         c.append(n * a[n] - sum(c[j] * a[n - j] for j in range(1, n)))
@@ -83,7 +82,7 @@ def multiply_out(factors) -> tuple[IntPolynomial, IntPolynomial]:
 
 
 def expand_multiplied_out(rf: FactoredRationalFunction,
-                          order: int) -> TruncatedSeries:
+                          order: int) -> tuple[int, ...]:
     """Exact truncated expansion of the factored product: num * den^-1."""
     num, den = multiply_out(rf.factors)
     b, d = num.coefficients, den.coefficients
@@ -95,7 +94,7 @@ def expand_multiplied_out(rf: FactoredRationalFunction,
         for i in range(1, min(n, len(d) - 1) + 1):
             s -= d[i] * a[n - i]
         a.append(s)
-    return TruncatedSeries(order, tuple(a))
+    return tuple(a)
 
 
 def cross_multiplied_identity(closed_form: FactoredRationalFunction,

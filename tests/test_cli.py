@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -143,8 +144,6 @@ class TestParsing:
 BOOLEAN_FIELDS = {
     "matrix_entry": {"kind": "abelian", "matrix": [[2, True], [False, 3]]},
     "order": dict(ABELIAN_MINUS_TWO, options={"order": True}),
-    "congruence_range": dict(ABELIAN_MINUS_TWO,
-                             options={"congruence_range": True}),
     "psi": dict(PRODUCT_DOC, psi=[True]),
     "degree": {"kind": "finite", "degree": True, "generators": [[0]]},
     "rank": {"kind": "free", "rank": True, "images": ["a"]},
@@ -301,7 +300,10 @@ class TestReports:
         report = run(doc)
         bounds = report["bounds"]
         assert bounds["norm_bound"] == "1/3"
-        assert bounds["spectral_bound"] == pytest.approx(0.6180339887, rel=1e-9)
+        # 1/golden, the positive root of x^2 + x - 1, to 2^-50 or better
+        lower, upper = map(Fraction, bounds["spectral_bound"])
+        assert lower * lower + lower - 1 <= 0 <= upper * upper + upper - 1
+        assert (upper - lower) * 2 ** 50 <= upper
 
     @pytest.mark.parametrize("body", [KLEIN_SWAP, ABELIAN_MINUS_TWO,
                                       PRODUCT_DOC, FREE_DOC],
@@ -441,6 +443,16 @@ class TestMainExitCodes:
         angles = parse_problem(json.dumps(doc)).torsion_angles
         assert angles == [Fraction(1, 10), Fraction(1, 10), 2]
 
+    @pytest.mark.parametrize("angle", ["1e99999999999", "1E-2", "0.1e1"])
+    def test_angle_with_an_exponent_is_2(self, tmp_path, capsys, angle):
+        # Fraction would compute 10 ** 99999999999 before any digit guard
+        doc = {"kind": "abelian", "matrix": [[2]],
+               "options": {"torsion_angles": [angle]}}
+        start = time.monotonic()
+        assert main(["check", write_doc(tmp_path, doc)]) == 2
+        assert time.monotonic() - start < 1
+        assert "as a rational string" in capsys.readouterr().err
+
     @pytest.mark.parametrize("angles", ["12", 0.5])
     def test_torsion_angles_not_a_list_is_2(self, tmp_path, capsys, angles):
         # "12" is not read character by character as the angles 1 and 2
@@ -448,34 +460,31 @@ class TestMainExitCodes:
         assert main(["compute", write_doc(tmp_path, doc)]) == 2
         assert "'torsion_angles' must be a list" in capsys.readouterr().err
 
-    def test_congruence_range_above_order_is_2(self, tmp_path, capsys):
-        # the residues exist for n = 1..order only
+    @pytest.mark.parametrize("key", ["ordr", "congruence_range"])
+    def test_unknown_option_key_is_2(self, tmp_path, capsys, key):
+        # read with .get, a misspelt option would be ignored without a word
         doc = {"kind": "product", "matrix": [[2, 1], [1, 1]],
                "finite": {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
-               "options": {"order": 3, "congruence_range": 10}}
-        assert main(["compute", write_doc(tmp_path, doc)]) == 2
-        assert ("'congruence_range' must be <= 'order'"
-                in capsys.readouterr().err)
+               "options": {"order": 3, key: 10}}
+        with pytest.raises(SchemaError, match=f"unknown option '{key}'"):
+            parse_problem(json.dumps(doc))
+        assert main(["check", write_doc(tmp_path, doc)]) == 2
+        assert f"unknown option '{key}'" in capsys.readouterr().err
 
     def test_order_flag_lowers_congruence_range(self, tmp_path, capsys):
-        doc = dict(ABELIAN_MINUS_TWO,
-                   options={"order": 10, "congruence_range": 10})
+        doc = dict(ABELIAN_MINUS_TWO, options={"order": 10})
         assert main(["compute", write_doc(tmp_path, doc), "--order", "3"]) == 0
         residues = json.loads(capsys.readouterr().out)["congruences"][
             "residues"]
         assert [n for n, _ in residues] == [1, 2, 3]
 
-    @pytest.mark.parametrize("options, residues",
-                             [({}, 16), ({"congruence_range": 10}, 10)])
-    def test_unset_congruence_range_follows_order_flag(
-            self, tmp_path, capsys, options, residues):
-        # README: congruence_range defaults to order, and so to --order
-        doc = {"kind": "abelian", "matrix": [[2, 1], [1, 1]],
-               "options": options}
+    def test_congruences_follow_order_flag(self, tmp_path, capsys):
+        # the congruences are checked for n = 1..order, and so to --order
+        doc = {"kind": "abelian", "matrix": [[2, 1], [1, 1]], "options": {}}
         assert main(["compute", write_doc(tmp_path, doc), "--order", "16"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["counts"]["determinant_formula"]) == 16
-        assert len(out["congruences"]["residues"]) == residues
+        assert len(out["congruences"]["residues"]) == 16
 
     def test_infinite_count_is_3(self, tmp_path, capsys):
         # det(I - M) is nonzero but det(I - M^2) vanishes

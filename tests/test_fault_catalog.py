@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import corpus
-from twistedzeta import ConjugacyPartition
+from twistedzeta import ConjugacyPartition, IntPolynomial
 
 
 def _det_times_1000(det):
@@ -60,10 +60,10 @@ def _one_letter_short(cancelled_length):
     return faulty
 
 
-def _last_two_classes_merged(phi_conjugacy_classes):
-    """The last two twisted classes of every partition read as one."""
-    def faulty(G, phi):
-        part = phi_conjugacy_classes(G, phi)
+def _last_two_classes_merged(partition):
+    """The last two classes of every partition read as one."""
+    def faulty(G, how):
+        part = partition(G, how)
         last = part.num_classes - 1
         if last < 1:
             return part
@@ -91,6 +91,39 @@ def _last_smith_entry_doubled(smith_normal_form):
     return faulty
 
 
+def _last_coefficient_plus_one(berkowitz):
+    """The constant coefficient of every Berkowitz polynomial one too high."""
+    def faulty(rows):
+        poly = berkowitz(rows)
+        poly[-1] += 1
+        return poly
+    return faulty
+
+
+def _last_factor_coefficient_plus_one(factor_from_traces):
+    """The top coefficient of every dual factor one too high."""
+    def faulty(traces):
+        c = factor_from_traces(traces).coefficients
+        return IntPolynomial([*c[:-1], c[-1] + 1])
+    return faulty
+
+
+def _last_length_plus_one(power_image_lengths):
+    """The last image length of every list one too high."""
+    def faulty(phi, N):
+        lengths = power_image_lengths(phi, N)
+        lengths[-1] += 1
+        return lengths
+    return faulty
+
+
+def _value_times_one_and_a_half(value_at_angle):
+    """Every evaluation at a torsion angle 1.5 times too large."""
+    def faulty(rf, s):
+        return value_at_angle(rf, s) * 1.5
+    return faulty
+
+
 # module.name: (wrapper of the real function, prefixes of the corpus
 # documents that reach it).  Entries are never removed.
 FAULTS = {
@@ -108,6 +141,16 @@ FAULTS = {
                                ("sample-", "lattice-k2", "product-")),
     "intlinalg.smith_normal_form": (_last_smith_entry_doubled,
                                     ("sample-", "lattice-k2", "product-")),
+    "intlinalg._berkowitz": (_last_coefficient_plus_one,
+                             ("sample-", "lattice-k2", "finite-S4")),
+    "zeta._factor_from_traces": (_last_factor_coefficient_plus_one,
+                                 ("sample-", "lattice-k2")),
+    "fox.power_image_lengths": (_last_length_plus_one,
+                                ("sample-", "free-r2")),
+    "zeta._value_at_angle": (_value_times_one_and_a_half,
+                             ("sample-", "lattice-k2")),
+    "groups._partition_from_orbits": (_last_two_classes_merged,
+                                      ("sample-", "product-s3", "finite-S4")),
 }
 # One line per fault run: its changed, detected and silent report counts,
 # which conftest.py prints in the terminal summary.
@@ -120,6 +163,10 @@ SILENT = {
                                    "spectral bounds",
     "intlinalg.smith_normal_form": "item 7e: the oracle's size cap skips "
                                    "the cosets the doubled entry adds",
+    "zeta._value_at_angle": "item 21: both torsion routes share one float "
+                            "evaluator",
+    "groups._partition_from_orbits": "item 18: every count route reads the "
+                                     "one class-partition builder",
 }
 
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -553,33 +552,30 @@ class TestJacobian:
         assert N == IntMatrix([[1, 1], [1, 0]])
 
 
-def _bracket_ends(sr):
+def _bracket_ends(bracket):
     """The exact ends lo/2^e and hi/2^e of a spectral-radius bracket."""
-    lo, hi, e = sr.bracket
+    lo, hi, e = bracket
     return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
 
 class TestSpectralRadius:
     def test_fibonacci_matrix(self):
-        sr = spectral_radius(IntMatrix([[1, 1], [1, 0]]))
-        golden = (1 + math.sqrt(5)) / 2
-        assert sr.value == pytest.approx(golden, rel=1e-10)
+        lo, hi, e = spectral_radius(IntMatrix([[1, 1], [1, 0]]))
+        assert (hi - lo) << 50 <= hi
         # the exact ends bracket the positive root of x^2 - x - 1
-        low, high = _bracket_ends(sr)
+        low, high = _bracket_ends((lo, hi, e))
         assert 1 <= low and low * low - low - 1 <= 0 <= high * high - high - 1
 
     def test_permutation_matrix(self):
-        sr = spectral_radius(IntMatrix([[0, 1], [1, 0]]))
-        assert sr.value == pytest.approx(1.0, rel=1e-10)
+        assert spectral_radius(IntMatrix([[0, 1], [1, 0]])) == (1, 1, 0)
 
     def test_reducible_matrix(self):
         # two blocks: radius is the max over strongly connected pieces
         A = IntMatrix([[2, 1, 0], [0, 3, 0], [0, 0, 5]])
-        sr = spectral_radius(A)
-        assert sr.value == pytest.approx(5.0, rel=1e-10)
+        assert spectral_radius(A) == (5, 5, 0)
 
     def test_zero_matrix(self):
-        assert spectral_radius(IntMatrix([[0]])).value == 0.0
+        assert spectral_radius(IntMatrix([[0]])) == (0, 0, 0)
 
     def test_agrees_with_numpy(self):
         import numpy as np
@@ -588,10 +584,11 @@ class TestSpectralRadius:
             k = rng.randint(1, 5)
             A = IntMatrix([[rng.randint(0, 4) for _ in range(k)]
                            for _ in range(k)])
-            sr = spectral_radius(A)
+            low, high = _bracket_ends(spectral_radius(A))
             want = max(abs(mu) for mu in
                        np.linalg.eigvals(np.array(A.entries, dtype=float)))
-            assert sr.value == pytest.approx(want, abs=1e-8)
+            slack = Fraction(1, 10 ** 8)
+            assert low - slack <= Fraction(float(want)) <= high + slack
 
 
 def non_negative_matrices(max_k):
@@ -606,26 +603,24 @@ class TestExactPerronRoot:
     @given(non_negative_matrices(6))
     def test_bracket_holds_numpy_radius(self, A):
         import numpy as np
-        sr = spectral_radius(A)
-        lo, hi, e = sr.bracket
+        lo, hi, e = bracket = spectral_radius(A)
         assert (hi - lo) << 50 <= hi
         want = max(abs(mu) for mu in
                    np.linalg.eigvals(np.array(A.entries, dtype=float)))
         # numpy's eigenvalues carry their own rounding error
-        low, high = _bracket_ends(sr)
+        low, high = _bracket_ends(bracket)
         slack = Fraction(1, 10 ** 9) * max(high, 1)
         assert low - slack <= Fraction(float(want)) <= high + slack
 
     def test_integer_roots_are_exact(self):
         for n in range(6):
-            assert spectral_radius(IntMatrix([[n]])).bracket == (n, n, 0)
+            assert spectral_radius(IntMatrix([[n]])) == (n, n, 0)
         for k in range(1, 5):
-            assert spectral_radius(IntMatrix([[0] * k] * k)) == (
-                0.0, (0, 0, 0))
+            assert spectral_radius(IntMatrix([[0] * k] * k)) == (0, 0, 0)
         for perm in itertools.permutations(range(4)):
             P = IntMatrix([[int(perm[i] == j) for j in range(4)]
                            for i in range(4)])
-            assert spectral_radius(P) == (1.0, (1, 1, 0))
+            assert spectral_radius(P) == (1, 1, 0)
         # block triangular, the root in a later block or shared by two
         for A, root in (([[2, 1, 0], [0, 3, 0], [0, 0, 5]], 5),
                         ([[1, 4, 1], [0, 2, 2], [0, 2, 2]], 4),
@@ -633,18 +628,18 @@ class TestExactPerronRoot:
                           [0, 0, 0, 3]], 3),
                         ([[1, 1, 2, 0], [1, 1, 0, 3], [0, 0, 1, 1],
                           [0, 0, 1, 1]], 2)):
-            assert spectral_radius(IntMatrix(A)).bracket == (root, root, 0)
+            assert spectral_radius(IntMatrix(A)) == (root, root, 0)
 
     def test_one_by_one_from_its_entry(self):
-        # The bracket of (a) is read off the entry; every field must be the
-        # one the root search gives: the search's bracket for x - a, and the
-        # floats of the 2 x 2 matrix diag(a, 0), whose largest root is a
-        # too and which goes through char_poly and largest_real_root.
+        # The bracket of (a) is read off the entry; it must be the one the
+        # root search gives: the search's bracket for x - a, and that of
+        # the 2 x 2 matrix diag(a, 0), whose largest root is a too and which
+        # goes through char_poly and largest_real_root.
         for a in [*range(65), (1 << 61) + 1]:
-            sr = spectral_radius(IntMatrix([[a]]))
-            assert sr.bracket == largest_real_root(IntPolynomial([-a, 1]))
-            assert sr == spectral_radius(IntMatrix([[a, 0], [0, 0]]))
-            low, high = _bracket_ends(sr)
+            bracket = spectral_radius(IntMatrix([[a]]))
+            assert bracket == largest_real_root(IntPolynomial([-a, 1]))
+            assert bracket == spectral_radius(IntMatrix([[a, 0], [0, 0]]))
+            low, high = _bracket_ends(bracket)
             assert low <= a <= high
 
     def test_double_root_at_zero(self):
@@ -653,8 +648,9 @@ class TestExactPerronRoot:
         phi = FreeGroupEndo.from_strings(3, ["bA", "ca", "CA"])
         T = matrix_of_norms(jacobian(phi))
         assert char_poly(T) == IntPolynomial([0, 0, -2, 1])
-        assert spectral_radius(T) == (2.0, (2, 2, 0))
-        assert nielsen_radius_bounds(phi).bound_spectral == 0.5
+        assert spectral_radius(T) == (2, 2, 0)
+        assert nielsen_radius_bounds(phi).bound_spectral == (
+            Fraction(1, 2), Fraction(1, 2))
 
 
 class TestRadiusBounds:
@@ -662,9 +658,11 @@ class TestRadiusBounds:
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
         bounds = nielsen_radius_bounds(phi)
         assert bounds.bound_norm == Fraction(1, 3)
-        golden = (1 + math.sqrt(5)) / 2
-        assert bounds.bound_spectral == pytest.approx(1 / golden, rel=1e-10)
-        assert bounds.bound_spectral >= float(bounds.bound_norm)
+        # 1/golden is the positive root of x^2 + x - 1
+        lower, upper = bounds.bound_spectral
+        assert lower * lower + lower - 1 <= 0 <= upper * upper + upper - 1
+        assert (upper - lower) * 2 ** 50 <= upper
+        assert lower >= bounds.bound_norm
 
     def test_identity_substitution(self):
         phi = FreeGroupEndo(2, (b"a", b"b"))
@@ -672,7 +670,7 @@ class TestRadiusBounds:
         # Jacobian is the 2x2 identity over the group ring: total norm 2,
         # spectral radius 1
         assert bounds.bound_norm == Fraction(1, 2)
-        assert bounds.bound_spectral == pytest.approx(1.0)
+        assert bounds.bound_spectral == (1, 1)
 
     def test_spectral_never_below_norm_bound(self):
         rng = random.Random(13)
@@ -683,7 +681,8 @@ class TestRadiusBounds:
                 images.append(random_word(rng, rank, 6))
             phi = FreeGroupEndo(rank, tuple(images))
             bounds = nielsen_radius_bounds(phi)
-            assert bounds.bound_spectral >= float(bounds.bound_norm) - 1e-12
+            lower, upper = bounds.bound_spectral
+            assert bounds.bound_norm <= lower <= upper
             # each chain norm is the entry sum of its matrix of norms
             assert bounds.chain_norms == tuple(
                 matrix_norm(A) for A in chain_matrices(phi))
@@ -701,9 +700,12 @@ class TestTwistedPowers:
         # ||(zD)^n||^(1/n) approaches the reciprocal of the spectral bound
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
         D = jacobian(phi)
-        bounds = nielsen_radius_bounds(phi)
-        rate = twisted_power_norm(phi, D, 12) ** (1 / 12)
-        assert rate == pytest.approx(1 / bounds.bound_spectral, rel=0.15)
+        lower, upper = nielsen_radius_bounds(phi).bound_spectral
+        # within 15% of the Perron root, which lies in [1/upper, 1/lower]:
+        # compared in 12th powers, exactly
+        norm = twisted_power_norm(phi, D, 12)
+        assert (Fraction(85, 100) / upper) ** 12 <= norm
+        assert norm <= (Fraction(115, 100) / lower) ** 12
 
     def test_chain_matrices_shapes(self):
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])

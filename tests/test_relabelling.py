@@ -22,6 +22,15 @@ whose entries are mixed by U, rather than the documents' own layout.
 ``compute`` must then give the same exit code, stderr and report, apart
 from ``timing_seconds`` and the echoed ``inputs``.
 
+*Inner twist.*  For g in F, s -> g phi_F(s) g^-1 has the counts of phi_F:
+its n-th power is phi_F^n followed by conjugation by one element, and
+x -> x h maps the twisted classes of phi_F^n onto those of h phi_F^n h'.
+Conjugation fixes every conjugacy class, so the zeta factors stay too.
+Each seed-0 ``product`` document whose F holds the transposition of the
+points 0 and 1 as a non-central element is twisted by it, with psi set to
+the identity where an old psi image no longer commutes with the twisted
+images; its counts and zeta factors must be the document's.
+
 *Powers.*  The twisted power norms of a free substitution phi are the norms
 of the Jacobians J(phi^n), so those of phi^2 are every second one of
 phi's.  Each seed-0 ``free`` document outside the frontier is squared, its
@@ -152,6 +161,42 @@ def test_change_of_basis_gives_the_same_report(workload, tmp_path):
         assert after == before, doc.ident
         moved += body["matrix"] != doc.body["matrix"]
     assert moved
+
+
+def inner_twisted(body: dict) -> dict | None:
+    """The document with phi_F(s) replaced by g phi_F(s) g^-1, for g the
+    transposition of the points 0 and 1, as described above; None when g
+    is not a non-central element of F."""
+    finite = body["finite"]
+    degree, gens = finite["degree"], [tuple(p) for p in finite["generators"]]
+    F = group_from_permutations(degree, gens)
+    g = F.index.get((1, 0, *range(2, degree)))
+    if g is None or all(F.mult[g][h] == F.mult[h][g] for h in F.elements()):
+        return None
+    images = [F.mult[F.mult[g][F.index[tuple(q)]]][F.inv[g]]
+              for q in finite.get("endo_images", gens)]
+    psi = body.get("psi", [0] * len(body["matrix"]))
+    if any(F.mult[a][q] != F.mult[q][a] for a in psi for q in images):
+        psi = [0] * len(psi)
+    return dict(body, psi=psi, finite=dict(
+        finite, endo_images=[list(F.perms[q]) for q in images]))
+
+
+def test_inner_twist_gives_the_same_counts_and_factors(tmp_path):
+    twisted = moved_psi = 0
+    for doc in _documents("product"):
+        body = inner_twisted(doc.body)
+        if body is None:
+            continue
+        before = _compute(doc.body, tmp_path / "before.json")
+        after = _compute(body, tmp_path / "after.json")
+        assert before[0] == after[0] == 0, (doc.ident, before[2], after[2])
+        assert after[1]["counts"] == before[1]["counts"], doc.ident
+        assert (after[1]["zeta"]["factors"]
+                == before[1]["zeta"]["factors"]), doc.ident
+        twisted += 1
+        moved_psi += body["psi"] != doc.body.get("psi")
+    assert twisted and moved_psi
 
 
 def _reduced(word: str) -> str:

@@ -395,6 +395,18 @@ def test_bounds_decide_without_floats():
     assert "float" not in _reached_names("cli", "_bounds")
 
 
+def test_fox_holds_no_float():
+    # The radius bounds are exact Fractions read off the dyadic Perron
+    # brackets; a float literal or a float() call would bring rounding
+    # back into the module.
+    tree = ast.parse((PACKAGE / "fox.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant)
+             and isinstance(node.value, (float, complex))
+             or isinstance(node, ast.Name) and node.id == "float"]
+    assert not found, f"floats in fox.py at lines {found}"
+
+
 def test_torsion_routes_stay_apart():
     # The closed-form route evaluates zeta_product, built from the power
     # sums of char_poly(M) and the fixed-class counts; the Lefschetz route
