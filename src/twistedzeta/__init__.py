@@ -52,7 +52,6 @@ from .groups import (
 )
 from .intlinalg import (
     IntMatrix,
-    IntPolynomial,
     char_poly,
     count_eigen_signs,
     det,

@@ -257,7 +257,7 @@ def parse_problem(text: str) -> ProblemDocument:
 
 
 def serialize_factors(rf) -> list[dict]:
-    return [{"coeffs": list(poly.coefficients), "exp": e}
+    return [{"coeffs": list(poly), "exp": e}
             for poly, e in rf.factors]
 
 

@@ -17,8 +17,9 @@ eigenvalues by cyclotomic divisors.  Sturm counts are taken at finite
 points only where the polynomial may have roots on either side; beyond
 every root they equal the counts at +-oo, which the leading coefficients
 give.  The largest root's last bits come from halving by the sign at the
-midpoint.  Everything is arbitrary precision; no floating point enters any
-of these computations.
+midpoint.  A polynomial is the tuple of its coefficients, the constant
+first.  Everything is arbitrary precision; no floating point enters any of
+these computations.
 """
 
 from __future__ import annotations
@@ -125,80 +126,6 @@ class IntMatrix:
             len(row_idx), len(col_idx))
 
 
-class IntPolynomial:
-    """Integer polynomial with ascending coefficients; zero poly is empty."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        coeffs = [int(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __eq__(self, other):
-        return (isinstance(other, IntPolynomial)
-                and self.coefficients == other.coefficients)
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        out = [0] * max(0, len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
-
-    def __call__(self, x, q=1):
-        """p(x); with q, q^deg p * p(x/q), which for q > 0 has the sign of
-        p(x/q) and is an integer for an integer x."""
-        return _value(self.coefficients, x, q)
-
-    def pseudo_divmod(self, divisor: "IntPolynomial"):
-        """(q, r) with |lc(b)|^e a = q b + r and deg r < deg b, where a is
-        self, b the divisor and e = max(deg a - deg b + 1, 0).
-
-        The factor |lc(b)|^e is positive, so r has the sign pattern of the
-        true remainder (what Sturm sequences need); for a monic b it is 1
-        and this is exact division.
-        """
-        q, r = _pseudo_divmod(self.coefficients, divisor.coefficients)
-        return IntPolynomial(q), IntPolynomial(r)
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coefficients)})"
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                term = "z" if e == 1 else f"z^{e}"
-                if c == 1:
-                    parts.append(term)
-                elif c == -1:
-                    parts.append(f"-{term}")
-                else:
-                    parts.append(f"{c}*{term}")
-        out = " + ".join(parts).replace("+ -", "- ")
-        return out
-
-
 def _row_products(rows, nonzero, cols: int) -> list[list[int]]:
     """The rows of R A as lists, for R given by its rows and A by the
     nonzero (column, entry) pairs of each of its rows: the one product loop
@@ -246,8 +173,9 @@ def det_rows(M: list[list[int]]) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def char_poly(A: IntMatrix) -> IntPolynomial:
-    """det(xI - A) via Faddeev-LeVerrier over the integers.
+def char_poly(A: IntMatrix) -> tuple[int, ...]:
+    """The coefficients of det(xI - A), x^0 first, via Faddeev-LeVerrier
+    over the integers.
 
     For an integer matrix every intermediate matrix is integral and each
     coefficient -tr/k divides exactly; a remainder is an arithmetic fault.
@@ -268,7 +196,7 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
         if rem:
             raise ArithmeticError(f"trace not divisible by {k} in char_poly")
         coeffs.append(c)
-    return IntPolynomial(reversed(coeffs))
+    return tuple(reversed(coeffs))
 
 
 def _gcd_rows(top: list[int], row: list[int]) -> tuple[list[int], list[int]]:
@@ -436,8 +364,8 @@ def wedge_traces(M: IntMatrix, N: int) -> list[list[int]]:
 
 # -- eigenvalues from the characteristic polynomial --------------------------
 #
-# The kernel works on coefficient tuples as IntPolynomial stores them:
-# ascending, with no zero leading coefficient, the zero polynomial empty.
+# A polynomial is the tuple of its coefficients, x^0 first, with no zero
+# last entry; the zero polynomial is ().
 
 def _value(c: tuple[int, ...], x: int, q: int = 1) -> int:
     """q^deg c * c(x/q) by Horner's rule: the sign of c(x/q) for q > 0."""
@@ -454,7 +382,13 @@ def _derivative(c: tuple[int, ...]) -> tuple[int, ...]:
 
 def _pseudo_divmod(a: tuple[int, ...], b: tuple[int, ...]
                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``IntPolynomial.pseudo_divmod`` on coefficient tuples."""
+    """(q, r) with |lc(b)|^e a = q b + r and deg r < deg b, for
+    e = max(deg a - deg b + 1, 0).
+
+    The factor |lc(b)|^e is positive, so r has the sign pattern of the
+    true remainder (what Sturm sequences need); for a monic b it is 1 and
+    this is exact division.
+    """
     if not b:
         raise ZeroDivisionError("pseudo-division by the zero polynomial")
     scale, sign, d = abs(b[-1]), (1 if b[-1] > 0 else -1), len(b) - 1
@@ -517,7 +451,7 @@ def _variations_at_infinity(seq: list[tuple[int, ...]], negative: bool
                         for s in seq])
 
 
-def count_eigen_signs(cp: IntPolynomial) -> tuple[int, int]:
+def count_eigen_signs(cp: tuple[int, ...]) -> tuple[int, int]:
     """Exact eigenvalue sign counts for the determinant-sign constants of a
     matrix A, read from its characteristic polynomial cp = char_poly(A).
 
@@ -534,7 +468,7 @@ def count_eigen_signs(cp: IntPolynomial) -> tuple[int, int]:
     count at +-oo, read from the leading coefficients: each g_i costs two
     evaluations, at -1 and 1.
     """
-    c = cp.coefficients
+    c = cp
     if _value(c, 1) == 0 or _value(c, -1) == 0:
         raise EigenvalueOnBoundary("matrix has an eigenvalue equal to +1 or -1")
     below = beyond = 0
@@ -548,7 +482,7 @@ def count_eigen_signs(cp: IntPolynomial) -> tuple[int, int]:
     return below, below + beyond
 
 
-def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
+def largest_real_root(p: tuple[int, ...]) -> tuple[int, int, int]:
     """Exact dyadic bracket (lo, hi, e), lo/2^e <= x <= hi/2^e, of the
     largest real root x of a monic p; ValueError if p has no real root.
 
@@ -565,9 +499,9 @@ def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
     max(-lo, hi) >= 2^53, about 2^-53 of x.  As the bracket stays within
     [m, m + 1], x <= N exactly when hi <= N 2^e, for every integer N.
     """
-    if p.degree < 1 or p.coefficients[-1] != 1:
+    if len(p) < 2 or p[-1] != 1:
         raise ValueError("largest_real_root needs a monic, non-constant p")
-    s = p.coefficients
+    s = p
     seq = _sturm_sequence(s)
     if len(seq[-1]) > 1:  # gcd(p, p'): p has a multiple root
         s = _pseudo_divmod(s, seq[-1])[0]
@@ -620,12 +554,12 @@ def totient(n: int) -> int:
 
 
 @functools.cache
-def cyclotomic(n: int) -> IntPolynomial:
+def cyclotomic(n: int) -> tuple[int, ...]:
     """Phi_n: x^n - 1 divided exactly by Phi_d for each proper divisor d."""
-    phi_n = IntPolynomial([-1] + [0] * (n - 1) + [1])
+    phi_n = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            phi_n = phi_n.pseudo_divmod(cyclotomic(d))[0]
+            phi_n = _pseudo_divmod(phi_n, cyclotomic(d))[0]
     return phi_n
 
 
@@ -633,12 +567,12 @@ def cyclotomic(n: int) -> IntPolynomial:
 def _cyclotomic_up_to(degree: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(n, Phi_n coefficients) for every n with phi(n) <= degree, n
     increasing; phi(n) >= sqrt(n/2), so such n are at most 2 degree^2."""
-    return tuple((n, cyclotomic(n).coefficients)
+    return tuple((n, cyclotomic(n))
                  for n in range(1, 2 * degree * degree + 1)
                  if totient(n) <= degree)
 
 
-def first_cyclotomic_factor(cp: IntPolynomial) -> int | None:
+def first_cyclotomic_factor(cp: tuple[int, ...]) -> int | None:
     """The smallest n with Phi_n | cp, or None.
 
     For cp = char_poly(M) this is the first iterate with det(I - M^n) = 0:
@@ -646,6 +580,5 @@ def first_cyclotomic_factor(cp: IntPolynomial) -> int | None:
     order d | n, and then its minimal polynomial Phi_d divides cp.  Only
     Phi_d with phi(d) <= deg cp can.
     """
-    c = cp.coefficients
-    return next((n for n, phi in _cyclotomic_up_to(cp.degree)
-                 if not _pseudo_divmod(c, phi)[1]), None)
+    return next((n for n, phi in _cyclotomic_up_to(len(cp) - 1)
+                 if not _pseudo_divmod(cp, phi)[1]), None)

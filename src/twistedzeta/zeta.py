@@ -41,7 +41,7 @@ from .errors import (
 )
 from .intlinalg import (
     IntMatrix,
-    IntPolynomial,
+    _pseudo_divmod,
     char_poly,
     count_eigen_signs,
     cyclotomic,
@@ -72,21 +72,24 @@ class SignConvention:
 class FactoredRationalFunction:
     """Product of integer polynomials in z raised to nonzero integer powers.
 
-    Every factor has constant term 1 (each is det(I - X z) for an integer
-    matrix X); constant factors are folded away.
+    A polynomial is the tuple of its coefficients, the constant first, with
+    no zero last entry.  Every factor has constant term 1 (each is
+    det(I - X z) for an integer matrix X); constant factors are folded away.
     """
 
-    factors: tuple[tuple[IntPolynomial, int], ...]
+    factors: tuple[tuple[tuple[int, ...], int], ...]
     sign_convention: SignConvention | None = None
 
     def evaluate(self, z: complex) -> complex:
         """The value at z in floats; PoleAtEvaluation if a factor is 0."""
         value = complex(1.0)
         for poly, e in self.factors:
-            f = complex(poly(z))
+            f = 0
+            for c in reversed(poly):  # Horner's rule
+                f = f * z + c
             if f == 0:
                 raise PoleAtEvaluation(
-                    f"factor {poly} vanishes at z = {z}"
+                    f"factor {_poly_str(poly)} vanishes at z = {z}"
                 )
             value *= f ** e
         return value
@@ -94,7 +97,27 @@ class FactoredRationalFunction:
     def __str__(self):
         if not self.factors:
             return "1"
-        return " * ".join(f"({poly})^{e}" for poly, e in self.factors)
+        return " * ".join(f"({_poly_str(poly)})^{e}"
+                          for poly, e in self.factors)
+
+
+def _poly_str(poly: tuple[int, ...]) -> str:
+    """The polynomial in z, as 1 - 2*z + z^2; the zero polynomial is 0."""
+    parts = []
+    for e, c in enumerate(poly):
+        if c == 0:
+            continue
+        if e == 0:
+            parts.append(str(c))
+        else:
+            term = "z" if e == 1 else f"z^{e}"
+            if c == 1:
+                parts.append(term)
+            elif c == -1:
+                parts.append(f"-{term}")
+            else:
+                parts.append(f"{c}*{term}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 # -- exact integer series ------------------------------------------------------
@@ -110,8 +133,7 @@ def expand_rational(rf: FactoredRationalFunction,
     each factor e times, or divided by it -e times, exact for a constant
     term 1 (ValueError otherwise).  No coefficient past z^order is formed."""
     a = [1] + [0] * order
-    for poly, e in rf.factors:
-        c = poly.coefficients
+    for c, e in rf.factors:
         if e < 0 and c[0] != 1:
             raise ValueError("a dividing factor must have constant term 1")
         for _ in range(abs(e)):
@@ -123,10 +145,10 @@ def expand_rational(rf: FactoredRationalFunction,
     return tuple(a)
 
 
-def _exponents(factors) -> dict[IntPolynomial, int]:
+def _exponents(factors) -> dict[tuple[int, ...], int]:
     """{poly: summed exponent} over (poly, e) pairs, zero sums dropped.  No
     route merges with it, so a fault here cannot reach both compared sides."""
-    merged: dict[IntPolynomial, int] = {}
+    merged: dict[tuple[int, ...], int] = {}
     for poly, e in factors:
         merged[poly] = merged.get(poly, 0) + e
     return {poly: e for poly, e in merged.items() if e}
@@ -134,7 +156,7 @@ def _exponents(factors) -> dict[IntPolynomial, int]:
 
 # -- closed form ---------------------------------------------------------------
 
-def _reject_roots_of_unity(cp: IntPolynomial) -> None:
+def _reject_roots_of_unity(cp: tuple[int, ...]) -> None:
     n = first_cyclotomic_factor(cp)
     if n is not None:
         raise InfiniteReidemeister(f"det(I - M^{n}) = 0", n=n)
@@ -224,20 +246,23 @@ def zeta_product(P: ProductEndomorphism) -> FactoredRationalFunction:
     classes = P.F.conjugacy_classes.num_classes
     N = comb(k, k // 2) * classes  # the largest block dimension
     fixed = _fixed_class_counts(P, N)
-    traces = _power_sums(cp.coefficients[::-1], k * N)
+    traces = _power_sums(cp[::-1], k * N)
     # e_i(lambda^n) = (-1)^i [z^i] det(I - M^n z), i = 0..k
     elementary = [
         [(-1) ** i * c for i, c in enumerate(
             _from_power_sums([traces[j * n] for j in range(1, k + 1)]))]
         for n in range(1, N + 1)]
-    merged: dict[IntPolynomial, int] = {}
+    merged: dict[tuple[int, ...], int] = {}
     for i in range(k + 1):
         D = comb(k, i) * classes
         sums = [sigma ** n * elementary[n - 1][i] * fixed[n - 1]
                 for n in range(1, D + 1)]
-        poly = IntPolynomial(_from_power_sums(sums))
-        if poly.degree < 1:
+        c = _from_power_sums(sums)
+        while c[-1] == 0:  # c[0] = 1
+            c.pop()
+        if len(c) < 2:
             continue
+        poly = tuple(c)
         e = (-1) ** (i + 1) * outer
         merged[poly] = merged.get(poly, 0) + e
     factors = tuple(
@@ -274,13 +299,13 @@ def zeta_series_oracle(P: ProductEndomorphism,
     return series_from_counts(r_product_counts(P, order))
 
 
-def _alternating_product(polys: list[IntPolynomial]
+def _alternating_product(polys: list[tuple[int, ...]]
                          ) -> FactoredRationalFunction:
     """prod_k polys[k]^((-1)^(k+1)), equal factors merged by exponent in
     the order of first appearance; constants and zero exponents dropped."""
-    merged: dict[IntPolynomial, int] = {}
+    merged: dict[tuple[int, ...], int] = {}
     for k, poly in enumerate(polys):
-        if poly.degree < 1:
+        if len(poly) < 2:
             continue
         e = (-1) ** (k + 1)
         merged[poly] = merged.get(poly, 0) + e
@@ -345,14 +370,14 @@ def functional_equation_check(M: IntMatrix,
     k = M.rows
     epsilon, shift, reflected = Fraction(1), 0, []
     for poly, e in closed_form.factors:
-        lead = poly.coefficients[-1]
-        Q = [a * d ** t for t, a in enumerate(reversed(poly.coefficients))]
+        lead = poly[-1]
+        Q = [a * d ** t for t, a in enumerate(reversed(poly))]
         if any(q % lead for q in Q):
             raise NotConstant(f"{lead} does not divide (dz)^m P(1/(dz)) "
-                              f"for the factor P = {poly}")
-        reflected.append((IntPolynomial([q // lead for q in Q]), e))
+                              f"for the factor P = {_poly_str(poly)}")
+        reflected.append((tuple(q // lead for q in Q), e))
         epsilon *= Fraction(lead) ** e
-        shift += poly.degree * e
+        shift += (len(poly) - 1) * e
     if shift:
         raise NotConstant(f"the substituted zeta ratio carries (dz)^{-shift}")
     if _exponents(reflected) != _exponents(
@@ -379,12 +404,12 @@ def _value_at_angle(rf: FactoredRationalFunction, s: Fraction) -> complex:
     vanishes at z exactly when Phi_m divides it.  That needs phi(m) <= deg,
     so Phi_m is built only then, and an m above 2 deg^2 builds nothing."""
     m = s.denominator
-    degree = max((poly.degree for poly, _ in rf.factors), default=0)
+    degree = max((len(poly) - 1 for poly, _ in rf.factors), default=0)
     if m <= 2 * degree * degree and totient(m) <= degree:
         for poly, _ in rf.factors:
-            if poly.pseudo_divmod(cyclotomic(m))[1].is_zero():
-                raise PoleAtEvaluation(
-                    f"factor {poly} vanishes at z = exp(2 pi i {s % 1})")
+            if not _pseudo_divmod(poly, cyclotomic(m))[1]:
+                raise PoleAtEvaluation(f"factor {_poly_str(poly)} vanishes "
+                                       f"at z = exp(2 pi i {s % 1})")
     return rf.evaluate(cmath.exp(2j * cmath.pi * (s % 1)))
 
 
@@ -400,7 +425,7 @@ def torsion_special_value(P: ProductEndomorphism, t: Fraction,
     return abs(value) ** ((-1) ** (sc.r + 1))
 
 
-def _factor_from_traces(traces: list[int]) -> IntPolynomial:
+def _factor_from_traces(traces: list[int]) -> tuple[int, ...]:
     """det(I - X z) from tr X^m, m = 1..D, for a D x D integer matrix X.
 
     Newton's identities m c_m = -sum_{j=1..m} tr X^j c_{m-j}, c_0 = 1, with
@@ -416,7 +441,9 @@ def _factor_from_traces(traces: list[int]) -> IntPolynomial:
         if rem:
             raise ArithmeticError(f"traces not divisible by {m}")
         c.append(q)
-    return IntPolynomial(c)
+    while c[-1] == 0:  # c[0] = 1
+        c.pop()
+    return tuple(c)
 
 
 def dual_lefschetz_zeta(P: ProductEndomorphism) -> FactoredRationalFunction:
@@ -463,8 +490,7 @@ def lefschetz_identity(closed_form: FactoredRationalFunction,
     factor disagrees even where others make up for it in the product."""
     sc = closed_form.sign_convention
     substituted = [
-        (IntPolynomial([c * sc.sigma ** j
-                        for j, c in enumerate(poly.coefficients)]),
+        (tuple(c * sc.sigma ** j for j, c in enumerate(poly)),
          (-1) ** sc.r * e)
         for poly, e in closed_form.factors]
     return _exponents(substituted) == _exponents(dual.factors)

@@ -12,7 +12,6 @@ from twistedzeta import (
     FactoredRationalFunction,
     FiniteGroup,
     IntMatrix,
-    IntPolynomial,
     char_poly,
     det,
     expand_rational,
@@ -56,10 +55,28 @@ def log_derivative_counts(rf: FactoredRationalFunction, order: int) -> list[int]
     return c[1:]
 
 
-def det_identity_minus_z(X: IntMatrix) -> IntPolynomial:
+def trim(coefficients) -> tuple[int, ...]:
+    """The coefficient tuple without its zero last entries: a polynomial as
+    the package stores it, constant first, the zero polynomial ()."""
+    c = list(coefficients)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two coefficient tuples, by the schoolbook loop."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return trim(out)
+
+
+def det_identity_minus_z(X: IntMatrix) -> tuple[int, ...]:
     """det(I - X z) as a polynomial in z (reversed characteristic polynomial)."""
-    cp = char_poly(X)
-    return IntPolynomial(list(reversed(cp.coefficients)))
+    return trim(reversed(char_poly(X)))
 
 
 def lefschetz_zeta(matrices: list[IntMatrix]) -> FactoredRationalFunction:
@@ -69,23 +86,22 @@ def lefschetz_zeta(matrices: list[IntMatrix]) -> FactoredRationalFunction:
 
 # -- the zeta identities by multiplying the product out ------------------------
 
-def multiply_out(factors) -> tuple[IntPolynomial, IntPolynomial]:
+def multiply_out(factors) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Numerator and denominator of prod poly^e over (poly, e) pairs."""
-    num = den = IntPolynomial([1])
+    num = den = (1,)
     for poly, e in factors:
         for _ in range(abs(e)):
             if e > 0:
-                num = num * poly
+                num = poly_mul(num, poly)
             else:
-                den = den * poly
+                den = poly_mul(den, poly)
     return num, den
 
 
 def expand_multiplied_out(rf: FactoredRationalFunction,
                           order: int) -> tuple[int, ...]:
     """Exact truncated expansion of the factored product: num * den^-1."""
-    num, den = multiply_out(rf.factors)
-    b, d = num.coefficients, den.coefficients
+    b, d = multiply_out(rf.factors)
     if d[0] != 1:
         raise ValueError("denominator must have constant term 1")
     a = []
@@ -102,8 +118,7 @@ def cross_multiplied_identity(closed_form: FactoredRationalFunction,
     """Whether R(sigma z)^((-1)^r) = L(z) in Z[z], cross-multiplied."""
     sc = closed_form.sign_convention
     substituted = [
-        (IntPolynomial([c * sc.sigma ** j
-                        for j, c in enumerate(poly.coefficients)]),
+        (tuple(c * sc.sigma ** j for j, c in enumerate(poly)),
          (-1) ** sc.r * e)
         for poly, e in closed_form.factors]
     num, den = multiply_out(substituted
@@ -123,18 +138,16 @@ def constant_ratio(M: IntMatrix, rf: FactoredRationalFunction
     shift = 0  # the ratio carries (d z)^shift
     ratio = []
     for poly, e in rf.factors:
-        m = poly.degree
+        m = len(poly) - 1
         # P(1/(dz)) = d^-m z^-m Q(z) with Q(z) = sum_t a_{m-t} d^t z^t
-        Q = IntPolynomial([poly.coefficients[m - t] * d ** t
-                           for t in range(m + 1)])
+        Q = trim(poly[m - t] * d ** t for t in range(m + 1))
         shift -= m * e
         # times Q(z)^e, divided by P(z)^((-1)^k e)
         ratio += [(Q, e), (poly, -((-1) ** k) * e)]
-    ratio.append((IntPolynomial([0, 1]), shift))
-    num, den = multiply_out(ratio)
-    if num.is_zero():
+    ratio.append(((0, 1), shift))
+    a, b = multiply_out(ratio)
+    if not a:
         raise NotConstant("ratio is identically zero")
-    a, b = num.coefficients, den.coefficients
     if len(a) != len(b) or any(x * b[-1] != y * a[-1] for x, y in zip(a, b)):
         raise NotConstant("the substituted zeta ratio is not constant in z")
     return Fraction(d) ** shift * Fraction(a[-1], b[-1]), (-1) ** k

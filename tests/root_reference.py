@@ -10,32 +10,34 @@ errors.
 import math
 
 from twistedzeta.errors import EigenvalueOnBoundary
-from twistedzeta.intlinalg import IntPolynomial
+from twistedzeta.intlinalg import _pseudo_divmod, _value
+
+Poly = tuple[int, ...]
 
 
-def _sturm_sequence(p: IntPolynomial) -> list[IntPolynomial]:
+def _sturm_sequence(p: Poly) -> list[Poly]:
     """p, p', then each negated pseudo-remainder as its primitive part, up
     to the last nonzero one, which is gcd(p, p') times a constant.
 
     Every step multiplies the true Sturm remainder by a positive integer, so
     the sign variations are those of the rational Sturm sequence.
     """
-    seq = [p, IntPolynomial([e * c for e, c in enumerate(p.coefficients)][1:])]
+    seq = [p, tuple(e * c for e, c in enumerate(p))[1:]]
     while True:
-        _, r = seq[-2].pseudo_divmod(seq[-1])
-        if r.is_zero():
+        _, r = _pseudo_divmod(seq[-2], seq[-1])
+        if not r:
             return seq
-        content = math.gcd(*r.coefficients)
-        seq.append(IntPolynomial([-c // content for c in r.coefficients]))
+        content = math.gcd(*r)
+        seq.append(tuple(-c // content for c in r))
 
 
-def _sign_variations(seq: list[IntPolynomial], a: int, q: int) -> int:
+def _sign_variations(seq: list[Poly], a: int, q: int) -> int:
     """Sign variations of the sequence at the rational point a/q, q > 0."""
-    signs = [v > 0 for v in (s(a, q) for s in seq) if v]
+    signs = [v > 0 for v in (_value(s, a, q) for s in seq) if v]
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def count_eigen_signs(cp: IntPolynomial) -> tuple[int, int]:
+def count_eigen_signs(cp: Poly) -> tuple[int, int]:
     """Exact eigenvalue sign counts for the determinant-sign constants of a
     matrix A, read from its characteristic polynomial cp = char_poly(A).
 
@@ -50,12 +52,12 @@ def count_eigen_signs(cp: IntPolynomial) -> tuple[int, int]:
     g_i divides g_0, so none vanishes at +-1, and none at +-B with
     B = 2 + max |c_j|, beyond the Cauchy bound of the monic g_0.
     """
-    if cp(1) == 0 or cp(-1) == 0:
+    if _value(cp, 1) == 0 or _value(cp, -1) == 0:
         raise EigenvalueOnBoundary("matrix has an eigenvalue equal to +1 or -1")
-    bound = 2 + max(map(abs, cp.coefficients))
+    bound = 2 + max(map(abs, cp))
     below = beyond = 0
     g = cp
-    while g.degree > 0:
+    while len(g) > 1:
         seq = _sturm_sequence(g)
         v = [_sign_variations(seq, x, 1) for x in (-bound, -1, 1, bound)]
         below += v[0] - v[1]
@@ -64,7 +66,7 @@ def count_eigen_signs(cp: IntPolynomial) -> tuple[int, int]:
     return below, below + beyond
 
 
-def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
+def largest_real_root(p: Poly) -> tuple[int, int, int]:
     """Exact dyadic bracket (lo, hi, e), lo/2^e <= x <= hi/2^e, of the
     largest real root x of a monic p; ValueError if p has no real root.
 
@@ -76,14 +78,14 @@ def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
     sign of s, to about 2^-53 of x.  As the bracket stays within [m, m + 1],
     x <= N exactly when hi <= N 2^e, for every integer N.
     """
-    if p.degree < 1 or p.coefficients[-1] != 1:
+    if len(p) < 2 or p[-1] != 1:
         raise ValueError("largest_real_root needs a monic, non-constant p")
     s = p
     seq = _sturm_sequence(p)
-    if seq[-1].degree > 0:  # gcd(p, p'): p has a multiple root
-        s, _ = p.pseudo_divmod(seq[-1])
+    if len(seq[-1]) > 1:  # gcd(p, p'): p has a multiple root
+        s, _ = _pseudo_divmod(p, seq[-1])
         seq = _sturm_sequence(s)
-    bound = 2 + max(map(abs, p.coefficients))  # beyond every root
+    bound = 2 + max(map(abs, p))  # beyond every root
     top = _sign_variations(seq, bound, 1)
 
     def above(a, e):  # the number of roots in (a/2^e, bound)
@@ -95,16 +97,16 @@ def largest_real_root(p: IntPolynomial) -> tuple[int, int, int]:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if above(mid, 0) else (lo, mid)
-    if s(hi) == 0:
+    if _value(s, hi) == 0:
         return hi, hi, 0
     e = 0
     while above(lo, e) > 1:
         lo, hi, e = 2 * lo, 2 * hi, e + 1
         lo, hi = (lo + 1, hi) if above(lo + 1, e) else (lo, lo + 1)
-    sign_above = s(hi, 1 << e) > 0
+    sign_above = _value(s, hi, 1 << e) > 0
     while max(-lo, hi) < 1 << 53:
         lo, hi, e = 2 * lo, 2 * hi, e + 1
-        if (s(lo + 1, 1 << e) > 0) == sign_above:
+        if (_value(s, lo + 1, 1 << e) > 0) == sign_above:
             hi = lo + 1
         else:
             lo += 1

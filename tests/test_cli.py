@@ -8,7 +8,6 @@ import pytest
 
 from twistedzeta import (
     FactoredRationalFunction,
-    IntPolynomial,
     cli,
     fox,
     groups,
@@ -50,12 +49,6 @@ FREE_DOC = {"kind": "free", "rank": 2, "images": ["ab", "a"]}
 FRONTIER_DOC = {"kind": "free", "rank": 3,
                 "images": ["abcAB", "bcaBC", "cabCA"]}
 FRONTIER_NORMS = [15, 63, 267, 1131, 4791, 20295, 85971, 364179]
-
-# Rank 6, det M = 75, no root-of-unity eigenvalue: factors up to degree 20.
-RANK_SIX_DOC = {"kind": "abelian",
-                "matrix": [[1, 2, 0, -1, 0, 1], [0, 1, 1, 0, 2, 0],
-                           [1, 0, -1, 1, 0, 0], [0, -2, 0, 1, 1, 1],
-                           [2, 0, 1, 0, -1, 0], [0, 1, 0, 1, 0, 2]]}
 
 # Rank 9, entries -2..2 from random.Random(0), det M != 0 and no
 # root-of-unity eigenvalue: the dual route reads the levels of M^m for
@@ -752,7 +745,7 @@ class TestSkippedAndBooleans:
         def wrong_factor(P):
             rf = real(P)
             (poly, e), *rest = rf.factors
-            wrong = IntPolynomial([*poly.coefficients, 1])
+            wrong = (*poly, 1)
             return FactoredRationalFunction(((wrong, e), *rest),
                                             rf.sign_convention)
 
@@ -787,35 +780,6 @@ class TestSkippedAndBooleans:
         assert list(out) == ["kind", "counts", "zeta", "congruences",
                              "functional_equation", "torsion", "agreement",
                              "inputs", "timing_seconds"]
-
-    @pytest.mark.parametrize("doc", [
-        RANK_SIX_DOC,
-        dict(PRODUCT_DOC, options={"torsion_angles": ["1/3", "1/5", "1/2"]}),
-    ], ids=["abelian-rank-6", "product-with-angles"])
-    def test_the_identities_form_no_polynomial_product(
-            self, tmp_path, capsys, monkeypatch, doc):
-        # The series, the functional equation and the torsion identity are
-        # decided on the factors: no IntPolynomial is multiplied, and the
-        # reports are those of an unpatched run.
-        path = write_doc(tmp_path, doc)
-
-        def reports():
-            out = {}
-            for verb in ("compute", "zeta", "torsion"):
-                code = main([verb, path])
-                report = json.loads(capsys.readouterr().out)
-                report.pop("timing_seconds", None)
-                out[verb] = code, report
-            return out
-
-        def refuse(self, other):
-            raise AssertionError("an IntPolynomial product was formed")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(IntPolynomial, "__mul__", refuse)
-            patched = reports()
-        assert patched == reports()
-        assert all(code == 0 for code, _ in patched.values())
 
     @pytest.mark.parametrize("order", ["0", "-3"])
     @pytest.mark.parametrize("sample", ["doubling_flip", "klein_swap"])

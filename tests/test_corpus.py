@@ -18,3 +18,15 @@ def test_every_document_agrees_or_names_its_infinite_iterate(corpus_reports):
         else:
             assert (code, err) == (0, ""), name
             assert json.loads(report)["agreement"] is True, name
+
+
+def test_every_zeta_factor_is_a_trimmed_det_identity_minus_xz(
+        corpus_reports):
+    # Each factor is det(I - X z): its constant term is 1, and no producer
+    # of factors leaves a zero last coefficient.
+    factors = [factor["coeffs"] for code, _, report in corpus_reports.values()
+               if code == 0 and "zeta" in (parsed := json.loads(report))
+               for factor in parsed["zeta"]["factors"]]
+    assert len(factors) > 400
+    for coeffs in factors:
+        assert coeffs[0] == 1 and len(coeffs) > 1 and coeffs[-1], coeffs

@@ -18,7 +18,8 @@ import sys
 import pytest
 
 import corpus
-from twistedzeta import ConjugacyPartition, IntPolynomial
+from references import trim
+from twistedzeta import ConjugacyPartition, FiniteGroup
 
 
 def _det_times_1000(det):
@@ -62,8 +63,8 @@ def _one_letter_short(cancelled_length):
 
 def _last_two_classes_merged(partition):
     """The last two classes of every partition read as one."""
-    def faulty(G, how):
-        part = partition(G, how)
+    def faulty(*args):
+        part = partition(*args)
         last = part.num_classes - 1
         if last < 1:
             return part
@@ -103,8 +104,39 @@ def _last_coefficient_plus_one(berkowitz):
 def _last_factor_coefficient_plus_one(factor_from_traces):
     """The top coefficient of every dual factor one too high."""
     def faulty(traces):
-        c = factor_from_traces(traces).coefficients
-        return IntPolynomial([*c[:-1], c[-1] + 1])
+        c = factor_from_traces(traces)
+        return trim((*c[:-1], c[-1] + 1))
+    return faulty
+
+
+def _constant_term_plus_one(char_poly):
+    """The constant term of every characteristic polynomial of dimension 3
+    or more one too high."""
+    def faulty(A):
+        c = char_poly(A)
+        return (c[0] + 1, *c[1:]) if A.rows >= 3 else c
+    return faulty
+
+
+def _two_products_swapped(group_from_permutations):
+    """g1 g1 and g1 g2 exchanged in every table of three or more
+    elements."""
+    def faulty(degree, generators):
+        G = group_from_permutations(degree, generators)
+        if G.order < 3:
+            return G
+        mult = [list(row) for row in G.mult]
+        mult[1][1], mult[1][2] = mult[1][2], mult[1][1]
+        return FiniteGroup(tuple(map(tuple, mult)), G.inv, G.perms,
+                           G.generators)
+    return faulty
+
+
+def _sign_counts_swapped(count_eigen_signs):
+    """(r, p) in place of the sign counts (p, r)."""
+    def faulty(cp):
+        p, r = count_eigen_signs(cp)
+        return r, p
     return faulty
 
 
@@ -151,6 +183,16 @@ FAULTS = {
                              ("sample-", "lattice-k2")),
     "groups._partition_from_orbits": (_last_two_classes_merged,
                                       ("sample-", "product-s3", "finite-S4")),
+    "groups.ordinary_conjugacy_classes": (_last_two_classes_merged,
+                                          ("sample-", "product-s3_inner-k1",
+                                           "finite-S4")),
+    "intlinalg.char_poly": (_constant_term_plus_one,
+                            ("sample-", "lattice-k3", "free-r3-122")),
+    "groups.group_from_permutations": (_two_products_swapped,
+                                       ("sample-", "finite-S4",
+                                        "finite-C2^5")),
+    "intlinalg.count_eigen_signs": (_sign_counts_swapped,
+                                    ("sample-", "lattice-k2")),
 }
 # One line per fault run: its changed, detected and silent report counts,
 # which conftest.py prints in the terminal summary.
@@ -167,6 +209,14 @@ SILENT = {
                             "evaluator",
     "groups._partition_from_orbits": "item 18: every count route reads the "
                                      "one class-partition builder",
+    "groups.ordinary_conjugacy_classes": "item 7e: the oracle's size cap "
+                                         "skips the large product documents",
+    "intlinalg.char_poly": "item 6: a second route for the free spectral "
+                           "bounds",
+    "groups.group_from_permutations": "item 18: every count route reads the "
+                                      "one multiplication table",
+    "intlinalg.count_eigen_signs": "item 6: a second route for the "
+                                   "eigenvalue sign counts",
 }
 
 

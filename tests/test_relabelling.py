@@ -39,6 +39,14 @@ On Z^k x F, phi^2 is (v, f) -> (M^2 v, psi(M v) phi_F(psi(v)) phi_F^2(f)),
 so R_n(phi^2) = R_2n(phi): each seed-0 ``product`` document is squared
 and its counts must be every second count of the document's.
 
+*Products.*  The product of phi_1 on Z^k1 x F1 and phi_2 on Z^k2 x F2 is
+a map of Z^(k1+k2) x (F1 x F2), and its twisted classes are the pairs of
+classes, so R_n(phi_1 x phi_2) = R_n(phi_1) R_n(phi_2).  Pairs of seed-0
+``product`` documents with k1 + k2 <= 3 are joined into one document: M is
+block-diagonal, and F1 and F2 act on disjoint points.  The group of the
+joined document is closed and tabled anew from those permutations, so the
+relation reaches groups past order 24 and the closure of each one.
+
 Nothing under ``perfbench/`` is written.
 """
 
@@ -261,6 +269,61 @@ def product_squared(body: dict) -> dict:
                 psi=psi2,
                 finite=dict(finite, endo_images=[
                     list(F.perms[phi(phi(F.index[s]))]) for s in gens]))
+
+
+def joined(first: dict, second: dict) -> dict:
+    """The document of the product of two product documents, as described
+    above.  F1 moves the points 0..d1-1 and F2 the next d2 points, so the
+    permutations of F1 x F2 sort by their first d1 points, and the element
+    (i1, i2) has the index i1 |F2| + i2."""
+    f1, f2 = first["finite"], second["finite"]
+    d1, d2 = f1["degree"], f2["degree"]
+    k1, k2 = len(first["matrix"]), len(second["matrix"])
+
+    def on_first(p):
+        return [*p, *range(d1, d1 + d2)]
+
+    def on_second(p):
+        return [*range(d1), *(d1 + x for x in p)]
+
+    order2 = group_from_permutations(
+        d2, [tuple(p) for p in f2["generators"]]).order
+    return {"kind": "product",
+            "matrix": [[*row, *[0] * k2] for row in first["matrix"]]
+            + [[*[0] * k1, *row] for row in second["matrix"]],
+            "psi": [a * order2 for a in first.get("psi", [0] * k1)]
+            + second.get("psi", [0] * k2),
+            "finite": {
+                "degree": d1 + d2,
+                "generators": [*map(on_first, f1["generators"]),
+                               *map(on_second, f2["generators"])],
+                "endo_images": [
+                    *map(on_first, f1.get("endo_images", f1["generators"])),
+                    *map(on_second,
+                         f2.get("endo_images", f2["generators"]))]}}
+
+
+def test_product_of_documents_has_the_product_counts(tmp_path):
+    docs = _documents("product")
+    pairs = [(a, b) for a, b in zip(docs[::2], docs[1::2])
+             if len(a.body["matrix"]) + len(b.body["matrix"]) <= 3]
+    largest = 0
+    for a, b in pairs:
+        body = joined(a.body, b.body)
+        reports = [_compute(doc, tmp_path / f"{name}.json") for name, doc in
+                   (("first", a.body), ("second", b.body), ("joined", body))]
+        for code, _, err in reports:
+            assert code == 0, (a.ident, b.ident, err)
+        first, second, product = (report for _, report, _ in reports)
+        for label in ("product_formula", "signed_trace"):
+            assert product["counts"][label] == [
+                x * y for x, y in zip(first["counts"][label],
+                                      second["counts"][label])], (
+                a.ident, b.ident)
+        generators = [tuple(p) for p in body["finite"]["generators"]]
+        largest = max(largest, group_from_permutations(
+            body["finite"]["degree"], generators).order)
+    assert len(pairs) > 20 and largest > 24
 
 
 def test_square_has_every_second_count(tmp_path):

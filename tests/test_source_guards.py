@@ -452,6 +452,35 @@ def test_only_the_identities_merge_by_exponents():
         assert "_exponents" in _reached_names("zeta", identity)
 
 
+def test_the_package_has_no_polynomial_class():
+    # A polynomial is its coefficient tuple, and the zeta identities are
+    # decided on the factors, so the package has no polynomial product to
+    # form.  A class with a coefficients attribute would be a second
+    # polynomial type next to the tuples; the one __mul__ is the group-ring
+    # product of the Fox calculus.
+    coefficient_classes, products = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = {n.attr if isinstance(n, ast.Attribute) else
+                     n.id if isinstance(n, ast.Name) else
+                     n.name if isinstance(n, ast.FunctionDef) else n.value
+                     for n in ast.walk(node)
+                     if isinstance(n, (ast.Attribute, ast.Name,
+                                       ast.FunctionDef))
+                     or isinstance(n, ast.Constant)
+                     and isinstance(n.value, str)}
+            if "coefficients" in names:
+                coefficient_classes.append(node.name)
+            products += [node.name for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and item.name == "__mul__"]
+    assert coefficient_classes == []
+    assert products == ["GroupRingElement"]
+
+
 def test_one_product_kernel():
     # Element and matrix products run the one prepared-operand kernel, so
     # the entry-level tests of `*` check the words of the ring-product

@@ -12,7 +12,6 @@ from twistedzeta import (
     FactoredRationalFunction,
     GroupEndomorphism,
     IntMatrix,
-    IntPolynomial,
     ProductEndomorphism,
     char_poly,
     class_function_matrix,
@@ -68,7 +67,7 @@ from references import (
 
 
 def poly_dict(rf):
-    return {tuple(p.coefficients): e for p, e in rf.factors}
+    return dict(rf.factors)
 
 
 class TestClosedForm:
@@ -124,7 +123,7 @@ def reference_closed_form(P):
         X = kron(exterior_power(P.M, i), B)
         poly = det_identity_minus_z(
             IntMatrix([[(-1) ** p * a for a in row] for row in X.entries]))
-        if poly.degree >= 1:
+        if len(poly) > 1:
             merged[poly] = merged.get(poly, 0) + (-1) ** (i + 1 + r)
     return tuple((poly, e) for poly, e in merged.items() if e != 0), (p, r)
 
@@ -208,7 +207,7 @@ class TestPowerSumRoute:
                        [-1, -1, -1, 1, 0, 1, 1]])
         P = ProductEndomorphism.from_matrix(M)
         factors, signs = power_sum_closed_form(P)
-        assert [(poly.degree, e) for poly, e in factors] == [
+        assert [(len(poly) - 1, e) for poly, e in factors] == [
             (1, -1), (7, 1), (21, -1), (35, 1), (35, -1), (21, 1), (7, -1),
             (1, 1)]
         assert (factors, signs) == reference_closed_form(P)
@@ -216,7 +215,7 @@ class TestPowerSumRoute:
 
 class TestIntegerSeries:
     # (1 - 2z)^-2 = sum (n + 1) 2^n z^n, with z d/dz log = sum 2 * 2^n z^n
-    INVERSE_SQUARE = FactoredRationalFunction(((IntPolynomial([1, -2]), -2),))
+    INVERSE_SQUARE = FactoredRationalFunction((((1, -2), -2),))
 
     def test_expansion_of_inverse_square(self):
         series = expand_rational(self.INVERSE_SQUARE, 10)
@@ -232,10 +231,9 @@ class TestIntegerSeries:
             for _ in range(rng.randint(0, 4)):
                 e = rng.choice((-3, -2, -1, 1, 2, 3))
                 degree = rng.randint(1, 20)
-                poly = IntPolynomial(
-                    [1 if e < 0 else rng.choice((1, 1, -1, 2))]
-                    + [rng.randint(-3, 3) for _ in range(degree - 1)]
-                    + [rng.choice((-2, -1, 1, 2))])
+                poly = ((1 if e < 0 else rng.choice((1, 1, -1, 2)),)
+                        + tuple(rng.randint(-3, 3) for _ in range(degree - 1))
+                        + (rng.choice((-2, -1, 1, 2)),))
                 factors.append((poly, e))
             rf = FactoredRationalFunction(tuple(factors))
             order = rng.randint(0, 25)
@@ -243,11 +241,10 @@ class TestIntegerSeries:
                 rf, order), (str(rf), order)
 
     def test_dividing_factor_needs_constant_term_one(self):
-        rf = FactoredRationalFunction(((IntPolynomial([1, 1]), 1),
-                                       (IntPolynomial([2, 1]), -1)))
+        rf = FactoredRationalFunction((((1, 1), 1), ((2, 1), -1)))
         with pytest.raises(ValueError):
             expand_rational(rf, 4)
-        times_two = FactoredRationalFunction(((IntPolynomial([2, 1]), 2),))
+        times_two = FactoredRationalFunction((((2, 1), 2),))
         assert expand_rational(times_two, 3) == (4, 4, 1, 0)
 
     def test_log_derivative_of_inverse_square(self):
@@ -386,7 +383,7 @@ class TestFunctionalEquation:
                  "not those": [([1, -1], 2), ([1, 2, -1], -1)]}
         for reason, factors in wrong.items():
             altered = FactoredRationalFunction(
-                tuple((IntPolynomial(c), e) for c, e in factors),
+                tuple((tuple(c), e) for c, e in factors),
                 zeta.SignConvention(0, 1))
             with pytest.raises(NotConstant, match=reason):
                 functional_equation_check(M, altered)
@@ -456,8 +453,9 @@ class TestExactTorsion:
                     t = Fraction(a, q)
                     z = rf.sign_convention.sigma * cmath.exp(
                         2j * cmath.pi * float(t))
-                    vanishing = any(abs(complex(poly(z))) < 1e-9
-                                    for poly, _ in rf.factors)
+                    vanishing = any(
+                        abs(sum(c * z ** j for j, c in enumerate(poly))) < 1e-9
+                        for poly, _ in rf.factors)
                     for route in (lambda: torsion_special_value(P, t, rf),
                                   lambda: torsion_via_lefschetz(P, t, dual)):
                         if vanishing:
@@ -488,6 +486,16 @@ class TestExactTorsion:
             assert lefschetz_identity(rf, dual)
             assert cross_multiplied_identity(rf, dual)
 
+    def test_both_newton_steps_trim_zero_last_entries(self):
+        # diag(2, 0): each Newton step gives det(I - M z) as 1 - 2z + 0z^2
+        # and the top level as 1 + 0z, and each drops the zeros by itself
+        P = ProductEndomorphism.from_matrix(IntMatrix([[2, 0], [0, 0]]))
+        rf, dual = zeta_product(P), dual_lefschetz_zeta(P)
+        assert rf.factors == (((1, -1), 1), ((1, -2), -1))
+        assert str(rf) == "(1 - z)^1 * (1 - 2*z)^-1"
+        assert dual.factors == (((1, -1), -1), ((1, -2), 1))
+        assert lefschetz_identity(rf, dual)
+
     @given(any_products())
     @settings(max_examples=100, deadline=None)
     def test_identity_matches_the_cross_multiplied_one(self, case):
@@ -503,9 +511,8 @@ class TestExactTorsion:
 
     def test_one_wrong_factor_is_not_made_up_for(self):
         # (1 - z^2) = (1 - z)(1 + z): equal products, different factors
-        split = FactoredRationalFunction(((IntPolynomial([1, -1]), 1),
-                                          (IntPolynomial([1, 1]), 1)))
-        whole = FactoredRationalFunction(((IntPolynomial([1, 0, -1]), 1),),
+        split = FactoredRationalFunction((((1, -1), 1), ((1, 1), 1)))
+        whole = FactoredRationalFunction((((1, 0, -1), 1),),
                                          zeta.SignConvention(0, 0))
         assert cross_multiplied_identity(whole, split)
         assert not lefschetz_identity(whole, split)
@@ -514,7 +521,7 @@ class TestExactTorsion:
         for P in self.invertible_catalog():
             rf = zeta_product(P)
             (poly, e), *rest = rf.factors
-            wrong = IntPolynomial([*poly.coefficients, 1])
+            wrong = (*poly, 1)
             altered = FactoredRationalFunction(((wrong, e), *rest),
                                                rf.sign_convention)
             dual = dual_lefschetz_zeta(P)
