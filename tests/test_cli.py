@@ -17,6 +17,8 @@ from twistedzeta import (
 from twistedzeta.cli import main, parse_problem, run
 from twistedzeta.errors import SchemaError, ValidationError
 
+from references import poly_mul
+
 KLEIN_SWAP = {
     "kind": "finite",
     "degree": 4,
@@ -49,6 +51,12 @@ FREE_DOC = {"kind": "free", "rank": 2, "images": ["ab", "a"]}
 FRONTIER_DOC = {"kind": "free", "rank": 3,
                 "images": ["abcAB", "bcaBC", "cabCA"]}
 FRONTIER_NORMS = [15, 63, 267, 1131, 4791, 20295, 85971, 364179]
+
+# Rank 6, det M = 75, no root-of-unity eigenvalue: factors up to degree 20.
+RANK_SIX_DOC = {"kind": "abelian",
+                "matrix": [[1, 2, 0, -1, 0, 1], [0, 1, 1, 0, 2, 0],
+                           [1, 0, -1, 1, 0, 0], [0, -2, 0, 1, 1, 1],
+                           [2, 0, 1, 0, -1, 0], [0, 1, 0, 1, 0, 2]]}
 
 # Rank 9, entries -2..2 from random.Random(0), det M != 0 and no
 # root-of-unity eigenvalue: the dual route reads the levels of M^m for
@@ -780,6 +788,64 @@ class TestSkippedAndBooleans:
         assert list(out) == ["kind", "counts", "zeta", "congruences",
                              "functional_equation", "torsion", "agreement",
                              "inputs", "timing_seconds"]
+
+    @pytest.mark.parametrize("doc", [
+        RANK_SIX_DOC,
+        dict(PRODUCT_DOC, options={"torsion_angles": ["1/3", "1/5", "1/2"]}),
+    ], ids=["abelian-rank-6", "product-with-angles"])
+    def test_the_identities_form_no_polynomial_product(
+            self, tmp_path, capsys, doc):
+        # The series, the functional equation and the torsion identity are
+        # decided on the factors.  Every value a package function returns
+        # is recorded: no product of two or more factor powers of a zeta
+        # function (its numerator, its denominator or both) is among them,
+        # the only __mul__ reached is the group-ring product, and the
+        # reports are those of an unrecorded run.
+        path = write_doc(tmp_path, doc)
+        package = str(Path(zeta.__file__).parent)
+
+        def reports():
+            out = {}
+            for verb in ("compute", "zeta", "torsion"):
+                code = main([verb, path])
+                report = json.loads(capsys.readouterr().out)
+                report.pop("timing_seconds", None)
+                out[verb] = code, report
+            return out
+
+        called, returned = set(), []
+
+        def record(frame, event, arg):
+            code = frame.f_code
+            if event == "return" and code.co_filename.startswith(package):
+                called.add(code.co_qualname)
+                returned.append(arg)
+
+        sys.setprofile(record)
+        try:
+            recorded = reports()
+        finally:
+            sys.setprofile(None)
+        assert recorded == reports()
+        assert all(code == 0 for code, _ in recorded.values())
+
+        products = set()
+        for rf in returned:
+            if not isinstance(rf, FactoredRationalFunction):
+                continue
+            for signs in ((1,), (-1,), (1, -1)):
+                powers = [poly for poly, e in rf.factors
+                          for sign in signs for _ in range(sign * e)]
+                if len(powers) >= 2:
+                    product = (1,)
+                    for poly in powers:
+                        product = poly_mul(product, poly)
+                    products.add(product)
+        assert products, "no zeta function with two factor powers was seen"
+        assert [v for v in returned if isinstance(v, tuple)
+                and all(type(c) is int for c in v) and v in products] == []
+        assert {name for name in called if name.endswith("__mul__")
+                } <= {"GroupRingElement.__mul__"}
 
     @pytest.mark.parametrize("order", ["0", "-3"])
     @pytest.mark.parametrize("sample", ["doubling_flip", "klein_swap"])
