@@ -398,16 +398,19 @@ class FreeGroupEndo:
 
 
 class GroupRingMatrix:
-    """Rectangular matrix over the integral group ring of a free group."""
+    """Square matrix over the integral group ring of a free group: every
+    row has as many entries as there are rows, or the constructor raises
+    NotSquare, so no function that takes one checks its shape again."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "entries")
 
     def __init__(self, entries):
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        if any(len(row) != self.cols for row in entries):
-            raise ValueError("ragged entries")
-        self.entries = tuple(tuple(row) for row in entries)
+        self.entries = tuple(map(tuple, entries))
+        self.rows = len(self.entries)
+        for row in self.entries:
+            if len(row) != self.rows:
+                raise NotSquare(f"a matrix of {self.rows} rows has a row of "
+                                f"{len(row)} entries")
 
     @classmethod
     def identity(cls, n: int) -> "GroupRingMatrix":
@@ -420,9 +423,9 @@ class GroupRingMatrix:
                 and self.entries == other.entries)
 
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        r = other.cols
+        if self.rows != other.rows:
+            raise ValueError("size mismatch")
+        r = other.rows
         rows = [_chains([y.terms for y in row]) for row in other.entries]
         left = [[x.terms.items() for x in row] for row in self.entries]
         return GroupRingMatrix(
@@ -462,8 +465,7 @@ def matrix_norm(A: GroupRingMatrix) -> int:
 
 def matrix_of_norms(A: GroupRingMatrix) -> IntMatrix:
     return IntMatrix._trusted(
-        tuple(tuple(ring_norm(x) for x in row) for row in A.entries),
-        A.rows, A.cols)
+        tuple(tuple(ring_norm(x) for x in row) for row in A.entries))
 
 
 def spectral_radius(A: IntMatrix) -> tuple[int, int, int]:
@@ -476,8 +478,6 @@ def spectral_radius(A: IntMatrix) -> tuple[int, int, int]:
     A 1 x 1 matrix (a) has the root a, and its bracket (a, a, 0) is the
     one ``largest_real_root(x - a)`` returns, so it is read off the entry.
     """
-    if not A.is_square:
-        raise NotSquare("spectral radius of a non-square matrix")
     if any(a < 0 for row in A.entries for a in row):
         raise ValueError("matrix must be non-negative")
     if A.rows == 0:
@@ -538,8 +538,6 @@ def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
     word of A with a letter beyond the rank of phi raises ValueError before
     any product is taken.
     """
-    if A.rows != A.cols:
-        raise NotSquare("twisted power of a non-square matrix")
     if N < 1:
         raise ValueError("n must be >= 1")
     entries = [[x.terms for x in row] for row in A.entries]
@@ -556,7 +554,7 @@ def twisted_power_norms(phi: FreeGroupEndo, A: GroupRingMatrix,
         image = _prefix_images(words, images)
         twisted = [[[(image[w], c) for w, c in terms.items()]
                     for terms in row] for row in entries]
-        product = _chain_matmul(twisted, (A.cols, product))
+        product = _chain_matmul(twisted, (A.rows, product))
         norms.append(sum(sum(map(abs, coefs))
                          for row in product for _, _, coefs in row))
         images = [image[w] for w in phi.images]

@@ -34,67 +34,58 @@ from .errors import BadIndex, EigenvalueOnBoundary, NotSquare
 
 
 class IntMatrix:
-    """Immutable integer matrix.  The 0x0 matrix is allowed (rank-0 lattice)."""
+    """Immutable square integer matrix: every row has as many int entries
+    (not bools) as there are rows, or the constructor raises NotSquare or
+    TypeError, so no function that takes one checks its shape again.  The
+    0x0 matrix is allowed (rank-0 lattice)."""
 
-    __slots__ = ("rows", "cols", "entries", "_sparse")
+    __slots__ = ("rows", "entries", "_sparse")
 
-    def __init__(self, entries, rows=None, cols=None):
-        entries = [list(map(int, row)) for row in entries]
-        if rows is None:
-            rows = len(entries)
-        if cols is None:
-            cols = len(entries[0]) if entries else 0
-        if len(entries) != rows or any(len(row) != cols for row in entries):
-            raise ValueError("ragged entries")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(tuple(row) for row in entries)
-        self._sparse = None
+    def __init__(self, entries):
+        entries = tuple(map(tuple, entries))
+        for row in entries:
+            if len(row) != len(entries):
+                raise NotSquare(f"a matrix of {len(entries)} rows has a row "
+                                f"of {len(row)} entries")
+            for a in row:
+                if not isinstance(a, int) or isinstance(a, bool):
+                    raise TypeError(f"a matrix entry is an int, not {a!r}")
+        self.rows, self.entries, self._sparse = len(entries), entries, None
 
     @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, ...], ...], rows: int,
-                 cols: int) -> "IntMatrix":
-        """A matrix from rows that are already tuples of ints of the right
-        shape, for the results the class builds itself: no validation."""
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix from rows that are already tuples of ints, as many as
+        there are rows, for the results the class builds itself: no
+        validation."""
         A = object.__new__(cls)
-        A.rows, A.cols, A.entries, A._sparse = rows, cols, entries, None
+        A.rows, A.entries, A._sparse = len(entries), entries, None
         return A
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls._trusted(
             tuple(tuple(1 if i == j else 0 for j in range(n))
-                  for i in range(n)), n, n)
+                  for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, IntMatrix) and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash(self.entries)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+        if self.rows != other.rows:
+            raise ValueError("size mismatch")
         return IntMatrix._trusted(
             tuple(tuple(a - b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.entries, other.entries)),
-            self.rows, self.cols)
+                  for ra, rb in zip(self.entries, other.entries)))
 
     def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero (column, entry) pairs of each row, listed on first
@@ -108,22 +99,17 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Visits the nonzero entries of both factors only, through the
         right factor's ``_sparse_rows``."""
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = _row_products(self.entries, other._sparse_rows(), other.cols)
-        return IntMatrix._trusted(tuple(map(tuple, out)), self.rows,
-                                  other.cols)
+        if self.rows != other.rows:
+            raise ValueError("size mismatch")
+        out = _row_products(self.entries, other._sparse_rows(), other.rows)
+        return IntMatrix._trusted(tuple(map(tuple, out)))
 
     def trace(self) -> int:
-        if not self.is_square:
-            raise NotSquare("trace of a non-square matrix")
         return sum(self.entries[i][i] for i in range(self.rows))
 
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
-        return IntMatrix._trusted(
-            tuple(tuple(self.entries[i][j] for j in col_idx)
-                  for i in row_idx),
-            len(row_idx), len(col_idx))
+        return IntMatrix([[self.entries[i][j] for j in col_idx]
+                          for i in row_idx])
 
 
 def _row_products(rows, nonzero, cols: int) -> list[list[int]]:
@@ -143,8 +129,6 @@ def _row_products(rows, nonzero, cols: int) -> list[list[int]]:
 
 def det(A: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
-    if not A.is_square:
-        raise NotSquare("determinant of a non-square matrix")
     return det_rows([list(row) for row in A.entries])
 
 
@@ -182,8 +166,6 @@ def char_poly(A: IntMatrix) -> tuple[int, ...]:
     Each M_k is a polynomial in A, so A M_k = M_k A, and the product is
     taken as M_k A, over the nonzero entries of A's rows only.
     """
-    if not A.is_square:
-        raise NotSquare("characteristic polynomial of a non-square matrix")
     n = A.rows
     nonzero = A._sparse_rows()
     coeffs = [1]  # of x^n, then x^{n-1}, ...
@@ -214,7 +196,7 @@ def _gcd_rows(top: list[int], row: list[int]) -> tuple[list[int], list[int]]:
 
 
 def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
-    """The Smith diagonal d1 | d2 | ... of A: min(rows, cols) entries, none
+    """The Smith diagonal d1 | d2 | ... of A: one entry per row, none
     negative, zeros last, with no transform, determinant or modulus formed.
 
     A nonzero entry is brought to (0, 0) if none is there, and column 0
@@ -248,7 +230,7 @@ def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
             S = [list(col) for col in zip(*S)]
         d.append(abs(S[0][0]))
         S = [row[1:] for row in S[1:]]
-    d += [0] * (min(A.rows, A.cols) - len(d))
+    d += [0] * (A.rows - len(d))
     for i, j in itertools.combinations(range(len(d)), 2):
         d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
     return tuple(d)
@@ -266,14 +248,11 @@ def unimodular_inverse(U: IntMatrix) -> IntMatrix:
     # entry (i, j) of adj(U) is the (j, i) cofactor
     return IntMatrix._trusted(tuple(
         tuple((-1) ** (i + j) * d * det(U.submatrix(rest[j], rest[i]))
-              for j in range(U.rows)) for i in range(U.rows)),
-        U.rows, U.rows)
+              for j in range(U.rows)) for i in range(U.rows)))
 
 
 def exterior_power(A: IntMatrix, i: int) -> IntMatrix:
     """i-th compound matrix: minors indexed by sorted subsets in lex order."""
-    if not A.is_square:
-        raise NotSquare("exterior power of a non-square matrix")
     k = A.rows
     if i < 0 or i > k:
         raise BadIndex(f"exterior power index {i} out of range 0..{k}")
@@ -282,18 +261,16 @@ def exterior_power(A: IntMatrix, i: int) -> IntMatrix:
     subsets = list(itertools.combinations(range(k), i))
     out = tuple(tuple(det(A.submatrix(rows, cols)) for cols in subsets)
                 for rows in subsets)
-    return IntMatrix._trusted(out, len(subsets), len(subsets))
+    return IntMatrix._trusted(out)
 
 
 def kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     out = tuple(tuple(a * b for a in arow for b in brow)
                 for arow in A.entries for brow in B.entries)
-    return IntMatrix._trusted(out, A.rows * B.rows, A.cols * B.cols)
+    return IntMatrix._trusted(out)
 
 
 def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
-    if not A.is_square:
-        raise NotSquare("power of a non-square matrix")
     if n < 0:
         raise ValueError("negative power")
     if n == 0:
@@ -310,20 +287,18 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
 
 def row_powers(A: IntMatrix, N: int) -> Iterator[list[list[int]]]:
     """A^n as row lists for n = 1..N: A^n is A^(n-1) A, one product per n
-    and no IntMatrix per step.  A must be square.  Each yielded list is
+    and no IntMatrix per step.  Each yielded list is
     new, and the next power reads it, so callers must not change it."""
     nonzero = A._sparse_rows()
     power = [list(row) for row in A.entries]
     for n in range(N):
         if n:
-            power = _row_products(power, nonzero, A.cols)
+            power = _row_products(power, nonzero, A.rows)
         yield power
 
 
 def power_traces(A: IntMatrix, N: int) -> list[int]:
     """``[tr A^n for n = 1..N]``."""
-    if not A.is_square:
-        raise NotSquare("power traces of a non-square matrix")
     return [sum(power[i][i] for i in range(A.rows))
             for power in row_powers(A, N)]
 
@@ -356,8 +331,6 @@ def wedge_traces(M: IntMatrix, N: int) -> list[list[int]]:
     ``_berkowitz`` polynomial of M^n gives every level of n; no minor and
     no level is formed.
     """
-    if not M.is_square:
-        raise NotSquare("wedge traces of a non-square matrix")
     return [[(-1) ** i * c for i, c in enumerate(_berkowitz(power))]
             for power in row_powers(M, N)]
 

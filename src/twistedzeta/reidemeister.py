@@ -62,7 +62,7 @@ def class_function_matrix(G: FiniteGroup, phi: GroupEndomorphism) -> IntMatrix:
     B = [[0] * c for _ in range(c)]
     for src, rep in enumerate(part.representatives):
         B[part.class_of[phi(rep)]][src] = 1
-    return IntMatrix(B, rows=c, cols=c)
+    return IntMatrix(B)
 
 
 def r_abelian(M: IntMatrix) -> int:
@@ -117,8 +117,6 @@ class ProductEndomorphism:
     F: FiniteGroup
 
     def __post_init__(self):
-        if not self.M.is_square:
-            raise ValueError("M must be square")
         if len(self.psi) != self.M.rows:
             raise ValueError("psi must give one F-element per basis vector")
         self.phiF.validate(self.F)

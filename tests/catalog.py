@@ -240,7 +240,7 @@ def any_products(draw):
     k = draw(st.integers(0, 3))
     M = IntMatrix(draw(st.lists(
         st.lists(st.integers(-2, 2), min_size=k, max_size=k),
-        min_size=k, max_size=k)), rows=k, cols=k)
+        min_size=k, max_size=k)))
     G, endos = draw(st.sampled_from(small_finite()))
     phiF = draw(st.sampled_from(endos))
     image = set(phiF.image)

@@ -4,15 +4,51 @@ galloping: every count is taken at the explicit bound B = 2 + max |c_i|,
 the integer cell is bisected within [-B, B], and the last stage halves the
 cell one bit per step, comparing the sign at its midpoint with that at its
 upper end.  Tests compare the package with them on exact outputs and raised
-errors.
+errors, by the name of the error's class.
+
+The module imports nothing from the package: its pseudo-division divides
+over the rationals and scales the result, and a value is a sum of powers,
+so a fault in the package's own loops cannot reach both sides.
 """
 
 import math
-
-from twistedzeta.errors import EigenvalueOnBoundary
-from twistedzeta.intlinalg import _pseudo_divmod, _value
+from fractions import Fraction
 
 Poly = tuple[int, ...]
+
+
+class EigenvalueOnBoundary(Exception):
+    """An eigenvalue is +1 or -1: the package's error of the same name."""
+
+
+def _trim(c) -> Poly:
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _value(c: Poly, x: int, q: int = 1) -> int:
+    """q^deg c * c(x/q) as the sum of the terms c_i x^i q^(deg c - i): the
+    sign of c(x/q) for q > 0."""
+    return sum(a * x ** i * q ** (len(c) - 1 - i) for i, a in enumerate(c))
+
+
+def _pseudo_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(q, r) with |lc(b)|^e a = q b + r and deg r < deg b, for
+    e = max(deg a - deg b + 1, 0): the quotient and remainder of exact
+    division over the rationals, each times |lc(b)|^e, which makes them
+    integral."""
+    scale = abs(b[-1]) ** max(len(a) - len(b) + 1, 0)
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(q))):
+        q[i] = r[i + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            r[i + j] -= q[i] * c
+    q, r = [c * scale for c in q], [c * scale for c in r[:len(b) - 1]]
+    assert all(c.denominator == 1 for c in q + r)
+    return _trim(c.numerator for c in q), _trim(c.numerator for c in r)
 
 
 def _sturm_sequence(p: Poly) -> list[Poly]:

@@ -156,6 +156,18 @@ def _value_times_one_and_a_half(value_at_angle):
     return faulty
 
 
+def _first_entry_plus_one(row_products):
+    """Entry (0, 0) of every product of dimension 2 or more one too high:
+    the one product loop behind ``IntMatrix.__matmul__``, ``row_powers``
+    and ``char_poly``."""
+    def faulty(rows, nonzero, cols):
+        out = row_products(rows, nonzero, cols)
+        if cols >= 2:
+            out[0][0] += 1
+        return out
+    return faulty
+
+
 # module.name: (wrapper of the real function, prefixes of the corpus
 # documents that reach it).  Entries are never removed.
 FAULTS = {
@@ -193,6 +205,8 @@ FAULTS = {
                                         "finite-C2^5")),
     "intlinalg.count_eigen_signs": (_sign_counts_swapped,
                                     ("sample-", "lattice-k2")),
+    "intlinalg._row_products": (_first_entry_plus_one,
+                                ("sample-", "lattice-k2", "product-s3")),
 }
 # One line per fault run: its changed, detected and silent report counts,
 # which conftest.py prints in the terminal summary.

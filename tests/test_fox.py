@@ -206,9 +206,11 @@ class TestProductKernel:
     @given(cancelling_elements(12))
     @settings(max_examples=60, deadline=None)
     def test_matrix_product(self, elements):
-        # a 2x3 times a 3x2 matrix: each entry sums three products
-        A = GroupRingMatrix([elements[0:3], elements[3:6]])
-        B = GroupRingMatrix([elements[6:8], elements[8:10], elements[10:12]])
+        # a 2x3 times a 3x2 matrix, made square by a last zero row and a
+        # last zero column: each entry sums three products
+        zero = GroupRingElement.zero()
+        A = GroupRingMatrix([elements[0:3], elements[3:6], [zero] * 3])
+        B = GroupRingMatrix([[*elements[k:k + 2], zero] for k in (6, 8, 10)])
         for i, row in enumerate((A @ B).entries):
             for j, entry in enumerate(row):
                 want = {}
@@ -242,11 +244,22 @@ class TestProductKernel:
         w_inv = GroupRingElement({word_inverse(u): 1})
         product = (one + w) * (w_inv - one)
         assert product.terms == {word_inverse(u): 1, u: -1}
-        X = GroupRingMatrix([[one, w]])
-        Y = GroupRingMatrix([[w_inv], [-one]])
+        # a row times a column, made square by zero entries
+        zero = GroupRingElement.zero()
+        X = GroupRingMatrix([[one, w], [zero, zero]])
+        Y = GroupRingMatrix([[w_inv, zero], [-one, zero]])
         assert (X @ Y).entries[0][0].terms == {word_inverse(u): 1, u: -1}
         # one w + w (-1) = 0 across the sum over k
-        assert (X @ GroupRingMatrix([[w], [-one]])).entries[0][0].terms == {}
+        Y = GroupRingMatrix([[w, zero], [-one, zero]])
+        assert (X @ Y).entries[0][0].terms == {}
+
+
+def padded(rows, n, zero):
+    """The n x n GroupRingMatrix with the rows of elements in its top left
+    corner and zero elsewhere."""
+    return GroupRingMatrix(
+        [[*row, *[zero] * (n - len(row))] for row in rows]
+        + [[zero] * n for _ in range(n - len(rows))])
 
 
 def assert_canonical(chains, r=1):
@@ -371,15 +384,17 @@ class TestPrefixChains:
                                    + shape[1] * shape[2]))))
     @settings(max_examples=60, deadline=None)
     def test_row_chains_of_matrix_products(self, case):
-        # rows of r = 1..4 columns share one chain list: every entry of
-        # A @ B and every row of chains is checked
+        # rows of r = 1..4 columns share one chain list: every row of chains
+        # is checked, and every entry of A @ B with A and B made square by
+        # zero rows and columns
         (p, m, r), elements = case
         A = [elements[i * m:(i + 1) * m] for i in range(p)]
         B = [elements[p * m + k * r:p * m + (k + 1) * r] for k in range(m)]
         rows = _chain_matmul([[x.terms.items() for x in row] for row in A],
                              (r, [_chains([y.terms for y in row])
                                   for row in B]))
-        product = GroupRingMatrix(A) @ GroupRingMatrix(B)
+        n, zero = max(p, m, r), GroupRingElement.zero()
+        product = padded(A, n, zero) @ padded(B, n, zero)
         for i, chains in enumerate(rows):
             assert_canonical(chains, r)
             columns = _words(chains, r)
@@ -894,10 +909,9 @@ class TestTwistedPowerNorms:
     def test_errors_from_both(self):
         phi = FreeGroupEndo.from_strings(2, ["ab", "a"])
         D = jacobian(phi)
-        wide = GroupRingMatrix([[GroupRingElement.one()] * 2])
         for fn in (twisted_power_norm, twisted_power_norms):
             with pytest.raises(NotSquare):
-                fn(phi, wide, 2)
+                fn(phi, GroupRingMatrix([[GroupRingElement.one()] * 2]), 2)
             with pytest.raises(ValueError):
                 fn(phi, D, 0)
 

@@ -81,7 +81,7 @@ class TestFiniteCounts:
         for name, G, endos in catalog_with_endos():
             for phi in endos:
                 B = class_function_matrix(G, phi)
-                for j in range(B.cols):
+                for j in range(B.rows):
                     assert sum(B[i, j] for i in range(B.rows)) == 1, name
 
     def test_eventual_image_reduction(self):
@@ -254,7 +254,7 @@ def _adjugate(A):
     k = A.rows
     rest = [[t for t in range(k) if t != i] for i in range(k)]
     return IntMatrix([[(-1) ** (i + j) * det(A.submatrix(rest[j], rest[i]))
-                       for j in range(k)] for i in range(k)], rows=k, cols=k)
+                       for j in range(k)] for i in range(k)])
 
 
 def _pairwise_oracle(P, n):
@@ -325,7 +325,7 @@ def small_products(draw):
     k = draw(st.integers(0, 2))
     M = IntMatrix(draw(st.lists(
         st.lists(st.integers(-2, 2), min_size=k, max_size=k),
-        min_size=k, max_size=k)), rows=k, cols=k)
+        min_size=k, max_size=k)))
     n = draw(st.integers(1, 3))
     try:
         cosets = r_abelian(mat_pow(M, n))

@@ -489,3 +489,41 @@ def test_one_product_kernel():
         reached = _reached_names("fox", product)
         assert "_add_product" in reached
         assert "_join" not in reached
+
+
+def _owner(tree: ast.Module, module: str) -> dict[int, str]:
+    """module.function or module.Class.method of every node inside a
+    module-level function or method, by the node's id."""
+    owner = {}
+    for node in tree.body:
+        defs = ([(f"{node.name}.{item.name}", item) for item in node.body
+                 if isinstance(item, ast.FunctionDef)]
+                if isinstance(node, ast.ClassDef) else
+                [(node.name, node)] if isinstance(node, ast.FunctionDef)
+                else [])
+        for name, item in defs:
+            owner.update((id(n), f"{module}.{name}") for n in ast.walk(item))
+    return owner
+
+
+def test_matrices_check_their_shape_once():
+    # Every matrix of the package is square by construction: the two
+    # constructors are the one shape check, so no function that takes a
+    # matrix raises NotSquare again, and nothing reads a column count or a
+    # squareness flag.
+    raisers, reads = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = _owner(tree, path.stem)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "NotSquare":
+                    raisers.append(owner.get(id(node), path.stem))
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("cols", "is_square")):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert sorted(raisers) == ["fox.GroupRingMatrix.__init__",
+                               "intlinalg.IntMatrix.__init__"]
+    assert reads == []

@@ -149,7 +149,7 @@ def products_with_finite_iterates(draw):
         lambda k: comb(k, k // 2) * classes <= MAX_BLOCK))
     M = IntMatrix(draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=k, max_size=k),
-        min_size=k, max_size=k)), rows=k, cols=k)
+        min_size=k, max_size=k)))
     try:
         count_eigen_signs(char_poly(M))
         check_all_iterates_finite(M)
